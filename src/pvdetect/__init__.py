@@ -73,12 +73,10 @@ from .imagery import (
     save_tile,
 )
 from .scoring import (
-    MatchResult,
     PRCurve,
     jaccard,
-    match_objects,
+    judge_detections,
     multi_tile_object_pr,
-    object_pr,
     pixel_pr,
     read_pr_csv,
     write_pr_csv,

@@ -85,33 +85,6 @@ _DETECTIONS_HEADER = (
 )
 
 
-def _encode_rle(pixels) -> str:
-    """Row-major run-length encoding: 'y:x0-x1' runs joined by ';'."""
-    pts = sorted((y, x) for x, y in pixels)
-    runs: list[list[int]] = []
-    for y, x in pts:
-        if runs and runs[-1][0] == y and runs[-1][2] == x - 1:
-            runs[-1][2] = x
-        else:
-            runs.append([y, x, x])
-    return ";".join(f"{y}:{a}-{b}" for y, a, b in runs)
-
-
-def _decode_rle(text: str) -> frozenset:
-    pixels = []
-    for run in text.split(";"):
-        try:
-            y_part, span = run.split(":")
-            a, b = span.split("-")
-            y, x0, x1 = int(y_part), int(a), int(b)
-        except ValueError:
-            raise DataError(f"bad pixel run {run!r}") from None
-        if x1 < x0:
-            raise DataError(f"bad pixel run {run!r}")
-        pixels.extend((x, y) for x in range(x0, x1 + 1))
-    return frozenset(pixels)
-
-
 def write_detections_csv(
     objects_by_tile: dict[str, list[detection.DetectionObject]], path: Path
 ) -> None:
@@ -121,12 +94,19 @@ def write_detections_csv(
             min_x, min_y, max_x, max_y = obj.bbox
             lines.append(
                 f"{tile_id},{k},{format(obj.confidence, '.17g')},{obj.area},"
-                f"{min_x},{min_y},{max_x},{max_y},{_encode_rle(obj.pixels)}"
+                f"{min_x},{min_y},{max_x},{max_y},{obj.to_rle()}"
             )
     _write_text_atomic(path, "\n".join(lines) + "\n")
 
 
-def read_detections_csv(path: Path) -> dict[str, list[detection.DetectionObject]]:
+def read_detections_csv(
+    path: Path, shapes: dict[str, tuple[int, int]]
+) -> dict[str, list[detection.DetectionObject]]:
+    """Detections by tile; shapes gives the (height, width) of each known tile.
+
+    A row naming an unknown tile, a pixel outside its tile, or an area or
+    bounding box that disagrees with the pixel runs raises DataError.
+    """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"detections file not found: {path}")
@@ -141,13 +121,25 @@ def read_detections_csv(path: Path) -> dict[str, list[detection.DetectionObject]
         if len(parts) != 9:
             raise DataError(f"{path}:{lineno}: expected 9 fields, got {len(parts)}")
         tile_id = parts[0]
+        if tile_id not in shapes:
+            raise DataError(f"{path}:{lineno}: unknown tile {tile_id!r}")
         try:
             confidence = float(parts[2])
+            area, *bbox = (int(v) for v in parts[3:8])
         except ValueError:
-            raise DataError(f"{path}:{lineno}: bad confidence {parts[2]!r}") from None
-        obj = detection.DetectionObject(_decode_rle(parts[8]), confidence)
-        if obj.area != int(parts[3]):
-            raise DataError(f"{path}:{lineno}: area does not match pixel runs")
+            raise DataError(
+                f"{path}:{lineno}: bad confidence, area or bounding box"
+            ) from None
+        try:
+            obj = detection.DetectionObject.from_rle(
+                parts[8], confidence, shapes[tile_id]
+            )
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if obj.area != area or obj.bbox != tuple(bbox):
+            raise DataError(
+                f"{path}:{lineno}: area or bounding box does not match pixel runs"
+            )
         by_tile.setdefault(tile_id, []).append(obj)
     return by_tile
 
@@ -320,17 +312,16 @@ def cmd_score(
     if detections_path is not None:
         detections_path = Path(detections_path)
         inputs.append(detections_path)
-        detections_by_tile = read_detections_csv(detections_path)
-        annotations_by_tile = {}
-        for tile, anns in zip(tiles, annotations):
-            pixel_sets = []
-            for ann in anns:
-                mask = imagery.rasterize([ann], tile.width, tile.height)
-                ys, xs = np.nonzero(mask)
-                pixel_sets.append(
-                    frozenset((int(x), int(y)) for y, x in zip(ys, xs))
-                )
-            annotations_by_tile[tile.tile_id] = pixel_sets
+        detections_by_tile = read_detections_csv(
+            detections_path, {t.tile_id: (t.height, t.width) for t in tiles}
+        )
+        annotations_by_tile = {
+            tile.tile_id: [
+                np.flatnonzero(imagery.rasterize([ann], tile.width, tile.height))
+                for ann in anns
+            ]
+            for tile, anns in zip(tiles, annotations)
+        }
         for level in config.jaccard_levels:
             curve = scoring.multi_tile_object_pr(
                 detections_by_tile, annotations_by_tile, level

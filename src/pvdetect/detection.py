@@ -19,7 +19,11 @@ map of constant-valued grown regions:
    the infinite plane, so it never loses support at tile borders.
 
 Objects are the 8-connected components of the positive support of an
-enhanced map; each object's confidence is its maximum pixel value.
+enhanced map; each object's confidence is its maximum pixel value.  A
+DetectionObject stores its pixels in the one compact form used from
+extraction through the detections CSV to scoring: sorted flat indices
+y * width + x into its tile.  Its run-length text form (to_rle/from_rle)
+is the only other pixel format, and decoding rejects runs outside the tile.
 """
 
 from __future__ import annotations
@@ -55,36 +59,67 @@ class PPParams:
             raise ConfigError("structuring radii must be >= 0")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DetectionObject:
-    """One 8-connected detected region of an enhanced confidence map."""
+    """One 8-connected detected region of a tile of the given (height, width).
 
-    pixels: frozenset  # of (x, y) tuples
+    pixels holds the region's distinct flat indices y * width + x in
+    ascending order, read-only; any integer sequence is accepted and
+    normalized.  Every index must lie inside the tile, so a pixel can never
+    alias onto another row.
+    """
+
+    pixels: np.ndarray
     confidence: float
+    shape: tuple[int, int]
 
     def __post_init__(self):
-        if not self.pixels:
+        height, width = self.shape
+        pixels = np.unique(np.asarray(self.pixels, dtype=np.int64))
+        if pixels.size == 0:
             raise DataError("detection object must cover at least one pixel")
+        if pixels[0] < 0 or pixels[-1] >= height * width:
+            raise DataError(f"detection pixel outside its {width}x{height} tile")
+        pixels.setflags(write=False)
+        object.__setattr__(self, "pixels", pixels)
         if not 0.0 < self.confidence <= 1.0:
             raise DataError(f"object confidence {self.confidence} outside (0, 1]")
 
     @property
     def area(self) -> int:
-        return len(self.pixels)
+        return self.pixels.size
 
     @property
     def bbox(self) -> tuple[int, int, int, int]:
-        xs = [p[0] for p in self.pixels]
-        ys = [p[1] for p in self.pixels]
-        return min(xs), min(ys), max(xs), max(ys)
+        ys, xs = np.divmod(self.pixels, self.shape[1])
+        return int(xs.min()), int(ys[0]), int(xs.max()), int(ys[-1])
 
-    @property
-    def centroid(self) -> tuple[float, float]:
-        n = len(self.pixels)
-        return (
-            sum(p[0] for p in self.pixels) / n,
-            sum(p[1] for p in self.pixels) / n,
-        )
+    def to_rle(self) -> str:
+        """Row-major run-length encoding: 'y:x0-x1' runs joined by ';'."""
+        ys, xs = np.divmod(self.pixels, self.shape[1])
+        ends = np.flatnonzero((np.diff(ys) != 0) | (np.diff(xs) != 1))
+        first, last = np.append(0, ends + 1), np.append(ends, xs.size - 1)
+        runs = zip(ys[first].tolist(), xs[first].tolist(), xs[last].tolist())
+        return ";".join(f"{y}:{x0}-{x1}" for y, x0, x1 in runs)
+
+    @classmethod
+    def from_rle(
+        cls, text: str, confidence: float, shape: tuple[int, int]
+    ) -> DetectionObject:
+        """Inverse of to_rle; a run outside the tile raises DataError."""
+        height, width = shape
+        runs = []
+        for run in text.split(";"):
+            try:
+                y_part, span = run.split(":")
+                a, b = span.split("-")
+                y, x0, x1 = int(y_part), int(a), int(b)
+            except ValueError:
+                raise DataError(f"bad pixel run {run!r}") from None
+            if not (0 <= y < height and 0 <= x0 <= x1 < width):
+                raise DataError(f"bad pixel run {run!r} in a {width}x{height} tile")
+            runs.append(np.arange(y * width + x0, y * width + x1 + 1))
+        return cls(np.concatenate(runs), confidence, shape)
 
 
 def _check_map(conf: np.ndarray) -> np.ndarray:
@@ -346,13 +381,13 @@ def connected_components(mask: np.ndarray) -> list[np.ndarray]:
 def extract_objects(enhanced: np.ndarray) -> list[DetectionObject]:
     """Detected objects: 8-connected components of the positive support."""
     enhanced = _check_map(enhanced)
+    width = enhanced.shape[1]
+    values = enhanced.ravel()
     objects = []
     for pixels in connected_components(enhanced > 0.0):
-        confidence = float(enhanced[pixels[:, 0], pixels[:, 1]].max())
+        flat = pixels[:, 0] * width + pixels[:, 1]
         objects.append(
-            DetectionObject(
-                frozenset((int(x), int(y)) for y, x in pixels), confidence
-            )
+            DetectionObject(flat, float(values[flat].max()), enhanced.shape)
         )
     return objects
 

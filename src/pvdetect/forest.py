@@ -201,7 +201,8 @@ class DecisionTree:
         leaves = ~internal
         if (self.count[leaves] < 1).any():
             raise ModelFormatError("leaf with empty training count")
-        if ((self.prob[leaves] < 0.0) | (self.prob[leaves] > 1.0)).any():
+        # written so that NaN fails the test too
+        if not ((self.prob[leaves] >= 0.0) & (self.prob[leaves] <= 1.0)).all():
             raise ModelFormatError("leaf probability outside [0, 1]")
         if not np.isfinite(self.threshold[internal]).all():
             raise ModelFormatError("non-finite split threshold")
@@ -227,16 +228,6 @@ class DecisionTree:
             cur = node[active]
             go_left = X[active, f[active]] <= self.threshold[cur]
             node[active] = np.where(go_left, self.left[cur], self.right[cur])
-
-    def leaf_of(self, x: np.ndarray) -> int:
-        node = 0
-        while self.feature[node] >= 0:
-            node = (
-                self.left[node]
-                if x[self.feature[node]] <= self.threshold[node]
-                else self.right[node]
-            )
-        return int(node)
 
 
 def grow_tree(
@@ -562,7 +553,7 @@ def _parse_tree(lines: list[str], start: int, n_nodes: int) -> tuple[DecisionTre
                 count[k] = int(parts[2])
             else:
                 raise ValueError(f"bad node record {parts!r}")
-        except (ValueError, IndexError) as exc:
+        except (ValueError, IndexError, OverflowError) as exc:
             raise ModelFormatError(f"malformed node line {start + k + 1}: {exc}") from None
     return DecisionTree(feature, threshold, left, right, prob, count), start + n_nodes
 
@@ -610,10 +601,14 @@ def loads_model(data: bytes) -> RandomForest:
         parts = lines[pos].split()
         if len(parts) != 3 or parts[0] != "TREE":
             raise ModelFormatError(f"expected TREE record, got {lines[pos]!r}")
-        if int(parts[1]) != i:
+        try:
+            label, n_nodes = int(parts[1]), int(parts[2])
+        except ValueError:
+            raise ModelFormatError(f"bad TREE record {lines[pos]!r}") from None
+        if label != i:
             raise ModelFormatError(f"tree {i} labeled {parts[1]}")
-        n_nodes = int(parts[2])
-        if n_nodes < 1:
+        # bounded by the lines present, so a bad count allocates nothing large
+        if not 1 <= n_nodes <= len(lines) - 2 - pos:
             raise ModelFormatError(f"tree {i} declares {n_nodes} nodes")
         tree, pos = _parse_tree(lines, pos + 1, n_nodes)
         trees.append(tree)

@@ -8,6 +8,12 @@ Jaccard overlap: a detection is judged against the union of every
 annotation it touches, and an accepted detection marks all of them as
 detected.
 
+Objects and annotations are sets of flat pixel indices y * width + x of
+their tile (see DetectionObject).  Whether a detection is accepted depends
+on that detection and its tile's annotations only, so each detection is
+judged once per Jaccard level, on its own tile; one sort by confidence
+then yields the whole object curve, as in the PASCAL VOC evaluation.
+
 Both flavors report the positive-class prevalence as the random-detector
 baseline: the positive pixel fraction at pixel level, and the precision
 of the full candidate list at object level.
@@ -15,7 +21,7 @@ of the full candidate list at object level.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -66,12 +72,14 @@ class PRCurve:
         return float(self.recall[ok].max()) if ok.any() else 0.0
 
 
-def jaccard(set_a, set_b) -> float:
-    """Jaccard overlap |A & B| / |A | B| of two pixel sets."""
-    a, b = set(set_a), set(set_b)
-    if not a and not b:
+def jaccard(pixels_a, pixels_b) -> float:
+    """Jaccard overlap |A & B| / |A | B| of two sets of flat pixel indices."""
+    a = np.unique(np.asarray(pixels_a, dtype=np.int64))
+    b = np.unique(np.asarray(pixels_b, dtype=np.int64))
+    if not a.size and not b.size:
         raise ValueError("jaccard of two empty sets is undefined")
-    return len(a & b) / len(a | b)
+    both = np.intersect1d(a, b, assume_unique=True).size
+    return both / (a.size + b.size - both)
 
 
 def pixel_pr(
@@ -138,90 +146,41 @@ def pixel_pr(
     return PRCurve(thresholds, precision, recall, prevalence, sweep == "quantized")
 
 
-@dataclass(frozen=True)
-class MatchResult:
-    """Outcome of linking detections to annotations at one Jaccard level."""
-
-    accepted: tuple[bool, ...]
-    detected_by: tuple[frozenset, ...] = field(default_factory=tuple)
-
-    @property
-    def n_true(self) -> int:
-        return sum(self.accepted)
-
-    @property
-    def n_false(self) -> int:
-        return len(self.accepted) - self.n_true
-
-    @property
-    def n_detected_annotations(self) -> int:
-        return sum(1 for d in self.detected_by if d)
-
-
-def match_objects(
+def judge_detections(
     detections: list[DetectionObject],
-    annotation_pixel_sets: list,
+    annotation_pixels: list,
     jaccard_threshold: float,
-) -> MatchResult:
-    """Judge each detection against the union of the annotations it touches.
+) -> list[np.ndarray]:
+    """Per detection, the indices of the annotations it detects.
 
-    A detection is true when that union is non-empty and their Jaccard
-    overlap reaches the threshold; every annotation in the union is then
-    detected.  Detections touching nothing, or falling short of the
-    threshold, are false.
+    Detections and annotations hold flat pixel indices of one tile.  A
+    detection is true when the union of the annotations it touches is
+    non-empty and overlaps it with Jaccard >= the threshold; it then
+    detects them all.  A false detection gets an empty array.
     """
     if not 0.0 < jaccard_threshold <= 1.0:
         raise ConfigError(
             f"jaccard threshold must be in (0, 1], got {jaccard_threshold}"
         )
-    ann_sets = [frozenset(a) for a in annotation_pixel_sets]
-    accepted = []
-    detected_by = [set() for _ in ann_sets]
-    for d_index, det in enumerate(detections):
-        touching = [i for i, a in enumerate(ann_sets) if a & det.pixels]
-        ok = False
-        if touching:
-            union = frozenset().union(*(ann_sets[i] for i in touching))
-            ok = jaccard(det.pixels, union) >= jaccard_threshold
-        accepted.append(ok)
-        if ok:
-            for i in touching:
-                detected_by[i].add(d_index)
-    return MatchResult(tuple(accepted), tuple(frozenset(s) for s in detected_by))
-
-
-def object_pr(
-    detections: list[DetectionObject],
-    annotation_pixel_sets: list,
-    jaccard_threshold: float,
-) -> PRCurve:
-    """Object-level PR curve, sweeping distinct detection confidences.
-
-    At each threshold only detections at or above it are kept and matched;
-    precision is the true fraction of kept detections and recall the
-    detected fraction of annotations.  The prevalence field reports the
-    precision of the full candidate list (the random-detector baseline);
-    maximum recall can stay below 1 when some annotations are never
-    covered.
-    """
-    if not annotation_pixel_sets:
-        raise DataError("object scoring requires at least one annotation")
-    if not detections:
-        return PRCurve(np.array([]), np.array([]), np.array([]), 0.0)
-    confidences = sorted({d.confidence for d in detections}, reverse=True)
-    thresholds, precision, recall = [], [], []
-    n_ann = len(annotation_pixel_sets)
-    for t in confidences:
-        kept = [d for d in detections if d.confidence >= t]
-        result = match_objects(kept, annotation_pixel_sets, jaccard_threshold)
-        thresholds.append(t)
-        precision.append(result.n_true / len(kept))
-        recall.append(result.n_detected_annotations / n_ann)
-    full = match_objects(detections, annotation_pixel_sets, jaccard_threshold)
-    prevalence = full.n_true / len(detections)
-    return PRCurve(
-        np.array(thresholds), np.array(precision), np.array(recall), prevalence
-    )
+    anns = [np.asarray(a, dtype=np.int64) for a in annotation_pixels]
+    # every annotation pixel with its owner, sorted by pixel; overlapping
+    # annotations put several entries on one pixel
+    owner = np.repeat(np.arange(len(anns)), [a.size for a in anns])
+    flat = np.concatenate([np.empty(0, dtype=np.int64), *anns])
+    order = np.argsort(flat, kind="stable")
+    flat, owner = flat[order], owner[order]
+    judged = []
+    for det in detections:
+        lo = np.searchsorted(flat, det.pixels, side="left")
+        hi = np.searchsorted(flat, det.pixels, side="right")
+        n = hi - lo  # pixel k of the detection matches entries lo[k] .. hi[k]-1
+        entries = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+        touching = np.unique(owner[entries])
+        union = np.concatenate([flat[:0], *(anns[i] for i in touching)])
+        if not union.size or jaccard(det.pixels, union) < jaccard_threshold:
+            touching = touching[:0]
+        judged.append(touching)
+    return judged
 
 
 def multi_tile_object_pr(
@@ -229,27 +188,48 @@ def multi_tile_object_pr(
     annotations_by_tile: dict,
     jaccard_threshold: float,
 ) -> PRCurve:
-    """Object PR pooled over tiles, keyed by tile id.
+    """Object-level PR curve pooled over tiles, keyed by tile id.
 
-    Pixel coordinates are namespaced per tile before pooling so objects on
-    different tiles can never overlap each other.
+    Each detection is judged once, against its own tile's annotations.  At
+    each distinct confidence t, precision is the true fraction of the
+    detections with confidence >= t, and recall the fraction of annotations
+    whose best true detection has confidence >= t.  The prevalence field
+    is the precision of the full candidate list (the random-detector
+    baseline); maximum recall stays below 1 if an annotation is missed.
     """
-    tile_ids = sorted(annotations_by_tile)
-    pooled_detections = []
-    pooled_annotations = []
-    for idx, tile_id in enumerate(tile_ids):
-        for ann in annotations_by_tile[tile_id]:
-            pooled_annotations.append(frozenset((idx, x, y) for x, y in ann))
-        for det in detections_by_tile.get(tile_id, []):
-            pooled_detections.append(
-                DetectionObject(
-                    frozenset((idx, x, y) for x, y in det.pixels), det.confidence
-                )
-            )
-    extra = set(detections_by_tile) - set(tile_ids)
+    extra = set(detections_by_tile) - set(annotations_by_tile)
     if extra:
         raise DataError(f"detections reference unknown tiles: {sorted(extra)}")
-    return object_pr(pooled_detections, pooled_annotations, jaccard_threshold)
+    confidences, detected = [], []
+    n_annotations = 0
+    for tile_id in sorted(annotations_by_tile):
+        anns = annotations_by_tile[tile_id]
+        dets = detections_by_tile.get(tile_id, [])
+        confidences.extend(d.confidence for d in dets)
+        for ids in judge_detections(dets, anns, jaccard_threshold):
+            detected.append(ids + n_annotations)
+        n_annotations += len(anns)
+    if not n_annotations:
+        raise DataError("object scoring requires at least one annotation")
+    if not confidences:
+        return PRCurve(np.array([]), np.array([]), np.array([]), 0.0)
+
+    conf = np.array(confidences, dtype=np.float64)
+    order = np.argsort(-conf, kind="stable")
+    sorted_conf = conf[order]
+    cum_true = np.cumsum(np.array([ids.size > 0 for ids in detected])[order])
+    ends = np.flatnonzero(np.append(sorted_conf[:-1] != sorted_conf[1:], True))
+    thresholds = sorted_conf[ends]
+    best = np.full(n_annotations, -np.inf)
+    hits = np.concatenate(detected)
+    np.maximum.at(best, hits, np.repeat(conf, [ids.size for ids in detected]))
+    n_detected = np.searchsorted(np.sort(-best), -thresholds, side="right")
+    return PRCurve(
+        thresholds,
+        cum_true[ends] / (ends + 1),
+        n_detected / n_annotations,
+        int(cum_true[-1]) / conf.size,
+    )
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,13 @@ between pvdetect and these functions actually checks two code paths.
 from __future__ import annotations
 
 from collections import deque
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
+
+from pvdetect.errors import ConfigError, DataError
+from pvdetect.scoring import PRCurve
 
 
 # ---------------------------------------------------------------------------
@@ -344,3 +348,142 @@ def reference_postprocess(conf, params):
                             best = max(best, after_close[ny, nx])
                     result[y, x] = best
     return result
+
+
+# ---------------------------------------------------------------------------
+# Object scoring
+# ---------------------------------------------------------------------------
+# The original object scorer, which re-matches the kept detections at every
+# distinct confidence and pools tiles by namespacing pixels as (tile, x, y).
+# It is the reference for pvdetect.scoring's single sweep.  Pixels are
+# frozensets of (x, y) tuples.
+
+
+@dataclass(frozen=True)
+class SetDetection:
+    """A detected object as a frozenset of (x, y) pixels."""
+
+    pixels: frozenset
+    confidence: float
+
+
+def set_jaccard(set_a, set_b) -> float:
+    """Jaccard overlap |A & B| / |A | B| of two pixel sets."""
+    a, b = set(set_a), set(set_b)
+    if not a and not b:
+        raise ValueError("jaccard of two empty sets is undefined")
+    return len(a & b) / len(a | b)
+
+
+@dataclass(frozen=True)
+class MatchResult:
+    """Outcome of linking detections to annotations at one Jaccard level."""
+
+    accepted: tuple[bool, ...]
+    detected_by: tuple[frozenset, ...] = field(default_factory=tuple)
+
+    @property
+    def n_true(self) -> int:
+        return sum(self.accepted)
+
+    @property
+    def n_false(self) -> int:
+        return len(self.accepted) - self.n_true
+
+    @property
+    def n_detected_annotations(self) -> int:
+        return sum(1 for d in self.detected_by if d)
+
+
+def match_objects(
+    detections: list[SetDetection],
+    annotation_pixel_sets: list,
+    jaccard_threshold: float,
+) -> MatchResult:
+    """Judge each detection against the union of the annotations it touches.
+
+    A detection is true when that union is non-empty and their Jaccard
+    overlap reaches the threshold; every annotation in the union is then
+    detected.  Detections touching nothing, or falling short of the
+    threshold, are false.
+    """
+    if not 0.0 < jaccard_threshold <= 1.0:
+        raise ConfigError(
+            f"jaccard threshold must be in (0, 1], got {jaccard_threshold}"
+        )
+    ann_sets = [frozenset(a) for a in annotation_pixel_sets]
+    accepted = []
+    detected_by = [set() for _ in ann_sets]
+    for d_index, det in enumerate(detections):
+        touching = [i for i, a in enumerate(ann_sets) if a & det.pixels]
+        ok = False
+        if touching:
+            union = frozenset().union(*(ann_sets[i] for i in touching))
+            ok = set_jaccard(det.pixels, union) >= jaccard_threshold
+        accepted.append(ok)
+        if ok:
+            for i in touching:
+                detected_by[i].add(d_index)
+    return MatchResult(tuple(accepted), tuple(frozenset(s) for s in detected_by))
+
+
+def object_pr(
+    detections: list[SetDetection],
+    annotation_pixel_sets: list,
+    jaccard_threshold: float,
+) -> PRCurve:
+    """Object-level PR curve, sweeping distinct detection confidences.
+
+    At each threshold only detections at or above it are kept and matched;
+    precision is the true fraction of kept detections and recall the
+    detected fraction of annotations.  The prevalence field reports the
+    precision of the full candidate list (the random-detector baseline);
+    maximum recall can stay below 1 when some annotations are never
+    covered.
+    """
+    if not annotation_pixel_sets:
+        raise DataError("object scoring requires at least one annotation")
+    if not detections:
+        return PRCurve(np.array([]), np.array([]), np.array([]), 0.0)
+    confidences = sorted({d.confidence for d in detections}, reverse=True)
+    thresholds, precision, recall = [], [], []
+    n_ann = len(annotation_pixel_sets)
+    for t in confidences:
+        kept = [d for d in detections if d.confidence >= t]
+        result = match_objects(kept, annotation_pixel_sets, jaccard_threshold)
+        thresholds.append(t)
+        precision.append(result.n_true / len(kept))
+        recall.append(result.n_detected_annotations / n_ann)
+    full = match_objects(detections, annotation_pixel_sets, jaccard_threshold)
+    prevalence = full.n_true / len(detections)
+    return PRCurve(
+        np.array(thresholds), np.array(precision), np.array(recall), prevalence
+    )
+
+
+def multi_tile_object_pr(
+    detections_by_tile: dict,
+    annotations_by_tile: dict,
+    jaccard_threshold: float,
+) -> PRCurve:
+    """Object PR pooled over tiles, keyed by tile id.
+
+    Pixel coordinates are namespaced per tile before pooling so objects on
+    different tiles can never overlap each other.
+    """
+    tile_ids = sorted(annotations_by_tile)
+    pooled_detections = []
+    pooled_annotations = []
+    for idx, tile_id in enumerate(tile_ids):
+        for ann in annotations_by_tile[tile_id]:
+            pooled_annotations.append(frozenset((idx, x, y) for x, y in ann))
+        for det in detections_by_tile.get(tile_id, []):
+            pooled_detections.append(
+                SetDetection(
+                    frozenset((idx, x, y) for x, y in det.pixels), det.confidence
+                )
+            )
+    extra = set(detections_by_tile) - set(tile_ids)
+    if extra:
+        raise DataError(f"detections reference unknown tiles: {sorted(extra)}")
+    return object_pr(pooled_detections, pooled_annotations, jaccard_threshold)

@@ -4,8 +4,6 @@ from pathlib import Path
 import pytest
 
 from pvdetect.cli import (
-    _decode_rle,
-    _encode_rle,
     cmd_detect,
     cmd_eval,
     cmd_predict,
@@ -18,6 +16,7 @@ from pvdetect.cli import (
 )
 from pvdetect.config import RunConfig, parse_config
 from pvdetect.detection import DetectionObject, load_confidence_map
+from pvdetect.errors import DataError
 from pvdetect.imagery import load_manifest
 
 TINY = dict(
@@ -49,29 +48,35 @@ def tiny_config_text(**overrides):
 
 
 def test_rle_roundtrip():
-    pixels = frozenset({(0, 0), (1, 0), (2, 0), (4, 0), (0, 1), (5, 3)})
-    text = _encode_rle(pixels)
-    assert text == "0:0-2;0:4-4;1:0-0;3:5-5"
-    assert _decode_rle(text) == pixels
-    with pytest.raises(Exception):
-        _decode_rle("not runs")
+    # (5, 0) and (0, 1) are adjacent flat indices but lie on different rows
+    xy = {(0, 0), (1, 0), (2, 0), (4, 0), (5, 0), (0, 1), (5, 3)}
+    pixels = [y * 6 + x for x, y in xy]
+    text = DetectionObject(pixels, 0.5, (4, 6)).to_rle()
+    assert text == "0:0-2;0:4-5;1:0-0;3:5-5"
+    again = DetectionObject.from_rle(text, 0.5, (4, 6))
+    assert again.pixels.tolist() == sorted(pixels)
+    for bad in ["not runs", "0:3-2", "-1:0-2", "0:-1-2", "0:5-6", "4:0-0", ""]:
+        with pytest.raises(DataError):
+            DetectionObject.from_rle(bad, 0.5, (4, 6))
 
 
 def test_detections_csv_roundtrip(tmp_path):
+    shapes = {"tile_a": (10, 10), "tile_b": (6, 5)}
     objects = {
-        "tile_b": [DetectionObject(frozenset({(3, 4), (4, 4), (3, 5)}), 0.75)],
+        "tile_b": [DetectionObject([23, 24, 28], 0.75, shapes["tile_b"])],
         "tile_a": [
-            DetectionObject(frozenset({(0, 0)}), 0.5),
-            DetectionObject(frozenset({(8, 9), (9, 9)}), 1.0),
+            DetectionObject([0], 0.5, shapes["tile_a"]),
+            DetectionObject([98, 99], 1.0, shapes["tile_a"]),
         ],
     }
     path = tmp_path / "detections.csv"
     write_detections_csv(objects, path)
     lines = path.read_text().splitlines()
     assert lines[0].startswith("tile_id,object_id,confidence,area,")
-    again = read_detections_csv(path)
+    again = read_detections_csv(path, shapes)
     assert set(again) == {"tile_a", "tile_b"}
-    assert {o.pixels for o in again["tile_a"]} == {o.pixels for o in objects["tile_a"]}
+    assert [o.pixels.tolist() for o in again["tile_a"]] == [[0], [98, 99]]
+    assert again["tile_b"][0].pixels.tolist() == [23, 24, 28]
     assert again["tile_b"][0].confidence == 0.75
 
 
@@ -216,6 +221,84 @@ def test_main_data_error_exit_4(tmp_path, capsys):
     code = main(["detect", "--out", str(tmp_path / "o"), str(bad)])
     assert code == 4
     assert "data error" in capsys.readouterr().err
+
+
+def test_main_score_malformed_detections_exit_4(tmp_path, capsys):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(tiny_config_text())
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
+    manifest = out / "scenes" / "manifest.txt"
+    header = "tile_id,object_id,confidence,area,min_x,min_y,max_x,max_y,rle_pixels"
+    good = "scene_002,0,0.5,2,3,4,4,4,4:3-4"  # the test tile is 96x96
+
+    def score(row):
+        path = tmp_path / "detections.csv"
+        path.write_text(f"{header}\n{row}\n")
+        capsys.readouterr()
+        code = main(
+            [
+                "score",
+                "--config",
+                str(config_path),
+                "--manifest",
+                str(manifest),
+                "--detections",
+                str(path),
+                "--out",
+                str(tmp_path / "scores"),
+            ]
+        )
+        return code, capsys.readouterr().err
+
+    assert score(good)[0] == 0
+    for row in [
+        "scene_002,0,0.5,two,3,4,4,4,4:3-4",  # area not an integer
+        "scene_002,0,0.5,2,3,4,4.0,4,4:3-4",  # bounding box not integers
+        "scene_002,0,0.5,3,3,4,4,4,4:3-4",  # area disagrees with the runs
+        "scene_002,0,0.5,2,3,4,5,4,4:3-4",  # bounding box disagrees
+        "scene_002,0,0.5,3,-1,0,1,0,-1:0-2",  # negative y
+        "scene_002,0,0.5,2,95,0,96,0,0:95-96",  # x past the tile width
+        "scene_002,0,0.5,1,0,96,0,96,96:0-0",  # y past the tile height
+        "scene_000,0,0.5,2,3,4,4,4,4:3-4",  # a tile outside the test role
+    ]:
+        code, err = score(row)
+        assert code == 4, row
+        assert "data error" in err and "Traceback" not in err, row
+
+
+def test_main_malformed_model_exit_4(tmp_path, capsys):
+    import hashlib
+
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(tiny_config_text())
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
+    body = (
+        "PVFOREST v1\nM 102\nT 1\nSPEC {spec}\nTREE {label} 1\nL {prob} 3\n"
+    )
+    spec = tiny_config().feature_spec().fingerprint()
+    for label, prob in [("0", "nan"), ("zero", "0.5")]:
+        text = body.format(spec=spec, label=label, prob=prob)
+        digest = hashlib.sha256(text.encode()).hexdigest()
+        model = tmp_path / "bad.pvforest"
+        model.write_text(text + f"CHECKSUM {digest}\n")
+        capsys.readouterr()
+        code = main(
+            [
+                "predict",
+                "--config",
+                str(config_path),
+                "--model",
+                str(model),
+                "--out",
+                str(tmp_path / "o"),
+                str(out / "scenes" / "scene_002.ppm"),
+            ]
+        )
+        err = capsys.readouterr().err
+        assert code == 4, (label, prob)
+        assert "data error" in err and "Traceback" not in err
 
 
 def test_main_model_feature_mismatch_exit_4(tmp_path, capsys):

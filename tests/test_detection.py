@@ -257,7 +257,7 @@ def test_extract_objects_two_blobs():
     assert by_conf[0].confidence == 0.6 and by_conf[0].area == 4
     assert by_conf[1].confidence == 0.8 and by_conf[1].area == 9
     assert by_conf[0].bbox == (1, 1, 2, 2)
-    assert by_conf[1].centroid == (8.0, 9.0)
+    assert by_conf[1].bbox == (7, 8, 9, 10)
 
 
 def test_extract_objects_diagonal_is_8connected():
@@ -276,17 +276,18 @@ def test_extract_objects_matches_flood_fill_oracle():
                             rng.uniform(0.1, 1.0, size=(24, 24)), 0.0)
         objects = extract_objects(enhanced)
         oracle = flood_components(enhanced > 0)
-        got = sorted(sorted((y, x) for x, y in o.pixels) for o in objects)
+        # flat indices are sorted row-major, so divmod lists (y, x) in order
+        got = sorted([divmod(p, 24) for p in o.pixels.tolist()] for o in objects)
         assert got == sorted(oracle)
         # partition property: disjoint and covering
         union = set()
         total = 0
         for o in objects:
-            union |= o.pixels
+            union |= set(o.pixels.tolist())
             total += o.area
         assert len(union) == total == int((enhanced > 0).sum())
         for o in objects:
-            sub = [enhanced[y, x] for x, y in o.pixels]
+            sub = [enhanced[y, x] for y, x in map(divmod, o.pixels, [24] * o.area)]
             assert o.confidence == max(sub)
 
 
@@ -299,12 +300,22 @@ def test_connected_components_order_is_first_pixel_row_major():
 
 
 def test_detection_object_invariants():
+    obj = DetectionObject([7, 2, 7, 3], 0.5, (3, 4))
+    assert obj.pixels.tolist() == [2, 3, 7]  # sorted and distinct
+    assert not obj.pixels.flags.writeable
+    assert obj.area == 3 and obj.bbox == (2, 0, 3, 1)
     with pytest.raises(DataError):
-        DetectionObject(frozenset(), 0.5)
+        DetectionObject([], 0.5, (3, 4))
     with pytest.raises(DataError):
-        DetectionObject(frozenset({(0, 0)}), 0.0)
+        DetectionObject([0], 0.0, (3, 4))
     with pytest.raises(DataError):
-        DetectionObject(frozenset({(0, 0)}), 1.5)
+        DetectionObject([0], 1.5, (3, 4))
+    with pytest.raises(DataError):
+        DetectionObject([-1, 0], 0.5, (3, 4))  # negative index
+    with pytest.raises(DataError):
+        DetectionObject([12], 0.5, (3, 4))  # past the last row
+    with pytest.raises(DataError):
+        DetectionObject([0], 0.5, (0, 4))
 
 
 # ---------------------------------------------------------------------------

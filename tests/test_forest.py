@@ -445,7 +445,19 @@ def test_model_malformed_nodes():
     digest = hashlib.sha256(bad_body.encode()).hexdigest()
     with pytest.raises(ModelFormatError):
         loads_model((bad_body + f"CHECKSUM {digest}\n").encode())
-    bad_body = body.replace("L 0 5", "L 0")
-    digest = hashlib.sha256(bad_body.encode()).hexdigest()
-    with pytest.raises(ModelFormatError):
-        loads_model((bad_body + f"CHECKSUM {digest}\n").encode())
+    # each record below is well sealed, so the parser itself must reject it
+    for good, bad in [
+        ("L 0 5", "L 0"),
+        ("L 0 5", "L nan 5"),  # NaN passes neither p < 0 nor p > 1
+        ("L 1 4", "L inf 4"),
+        ("TREE 0 5", "TREE zero 5"),
+        ("TREE 0 5", "TREE 0 five"),
+        ("TREE 0 5", "TREE 0 1000000000000"),  # more nodes than lines
+        ("I 0 5.3200000000000003 1 2", "I 99999999999 5.3200000000000003 1 2"),
+        ("L 0 5", "L 0 99999999999999999999999"),
+    ]:
+        bad_body = body.replace(good, bad)
+        assert bad_body != body
+        digest = hashlib.sha256(bad_body.encode()).hexdigest()
+        with pytest.raises(ModelFormatError):
+            loads_model((bad_body + f"CHECKSUM {digest}\n").encode())

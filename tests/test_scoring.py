@@ -1,26 +1,49 @@
 import numpy as np
 import pytest
 
+from oracles import SetDetection
+from oracles import multi_tile_object_pr as oracle_multi_tile_object_pr
 from pvdetect.detection import DetectionObject
 from pvdetect.errors import ConfigError, DataError
 from pvdetect.scoring import (
     PRCurve,
     jaccard,
-    match_objects,
+    judge_detections,
     multi_tile_object_pr,
-    object_pr,
     pixel_pr,
     read_pr_csv,
     write_pr_csv,
 )
 
+# object tests run on tiles of this width; pixels are flat indices y * W + x
+W = 32
+
+
+def flat(pixels):
+    """Flat indices of (x, y) pixels on a W-wide tile."""
+    return np.array(sorted(y * W + x for x, y in pixels), dtype=np.int64)
+
 
 def obj(pixels, confidence):
-    return DetectionObject(frozenset(pixels), confidence)
+    return DetectionObject(flat(pixels), confidence, (W, W))
 
 
 def rect(x0, y0, x1, y1):
     return {(x, y) for x in range(x0, x1) for y in range(y0, y1)}
+
+
+def object_pr(detections, annotation_pixels, threshold):
+    """Object PR curve of a single tile."""
+    return multi_tile_object_pr({"t": detections}, {"t": annotation_pixels}, threshold)
+
+
+def judge(detections, annotations, threshold):
+    """judge_detections on (x, y) pixel-set annotations, as Python lists."""
+    annotation_pixels = [flat(a) for a in annotations]
+    return [
+        ids.tolist()
+        for ids in judge_detections(detections, annotation_pixels, threshold)
+    ]
 
 
 # ---------------------------------------------------------------------------
@@ -29,34 +52,32 @@ def rect(x0, y0, x1, y1):
 
 
 def test_jaccard_identity_and_disjoint():
-    a = {(0, 0), (1, 0)}
+    a = flat({(0, 0), (1, 0)})
     assert jaccard(a, a) == 1.0
-    assert jaccard(a, {(5, 5)}) == 0.0
-    assert jaccard(a, set()) == 0.0
+    assert jaccard(a, flat({(5, 5)})) == 0.0
+    assert jaccard(a, []) == 0.0
 
 
 def test_jaccard_partial_overlap():
-    a = rect(0, 0, 2, 2)
-    b = rect(1, 0, 3, 2)
+    a = flat(rect(0, 0, 2, 2))
+    b = flat(rect(1, 0, 3, 2))
     assert jaccard(a, b) == pytest.approx(1.0 / 3.0)
 
 
 def test_jaccard_symmetry_and_range():
     rng = np.random.default_rng(0)
     for _ in range(50):
-        a = {(int(x), int(y)) for x, y in rng.integers(0, 6, size=(8, 2))}
-        b = {(int(x), int(y)) for x, y in rng.integers(0, 6, size=(8, 2))}
-        if not a and not b:
-            continue
+        a = rng.integers(0, 36, size=8)
+        b = rng.integers(0, 36, size=8)
         j = jaccard(a, b)
         assert j == jaccard(b, a)
         assert 0.0 <= j <= 1.0
-        assert (j == 1.0) == (a == b)
+        assert (j == 1.0) == (set(a.tolist()) == set(b.tolist()))
 
 
 def test_jaccard_both_empty_is_error():
     with pytest.raises(ValueError):
-        jaccard(set(), set())
+        jaccard([], [])
 
 
 # ---------------------------------------------------------------------------
@@ -165,74 +186,67 @@ def test_pixel_pr_quantized_sweep():
 
 def test_match_exact_detection():
     annotation = rect(2, 2, 5, 5)
-    result = match_objects([obj(annotation, 0.9)], [annotation], 1.0)
-    assert result.accepted == (True,)
-    assert result.n_true == 1 and result.n_false == 0
-    assert result.detected_by[0] == {0}
+    assert judge([obj(annotation, 0.9)], [annotation], 1.0) == [[0]]
 
 
 def test_match_union_rule_spanning_two_annotations():
     a1 = rect(0, 0, 2, 1)  # (0,0) (1,0)
     a2 = rect(2, 0, 4, 1)  # (2,0) (3,0)
     detection = obj(a1 | a2 | {(4, 0)}, 0.8)
-    result = match_objects([detection], [a1, a2], 0.5)
-    assert jaccard(detection.pixels, a1 | a2) == 0.8
-    assert result.accepted == (True,)
-    assert result.n_detected_annotations == 2
+    assert jaccard(detection.pixels, flat(a1 | a2)) == 0.8
+    assert judge([detection], [a1, a2], 0.5) == [[0, 1]]
 
 
 def test_match_below_threshold_is_false_detection():
     annotation = rect(0, 0, 10, 1)
     detection = obj(rect(0, 0, 3, 1), 0.9)  # J = 0.3
-    result = match_objects([detection], [annotation], 0.5)
-    assert result.accepted == (False,)
-    assert result.n_detected_annotations == 0
+    assert judge([detection], [annotation], 0.5) == [[]]
 
 
 def test_match_no_overlap_is_false_detection():
-    result = match_objects([obj({(9, 9)}, 0.6)], [rect(0, 0, 2, 2)], 0.1)
-    assert result.accepted == (False,)
+    assert judge([obj({(9, 9)}, 0.6)], [rect(0, 0, 2, 2)], 0.1) == [[]]
 
 
 def test_match_order_independent():
-    rng = np.random.default_rng(3)
     annotations = [rect(0, 0, 3, 3), rect(5, 5, 9, 9), rect(0, 6, 2, 9)]
     detections = [
         obj(rect(0, 0, 3, 2), 0.9),
         obj(rect(5, 5, 9, 8), 0.7),
         obj(rect(7, 0, 9, 2), 0.5),
     ]
-    base = match_objects(detections, annotations, 0.3)
+    base = judge(detections, annotations, 0.3)
+    assert base == [[0], [1], []]
     perm = [2, 0, 1]
-    shuffled = match_objects([detections[i] for i in perm], annotations, 0.3)
-    assert [shuffled.accepted[perm.index(i)] for i in range(3)] == list(base.accepted)
+    shuffled = judge([detections[i] for i in perm], annotations, 0.3)
+    assert [shuffled[perm.index(i)] for i in range(3)] == base
 
 
 def test_match_annotation_order_independent():
     annotations = [rect(0, 0, 3, 3), rect(5, 5, 9, 9), rect(0, 6, 2, 9)]
     detections = [obj(rect(0, 0, 3, 2) | rect(5, 5, 9, 8), 0.9)]
-    base = match_objects(detections, annotations, 0.3)
+    base = judge(detections, annotations, 0.3)
+    assert base == [[0, 1]]
     perm = [2, 1, 0]
-    shuffled = match_objects(detections, [annotations[i] for i in perm], 0.3)
-    assert shuffled.accepted == base.accepted
-    assert [shuffled.detected_by[perm.index(i)] for i in range(3)] == list(
-        base.detected_by
-    )
+    shuffled = judge(detections, [annotations[i] for i in perm], 0.3)
+    # annotation k of the shuffled list is annotation perm[k] of the original
+    assert [sorted(perm[k] for k in ids) for ids in shuffled] == base
 
 
 def test_match_monotone_in_threshold():
     annotations = [rect(0, 0, 4, 4)]
     detections = [obj(rect(0, 0, 4, 3), 0.9), obj(rect(0, 0, 1, 1), 0.8)]
     for lo, hi in [(0.1, 0.5), (0.5, 0.9), (0.2, 1.0)]:
-        low = match_objects(detections, annotations, lo)
-        high = match_objects(detections, annotations, hi)
-        for a, b in zip(high.accepted, low.accepted):
+        low = judge(detections, annotations, lo)
+        high = judge(detections, annotations, hi)
+        for a, b in zip(high, low):
             assert (not a) or b  # accepted at high implies accepted at low
 
 
 def test_match_threshold_validation():
     with pytest.raises(ConfigError):
-        match_objects([], [rect(0, 0, 1, 1)], 0.0)
+        judge_detections([], [flat(rect(0, 0, 1, 1))], 0.0)
+    with pytest.raises(ConfigError):
+        object_pr([], [flat(rect(0, 0, 1, 1))], 1.5)
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +257,7 @@ def test_match_threshold_validation():
 def test_object_pr_worked_example():
     annotation = rect(0, 0, 3, 3)
     detections = [obj(annotation, 0.9), obj(rect(10, 10, 12, 12), 0.4)]
-    curve = object_pr(detections, [annotation], 0.5)
+    curve = object_pr(detections, [flat(annotation)], 0.5)
     assert curve.thresholds.tolist() == [0.9, 0.4]
     assert curve.precision.tolist() == [1.0, 0.5]
     assert curve.recall.tolist() == [1.0, 1.0]
@@ -251,7 +265,7 @@ def test_object_pr_worked_example():
 
 
 def test_object_pr_empty_detections():
-    curve = object_pr([], [rect(0, 0, 2, 2)], 0.5)
+    curve = object_pr([], [flat(rect(0, 0, 2, 2))], 0.5)
     assert curve.thresholds.size == 0
     assert curve.max_recall == 0.0
 
@@ -262,8 +276,8 @@ def test_object_pr_no_annotations_is_error():
 
 
 def test_object_pr_max_recall_monotone_in_jaccard_level():
-    rng = np.random.default_rng(4)
-    annotations = [rect(0, 0, 4, 4), rect(8, 0, 12, 5), rect(0, 8, 5, 12)]
+    rects = [rect(0, 0, 4, 4), rect(8, 0, 12, 5), rect(0, 8, 5, 12)]
+    annotations = [flat(a) for a in rects]
     detections = [
         obj(rect(0, 0, 4, 3), 0.9),
         obj(rect(8, 0, 12, 5), 0.8),
@@ -277,16 +291,95 @@ def test_object_pr_max_recall_monotone_in_jaccard_level():
     assert recalls == sorted(recalls, reverse=True)
 
 
-def test_multi_tile_object_pr_namespaces_tiles():
+def test_multi_tile_object_pr_keeps_tiles_apart():
     ann = rect(0, 0, 2, 2)
     # identical coordinates on two tiles must not interact
     detections = {"a": [obj(ann, 0.9)], "b": [obj(ann, 0.8)]}
-    annotations = {"a": [ann], "b": [rect(10, 10, 12, 12)]}
+    annotations = {"a": [flat(ann)], "b": [flat(rect(10, 10, 12, 12))]}
     curve = multi_tile_object_pr(detections, annotations, 0.5)
     assert curve.max_recall == 0.5  # tile b's annotation is never covered
     assert curve.precision[-1] == 0.5
     with pytest.raises(DataError):
         multi_tile_object_pr({"zz": []}, annotations, 0.5)
+    with pytest.raises(DataError):
+        multi_tile_object_pr(detections, {"a": [], "b": []}, 0.5)
+
+
+def _random_rect(rng, height, width, max_side):
+    x0, y0 = int(rng.integers(0, width)), int(rng.integers(0, height))
+    x1 = min(width, x0 + int(rng.integers(1, max_side + 1)))
+    y1 = min(height, y0 + int(rng.integers(1, max_side + 1)))
+    ys, xs = np.mgrid[y0:y1, x0:x1]
+    return (ys * width + xs).ravel()
+
+
+def _random_tile(rng):
+    """(shape, annotations, detections) of one tile, as flat indices.
+
+    Annotation rectangles overlap freely and may be empty; confidences are
+    often drawn from four values so that ties occur; some detections are
+    partial copies of an annotation and others touch nothing.
+    """
+    height, width = int(rng.integers(4, 24)), int(rng.integers(4, 24))
+    annotations = [
+        _random_rect(rng, height, width, 7)
+        for _ in range(int(rng.integers(0, 6)))
+    ]
+    if annotations and rng.uniform() < 0.1:
+        annotations[0] = annotations[0][:0]
+    detections = []
+    for _ in range(int(rng.integers(0, 9))):
+        if annotations and rng.uniform() < 0.6:
+            base = annotations[int(rng.integers(len(annotations)))]
+            pixels = np.concatenate(
+                [
+                    base[rng.uniform(size=base.size) < 0.8],
+                    _random_rect(rng, height, width, 3),
+                ]
+            )
+        else:
+            pixels = _random_rect(rng, height, width, 5)
+        if rng.uniform() < 0.5:
+            confidence = float(rng.choice([0.25, 0.5, 0.75, 1.0]))
+        else:
+            confidence = float(rng.uniform(0.01, 1.0))
+        detections.append(DetectionObject(pixels, confidence, (height, width)))
+    return (height, width), annotations, detections
+
+
+def _as_sets(pixels, width):
+    return frozenset(zip((pixels % width).tolist(), (pixels // width).tolist()))
+
+
+def test_object_pr_matches_rematching_oracle():
+    """The single sweep equals the per-confidence re-matching reference."""
+    rng = np.random.default_rng(8)
+    cases = 0
+    while cases < 300:
+        tiles = {f"t{k}": _random_tile(rng) for k in range(int(rng.integers(1, 4)))}
+        if not any(anns for _, anns, _ in tiles.values()):
+            continue
+        detections = {t: dets for t, (_, _, dets) in tiles.items() if dets}
+        annotations = {t: anns for t, (_, anns, _) in tiles.items()}
+        oracle_detections = {
+            t: [SetDetection(_as_sets(d.pixels, w), d.confidence) for d in dets]
+            for t, dets in detections.items()
+            for w in [tiles[t][0][1]]
+        }
+        oracle_annotations = {
+            t: [_as_sets(a, shape[1]) for a in anns]
+            for t, (shape, anns, _) in tiles.items()
+        }
+        for level in (0.1, 0.3, 0.5, 0.7, 1.0):
+            got = multi_tile_object_pr(detections, annotations, level)
+            want = oracle_multi_tile_object_pr(
+                oracle_detections, oracle_annotations, level
+            )
+            assert np.array_equal(got.thresholds, want.thresholds)
+            assert np.array_equal(got.precision, want.precision)
+            assert np.array_equal(got.recall, want.recall)
+            assert got.prevalence == want.prevalence
+        cases += 1
 
 
 # ---------------------------------------------------------------------------
