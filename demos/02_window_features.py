@@ -7,7 +7,6 @@ Shows the ring geometry, the exact integer prefix tables, and how the
 import numpy as np
 
 import pvdetect as pv
-from pvdetect.features import extract_feature_image
 
 spec = pv.FeatureSpec()
 print(f"window side {spec.window_side}, rings {spec.ring_radii}"
@@ -17,9 +16,9 @@ print("ring r=2 window centers:", pv.ring_offsets(2))
 tile, annotations = pv.generate_scene(
     pv.SceneParams(width=128, height=128, n_panels=3, seed=3), "feat_demo"
 )
-integral = pv.build_integral(tile)
-print(f"\nintegral tables: {integral.sums.shape}, dtype {integral.sums.dtype}")
-total = integral.sums[-1, -1]
+sums, sq_sums = pv.integral_tables(tile.pixels)
+print(f"\nintegral tables: {sums.shape}, dtype {sums.dtype}")
+total = sums[-1, -1]
 assert np.array_equal(total, tile.pixels.astype(np.int64).sum(axis=(0, 1)))
 print(f"bottom-right corner = per-channel pixel sums: {total.tolist()}")
 
@@ -31,12 +30,15 @@ panel_pixel = (
 edge_pixel = (int(first[0][0]), int(first[0][1]))  # window straddles the boundary
 background_pixel = (5, 5)
 
+feature_image = pv.extract_feature_rows(tile, spec, 0, tile.height)
+print(f"full feature image {feature_image.shape}")
+
 for name, (x, y) in (
     ("panel interior", panel_pixel),
     ("panel corner", edge_pixel),
     ("background", background_pixel),
 ):
-    vec = pv.extract_pixel_features(integral, spec, x, y)
+    vec = feature_image[y, x]
     means = vec.reshape(-1, 6)[:, :3]
     variances = vec.reshape(-1, 6)[:, 3:]
     print(f"\n{name} pixel ({x},{y}):")
@@ -45,8 +47,6 @@ for name, (x, y) in (
     print(f"  mean over all windows       : {means.mean():.1f}"
           f", variance level {variances.mean():.1f}")
 
-feature_image = extract_feature_image(tile, spec)
-probe = pv.extract_pixel_features(integral, spec, 64, 64)
-assert np.array_equal(feature_image[64, 64], probe)
-print(f"\nfull feature image {feature_image.shape}:"
-      " whole-image and single-pixel paths agree bit for bit")
+band = pv.extract_feature_rows(tile, spec, 60, 70)
+assert np.array_equal(band, feature_image[60:70])
+print("\nrows 60..69 extracted as one band equal the same rows of the full image")

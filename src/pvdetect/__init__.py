@@ -34,15 +34,7 @@ from .errors import (
     RasterFormatError,
     TruncatedRasterError,
 )
-from .features import (
-    FeatureSpec,
-    IntegralImage,
-    build_integral,
-    extract_feature_image,
-    extract_pixel_features,
-    ring_offsets,
-    window_stats,
-)
+from .features import FeatureSpec, extract_feature_rows, integral_tables, ring_offsets
 from .forest import (
     DecisionTree,
     RandomForest,
@@ -52,8 +44,7 @@ from .forest import (
     gini,
     grow_tree,
     load_model,
-    predict,
-    predict_map,
+    predict_batch,
     predict_tile,
     sample_training_pixels,
     save_model,
@@ -67,6 +58,7 @@ from .imagery import (
     load_annotations,
     load_manifest,
     load_tile,
+    polygon_pixels,
     rasterize,
     save_annotations,
     save_manifest,

@@ -317,8 +317,7 @@ def cmd_score(
         )
         annotations_by_tile = {
             tile.tile_id: [
-                np.flatnonzero(imagery.rasterize([ann], tile.width, tile.height))
-                for ann in anns
+                imagery.polygon_pixels(ann, tile.width, tile.height) for ann in anns
             ]
             for tile, anns in zip(tiles, annotations)
         }

@@ -403,7 +403,7 @@ _CMAP_VERSION = 1
 def encode_confidence_map(conf: np.ndarray) -> bytes:
     """CMAP bytes: magic, version byte, u32 width/height LE, f32 row-major."""
     conf = _check_map(conf)
-    if conf.min() < 0.0 or conf.max() > 1.0:
+    if not np.isfinite(conf).all() or conf.min() < 0.0 or conf.max() > 1.0:
         raise DataError("confidence values must lie in [0, 1]")
     h, w = conf.shape
     header = _CMAP_MAGIC + bytes([_CMAP_VERSION]) + struct.pack("<II", w, h)

@@ -7,9 +7,11 @@ With the default 3x3 window and rings at radii 2 and 4 this yields
 window, which is emitted once).
 
 Window coordinates are clamped (edge-replicated) into the tile so every
-pixel, including borders, has a full feature vector.  All sums are exact
-64-bit integers; only the final mean/variance division is floating point,
-so the whole-image path and the single-pixel path agree bit for bit.
+pixel, including borders, has a full feature vector.  Features are built
+one band of rows at a time: the band is edge-padded, its integral tables
+are taken, and every window becomes one rectangle of those tables.  All
+sums are exact 64-bit integers; only the final mean/variance division is
+floating point, so any split of a tile into bands gives the same bits.
 """
 
 from __future__ import annotations
@@ -68,121 +70,24 @@ def ring_offsets(r: int) -> list[tuple[int, int]]:
     return [(x, y) for x in (0, -r, r) for y in (0, -r, r)]
 
 
-@dataclass(frozen=True)
-class IntegralImage:
-    """Exclusive prefix-sum tables of the samples and squared samples.
+# callers extract features in bands of max(1, BAND_PIXELS // width) rows, so
+# a band of 102 float64 features takes about 13 MB at any tile width
+BAND_PIXELS = 1 << 14
+
+
+def integral_tables(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Exclusive int64 prefix-sum tables of an (H, W, 3) array and its squares.
 
     Entry [y, x, c] holds the sum over rows [0, y) and columns [0, x) of
     channel c; row and column 0 are therefore all zeros.
     """
-
-    sums: np.ndarray  # (height+1, width+1, 3) int64
-    sq_sums: np.ndarray  # (height+1, width+1, 3) int64
-
-    @property
-    def width(self) -> int:
-        return self.sums.shape[1] - 1
-
-    @property
-    def height(self) -> int:
-        return self.sums.shape[0] - 1
-
-
-def build_integral(tile: ImageTile) -> IntegralImage:
-    """Exact integer prefix-sum tables for a tile."""
-    px = tile.pixels.astype(np.int64)
-    sums = np.zeros((tile.height + 1, tile.width + 1, 3), dtype=np.int64)
+    px = np.asarray(pixels, dtype=np.int64)
+    h, w = px.shape[:2]
+    sums = np.zeros((h + 1, w + 1, 3), dtype=np.int64)
     sq_sums = np.zeros_like(sums)
     np.cumsum(np.cumsum(px, axis=0), axis=1, out=sums[1:, 1:])
     np.cumsum(np.cumsum(px * px, axis=0), axis=1, out=sq_sums[1:, 1:])
-    return IntegralImage(sums, sq_sums)
-
-
-def rect_sum(table: np.ndarray, x0: int, x1: int, y0: int, y1: int) -> np.ndarray:
-    """Per-channel sum over inclusive pixel rectangle [x0..x1] x [y0..y1]."""
-    if x0 > x1 or y0 > y1:
-        return np.zeros(table.shape[2], dtype=np.int64)
-    return (
-        table[y1 + 1, x1 + 1]
-        - table[y0, x1 + 1]
-        - table[y1 + 1, x0]
-        + table[y0, x0]
-    )
-
-
-def _clamp_counts(lo: int, hi: int, size: int, limit: int) -> tuple[int, int, int, int]:
-    """Split window cells lo..hi into (below-0 count, in-range a..b, above count)."""
-    n_low = min(max(-lo, 0), size)
-    n_high = min(max(hi - (limit - 1), 0), size)
-    return n_low, max(lo, 0), min(hi, limit - 1), n_high
-
-
-def _window_sums(
-    table: np.ndarray, cx: int, cy: int, side: int, width: int, height: int
-) -> np.ndarray:
-    """Sum over a side x side window at (cx, cy) with edge-clamped cells.
-
-    Cells outside the tile are replicated from the nearest border pixel,
-    which turns into integer weights on the border rows/columns.
-    """
-    h = side // 2
-    nlx, ax, bx, nhx = _clamp_counts(cx - h, cx + h, side, width)
-    nly, ay, by, nhy = _clamp_counts(cy - h, cy + h, side, height)
-    total = rect_sum(table, ax, bx, ay, by)
-    if nlx:
-        total = total + nlx * rect_sum(table, 0, 0, ay, by)
-    if nhx:
-        total = total + nhx * rect_sum(table, width - 1, width - 1, ay, by)
-    if nly:
-        total = total + nly * rect_sum(table, ax, bx, 0, 0)
-    if nhy:
-        total = total + nhy * rect_sum(table, ax, bx, height - 1, height - 1)
-    if nlx and nly:
-        total = total + nlx * nly * rect_sum(table, 0, 0, 0, 0)
-    if nlx and nhy:
-        total = total + nlx * nhy * rect_sum(table, 0, 0, height - 1, height - 1)
-    if nhx and nly:
-        total = total + nhx * nly * rect_sum(table, width - 1, width - 1, 0, 0)
-    if nhx and nhy:
-        total = total + nhx * nhy * rect_sum(
-            table, width - 1, width - 1, height - 1, height - 1
-        )
-    return total
-
-
-def window_stats(
-    integral: IntegralImage, center_x: int, center_y: int, window_side: int = 3
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-channel (mean, variance) of the window centered at (center_x, center_y).
-
-    The center may lie anywhere, including outside the tile; cells are
-    clamped into the tile.  Variance is the population variance over
-    window_side**2 cells, clamped to zero when rounding drives it negative.
-    """
-    if window_side < 1 or window_side % 2 == 0:
-        raise ConfigError(f"window_side must be odd and >= 1, got {window_side}")
-    w, h = integral.width, integral.height
-    n = window_side * window_side
-    s = _window_sums(integral.sums, center_x, center_y, window_side, w, h)
-    ss = _window_sums(integral.sq_sums, center_x, center_y, window_side, w, h)
-    mean = s / n
-    variance = np.maximum(ss / n - mean * mean, 0.0)
-    return mean, variance
-
-
-def extract_pixel_features(
-    integral: IntegralImage, spec: FeatureSpec, x: int, y: int
-) -> np.ndarray:
-    """Feature vector at pixel (x, y): per window (mR, mG, mB, vR, vG, vB)."""
-    if not (0 <= x < integral.width and 0 <= y < integral.height):
-        raise ValueError(f"pixel ({x}, {y}) outside tile")
-    offsets = spec.window_offsets()
-    out = np.empty(6 * len(offsets))
-    for k, (dx, dy) in enumerate(offsets):
-        mean, variance = window_stats(integral, x + dx, y + dy, spec.window_side)
-        out[6 * k : 6 * k + 3] = mean
-        out[6 * k + 3 : 6 * k + 6] = variance
-    return out
+    return sums, sq_sums
 
 
 def extract_feature_rows(
@@ -190,10 +95,10 @@ def extract_feature_rows(
 ) -> np.ndarray:
     """Feature image rows [row_start, row_stop) as a (rows, width, M) array.
 
-    Bit-identical to calling extract_pixel_features at every pixel: the
-    tile is edge-padded so every clamped window becomes a plain rectangle
-    of the padded integral image, and the integer sums match the weighted
-    border arithmetic of the single-pixel path exactly.
+    Each pixel holds, per window, (mR, mG, mB, vR, vG, vB): the mean and the
+    population variance of the window's edge-replicated cells, the variance
+    clamped at zero.  The rows are edge-padded so every clamped window is a
+    plain rectangle of the padded integral tables.
     """
     if not 0 <= row_start < row_stop <= tile.height:
         raise ValueError(f"bad row range [{row_start}, {row_stop})")
@@ -208,13 +113,8 @@ def extract_feature_rows(
         core,
         ((pad - top, pad - bottom), (pad, pad), (0, 0)),
         mode="edge",
-    ).astype(np.int64)
-    sums = np.zeros(
-        (padded.shape[0] + 1, padded.shape[1] + 1, 3), dtype=np.int64
     )
-    sq_sums = np.zeros_like(sums)
-    np.cumsum(np.cumsum(padded, axis=0), axis=1, out=sums[1:, 1:])
-    np.cumsum(np.cumsum(padded * padded, axis=0), axis=1, out=sq_sums[1:, 1:])
+    sums, sq_sums = integral_tables(padded)
 
     n = spec.window_side * spec.window_side
     offsets = spec.window_offsets()
@@ -238,8 +138,3 @@ def extract_feature_rows(
         out[:, :, 6 * k : 6 * k + 3] = mean
         out[:, :, 6 * k + 3 : 6 * k + 6] = np.maximum(ss / n - mean * mean, 0.0)
     return out
-
-
-def extract_feature_image(tile: ImageTile, spec: FeatureSpec) -> np.ndarray:
-    """The full (height, width, M) feature image of a tile."""
-    return extract_feature_rows(tile, spec, 0, tile.height)

@@ -28,7 +28,7 @@ from .errors import (
     ModelFormatError,
     ModelVersionError,
 )
-from .features import FeatureSpec, extract_feature_rows
+from .features import BAND_PIXELS, FeatureSpec, extract_feature_rows
 from .imagery import ImageTile
 from .rng import Stream, counter_u64
 
@@ -207,16 +207,6 @@ class DecisionTree:
         if not np.isfinite(self.threshold[internal]).all():
             raise ModelFormatError("non-finite split threshold")
 
-    def route(self, x: np.ndarray) -> float:
-        """Leaf probability for one feature vector."""
-        node = 0
-        while self.feature[node] >= 0:
-            if x[self.feature[node]] <= self.threshold[node]:
-                node = self.left[node]
-            else:
-                node = self.right[node]
-        return float(self.prob[node])
-
     def route_batch(self, X: np.ndarray) -> np.ndarray:
         """Leaf probabilities for an (P, M) matrix of feature vectors."""
         node = np.zeros(X.shape[0], dtype=np.int32)
@@ -351,26 +341,12 @@ def train(
     return RandomForest(trees, M, feature_fingerprint)
 
 
-def predict(forest: RandomForest, x: np.ndarray) -> float:
-    """Mean leaf probability across trees for one feature vector.
-
-    Probabilities are sorted before accumulation so the result is exactly
-    invariant under permutation of the trees.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.size != forest.n_features:
-        raise DataError(
-            f"feature vector of length {x.size}, forest expects {forest.n_features}"
-        )
-    probs = np.sort(np.array([tree.route(x) for tree in forest.trees]))
-    acc = 0.0
-    for p in probs:
-        acc += p
-    return acc / forest.n_trees
-
-
 def predict_batch(forest: RandomForest, X: np.ndarray) -> np.ndarray:
-    """predict() applied row-wise to an (P, M) matrix, bit-identically."""
+    """Mean leaf probability across trees for each row of a (P, M) matrix.
+
+    Each row's probabilities are sorted before accumulation, so the result
+    is exactly invariant under permutation of the trees.
+    """
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise DataError(
@@ -386,25 +362,15 @@ def predict_batch(forest: RandomForest, X: np.ndarray) -> np.ndarray:
     return acc / forest.n_trees
 
 
-def predict_map(forest: RandomForest, feature_image: np.ndarray) -> np.ndarray:
-    """Confidence map for an (H, W, M) feature image."""
-    if feature_image.ndim != 3:
-        raise DataError(f"feature image must be 3-D, got shape {feature_image.shape}")
-    h, w, m = feature_image.shape
-    flat = feature_image.reshape(h * w, m)
-    return predict_batch(forest, flat).reshape(h, w)
-
-
 def predict_tile(
     forest: RandomForest,
     tile: ImageTile,
     spec: FeatureSpec,
-    band_rows: int = 64,
 ) -> np.ndarray:
     """Confidence map for a tile, extracting features in row bands.
 
-    Banding keeps memory flat for large tiles and is bit-identical to
-    whole-tile extraction.
+    A band holds about BAND_PIXELS pixels, so memory stays flat at any tile
+    size; banding is bit-identical to whole-tile extraction.
     """
     if spec.feature_count != forest.n_features:
         raise DataError(
@@ -417,10 +383,12 @@ def predict_tile(
             f"not {spec.fingerprint()!r}"
         )
     out = np.empty((tile.height, tile.width))
-    for y0 in range(0, tile.height, band_rows):
-        y1 = min(y0 + band_rows, tile.height)
+    rows = max(1, BAND_PIXELS // tile.width)
+    for y0 in range(0, tile.height, rows):
+        y1 = min(y0 + rows, tile.height)
         band = extract_feature_rows(tile, spec, y0, y1)
-        out[y0:y1] = predict_map(forest, band)
+        flat = band.reshape(-1, band.shape[2])
+        out[y0:y1] = predict_batch(forest, flat).reshape(y1 - y0, tile.width)
     return out
 
 
@@ -465,7 +433,6 @@ def sample_training_pixels(
     labels = np.zeros(n_total, dtype=bool)
     labels[:n_pos] = True
     pos_starts = np.cumsum([0] + [int(m.sum()) for m in masks])
-    band = 128
     for t, (tile, mask) in enumerate(zip(tiles, masks)):
         pos_y, pos_x = np.nonzero(mask)  # row-major order
         sel = np.nonzero(draw_tile == t)[0]
@@ -480,10 +447,11 @@ def sample_training_pixels(
             continue
         order = np.argsort(ys, kind="stable")
         ys, xs, out_rows = ys[order], xs[order], out_rows[order]
+        rows = max(1, BAND_PIXELS // tile.width)
         i = 0
         while i < ys.size:
             y0 = int(ys[i])
-            y1 = min(y0 + band, tile.height)
+            y1 = min(y0 + rows, tile.height)
             feats = extract_feature_rows(tile, spec, y0, y1)
             j = int(np.searchsorted(ys, y1, side="left"))
             X[out_rows[i:j]] = feats[ys[i:j] - y0, xs[i:j]]

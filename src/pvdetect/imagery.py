@@ -290,28 +290,36 @@ def _polygon_hits(vertices: np.ndarray, px: np.ndarray, py: np.ndarray) -> np.nd
     return inside | on_edge
 
 
+def polygon_pixels(ann: PolygonAnnotation, width: int, height: int) -> np.ndarray:
+    """Sorted flat indices y*width + x of the pixels one polygon covers.
+
+    A pixel (x, y) is covered when its center (x + 0.5, y + 0.5) falls inside
+    the polygon by the even-odd rule; centers exactly on an edge count as
+    inside.  Only the polygon's bounding box, clipped to the grid, is tested.
+    """
+    v = ann.vertices
+    x0 = max(0, int(np.floor(v[:, 0].min() - 0.5)))
+    x1 = min(width - 1, int(np.ceil(v[:, 0].max() - 0.5)))
+    y0 = max(0, int(np.floor(v[:, 1].min() - 0.5)))
+    y1 = min(height - 1, int(np.ceil(v[:, 1].max() - 0.5)))
+    if x0 > x1 or y0 > y1:
+        return np.empty(0, dtype=np.int64)
+    ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1].astype(np.int64)
+    hits = _polygon_hits(v, xs + 0.5, ys + 0.5)
+    return ys[hits] * width + xs[hits]  # row-major, hence sorted
+
+
 def rasterize(
     annotations: list[PolygonAnnotation], width: int, height: int
 ) -> np.ndarray:
     """Union of polygons as a boolean (height, width) mask.
 
-    A pixel (i, j) is set when its center (i + 0.5, j + 0.5) falls inside at
-    least one polygon by the even-odd rule; centers exactly on an edge count
-    as inside.  Polygon parts outside the grid are clipped.
+    A pixel is set when polygon_pixels of at least one polygon holds it.
     """
-    mask = np.zeros((height, width), dtype=bool)
+    mask = np.zeros(height * width, dtype=bool)
     for ann in annotations:
-        v = ann.vertices
-        x0 = max(0, int(np.floor(v[:, 0].min() - 0.5)))
-        x1 = min(width - 1, int(np.ceil(v[:, 0].max() - 0.5)))
-        y0 = max(0, int(np.floor(v[:, 1].min() - 0.5)))
-        y1 = min(height - 1, int(np.ceil(v[:, 1].max() - 0.5)))
-        if x0 > x1 or y0 > y1:
-            continue
-        ys, xs = np.mgrid[y0 : y1 + 1, x0 : x1 + 1]
-        hits = _polygon_hits(v, xs + 0.5, ys + 0.5)
-        mask[y0 : y1 + 1, x0 : x1 + 1] |= hits
-    return mask
+        mask[polygon_pixels(ann, width, height)] = True
+    return mask.reshape(height, width)
 
 
 # ---------------------------------------------------------------------------

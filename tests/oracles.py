@@ -155,6 +155,15 @@ def route_and_read(tree, x):
     return float(tree.prob[node])
 
 
+def scalar_predict(forest, x):
+    """Mean leaf probability across trees for one vector, summed in sorted order."""
+    probs = sorted(route_and_read(tree, x) for tree in forest.trees)
+    acc = 0.0
+    for p in probs:
+        acc += p
+    return acc / forest.n_trees
+
+
 # ---------------------------------------------------------------------------
 # Otsu
 # ---------------------------------------------------------------------------

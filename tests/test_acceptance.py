@@ -15,7 +15,7 @@ import pvdetect as pv
 from pvdetect.cli import cmd_detect, cmd_eval, cmd_predict, cmd_train, read_detections_csv
 from pvdetect.config import RunConfig
 from pvdetect.detection import PPParams, otsu_threshold, postprocess
-from pvdetect.features import FeatureSpec, build_integral, extract_pixel_features, rect_sum
+from pvdetect.features import FeatureSpec, extract_feature_rows, integral_tables
 from pvdetect.forest import RFParams, TrainingSet, grow_tree, predict_batch, train
 from pvdetect.imagery import ImageTile, load_manifest, rasterize, save_manifest
 from pvdetect.imagery import DatasetManifest, ManifestEntry
@@ -38,33 +38,32 @@ def test_criterion_01_integral_image_exactness():
     rectangles_checked = 0
     for _ in range(100):
         px = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
-        tile = ImageTile(px)
-        integral = build_integral(tile)
+        sums, sq_sums = integral_tables(px)
         for c in range(3):
             channel = px[:, :, c].astype(np.int64)
             # every prefix rectangle, against an independent matmul oracle;
             # with exact integer inclusion-exclusion this pins every
             # rectangle sum, since each is a 4-term combination of prefixes
+            assert np.array_equal(sums[:, :, c], prefix_table_by_matmul(channel))
             assert np.array_equal(
-                integral.sums[:, :, c], prefix_table_by_matmul(channel)
+                sq_sums[:, :, c], prefix_table_by_matmul(channel * channel)
             )
-            assert np.array_equal(
-                integral.sq_sums[:, :, c], prefix_table_by_matmul(channel * channel)
-            )
-        # direct double-loop spot checks on general rectangles
+        # direct double-loop spot checks on general rectangles, each summed
+        # by four-term inclusion-exclusion over the tables
         wide = px.astype(np.int64)
         for _ in range(20):
             x0, x1 = sorted(rng.integers(0, 64, size=2).tolist())
             y0, y1 = sorted(rng.integers(0, 64, size=2).tolist())
             region = wide[y0 : y1 + 1, x0 : x1 + 1]
-            assert np.array_equal(
-                rect_sum(integral.sums, x0, x1, y0, y1), region.sum(axis=(0, 1))
-            )
-            assert np.array_equal(
-                rect_sum(integral.sq_sums, x0, x1, y0, y1),
-                (region * region).sum(axis=(0, 1)),
-            )
-            rectangles_checked += 2
+            for table, values in ((sums, region), (sq_sums, region * region)):
+                got = (
+                    table[y1 + 1, x1 + 1]
+                    - table[y0, x1 + 1]
+                    - table[y1 + 1, x0]
+                    + table[y0, x0]
+                )
+                assert np.array_equal(got, values.sum(axis=(0, 1)))
+                rectangles_checked += 1
     elapsed = time.perf_counter() - started
     assert elapsed < 10.0, f"integral exactness took {elapsed:.1f}s"
     print(
@@ -83,10 +82,10 @@ def test_criterion_02_feature_parity_with_naive_oracle():
     for _ in range(25):
         h, w = int(rng.integers(9, 30)), int(rng.integers(9, 30))
         tile = ImageTile(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
-        integral = build_integral(tile)
+        image = extract_feature_rows(tile, spec, 0, tile.height)
         for _ in range(40):
             x, y = int(rng.integers(0, w)), int(rng.integers(0, h))
-            got = extract_pixel_features(integral, spec, x, y)
+            got = image[y, x]
             assert got.shape == (102,)
             want = naive_pixel_features(tile.pixels, offsets, spec.window_side, x, y)
             scale = np.maximum(np.abs(want), 1.0)

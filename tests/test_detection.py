@@ -349,5 +349,12 @@ def test_cmap_errors(tmp_path):
     out_of_range[0, 0] = 1.5
     with pytest.raises(DataError):
         encode_confidence_map(out_of_range)
+    for poison in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DataError):
+            encode_confidence_map(np.full((2, 2), poison))
+        partly = np.full((2, 2), 0.5)
+        partly[1, 0] = poison
+        with pytest.raises(DataError):
+            encode_confidence_map(partly)
     with pytest.raises(InputError):
         load_confidence_map(tmp_path / "missing.cmap")

@@ -2,22 +2,30 @@ import numpy as np
 import pytest
 
 from pvdetect.errors import ConfigError
-from pvdetect.features import (
-    FeatureSpec,
-    build_integral,
-    extract_feature_image,
-    extract_feature_rows,
-    extract_pixel_features,
-    rect_sum,
-    ring_offsets,
-    window_stats,
-)
+from pvdetect.features import FeatureSpec, extract_feature_rows, integral_tables, ring_offsets
 from pvdetect.imagery import ImageTile
 from oracles import naive_pixel_features, naive_window_stats, prefix_table_by_matmul
 
 
 def random_tile(rng, h, w, tile_id="t"):
     return ImageTile(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8), tile_id)
+
+
+def window_at(tile, side, cx, cy):
+    """(mean, variance) of the side x side window centered at (cx, cy).
+
+    Read from the feature row of a pixel (cx - dx, cy - dy) inside the tile
+    whose ring holds the window offset (dx, dy), so centers outside the tile
+    are reached through a ring window.
+    """
+    for r in range(1, max(tile.width, tile.height) + 1):
+        spec = FeatureSpec(window_side=side, ring_radii=(r,))
+        for k, (dx, dy) in enumerate(spec.window_offsets()):
+            x, y = cx - dx, cy - dy
+            if 0 <= x < tile.width and 0 <= y < tile.height:
+                vec = extract_feature_rows(tile, spec, y, y + 1)[0, x, 6 * k : 6 * k + 6]
+                return vec[:3], vec[3:]
+    raise ValueError(f"no pixel reaches window center ({cx}, {cy})")
 
 
 # ---------------------------------------------------------------------------
@@ -81,44 +89,48 @@ def test_ring_offsets_r1_and_r4():
 
 
 def test_integral_1x1():
-    tile = ImageTile(np.array([[[5, 0, 7]]], dtype=np.uint8))
-    integral = build_integral(tile)
-    assert integral.sums[1, 1].tolist() == [5, 0, 7]
-    assert integral.sq_sums[1, 1].tolist() == [25, 0, 49]
-    assert integral.sums[0].sum() == 0 and integral.sums[:, 0].sum() == 0
+    sums, sq_sums = integral_tables(np.array([[[5, 0, 7]]], dtype=np.uint8))
+    assert sums[1, 1].tolist() == [5, 0, 7]
+    assert sq_sums[1, 1].tolist() == [25, 0, 49]
+    assert sums[0].sum() == 0 and sums[:, 0].sum() == 0
 
 
 def test_integral_all_zero():
-    tile = ImageTile(np.zeros((3, 4, 3), dtype=np.uint8))
-    integral = build_integral(tile)
-    assert not integral.sums.any()
-    assert not integral.sq_sums.any()
+    sums, sq_sums = integral_tables(np.zeros((3, 4, 3), dtype=np.uint8))
+    assert sums.shape == sq_sums.shape == (4, 5, 3)
+    assert not sums.any()
+    assert not sq_sums.any()
 
 
 def test_integral_matches_matmul_prefix_oracle():
     rng = np.random.default_rng(1)
     tile = random_tile(rng, 16, 16)
-    integral = build_integral(tile)
+    sums, sq_sums = integral_tables(tile.pixels)
+    assert sums.dtype == sq_sums.dtype == np.int64
     for c in range(3):
         channel = tile.pixels[:, :, c].astype(np.int64)
-        assert np.array_equal(integral.sums[:, :, c], prefix_table_by_matmul(channel))
-        assert np.array_equal(
-            integral.sq_sums[:, :, c], prefix_table_by_matmul(channel * channel)
-        )
+        assert np.array_equal(sums[:, :, c], prefix_table_by_matmul(channel))
+        assert np.array_equal(sq_sums[:, :, c], prefix_table_by_matmul(channel * channel))
 
 
 def test_rect_sum_matches_slice_sums():
     rng = np.random.default_rng(2)
     tile = random_tile(rng, 16, 12)
-    integral = build_integral(tile)
+    sums, sq_sums = integral_tables(tile.pixels)
     px = tile.pixels.astype(np.int64)
     for _ in range(200):
         x0, x1 = sorted(rng.integers(0, 12, size=2).tolist())
         y0, y1 = sorted(rng.integers(0, 16, size=2).tolist())
-        want = px[y0 : y1 + 1, x0 : x1 + 1].sum(axis=(0, 1))
-        assert np.array_equal(rect_sum(integral.sums, x0, x1, y0, y1), want)
-        want_sq = (px * px)[y0 : y1 + 1, x0 : x1 + 1].sum(axis=(0, 1))
-        assert np.array_equal(rect_sum(integral.sq_sums, x0, x1, y0, y1), want_sq)
+        for table, values in ((sums, px), (sq_sums, px * px)):
+            # four-term inclusion-exclusion over the exclusive prefix table
+            got = (
+                table[y1 + 1, x1 + 1]
+                - table[y0, x1 + 1]
+                - table[y1 + 1, x0]
+                + table[y0, x0]
+            )
+            want = values[y0 : y1 + 1, x0 : x1 + 1].sum(axis=(0, 1))
+            assert np.array_equal(got, want)
 
 
 # ---------------------------------------------------------------------------
@@ -128,7 +140,7 @@ def test_rect_sum_matches_slice_sums():
 
 def test_window_stats_constant_region():
     tile = ImageTile(np.full((9, 9, 3), 7, dtype=np.uint8))
-    mean, variance = window_stats(build_integral(tile), 4, 4, 3)
+    mean, variance = window_at(tile, 3, 4, 4)
     assert mean.tolist() == [7.0, 7.0, 7.0]
     assert variance.tolist() == [0.0, 0.0, 0.0]
 
@@ -136,7 +148,7 @@ def test_window_stats_constant_region():
 def test_window_stats_values_0_to_8():
     px = np.zeros((3, 3, 3), dtype=np.uint8)
     px[:, :, 0] = np.arange(9).reshape(3, 3)
-    mean, variance = window_stats(build_integral(ImageTile(px)), 1, 1, 3)
+    mean, variance = window_at(ImageTile(px), 3, 1, 1)
     assert mean[0] == 4.0
     assert variance[0] == pytest.approx(60.0 / 9.0, abs=1e-12)
 
@@ -144,10 +156,9 @@ def test_window_stats_values_0_to_8():
 def test_window_stats_border_clamp_matches_naive():
     rng = np.random.default_rng(3)
     tile = random_tile(rng, 8, 6)
-    integral = build_integral(tile)
     centers = [(0, 0), (5, 7), (0, 7), (5, 0), (2, 3), (-3, -4), (9, 11), (-2, 4)]
     for cx, cy in centers:
-        mean, variance = window_stats(integral, cx, cy, 3)
+        mean, variance = window_at(tile, 3, cx, cy)
         want_mean, want_var = naive_window_stats(tile.pixels, cx, cy, 3)
         assert np.allclose(mean, want_mean, rtol=1e-12, atol=0)
         assert np.allclose(variance, want_var, rtol=1e-9, atol=1e-12)
@@ -156,9 +167,8 @@ def test_window_stats_border_clamp_matches_naive():
 def test_window_stats_5x5_window():
     rng = np.random.default_rng(4)
     tile = random_tile(rng, 10, 10)
-    integral = build_integral(tile)
     for cx, cy in [(0, 0), (4, 4), (9, 9), (1, 8)]:
-        mean, variance = window_stats(integral, cx, cy, 5)
+        mean, variance = window_at(tile, 5, cx, cy)
         want_mean, want_var = naive_window_stats(tile.pixels, cx, cy, 5)
         assert np.allclose(mean, want_mean, rtol=1e-12, atol=0)
         assert np.allclose(variance, want_var, rtol=1e-9, atol=1e-12)
@@ -172,15 +182,16 @@ def test_window_stats_5x5_window():
 def test_feature_vector_length_default():
     rng = np.random.default_rng(5)
     tile = random_tile(rng, 12, 12)
-    vec = extract_pixel_features(build_integral(tile), FeatureSpec(), 6, 6)
-    assert vec.shape == (102,)
+    rows = extract_feature_rows(tile, FeatureSpec(), 6, 7)
+    assert rows.shape == (1, 12, 102)
+    assert rows[0, 6].shape == (102,)
 
 
 def test_constant_tile_features():
     tile = ImageTile(np.full((16, 16, 3), 33, dtype=np.uint8))
-    vec = extract_pixel_features(build_integral(tile), FeatureSpec(), 8, 8)
-    means = vec.reshape(-1, 6)[:, :3]
-    variances = vec.reshape(-1, 6)[:, 3:]
+    image = extract_feature_rows(tile, FeatureSpec(), 0, 16)
+    means = image.reshape(16, 16, -1, 6)[:, :, :, :3]
+    variances = image.reshape(16, 16, -1, 6)[:, :, :, 3:]
     assert (means == 33.0).all()
     assert (variances == 0.0).all()
 
@@ -191,25 +202,27 @@ def test_pixel_features_match_naive_oracle():
     offsets = spec.window_offsets()
     for _ in range(5):
         tile = random_tile(rng, 14, 11)
-        integral = build_integral(tile)
+        image = extract_feature_rows(tile, spec, 0, tile.height)
         for _ in range(20):
             x = int(rng.integers(0, 11))
             y = int(rng.integers(0, 14))
-            got = extract_pixel_features(integral, spec, x, y)
             want = naive_pixel_features(tile.pixels, offsets, 3, x, y)
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
+            assert np.allclose(image[y, x], want, rtol=1e-9, atol=1e-12)
 
 
 def test_feature_image_equals_pixel_path_bitwise():
+    """Banded rows equal the per-pixel loop oracle bit for bit."""
     rng = np.random.default_rng(7)
     spec = FeatureSpec()
+    offsets = spec.window_offsets()
     tile = random_tile(rng, 12, 9)
-    integral = build_integral(tile)
-    image = extract_feature_image(tile, spec)
+    image = np.concatenate(
+        [extract_feature_rows(tile, spec, y0, min(y0 + 5, 12)) for y0 in range(0, 12, 5)]
+    )
     assert image.shape == (12, 9, 102)
     for y in range(12):
         for x in range(9):
-            vec = extract_pixel_features(integral, spec, x, y)
+            vec = naive_pixel_features(tile.pixels, offsets, 3, x, y)
             assert np.array_equal(image[y, x], vec), (x, y)
 
 
@@ -217,7 +230,7 @@ def test_feature_rows_banding_matches_whole_image():
     rng = np.random.default_rng(8)
     spec = FeatureSpec()
     tile = random_tile(rng, 23, 9)
-    whole = extract_feature_image(tile, spec)
+    whole = extract_feature_rows(tile, spec, 0, 23)
     banded = np.concatenate(
         [extract_feature_rows(tile, spec, y0, min(y0 + 7, 23)) for y0 in range(0, 23, 7)]
     )
@@ -230,8 +243,8 @@ def test_translation_equivariance_away_from_borders():
     base = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
     a = ImageTile(base[0:32, 0:32].copy())
     b = ImageTile(base[2:34, 3:35].copy())  # content shifted by (dy=2, dx=3)
-    fa = extract_feature_image(a, spec)
-    fb = extract_feature_image(b, spec)
+    fa = extract_feature_rows(a, spec, 0, 32)
+    fb = extract_feature_rows(b, spec, 0, 32)
     margin = max(spec.ring_radii) + 1
     for y in range(2 + margin, 32 - margin):
         for x in range(3 + margin, 32 - margin):
@@ -244,42 +257,39 @@ def test_nondefault_spec_matches_naive_oracle():
     offsets = spec.window_offsets()
     assert spec.feature_count == 6 * len(offsets) == 102
     tile = random_tile(rng, 17, 13)
-    integral = build_integral(tile)
-    image = extract_feature_image(tile, spec)
+    image = extract_feature_rows(tile, spec, 0, tile.height)
     for x, y in [(0, 0), (12, 16), (6, 8), (0, 16), (12, 0)]:
-        got = extract_pixel_features(integral, spec, x, y)
         want = naive_pixel_features(tile.pixels, offsets, 5, x, y)
-        assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
-        assert np.array_equal(image[y, x], got)
+        assert np.array_equal(image[y, x], want)
 
 
 def test_tile_smaller_than_ring_support():
     rng = np.random.default_rng(13)
     spec = FeatureSpec()
     tile = random_tile(rng, 4, 3)  # rings reach far outside the tile
-    integral = build_integral(tile)
     offsets = spec.window_offsets()
-    for y in range(4):
-        for x in range(3):
-            got = extract_pixel_features(integral, spec, x, y)
-            want = naive_pixel_features(tile.pixels, offsets, 3, x, y)
-            assert np.allclose(got, want, rtol=1e-9, atol=1e-12)
-    image = extract_feature_image(tile, spec)
+    image = extract_feature_rows(tile, spec, 0, tile.height)
     assert image.shape == (4, 3, 102)
+    for y in range(4):
+        row = extract_feature_rows(tile, spec, y, y + 1)
+        for x in range(3):
+            want = naive_pixel_features(tile.pixels, offsets, 3, x, y)
+            assert np.array_equal(image[y, x], want)
+            assert np.array_equal(row[0, x], want)
 
 
 def test_variances_nonnegative():
     rng = np.random.default_rng(10)
     spec = FeatureSpec()
     tile = random_tile(rng, 16, 16)
-    image = extract_feature_image(tile, spec)
+    image = extract_feature_rows(tile, spec, 0, 16)
     variances = image.reshape(16, 16, -1, 6)[:, :, :, 3:]
     assert (variances >= 0.0).all()
 
 
-def test_pixel_outside_tile_rejected():
+def test_bad_row_range_rejected():
     rng = np.random.default_rng(11)
     tile = random_tile(rng, 6, 6)
-    integral = build_integral(tile)
-    with pytest.raises(ValueError):
-        extract_pixel_features(integral, FeatureSpec(), 6, 0)
+    for start, stop in [(0, 0), (3, 2), (-1, 2), (0, 7), (6, 7)]:
+        with pytest.raises(ValueError, match="bad row range"):
+            extract_feature_rows(tile, FeatureSpec(), start, stop)

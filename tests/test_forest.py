@@ -8,7 +8,8 @@ from pvdetect.errors import (
     ModelFormatError,
     ModelVersionError,
 )
-from pvdetect.features import FeatureSpec, extract_feature_image
+from pvdetect import forest as forest_module
+from pvdetect.features import FeatureSpec, extract_feature_rows
 from pvdetect.forest import (
     RFParams,
     RandomForest,
@@ -18,9 +19,7 @@ from pvdetect.forest import (
     gini,
     grow_tree,
     loads_model,
-    predict,
     predict_batch,
-    predict_map,
     predict_tile,
     sample_training_pixels,
     train,
@@ -28,7 +27,7 @@ from pvdetect.forest import (
 from pvdetect.imagery import ImageTile
 from pvdetect.synth import SceneParams, generate_scene
 from pvdetect.imagery import rasterize
-from oracles import cart_predict, exhaustive_cart, route_and_read
+from oracles import cart_predict, exhaustive_cart, route_and_read, scalar_predict
 
 
 def all_features(n):
@@ -183,8 +182,9 @@ def test_grow_tree_routing_invariant_under_monotone_rescale():
 def test_train_single_tree_prediction():
     # min_leaf=1 so any two-class bootstrap splits the step function exactly
     model = train(ten_sample_set(), RFParams(n_trees=1, min_leaf=1, seed=1))
-    assert predict(model, np.array([0.0])) == 0.0
-    assert predict(model, np.array([1.0])) == 1.0
+    assert scalar_predict(model, np.array([0.0])) == 0.0
+    assert scalar_predict(model, np.array([1.0])) == 1.0
+    assert predict_batch(model, np.array([[0.0], [1.0]])).tolist() == [0.0, 1.0]
 
 
 def test_train_deterministic_and_seed_sensitive():
@@ -241,18 +241,21 @@ def test_predict_identities_and_errors():
         RFParams(n_trees=1, min_leaf=3, seed=0),
     )
     assert leaf_only.trees[0].n_nodes == 1
-    assert predict(leaf_only, np.array([123.0])) == leaf_only.trees[0].prob[0]
+    assert scalar_predict(leaf_only, np.array([123.0])) == leaf_only.trees[0].prob[0]
+    assert predict_batch(leaf_only, np.array([[123.0]]))[0] == leaf_only.trees[0].prob[0]
     with pytest.raises(DataError):
-        predict(model, np.array([1.0, 2.0]))
+        predict_batch(model, np.array([[1.0, 2.0]]))
 
 
 def test_predict_mean_of_two_trees():
     forest = RandomForest(
         [_single_leaf_tree(0.0), _single_leaf_tree(1.0)], 1, "unspecified"
     )
-    assert predict(forest, np.array([0.0])) == 0.5
+    assert scalar_predict(forest, np.array([0.0])) == 0.5
+    assert predict_batch(forest, np.array([[0.0]]))[0] == 0.5
     single = RandomForest([_single_leaf_tree(0.375)], 1, "unspecified")
-    assert predict(single, np.array([9.0])) == 0.375
+    assert scalar_predict(single, np.array([9.0])) == 0.375
+    assert predict_batch(single, np.array([[9.0]]))[0] == 0.375
 
 
 def test_predict_matches_route_and_read_oracle():
@@ -260,13 +263,14 @@ def test_predict_matches_route_and_read_oracle():
     X = rng.uniform(0, 1, size=(400, 4))
     y = (X[:, 1] > 0.6) | (X[:, 2] < 0.2)
     model = train(TrainingSet(X, y), RFParams(n_trees=7, seed=11))
-    for _ in range(50):
-        x = rng.uniform(0, 1, size=4)
+    probe = rng.uniform(0, 1, size=(50, 4))
+    batch = predict_batch(model, probe)
+    for x, got in zip(probe, batch):
         probs = sorted(route_and_read(t, x) for t in model.trees)
         acc = 0.0
         for p in probs:
             acc += p
-        assert predict(model, x) == acc / len(probs)
+        assert got == acc / len(probs)
 
 
 def test_predict_invariant_under_tree_permutation():
@@ -287,34 +291,38 @@ def test_predict_batch_matches_scalar_predict_bitwise():
     probe = rng.uniform(0, 1, size=(31, 3))
     batch = predict_batch(model, probe)
     for i in range(31):
-        assert batch[i] == predict(model, probe[i])
+        assert batch[i] == scalar_predict(model, probe[i])
 
 
-def test_predict_map_shape_and_range():
+def test_predict_batch_shape_and_range():
     rng = np.random.default_rng(9)
     X = rng.uniform(0, 1, size=(200, 102))
     y = X[:, 0] > 0.5
     model = train(TrainingSet(X, y), RFParams(n_trees=3, seed=5))
     feature_image = rng.uniform(0, 1, size=(6, 7, 102))
-    conf = predict_map(model, feature_image)
-    assert conf.shape == (6, 7)
+    conf = predict_batch(model, feature_image.reshape(42, 102))
+    assert conf.shape == (42,)
     assert conf.min() >= 0.0 and conf.max() <= 1.0
-    flat = predict_batch(model, feature_image.reshape(42, 102))
-    assert np.array_equal(conf.ravel(), flat)
+    for i, row in enumerate(feature_image.reshape(42, 102)):
+        assert conf[i] == scalar_predict(model, row)
     with pytest.raises(DataError):
-        predict_map(model, rng.uniform(0, 1, size=(6, 7, 54)))
+        predict_batch(model, rng.uniform(0, 1, size=(42, 54)))
+    with pytest.raises(DataError):
+        predict_batch(model, feature_image)
 
 
-def test_predict_tile_banding_consistency():
+def test_predict_tile_banding_consistency(monkeypatch):
     rng = np.random.default_rng(10)
     tile = ImageTile(rng.integers(0, 256, size=(40, 30, 3), dtype=np.uint8), "t")
     spec = FeatureSpec()
-    fi = extract_feature_image(tile, spec)
+    fi = extract_feature_rows(tile, spec, 0, tile.height)
     X = fi.reshape(-1, 102)
     y = X[:, 0] > np.median(X[:, 0])
     model = train(TrainingSet(X[:600], y[:600]), RFParams(n_trees=3, seed=6))
-    whole = predict_map(model, fi)
-    banded = predict_tile(model, tile, spec, band_rows=13)
+    whole = predict_batch(model, X).reshape(40, 30)
+    # bands of 13 rows: 13 + 13 + 13 + 1
+    monkeypatch.setattr(forest_module, "BAND_PIXELS", 13 * 30 + 29)
+    banded = predict_tile(model, tile, spec)
     assert np.array_equal(whole, banded)
     with pytest.raises(DataError):
         predict_tile(model, tile, FeatureSpec(ring_radii=(2,)))
@@ -349,14 +357,18 @@ def test_sample_training_pixels_contract():
     assert not np.array_equal(ts.features, other.features)
 
 
-def test_sample_training_pixels_features_match_extraction():
+def test_sample_training_pixels_features_match_extraction(monkeypatch):
     spec = FeatureSpec()
     tile, mask = _scene_with_mask(3)
     n_pos = int(mask.sum())
     ts = sample_training_pixels([tile], [mask], spec, n_pos + 50, seed=0)
-    fi = extract_feature_image(tile, spec)
+    fi = extract_feature_rows(tile, spec, 0, tile.height)
     ys, xs = np.nonzero(mask)
     assert np.array_equal(ts.features[:n_pos], fi[ys, xs])
+    # bands of 5 rows give the same rows as one band over the 64-row tile
+    monkeypatch.setattr(forest_module, "BAND_PIXELS", 5 * 64)
+    banded = sample_training_pixels([tile], [mask], spec, n_pos + 50, seed=0)
+    assert np.array_equal(ts.features, banded.features)
     # negatives are distinct non-PV pixels
     neg_rows = ts.features[n_pos:]
     all_rows = {tuple(r) for r in fi[~mask]}
@@ -418,7 +430,9 @@ def test_golden_model_loads_and_predicts():
     assert model.n_features == 3 and model.n_trees == 1
     assert model.feature_fingerprint == "w3:r2,4"
     for x, want in GOLDEN_PREDICTIONS:
-        assert predict(model, np.array(x)) == want
+        assert scalar_predict(model, np.array(x)) == want
+    batch = predict_batch(model, np.array([x for x, _ in GOLDEN_PREDICTIONS]))
+    assert batch.tolist() == [want for _, want in GOLDEN_PREDICTIONS]
 
 
 def test_model_version_error():

@@ -18,6 +18,7 @@ from pvdetect.imagery import (
     load_entry,
     load_manifest,
     load_tile,
+    polygon_pixels,
     rasterize,
     save_annotations,
     save_manifest,
@@ -286,6 +287,40 @@ def test_rasterize_matches_point_in_polygon_oracle():
         for y in range(8):
             for x in range(8):
                 assert mask[y, x] == point_in_polygon(v, x + 0.5, y + 0.5), (v, x, y)
+
+
+def test_polygon_pixels_match_rasterized_mask():
+    rng = np.random.default_rng(17)
+    w, h = 11, 9
+    off_tile = 0
+    for trial in range(300):
+        # star-shaped around a center that may lie beyond the tile, so
+        # polygons are clipped by, or lie wholly outside, its edge
+        while True:
+            n = int(rng.integers(3, 8))
+            cx, cy = rng.uniform(-6, w + 6), rng.uniform(-6, h + 6)
+            angle = np.sort(rng.uniform(0, 2 * np.pi, size=n))
+            radius = rng.uniform(0.5, 6, size=n)
+            v = np.column_stack([cx + radius * np.cos(angle), cy + radius * np.sin(angle)])
+            if trial % 3 == 0:
+                v = np.round(v * 2) / 2  # vertices and edges through pixel centers
+            try:
+                ann = PolygonAnnotation("t", f"p{trial}", v)
+                break
+            except AnnotationError:
+                continue
+        got = polygon_pixels(ann, w, h)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, np.flatnonzero(rasterize([ann], w, h))), trial
+        want = [
+            y * w + x
+            for y in range(h)
+            for x in range(w)
+            if point_in_polygon(ann.vertices, x + 0.5, y + 0.5)
+        ]
+        assert got.tolist() == want, trial
+        off_tile += got.size == 0
+    assert 0 < off_tile < 300
 
 
 # ---------------------------------------------------------------------------
