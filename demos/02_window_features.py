@@ -1,12 +1,14 @@
 """Window-statistics features from integral images.
 
 Shows the ring geometry, the exact integer prefix tables, and how the
-102-dimensional per-pixel descriptor is assembled.
+102-dimensional per-pixel descriptor is assembled from six box-filtered
+planes.
 """
 
 import numpy as np
 
 import pvdetect as pv
+from pvdetect.features import feature_planes
 
 spec = pv.FeatureSpec()
 print(f"window side {spec.window_side}, rings {spec.ring_radii}"
@@ -50,3 +52,8 @@ for name, (x, y) in (
 band = pv.extract_feature_rows(tile, spec, 60, 70)
 assert np.array_equal(band, feature_image[60:70])
 print("\nrows 60..69 extracted as one band equal the same rows of the full image")
+
+values, base, offsets = feature_planes(tile, spec, 60, 70)
+print(f"the same rows as 6 box-filtered planes of {values.size // 6} values each;"
+      f" feature f of pixel p is values[base[p] + offsets[f]]")
+assert np.array_equal(values[base[:, None] + offsets].reshape(band.shape), band)

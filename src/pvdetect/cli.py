@@ -204,7 +204,8 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
     training = forest.sample_training_pixels(
         tiles, masks, spec, config.train_pixels, config.seed
     )
-    model = forest.train(training, config.rf_params(), spec.fingerprint())
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        model = forest.train(training, config.rf_params(), spec.fingerprint(), map=pool.map)
     model_path = out_dir / "model.pvforest"
     _write_bytes_atomic(model_path, forest.dump_model(model))
     _stage_manifest(
@@ -220,23 +221,19 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
 def cmd_predict(
     config: RunConfig, model_path: Path, tile_paths: list[Path], out_dir: Path
 ) -> list[Path]:
-    """Write one confidence map per tile under out_dir/maps."""
+    """Write one confidence map per tile under out_dir/maps, one tile at a time."""
     model = forest.load_model(model_path)
     spec = config.feature_spec()
     maps_dir = out_dir / "maps"
     maps_dir.mkdir(parents=True, exist_ok=True)
-    tiles = [imagery.load_tile(p) for p in tile_paths]
-
-    def run(tile: imagery.ImageTile) -> np.ndarray:
-        return forest.predict_tile(model, tile, spec)
-
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        maps = list(pool.map(run, tiles))
     outputs = []
-    for tile, conf in zip(tiles, maps):
-        path = maps_dir / f"{tile.tile_id}.cmap"
-        _write_bytes_atomic(path, detection.encode_confidence_map(conf))
-        outputs.append(path)
+    with ThreadPoolExecutor(max_workers=config.threads) as pool:
+        for tile_path in tile_paths:
+            tile = imagery.load_tile(tile_path)
+            conf = forest.predict_tile(model, tile, spec, map=pool.map)
+            path = maps_dir / f"{tile.tile_id}.cmap"
+            _write_bytes_atomic(path, detection.encode_confidence_map(conf))
+            outputs.append(path)
     _stage_manifest(
         out_dir, "predict", config, [model_path, *map(Path, tile_paths)], outputs
     )
@@ -410,7 +407,7 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="worker cap for tile stages")
+        p.add_argument("--threads", type=int, help="worker cap for trees, bands and tiles")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("synth", help="generate synthetic scenes + manifest")

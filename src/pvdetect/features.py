@@ -1,4 +1,4 @@
-"""Per-pixel window statistics computed from integral images.
+"""Per-pixel window statistics as offsets into six box-filtered planes.
 
 Each pixel is described by the mean and population variance of every RGB
 channel inside small square windows placed on concentric rings around it.
@@ -6,12 +6,13 @@ With the default 3x3 window and rings at radii 2 and 4 this yields
 9*6 + 9*6 - 6 = 102 features per pixel (the two rings share their center
 window, which is emitted once).
 
-Window coordinates are clamped (edge-replicated) into the tile so every
-pixel, including borders, has a full feature vector.  Features are built
-one band of rows at a time: the band is edge-padded, its integral tables
-are taken, and every window becomes one rectangle of those tables.  All
-sums are exact 64-bit integers; only the final mean/variance division is
-floating point, so any split of a tile into bands gives the same bits.
+Window coordinates are clamped (edge-replicated) into the tile.  A band of
+rows is edge-padded and box-filtered, through its integral tables, into six
+planes: the three channel means and the three variances (clamped at zero)
+of the window at each padded position.  A feature is then one flat offset
+into the planes (its statistic and window displacement) added to a pixel's
+base index (its row and column).  Sums are exact 64-bit integers and only
+the final division is floating point, so any banding gives the same bits.
 """
 
 from __future__ import annotations
@@ -45,8 +46,7 @@ class FeatureSpec:
     @property
     def feature_count(self) -> int:
         """6 features per window; the shared (0,0) window counts once."""
-        n_rings = len(self.ring_radii)
-        return 9 * 6 * n_rings - 6 * (n_rings - 1)
+        return 6 * len(self.window_offsets())
 
     def window_offsets(self) -> list[tuple[int, int]]:
         """All window-center offsets, deduplicated, in canonical order."""
@@ -70,8 +70,8 @@ def ring_offsets(r: int) -> list[tuple[int, int]]:
     return [(x, y) for x in (0, -r, r) for y in (0, -r, r)]
 
 
-# callers extract features in bands of max(1, BAND_PIXELS // width) rows, so
-# a band of 102 float64 features takes about 13 MB at any tile width
+# callers work in bands of max(1, BAND_PIXELS // width) rows, so a band's
+# planes and per-tree routing state stay a few MB at any tile width
 BAND_PIXELS = 1 << 14
 
 
@@ -90,51 +90,48 @@ def integral_tables(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sums, sq_sums
 
 
+def feature_planes(
+    tile: ImageTile, spec: FeatureSpec, row_start: int, row_stop: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Planes of rows [row_start, row_stop) as (values, base, offsets).
+
+    values is the flat float64 array of the six (Hp, Wp) planes (mR, mG,
+    mB, vR, vG, vB) over the edge-padded band: the mean and the population
+    variance, clamped at zero, of the window_side x window_side window whose
+    top-left cell is each padded position.  base holds one int64 index per
+    band pixel, row-major, and offsets one per feature, so feature f of
+    pixel p is values[base[p] + offsets[f]].
+    """
+    if not 0 <= row_start < row_stop <= tile.height:
+        raise ValueError(f"bad row range [{row_start}, {row_stop})")
+    side = spec.window_side
+    half = side // 2
+    pad = max(spec.ring_radii) + half
+    rows = np.clip(np.arange(row_start - pad, row_stop + pad), 0, tile.height - 1)
+    padded = np.pad(tile.pixels[rows], ((0, 0), (pad, pad), (0, 0)), mode="edge")
+    sums, sq_sums = (t.transpose(2, 0, 1) for t in integral_tables(padded))
+    lo, hi = slice(None, -side), slice(side, None)
+
+    def box(t: np.ndarray) -> np.ndarray:
+        return t[:, hi, hi] - t[:, lo, hi] - t[:, hi, lo] + t[:, lo, lo]
+
+    n = side * side
+    mean = box(sums) / n
+    planes = np.concatenate([mean, np.maximum(box(sq_sums) / n - mean * mean, 0.0)])
+    hp, wp = planes.shape[1:]
+    base = (np.arange(row_stop - row_start)[:, None] * wp + np.arange(tile.width)).ravel()
+    corner = np.array(spec.window_offsets()) - half + pad  # (u, v) of pixel (0, 0)
+    offsets = (np.arange(6) * hp * wp + corner[:, 1:] * wp + corner[:, :1]).ravel()
+    return planes.ravel(), base, offsets
+
+
 def extract_feature_rows(
     tile: ImageTile, spec: FeatureSpec, row_start: int, row_stop: int
 ) -> np.ndarray:
     """Feature image rows [row_start, row_stop) as a (rows, width, M) array.
 
-    Each pixel holds, per window, (mR, mG, mB, vR, vG, vB): the mean and the
-    population variance of the window's edge-replicated cells, the variance
-    clamped at zero.  The rows are edge-padded so every clamped window is a
-    plain rectangle of the padded integral tables.
+    Each pixel holds, per window, (mR, mG, mB, vR, vG, vB), gathered from
+    the band's feature_planes.
     """
-    if not 0 <= row_start < row_stop <= tile.height:
-        raise ValueError(f"bad row range [{row_start}, {row_stop})")
-    half = spec.window_side // 2
-    pad = max(spec.ring_radii) + half
-    height, width = row_stop - row_start, tile.width
-
-    top = min(pad, row_start)
-    bottom = min(pad, tile.height - row_stop)
-    core = tile.pixels[row_start - top : row_stop + bottom]
-    padded = np.pad(
-        core,
-        ((pad - top, pad - bottom), (pad, pad), (0, 0)),
-        mode="edge",
-    )
-    sums, sq_sums = integral_tables(padded)
-
-    n = spec.window_side * spec.window_side
-    offsets = spec.window_offsets()
-    out = np.empty((height, width, 6 * len(offsets)))
-    for k, (dx, dy) in enumerate(offsets):
-        u0, u1 = dx - half + pad, dx + half + pad
-        v0, v1 = dy - half + pad, dy + half + pad
-        s = (
-            sums[v1 + 1 : v1 + 1 + height, u1 + 1 : u1 + 1 + width]
-            - sums[v0 : v0 + height, u1 + 1 : u1 + 1 + width]
-            - sums[v1 + 1 : v1 + 1 + height, u0 : u0 + width]
-            + sums[v0 : v0 + height, u0 : u0 + width]
-        )
-        ss = (
-            sq_sums[v1 + 1 : v1 + 1 + height, u1 + 1 : u1 + 1 + width]
-            - sq_sums[v0 : v0 + height, u1 + 1 : u1 + 1 + width]
-            - sq_sums[v1 + 1 : v1 + 1 + height, u0 : u0 + width]
-            + sq_sums[v0 : v0 + height, u0 : u0 + width]
-        )
-        mean = s / n
-        out[:, :, 6 * k : 6 * k + 3] = mean
-        out[:, :, 6 * k + 3 : 6 * k + 6] = np.maximum(ss / n - mean * mean, 0.0)
-    return out
+    values, base, offsets = feature_planes(tile, spec, row_start, row_stop)
+    return values[base[:, None] + offsets].reshape(row_stop - row_start, tile.width, -1)

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
+from pathlib import Path
 
 import numpy as np
 
@@ -28,7 +29,7 @@ from .errors import (
     ModelFormatError,
     ModelVersionError,
 )
-from .features import BAND_PIXELS, FeatureSpec, extract_feature_rows
+from .features import BAND_PIXELS, FeatureSpec, feature_planes
 from .imagery import ImageTile
 from .rng import Stream, counter_u64
 
@@ -69,13 +70,17 @@ class RFParams:
 
 @dataclass(frozen=True)
 class TrainingSet:
-    """Feature matrix plus boolean labels (True = PV pixel)."""
+    """Feature matrix plus boolean labels (True = PV pixel).
+
+    The matrix is held once, as the C-contiguous (M, N) columns split search
+    gathers from; features is its (N, M) transposed view.
+    """
 
     features: np.ndarray  # (N, M) float64
     labels: np.ndarray  # (N,) bool
 
     def __post_init__(self):
-        X = np.ascontiguousarray(self.features, dtype=np.float64)
+        X = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64).T).T
         y = np.asarray(self.labels, dtype=bool)
         object.__setattr__(self, "features", X)
         object.__setattr__(self, "labels", y)
@@ -88,16 +93,11 @@ class TrainingSet:
         n_pos = int(y.sum())
         if n_pos == 0 or n_pos == y.size:
             raise DataError("training set must contain both classes")
-        object.__setattr__(self, "_columns", None)
 
     @property
     def columns(self) -> np.ndarray:
-        """Transposed feature matrix, cached for fast per-feature gathers."""
-        if self._columns is None:
-            object.__setattr__(
-                self, "_columns", np.ascontiguousarray(self.features.T)
-            )
-        return self._columns
+        """The (M, N) C-contiguous feature columns, a view, not a copy."""
+        return self.features.T
 
 
 def gini(n_pos: int, n_neg: int) -> float:
@@ -207,17 +207,27 @@ class DecisionTree:
         if not np.isfinite(self.threshold[internal]).all():
             raise ModelFormatError("non-finite split threshold")
 
-    def route_batch(self, X: np.ndarray) -> np.ndarray:
-        """Leaf probabilities for an (P, M) matrix of feature vectors."""
-        node = np.zeros(X.shape[0], dtype=np.int32)
-        while True:
+    def route_batch(
+        self, values: np.ndarray, base: np.ndarray, offsets: np.ndarray
+    ) -> np.ndarray:
+        """Leaf probabilities of the pixels whose feature f is values[b + offsets[f]].
+
+        Each b of base is one pixel.  Pixels that reach a leaf drop out, so
+        each level routes only the pixels still inside the tree.
+        """
+        out = np.empty(base.size)
+        pixel = np.arange(base.size)
+        node = np.zeros(base.size, dtype=np.int32)
+        while pixel.size:
             f = self.feature[node]
-            active = np.nonzero(f >= 0)[0]
-            if active.size == 0:
-                return self.prob[node]
-            cur = node[active]
-            go_left = X[active, f[active]] <= self.threshold[cur]
-            node[active] = np.where(go_left, self.left[cur], self.right[cur])
+            leaf = f < 0
+            if leaf.any():
+                out[pixel[leaf]] = self.prob[node[leaf]]
+                inner = ~leaf
+                pixel, node, f, base = pixel[inner], node[inner], f[inner], base[inner]
+            go_left = values[base + offsets[f]] <= self.threshold[node]
+            node = np.where(go_left, self.left[node], self.right[node])
+        return out
 
 
 def grow_tree(
@@ -305,26 +315,18 @@ class RandomForest:
         return len(self.trees)
 
 
-def _node_feature_sampler(node_seed: int, n_features: int, m: int):
-    """Counter-based per-node sampler of m distinct feature indices."""
-
-    def sampler(node_id: int) -> np.ndarray:
-        return Stream(counter_u64(node_seed, node_id)).sample_without_replacement(
-            n_features, m
-        )
-
-    return sampler
-
-
 def train(
-    training_set: TrainingSet, params: RFParams, feature_fingerprint: str = "unspecified"
+    training_set: TrainingSet,
+    params: RFParams,
+    feature_fingerprint: str = "unspecified",
+    map=map,
 ) -> RandomForest:
     """Train a forest; a pure function of (training_set, params).
 
     Tree t derives its seed as counter_u64(params.seed, t); its bootstrap
     indices and per-node feature subsets come from counters under that
     seed, so trees may be grown in any order or in parallel with identical
-    results.
+    results.  Trees are grown through map, which may be a worker pool's.
     """
     N, M = training_set.features.shape
     m = params.resolve_m(M)
@@ -332,45 +334,57 @@ def train(
         raise ConfigError(
             f"training set of {N} rows cannot satisfy min_leaf={params.min_leaf}"
         )
-    trees = []
-    for t in range(params.n_trees):
+
+    def grow(t: int) -> DecisionTree:
         tree_seed = counter_u64(params.seed, t)
         bootstrap = Stream(counter_u64(tree_seed, 0)).integers(N, N)
-        sampler = _node_feature_sampler(counter_u64(tree_seed, 1), M, m)
-        trees.append(grow_tree(bootstrap, training_set, params, sampler))
-    return RandomForest(trees, M, feature_fingerprint)
+        node_seed = counter_u64(tree_seed, 1)
+
+        def sampler(node_id: int) -> np.ndarray:
+            return Stream(counter_u64(node_seed, node_id)).sample_without_replacement(M, m)
+
+        return grow_tree(bootstrap, training_set, params, sampler)
+
+    return RandomForest(list(map(grow, range(params.n_trees))), M, feature_fingerprint)
+
+
+def _mean_leaf_prob(
+    forest: RandomForest, values: np.ndarray, base: np.ndarray, offsets: np.ndarray
+) -> np.ndarray:
+    """Mean leaf probability across trees for each pixel of route_batch's input.
+
+    Each pixel's probabilities are sorted, then added left to right by
+    cumsum, so the result is exactly invariant under permutation of the trees.
+    """
+    probs = np.empty((base.size, forest.n_trees))
+    for t, tree in enumerate(forest.trees):
+        probs[:, t] = tree.route_batch(values, base, offsets)
+    probs.sort(axis=1)
+    return probs.cumsum(axis=1)[:, -1] / forest.n_trees
 
 
 def predict_batch(forest: RandomForest, X: np.ndarray) -> np.ndarray:
-    """Mean leaf probability across trees for each row of a (P, M) matrix.
-
-    Each row's probabilities are sorted before accumulation, so the result
-    is exactly invariant under permutation of the trees.
-    """
+    """Mean leaf probability across trees for each row of a (P, M) matrix."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise DataError(
             f"feature matrix of shape {X.shape}, forest expects M={forest.n_features}"
         )
-    probs = np.empty((X.shape[0], forest.n_trees))
-    for t, tree in enumerate(forest.trees):
-        probs[:, t] = tree.route_batch(X)
-    probs.sort(axis=1)
-    acc = np.zeros(X.shape[0])
-    for t in range(forest.n_trees):
-        acc += probs[:, t]
-    return acc / forest.n_trees
+    P, M = X.shape
+    return _mean_leaf_prob(forest, X.ravel(), np.arange(P) * M, np.arange(M))
 
 
 def predict_tile(
     forest: RandomForest,
     tile: ImageTile,
     spec: FeatureSpec,
+    map=map,
 ) -> np.ndarray:
-    """Confidence map for a tile, extracting features in row bands.
+    """Confidence map for a tile, routing on the feature planes of row bands.
 
     A band holds about BAND_PIXELS pixels, so memory stays flat at any tile
-    size; banding is bit-identical to whole-tile extraction.
+    size; banding is bit-identical to whole-tile extraction.  Bands are
+    routed through map, which may be a worker pool's.
     """
     if spec.feature_count != forest.n_features:
         raise DataError(
@@ -382,13 +396,16 @@ def predict_tile(
             f"forest was trained for features {forest.feature_fingerprint!r}, "
             f"not {spec.fingerprint()!r}"
         )
-    out = np.empty((tile.height, tile.width))
     rows = max(1, BAND_PIXELS // tile.width)
-    for y0 in range(0, tile.height, rows):
-        y1 = min(y0 + rows, tile.height)
-        band = extract_feature_rows(tile, spec, y0, y1)
-        flat = band.reshape(-1, band.shape[2])
-        out[y0:y1] = predict_batch(forest, flat).reshape(y1 - y0, tile.width)
+    starts = range(0, tile.height, rows)
+
+    def band(y0: int) -> np.ndarray:
+        planes = feature_planes(tile, spec, y0, min(y0 + rows, tile.height))
+        return _mean_leaf_prob(forest, *planes)
+
+    out = np.empty((tile.height, tile.width))
+    for y0, conf in zip(starts, map(band, starts)):
+        out[y0 : y0 + rows] = conf.reshape(-1, tile.width)
     return out
 
 
@@ -414,9 +431,9 @@ def sample_training_pixels(
                 f"mask {mask.shape} does not match tile "
                 f"{(tile.height, tile.width)} for {tile.tile_id!r}"
             )
-    neg_counts = [int((~m).sum()) for m in masks]
-    n_pos = sum(int(m.sum()) for m in masks)
-    total_neg = sum(neg_counts)
+    pos_counts = [int(m.sum()) for m in masks]
+    neg_counts = [m.size - c for m, c in zip(masks, pos_counts)]
+    n_pos, total_neg = sum(pos_counts), sum(neg_counts)
     if n_total < n_pos:
         raise ConfigError(f"n_total={n_total} below the {n_pos} positive pixels")
     n_neg = n_total - n_pos
@@ -429,34 +446,30 @@ def sample_training_pixels(
     bounds = np.cumsum([0] + neg_counts)
     draw_tile = np.searchsorted(bounds, draws, side="right") - 1
 
-    X = np.empty((n_total, spec.feature_count))
-    labels = np.zeros(n_total, dtype=bool)
-    labels[:n_pos] = True
-    pos_starts = np.cumsum([0] + [int(m.sum()) for m in masks])
+    columns = np.empty((spec.feature_count, n_total))
+    labels = np.arange(n_total) < n_pos
+    pos_starts = np.cumsum([0] + pos_counts)
     for t, (tile, mask) in enumerate(zip(tiles, masks)):
-        pos_y, pos_x = np.nonzero(mask)  # row-major order
         sel = np.nonzero(draw_tile == t)[0]
-        neg_flat = np.nonzero(~mask.ravel())[0][draws[sel] - bounds[t]]
-        neg_y, neg_x = np.divmod(neg_flat, mask.shape[1])
-        ys = np.concatenate([pos_y, neg_y])
-        xs = np.concatenate([pos_x, neg_x])
+        # the tile's sampled pixels as flat indices y * width + x, sorted,
+        # and the training row each one fills
+        flat = np.concatenate(
+            [np.flatnonzero(mask), np.flatnonzero(~mask)[draws[sel] - bounds[t]]]
+        )
         out_rows = np.concatenate(
             [np.arange(pos_starts[t], pos_starts[t + 1]), n_pos + sel]
         )
-        if ys.size == 0:
-            continue
-        order = np.argsort(ys, kind="stable")
-        ys, xs, out_rows = ys[order], xs[order], out_rows[order]
+        order = np.argsort(flat)
+        flat, out_rows = flat[order], out_rows[order]
         rows = max(1, BAND_PIXELS // tile.width)
-        i = 0
-        while i < ys.size:
-            y0 = int(ys[i])
+        for y0 in range(0, tile.height, rows):
             y1 = min(y0 + rows, tile.height)
-            feats = extract_feature_rows(tile, spec, y0, y1)
-            j = int(np.searchsorted(ys, y1, side="left"))
-            X[out_rows[i:j]] = feats[ys[i:j] - y0, xs[i:j]]
-            i = j
-    return TrainingSet(X, labels)
+            i, j = np.searchsorted(flat, [y0 * tile.width, y1 * tile.width])
+            if i < j:
+                values, base, offsets = feature_planes(tile, spec, y0, y1)
+                pixels = base[flat[i:j] - y0 * tile.width]
+                columns[:, out_rows[i:j]] = values[offsets[:, None] + pixels]
+    return TrainingSet(columns.T, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -492,8 +505,6 @@ def dump_model(forest: RandomForest) -> bytes:
 
 
 def save_model(forest: RandomForest, path) -> None:
-    from pathlib import Path
-
     Path(path).write_bytes(dump_model(forest))
 
 
@@ -586,8 +597,6 @@ def loads_model(data: bytes) -> RandomForest:
 
 
 def load_model(path) -> RandomForest:
-    from pathlib import Path
-
     path = Path(path)
     if not path.is_file():
         raise InputError(f"model not found: {path}")

@@ -1,3 +1,6 @@
+import sys
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
@@ -9,7 +12,7 @@ from pvdetect.errors import (
     ModelVersionError,
 )
 from pvdetect import forest as forest_module
-from pvdetect.features import FeatureSpec, extract_feature_rows
+from pvdetect.features import FeatureSpec, extract_feature_rows, feature_planes
 from pvdetect.forest import (
     RFParams,
     RandomForest,
@@ -27,7 +30,13 @@ from pvdetect.forest import (
 from pvdetect.imagery import ImageTile
 from pvdetect.synth import SceneParams, generate_scene
 from pvdetect.imagery import rasterize
-from oracles import cart_predict, exhaustive_cart, route_and_read, scalar_predict
+from oracles import (
+    cart_predict,
+    exhaustive_cart,
+    naive_pixel_features,
+    route_and_read,
+    scalar_predict,
+)
 
 
 def all_features(n):
@@ -199,6 +208,23 @@ def test_train_deterministic_and_seed_sensitive():
     assert a != c
 
 
+def test_train_worker_pool_matches_serial():
+    rng = np.random.default_rng(15)
+    X = rng.uniform(0, 1, size=(400, 8))
+    y = X[:, 0] + X[:, 3] * X[:, 5] > 0.6
+    ts = TrainingSet(X, y)
+    params = RFParams(n_trees=7, min_leaf=2, seed=9)
+    serial = dump_model(train(ts, params, "f"))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the three workers finely
+    try:
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            pooled = dump_model(train(ts, params, "f", map=pool.map))
+    finally:
+        sys.setswitchinterval(interval)
+    assert pooled == serial
+
+
 def test_train_separable_2d_accuracy():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(1000, 2))
@@ -218,6 +244,21 @@ def test_train_validates_inputs():
         RFParams(n_trees=0)
     with pytest.raises(ConfigError):
         train(ts, RFParams(features_per_node=2))  # only 1 feature available
+
+
+def test_training_set_holds_one_column_major_copy():
+    rng = np.random.default_rng(16)
+    X = rng.uniform(0, 1, size=(7, 3))
+    y = np.array([True, False] * 3 + [True])
+    ts = TrainingSet(X, y)
+    assert np.array_equal(ts.features, X)
+    assert ts.columns.flags.c_contiguous
+    assert np.shares_memory(ts.features, ts.columns)
+    # a column-major matrix is taken as it is, without a copy
+    columns = np.ascontiguousarray(X.T)
+    again = TrainingSet(columns.T, y)
+    assert np.shares_memory(again.columns, columns)
+    assert np.array_equal(again.features, X)
 
 
 def _single_leaf_tree(prob, count=5):
@@ -324,8 +365,46 @@ def test_predict_tile_banding_consistency(monkeypatch):
     monkeypatch.setattr(forest_module, "BAND_PIXELS", 13 * 30 + 29)
     banded = predict_tile(model, tile, spec)
     assert np.array_equal(whole, banded)
+    # the same uneven bands routed by two workers
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = predict_tile(model, tile, spec, map=pool.map)
+    assert np.array_equal(whole, pooled)
     with pytest.raises(DataError):
         predict_tile(model, tile, FeatureSpec(ring_radii=(2,)))
+
+
+def test_plane_routing_matches_scalar_oracle():
+    """Routing on feature planes equals scalar_predict on the naive features."""
+    rng = np.random.default_rng(14)
+    cases = [
+        (FeatureSpec(), 23, 19),
+        (FeatureSpec(), 9, 41),
+        (FeatureSpec(window_side=5, ring_radii=(1, 3)), 17, 13),
+        (FeatureSpec(), 4, 3),  # rings reach far outside the tile
+    ]
+    for spec, h, w in cases:
+        tile = ImageTile(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8), "t")
+        X = extract_feature_rows(tile, spec, 0, h).reshape(h * w, -1)
+        # random labels grow deep trees that split on many features
+        y = np.arange(h * w) % 2 == 0
+        rng.shuffle(y)
+        model = train(
+            TrainingSet(X, y), RFParams(n_trees=4, min_leaf=1, seed=3), spec.fingerprint()
+        )
+        conf = predict_tile(model, tile, spec)
+        values, base, offsets = feature_planes(tile, spec, 0, h)
+        picks = rng.choice(h * w, size=min(h * w, 40), replace=False)
+        naive = [
+            naive_pixel_features(
+                tile.pixels, spec.window_offsets(), spec.window_side, p % w, p // w
+            )
+            for p in picks
+        ]
+        for p, x in zip(picks, naive):
+            assert conf[p // w, p % w] == scalar_predict(model, x)
+        for tree in model.trees:
+            leaves = tree.route_batch(values, base[picks], offsets)
+            assert leaves.tolist() == [route_and_read(tree, x) for x in naive]
 
 
 # ---------------------------------------------------------------------------
@@ -350,6 +429,8 @@ def test_sample_training_pixels_contract():
     assert ts.features.shape == (n_pos + 300, 102)
     assert int(ts.labels.sum()) == n_pos
     assert ts.labels[:n_pos].all() and not ts.labels[n_pos:].any()
+    assert ts.columns.flags.c_contiguous
+    assert np.shares_memory(ts.features, ts.columns)
     # deterministic
     again = sample_training_pixels(list(tiles), list(masks), spec, n_pos + 300, seed=0)
     assert np.array_equal(ts.features, again.features)
