@@ -22,8 +22,6 @@ import time
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import detection, forest, imagery, scoring, synth
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, InputError, PVDetectError
@@ -247,25 +245,24 @@ def cmd_detect(
     params = config.pp_params()
     enhanced_dir = out_dir / "enhanced"
     enhanced_dir.mkdir(parents=True, exist_ok=True)
-    maps = [detection.load_confidence_map(p) for p in cmap_paths]
+    cmap_paths = list(map(Path, cmap_paths))
+    if len({src.stem for src in cmap_paths}) < len(cmap_paths):
+        raise InputError("two confidence maps share a tile id (file stem)")
+    outputs = [enhanced_dir / f"{src.stem}.cmap" for src in cmap_paths]
 
-    def run(conf: np.ndarray) -> np.ndarray:
-        return detection.postprocess(conf, params)
+    def run(src: Path, path: Path) -> list[detection.DetectionObject]:
+        # one task per tile, so at most `threads` maps are held at once
+        enhanced = detection.postprocess(detection.load_confidence_map(src), params)
+        _write_bytes_atomic(path, detection.encode_confidence_map(enhanced))
+        return detection.extract_objects(enhanced)
 
     with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        enhanced_maps = list(pool.map(run, maps))
-    outputs = []
-    objects_by_tile: dict[str, list[detection.DetectionObject]] = {}
-    for src, enhanced in zip(map(Path, cmap_paths), enhanced_maps):
-        tile_id = src.stem
-        path = enhanced_dir / f"{tile_id}.cmap"
-        _write_bytes_atomic(path, detection.encode_confidence_map(enhanced))
-        outputs.append(path)
-        objects_by_tile[tile_id] = detection.extract_objects(enhanced)
+        objects = list(pool.map(run, cmap_paths, outputs))
+    objects_by_tile = {src.stem: objs for src, objs in zip(cmap_paths, objects)}
     detections_path = out_dir / "detections.csv"
     write_detections_csv(objects_by_tile, detections_path)
     outputs.append(detections_path)
-    _stage_manifest(out_dir, "detect", config, list(map(Path, cmap_paths)), outputs)
+    _stage_manifest(out_dir, "detect", config, cmap_paths, outputs)
     return outputs[:-1], detections_path
 
 

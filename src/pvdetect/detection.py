@@ -18,6 +18,17 @@ map of constant-valued grown regions:
    already-assigned value within disk r_2.  Closing is computed against
    the infinite plane, so it never loses support at tile borders.
 
+No step loops over pixels in Python.  NMS is three separable running-max
+filters (each doubling its span per pass): a pixel survives when it equals
+its window maximum and strictly exceeds the window rows above it and the
+window pixels left of it in its row, which is exactly the (y, x) tie-break.
+A disk filter takes one horizontal running max per distinct half-width of
+the disk's rows, then combines its 2r + 1 row shifts.  One labeler serves
+step 3 and objects: searchsorted finds neighbour pairs among the sorted flat
+indices of the support, and rounds of hooking roots under smaller roots,
+each followed by pointer jumping (Shiloach & Vishkin), label each pixel
+with the smallest flat index of its component.
+
 Objects are the 8-connected components of the positive support of an
 enhanced map; each object's confidence is its maximum pixel value.  A
 DetectionObject stores its pixels in the one compact form used from
@@ -28,6 +39,7 @@ is the only other pixel format, and decoding rejects runs outside the tile.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -133,36 +145,42 @@ def nonmax_suppress(conf: np.ndarray, nms_side: int) -> list[tuple[int, int, flo
     """Local maxima of conf over clamped nms_side x nms_side windows.
 
     A pixel survives when it attains the window maximum and is the
-    lexicographically smallest (y, x) among window pixels attaining it.
-    Returned as (x, y, value) in row-major order.
+    lexicographically smallest (y, x) among window pixels attaining it,
+    that is, when it is also strictly greater than the window's rows above
+    it and than the window pixels to its left in its own row.  Returned as
+    (x, y, value) in row-major order.
     """
     conf = _check_map(conf)
     if nms_side < 3 or nms_side % 2 == 0:
         raise ConfigError(f"nms_side must be odd and >= 3, got {nms_side}")
     h, w = conf.shape
-    # rank pixels by (value desc, y asc, x asc); the window minimum of the
-    # rank is then exactly the tie-broken window maximum of the value
-    ys, xs = np.divmod(np.arange(h * w), w)
-    order = np.lexsort((xs, ys, -conf.ravel()))
-    rank = np.empty(h * w, dtype=np.int64)
-    rank[order] = np.arange(h * w)
-    best = _window_min(rank.reshape(h, w), nms_side)
-    keep_y, keep_x = np.nonzero(rank.reshape(h, w) == best)
-    return [(int(x), int(y), float(conf[y, x])) for y, x in zip(keep_y, keep_x)]
+    half = nms_side // 2
+    # off-map pixels read -inf, which no value (negative ones included) loses to
+    padded = np.pad(conf, half, constant_values=-np.inf)
+    keep = conf > _window_max(padded[half : half + h, : w + half - 1], half)
+    rows = _window_max(padded, nms_side)
+    del padded
+    keep &= conf > _window_max(rows[: h + half - 1].T, half).T
+    keep &= conf == _window_max(rows.T, nms_side).T
+    keep_y, keep_x = np.nonzero(keep)
+    return list(zip(keep_x.tolist(), keep_y.tolist(), conf[keep_y, keep_x].tolist()))
 
 
-def _window_min(values: np.ndarray, side: int) -> np.ndarray:
-    """Separable sliding-window minimum with edge-clamped windows."""
-    half = side // 2
-    h, w = values.shape
-    padded = np.pad(values, ((half, half), (half, half)), mode="edge")
-    rows = padded[0:h]
-    for dy in range(1, side):
-        rows = np.minimum(rows, padded[dy : dy + h])
-    out = rows[:, 0:w]
-    for dx in range(1, side):
-        out = np.minimum(out, rows[:, dx : dx + w])
-    return out
+def _window_max(values: np.ndarray, width: int) -> np.ndarray:
+    """Running max along rows: out[:, i] = max(values[:, i : i + width]).
+
+    Doubling: after k passes out[:, i] is the maximum of the 2**k values
+    from i; two overlapping such spans then cover any width.  NaN is
+    skipped (fmax), so a NaN pixel never suppresses a neighbour in NMS.
+    """
+    n = values.shape[1] - width + 1
+    out, span = values, 1
+    while 2 * span <= width:
+        out = np.fmax(out[:, :-span], out[:, span:])
+        span *= 2
+    if span == width:
+        return out[:, :n]
+    return np.fmax(out[:, :n], out[:, width - span : width - span + n])
 
 
 def filter_maxima(
@@ -232,57 +250,25 @@ def disk_element(radius: int) -> list[tuple[int, int]]:
     ]
 
 
-def _shift_windows(h: int, w: int, dx: int, dy: int):
-    """dst/src slice pairs so dst[p] reads src[p + (dy, dx)], or None.
+def _max_filter(values: np.ndarray, radius: int, outside=0) -> np.ndarray:
+    """Maximum of values over the disk of the given radius around each pixel.
 
-    Offsets larger than the array yield no overlap; the guard keeps the
-    slices non-negative (a negative stop would wrap in Python).
+    Pixels outside the array read `outside`, and the result is at least
+    zero (False for a boolean mask, which makes this a binary dilation).
+    Disk row dy spans dx in [-a, a] with a = isqrt(radius**2 - dy**2), so one
+    horizontal running max per distinct a, taken at the 2 * radius + 1 row
+    shifts, covers the disk.
     """
-    dst_y0, dst_y1 = max(0, -dy), min(h, h - dy)
-    dst_x0, dst_x1 = max(0, -dx), min(w, w - dx)
-    if dst_y1 <= dst_y0 or dst_x1 <= dst_x0:
-        return None
-    return (
-        (slice(dst_y0, dst_y1), slice(dst_x0, dst_x1)),
-        (slice(dst_y0 + dy, dst_y1 + dy), slice(dst_x0 + dx, dst_x1 + dx)),
-    )
-
-
-def _dilate(mask: np.ndarray, offsets: list[tuple[int, int]]) -> np.ndarray:
-    """Binary dilation; pixels outside the array are background."""
-    h, w = mask.shape
-    out = np.zeros_like(mask)
-    for dx, dy in offsets:
-        windows = _shift_windows(h, w, -dx, -dy)  # dst[p] |= mask[p - off]
-        if windows is not None:
-            dst, src = windows
-            out[dst] |= mask[src]
-    return out
-
-
-def _erode(mask: np.ndarray, offsets: list[tuple[int, int]]) -> np.ndarray:
-    """Binary erosion; pixels outside the array are background."""
-    h, w = mask.shape
-    out = np.ones_like(mask)
-    for dx, dy in offsets:
-        shifted = np.zeros_like(mask)
-        windows = _shift_windows(h, w, dx, dy)  # shifted[p] = mask[p + off]
-        if windows is not None:
-            dst, src = windows
-            shifted[dst] = mask[src]
-        out &= shifted
-    return out
-
-
-def _max_filter(values: np.ndarray, offsets: list[tuple[int, int]]) -> np.ndarray:
-    """Per-pixel maximum of values over the offset neighborhood (0 outside)."""
     h, w = values.shape
+    padded = np.pad(values, radius, constant_values=outside)
     out = np.zeros_like(values)
-    for dx, dy in offsets:
-        windows = _shift_windows(h, w, dx, dy)
-        if windows is not None:
-            dst, src = windows
-            np.maximum(out[dst], values[src], out=out[dst])
+    rows_of = {}
+    for dy in range(-radius, radius + 1):
+        rows_of.setdefault(math.isqrt(radius * radius - dy * dy), []).append(dy)
+    for a, dys in rows_of.items():
+        row_max = _window_max(padded[:, radius - a : radius + a + w], 2 * a + 1)
+        for dy in dys:
+            np.maximum(out, row_max[radius + dy : radius + dy + h], out=out)
     return out
 
 
@@ -294,28 +280,58 @@ def _close_support(mask: np.ndarray, radius: int) -> np.ndarray:
     """
     if radius == 0 or not mask.any():
         return mask.copy()
-    offsets = disk_element(radius)
-    padded = np.pad(mask, radius)
-    closed = _erode(_dilate(padded, offsets), offsets)
+    dilated = _max_filter(np.pad(mask, radius), radius)
+    # erosion, with pixels outside the array as background
+    closed = ~_max_filter(~dilated, radius, outside=True)
     return closed[radius:-radius, radius:-radius]
 
 
-def _component_containing(
-    mask: np.ndarray, seed_y: int, seed_x: int
-) -> np.ndarray:
+def _label(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """8-connected labeling: (pixels, labels) over the mask's support.
+
+    pixels are the support's flat indices in ascending order; labels[i] is
+    the smallest flat index in the component of pixels[i].  Neighbour pairs
+    come from searchsorted; each round hooks every root under the smallest
+    root it touches, then pointer-jumps until every pixel points at a root.
+    Roots only ever move under smaller roots, so each component ends at
+    its minimum.
+    """
+    w = mask.shape[1]
+    pixels = np.flatnonzero(mask)
+    n = pixels.size
+    col = pixels % w
+    position = np.arange(n)
+    heads, tails = [], []
+    # forward neighbours: right, below-left, below, below-right
+    for step, valid in ((1, col < w - 1), (w - 1, col > 0), (w, True), (w + 1, col < w - 1)):
+        target = pixels + step
+        at = np.minimum(np.searchsorted(pixels, target), n - 1)
+        hit = valid & (pixels[at] == target)
+        heads.append(position[hit])
+        tails.append(at[hit])
+    a, b = np.concatenate(heads), np.concatenate(tails)
+    root = position
+    while True:
+        ra, rb = root[a], root[b]
+        live = ra != rb
+        if not live.any():
+            return pixels, pixels[root]
+        a, b, ra, rb = a[live], b[live], ra[live], rb[live]
+        np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
+        while True:
+            jumped = root[root]
+            if np.array_equal(jumped, root):
+                break
+            root = jumped
+
+
+def _component_containing(mask: np.ndarray, seed_y: int, seed_x: int) -> np.ndarray:
     """8-connected component of mask containing the seed pixel."""
-    h, w = mask.shape
-    out = np.zeros_like(mask)
-    stack = [(seed_y, seed_x)]
-    out[seed_y, seed_x] = True
-    while stack:
-        y, x = stack.pop()
-        for ny in range(max(0, y - 1), min(h, y + 2)):
-            for nx in range(max(0, x - 1), min(w, x + 2)):
-                if mask[ny, nx] and not out[ny, nx]:
-                    out[ny, nx] = True
-                    stack.append((ny, nx))
-    return out
+    pixels, labels = _label(mask)
+    seed = labels[np.searchsorted(pixels, seed_y * mask.shape[1] + seed_x)]
+    out = np.zeros(mask.size, dtype=bool)
+    out[pixels[labels == seed]] = True
+    return out.reshape(mask.shape)
 
 
 def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
@@ -341,41 +357,28 @@ def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
 
     support = enhanced > 0.0
     closed = _close_support(support, params.closing_radius)
-    grown_values = _max_filter(enhanced, disk_element(params.closing_radius))
-    after_close = np.where(
-        support, enhanced, np.where(closed, grown_values, 0.0)
-    )
-    dilated = _dilate(closed, disk_element(params.dilation_radius))
-    dilated_values = _max_filter(after_close, disk_element(params.dilation_radius))
-    return np.where(closed, after_close, np.where(dilated, dilated_values, 0.0))
+    grown = np.where(closed, _max_filter(enhanced, params.closing_radius), 0.0)
+    after_close = np.where(support, enhanced, grown)
+    del enhanced, grown  # full-size maps: keep at most a few alive at once
+    dilated = _max_filter(closed, params.dilation_radius)
+    grown = np.where(dilated, _max_filter(after_close, params.dilation_radius), 0.0)
+    return np.where(closed, after_close, grown)
 
 
 def connected_components(mask: np.ndarray) -> list[np.ndarray]:
     """8-connected components of a boolean mask.
 
-    Each component is an (n, 2) array of (y, x) pixel coordinates; the
-    component order follows the row-major position of each component's
-    first pixel.
+    Each component is an (n, 2) array of (y, x) pixel coordinates in
+    row-major order; the components are ordered by their first pixel.
     """
-    h, w = mask.shape
-    seen = np.zeros_like(mask)
-    components = []
-    for sy, sx in zip(*np.nonzero(mask)):
-        if seen[sy, sx]:
-            continue
-        seen[sy, sx] = True
-        stack = [(int(sy), int(sx))]
-        pixels = []
-        while stack:
-            y, x = stack.pop()
-            pixels.append((y, x))
-            for ny in range(max(0, y - 1), min(h, y + 2)):
-                for nx in range(max(0, x - 1), min(w, x + 2)):
-                    if mask[ny, nx] and not seen[ny, nx]:
-                        seen[ny, nx] = True
-                        stack.append((ny, nx))
-        components.append(np.array(pixels, dtype=np.int64))
-    return components
+    pixels, labels = _label(mask)
+    if pixels.size == 0:
+        return []
+    order = np.argsort(labels, kind="stable")
+    pixels, labels = pixels[order], labels[order]
+    starts = np.flatnonzero(np.diff(labels)) + 1
+    width = mask.shape[1]
+    return [np.stack(np.divmod(c, width), axis=1) for c in np.split(pixels, starts)]
 
 
 def extract_objects(enhanced: np.ndarray) -> list[DetectionObject]:

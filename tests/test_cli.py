@@ -1,8 +1,11 @@
 import json
+import threading
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pvdetect import detection
 from pvdetect.cli import (
     cmd_detect,
     cmd_eval,
@@ -16,7 +19,7 @@ from pvdetect.cli import (
 )
 from pvdetect.config import RunConfig, parse_config
 from pvdetect.detection import DetectionObject, load_confidence_map
-from pvdetect.errors import DataError
+from pvdetect.errors import DataError, InputError
 from pvdetect.imagery import load_manifest
 
 TINY = dict(
@@ -145,6 +148,52 @@ def test_pipeline_stages_and_rerun_determinism(tmp_path):
     svgs = [p for p in svg_outputs if p.suffix == ".svg"]
     assert len(svgs) == 1
     assert svgs[0].read_text().startswith("<svg ")
+
+
+def _random_maps(directory, count, rng):
+    paths = []
+    for i in range(count):
+        path = directory / f"t{i}.cmap"
+        detection.save_confidence_map(rng.uniform(0, 1, size=(24, 24)), path)
+        paths.append(path)
+    return paths
+
+
+def test_cmd_detect_holds_at_most_one_map_per_worker(tmp_path, monkeypatch):
+    # each tile is loaded, post-processed and extracted in one pool task, so
+    # maps loaded but not yet extracted never outnumber the workers
+    paths = _random_maps(tmp_path, 5, np.random.default_rng(3))
+    load, extract = detection.load_confidence_map, detection.extract_objects
+    lock = threading.Lock()
+    held, peak = 0, 0
+
+    def counting_load(path):
+        nonlocal held, peak
+        with lock:
+            held += 1
+            peak = max(peak, held)
+        return load(path)
+
+    def counting_extract(enhanced):
+        nonlocal held
+        with lock:
+            held -= 1
+        return extract(enhanced)
+
+    monkeypatch.setattr(detection, "load_confidence_map", counting_load)
+    monkeypatch.setattr(detection, "extract_objects", counting_extract)
+    enhanced_paths, _ = cmd_detect(tiny_config(threads=2), paths, tmp_path / "out")
+    assert [p.stem for p in enhanced_paths] == [p.stem for p in paths]
+    assert held == 0 and 1 <= peak <= 2
+
+
+def test_cmd_detect_rejects_duplicate_tile_ids(tmp_path):
+    rng = np.random.default_rng(4)
+    (tmp_path / "a").mkdir()
+    (tmp_path / "b").mkdir()
+    paths = _random_maps(tmp_path / "a", 1, rng) + _random_maps(tmp_path / "b", 1, rng)
+    with pytest.raises(InputError, match="tile id"):
+        cmd_detect(tiny_config(), paths, tmp_path / "out")
 
 
 def test_cmd_eval_end_to_end(tmp_path):

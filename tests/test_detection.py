@@ -51,15 +51,30 @@ def test_nms_matches_bruteforce_oracle():
         conf = rng.uniform(0, 1, size=(32, 32))
         if trial % 2:
             conf = np.round(conf, 1)  # coarse values force plateaus
-        for side in (3, 9):
-            assert nonmax_suppress(conf, side) == brute_nms(conf, side), (trial, side)
+        # shifted below -1 too, so a 0 or -1 fill for off-map pixels would lose
+        for values in (conf, conf - 1.5):
+            for side in (3, 5, 7, 9, 11):
+                got = nonmax_suppress(values, side)
+                assert got == brute_nms(values, side), (trial, side)
 
 
 def test_nms_non_square_map_matches_oracle():
     rng = np.random.default_rng(12)
-    for shape in [(5, 40), (40, 5), (1, 30), (30, 1)]:
+    # (3, 4), (2, 1) and (1, 1) are smaller than the half-window of sides 9 and 11
+    for shape in [(5, 40), (40, 5), (1, 30), (30, 1), (3, 4), (2, 1), (1, 1)]:
         conf = np.round(rng.uniform(0, 1, size=shape), 1)
-        assert nonmax_suppress(conf, 9) == brute_nms(conf, 9), shape
+        for values in (conf, conf - 1.5):
+            for side in (5, 7, 9, 11):
+                got = nonmax_suppress(values, side)
+                assert got == brute_nms(values, side), (shape, side)
+
+
+def test_nms_nan_never_suppresses_a_neighbour():
+    rng = np.random.default_rng(14)
+    conf = np.round(rng.uniform(0, 1, size=(30, 30)), 1)
+    conf[rng.uniform(0, 1, size=conf.shape) < 0.05] = np.nan
+    want = [m for m in brute_nms(conf, 9) if not np.isnan(m[2])]
+    assert len(want) > 5 and nonmax_suppress(conf, 9) == want
 
 
 def test_postprocess_crop_larger_than_map():
@@ -297,6 +312,69 @@ def test_connected_components_order_is_first_pixel_row_major():
     mask[0, 5] = True
     comps = connected_components(mask)
     assert [tuple(c[0]) for c in comps] == [(0, 5), (4, 0)]
+
+
+def _serpentine(height, width):
+    """Full rows joined at alternate ends: one path of about height*width/2."""
+    mask = np.zeros((height, width), dtype=bool)
+    mask[::2] = True
+    mask[1::4, -1] = True
+    mask[3::4, 0] = True
+    return mask
+
+
+def _spiral(side):
+    """A one-pixel path spiralling inwards with one-pixel gaps."""
+    mask = np.zeros((side, side), dtype=bool)
+    y, x, dy, dx = 0, 0, 0, 1
+    mask[0, 0] = True
+    for length in [side - 1] + [n for n in range(side - 1, 0, -2) for _ in "ab"]:
+        for _ in range(length):
+            y, x = y + dy, x + dx
+            mask[y, x] = True
+        dy, dx = dx, -dy
+    return mask
+
+
+def _staggered_comb(levels):
+    """Teeth on a bottom bar, ordered so that each hooking round merges pairs.
+
+    Tooth i's top row ranks by how often 2 divides i (tooth 0 highest), so a
+    labeler that hooks every root under its smallest neighbouring root
+    needs levels + 1 rounds.
+    """
+    n = 2**levels
+    twos = [levels + 1 if i == 0 else (i & -i).bit_length() for i in range(n)]
+    mask = np.zeros((n + 2, 2 * n - 1), dtype=bool)
+    mask[-1] = True
+    for row, i in enumerate(sorted(range(n), key=lambda i: (-twos[i], i))):
+        mask[row:, 2 * i] = True
+    return mask
+
+
+def test_connected_components_match_flood_fill_on_adversarial_masks():
+    # long geodesic paths, diagonal-only links and degenerate shapes
+    checkerboard = np.add.outer(np.arange(17), np.arange(23)) % 2 == 0
+    two_serpentines = np.zeros((30, 50), dtype=bool)
+    two_serpentines[:, :24] = _serpentine(30, 24)
+    two_serpentines[:, 26:] = _serpentine(30, 24)[::-1, ::-1]
+    masks = {
+        "serpentine": _serpentine(41, 37),
+        "two serpentines": two_serpentines,
+        "spiral": _spiral(40),
+        "staggered comb": _staggered_comb(5),
+        "checkerboard": checkerboard,
+        "full": np.ones((19, 21), dtype=bool),
+        "1xN strip": np.ones((1, 200), dtype=bool),
+        "Nx1 strip": np.ones((200, 1), dtype=bool),
+        "empty": np.zeros((9, 7), dtype=bool),
+    }
+    for name, mask in masks.items():
+        got = [[tuple(p) for p in c.tolist()] for c in connected_components(mask)]
+        assert got == flood_components(mask), name
+    assert len(flood_components(masks["spiral"])) == 1
+    assert len(flood_components(checkerboard)) == 1
+    assert len(flood_components(two_serpentines)) == 2
 
 
 def test_detection_object_invariants():
