@@ -26,8 +26,8 @@ for seed in (1, 2, 3):
 
 training = sample_training_pixels(train_tiles, train_masks, spec, 20_000, seed=0)
 n_pos = int(training.labels.sum())
-print(f"training set: {training.features.shape[0]} pixels"
-      f" ({n_pos} PV, {training.features.shape[0] - n_pos} background)")
+print(f"training set: {training.labels.size} pixels"
+      f" ({n_pos} PV, {training.labels.size - n_pos} background)")
 
 params = pv.RFParams(n_trees=10, seed=42)
 model = pv.train(training, params, spec.fingerprint())

@@ -138,6 +138,8 @@ def _check_map(conf: np.ndarray) -> np.ndarray:
     conf = np.asarray(conf, dtype=np.float64)
     if conf.ndim != 2 or conf.size == 0:
         raise DataError(f"confidence map must be non-empty 2-D, got {conf.shape}")
+    if not np.isfinite(conf).all():
+        raise DataError("confidence map holds NaN or infinite values")
     return conf
 
 
@@ -170,17 +172,16 @@ def _window_max(values: np.ndarray, width: int) -> np.ndarray:
     """Running max along rows: out[:, i] = max(values[:, i : i + width]).
 
     Doubling: after k passes out[:, i] is the maximum of the 2**k values
-    from i; two overlapping such spans then cover any width.  NaN is
-    skipped (fmax), so a NaN pixel never suppresses a neighbour in NMS.
+    from i; two overlapping such spans then cover any width.
     """
     n = values.shape[1] - width + 1
     out, span = values, 1
     while 2 * span <= width:
-        out = np.fmax(out[:, :-span], out[:, span:])
+        out = np.maximum(out[:, :-span], out[:, span:])
         span *= 2
     if span == width:
         return out[:, :n]
-    return np.fmax(out[:, :n], out[:, width - span : width - span + n])
+    return np.maximum(out[:, :n], out[:, width - span : width - span + n])
 
 
 def filter_maxima(
@@ -406,7 +407,7 @@ _CMAP_VERSION = 1
 def encode_confidence_map(conf: np.ndarray) -> bytes:
     """CMAP bytes: magic, version byte, u32 width/height LE, f32 row-major."""
     conf = _check_map(conf)
-    if not np.isfinite(conf).all() or conf.min() < 0.0 or conf.max() > 1.0:
+    if conf.min() < 0.0 or conf.max() > 1.0:
         raise DataError("confidence values must lie in [0, 1]")
     h, w = conf.shape
     header = _CMAP_MAGIC + bytes([_CMAP_VERSION]) + struct.pack("<II", w, h)

@@ -7,6 +7,12 @@ decrease, subject to both children holding at least min_leaf samples.
 Nodes where no candidate strictly decreases impurity become leaves whose
 probability is the positive fraction of their samples.
 
+Training never sorts floats per node.  The training set holds each feature
+column once as ranks into its sorted distinct values (TrainingSet), and
+split search counts samples and positives per rank (best_split): the same
+integer counts, and so the same splits, as sorting the node's values would
+give.  Only the chosen boundary is read back as a float threshold.
+
 Randomness is counter-based (see rng): the bootstrap of tree t and the
 feature subset of node k depend only on (seed, t, k), so training is a
 pure function of (training set, params) regardless of thread schedule.
@@ -68,36 +74,73 @@ class RFParams:
         return m
 
 
-@dataclass(frozen=True)
 class TrainingSet:
-    """Feature matrix plus boolean labels (True = PV pixel).
+    """Training rows as per-column rank codes, plus labels (True = PV pixel).
 
-    The matrix is held once, as the C-contiguous (M, N) columns split search
-    gathers from; features is its (N, M) transposed view.
+    Built from an (N, M) float matrix, which it does not keep: each column
+    is encoded once as ranks into its sorted distinct values.  values[f] is
+    column f's table of distinct values and codes[f] its (N,) ranks, so
+    values[f][codes[f]] is the column again, exactly.  codes is one
+    C-contiguous (M, N) array, uint16 when no column has more than 65,536
+    distinct values and int32 otherwise.  Split search and child partitions
+    work on the codes; only thresholds read the tables.
     """
 
-    features: np.ndarray  # (N, M) float64
-    labels: np.ndarray  # (N,) bool
+    def __init__(self, features: np.ndarray, labels: np.ndarray):
+        X = np.asarray(features, dtype=np.float64)
+        self._encode(X.T, labels, np.empty(X.shape[::-1], dtype=np.uint16))
 
-    def __post_init__(self):
-        X = np.ascontiguousarray(np.asarray(self.features, dtype=np.float64).T).T
-        y = np.asarray(self.labels, dtype=bool)
-        object.__setattr__(self, "features", X)
-        object.__setattr__(self, "labels", y)
-        if X.ndim != 2 or y.ndim != 1 or X.shape[0] != y.shape[0]:
+    @classmethod
+    def from_columns(cls, columns: np.ndarray, labels: np.ndarray) -> "TrainingSet":
+        """A training set that takes over an (M, N) float64 C-contiguous matrix.
+
+        The codes are written over the matrix as it is read, and its memory
+        then shrinks to theirs, so the floats and the codes are never held
+        at once.  columns must own its memory and is unusable afterwards.
+        """
+        M, N = columns.shape
+        ts = cls.__new__(cls)
+        # column f's codes take bytes [2fN, 2fN + 2N): inside columns already
+        # read, since column f itself starts at byte 8fN
+        ts._encode(columns, labels, columns.reshape(-1).view(np.uint16)[: M * N].reshape(M, N))
+        if ts.codes.dtype == np.uint16:
+            ts.codes = None
+            columns.resize(-(-M * N // 4), refcheck=False)
+            ts.codes = columns.view(np.uint16)[: M * N].reshape(M, N)
+        return ts
+
+    def _encode(self, columns: np.ndarray, labels: np.ndarray, codes: np.ndarray) -> None:
+        y = np.asarray(labels, dtype=bool)
+        if columns.ndim != 2 or y.ndim != 1 or columns.shape[1] != y.shape[0]:
             raise DataError(
-                f"features {X.shape} and labels {y.shape} are inconsistent"
+                f"features {columns.T.shape} and labels {y.shape} are inconsistent"
             )
-        if not np.isfinite(X).all():
-            raise DataError("training features must be finite")
         n_pos = int(y.sum())
         if n_pos == 0 or n_pos == y.size:
             raise DataError("training set must contain both classes")
+        values = []
+        for f in range(columns.shape[0]):
+            table, inverse = np.unique(columns[f], return_inverse=True)
+            # sorted, so an infinity or NaN sits at one end of the table
+            if not (np.isfinite(table[0]) and np.isfinite(table[-1])):
+                raise DataError("training features must be finite")
+            if table.size > 1 << 16 and codes.dtype == np.uint16:
+                codes = codes.astype(np.int32)
+            codes[f] = inverse
+            values.append(table)
+        self.codes = codes
+        self.values = tuple(values)
+        self.labels = y
 
-    @property
-    def columns(self) -> np.ndarray:
-        """The (M, N) C-contiguous feature columns, a view, not a copy."""
-        return self.features.T
+    def decode(self) -> np.ndarray:
+        """The (N, M) float matrix the set was built from, bit for bit.
+
+        The one exception: -0.0 and 0.0 are one distinct value, so a column
+        holding both decodes them with one sign.
+        """
+        return np.stack(
+            [table[codes] for table, codes in zip(self.values, self.codes)], axis=1
+        )
 
 
 def gini(n_pos: int, n_neg: int) -> float:
@@ -122,8 +165,14 @@ def best_split(
     values.  Splits leaving a child below min_leaf are rejected, as are
     splits without strictly positive decrease.  Ties resolve to the lowest
     feature index, then the lowest threshold.
+
+    The search is exact, on integer counts per distinct value.  Features go
+    in groups of BAND_PIXELS // n (at least one).  A group's samples become
+    keys (offset + code) << 1 | label, the offset giving each feature its
+    own range of bins; one bincount of the keys, or one sort when the keys
+    are far fewer than the bins, yields the (n_left, pos_left) of every
+    candidate of the group at once.
     """
-    columns = training_set.columns
     idx = np.asarray(sample_indices, dtype=np.int64)
     n = idx.size
     if n < 2 * min_leaf:
@@ -131,25 +180,44 @@ def best_split(
     labels = training_set.labels[idx]
     total_pos = int(labels.sum())
     parent = gini(total_pos, n - total_pos)
+    codes, values = training_set.codes, training_set.values
+    features = np.array(sorted(int(f) for f in feature_subset), dtype=np.intp)
+    group_size = max(1, BAND_PIXELS // n)
     best: tuple[int, float] | None = None
     best_dec = 0.0
-    k = np.arange(1, n)
-    size_ok = (k >= min_leaf) & (n - k >= min_leaf)
-    for f in sorted(int(f) for f in feature_subset):
-        col = columns[f][idx]
-        # candidate statistics only depend on which samples fall on each
-        # side of a distinct-value boundary, so tie order is irrelevant
-        # and the default (unstable) sort is safe
-        order = np.argsort(col)
-        v = col[order]
-        valid = size_ok & (v[1:] > v[:-1])
-        if not valid.any():
+    for g in range(0, features.size, group_size):
+        group = features[g : g + group_size]
+        sizes = np.array([values[f].size for f in group])
+        offsets = np.cumsum(sizes) - sizes
+        keys = codes.reshape(-1).take(group[:, None] * codes.shape[1] + idx)
+        keys = keys.astype(np.int64)
+        keys += offsets[:, None]
+        keys <<= 1
+        keys |= labels
+        keys = keys.ravel()
+        if 4 * keys.size < sizes.sum():
+            keys.sort()
+            ends = np.append(np.flatnonzero(np.diff(keys >> 1)), keys.size - 1)
+            bins = keys[ends] >> 1
+            cum_n = ends + 1
+            cum_pos = np.cumsum(keys & 1)[ends]
+        else:
+            hist = np.bincount(keys, minlength=2 * int(sizes.sum())).reshape(-1, 2)
+            per_bin = hist[:, 0] + hist[:, 1]
+            bins = np.flatnonzero(per_bin != 0)
+            cum_n = np.cumsum(per_bin[bins])
+            cum_pos = np.cumsum(hist[bins, 1])
+        # bins holds the group's nonempty bins in order; the n samples of
+        # the group's j-th feature take cum_n through (j*n, (j+1)*n], and
+        # n_left < n marks a boundary before the same feature's next bin
+        j = (cum_n - 1) // n
+        n_left_int = cum_n - j * n
+        cand = np.flatnonzero((n_left_int >= min_leaf) & (n_left_int <= n - min_leaf))
+        if not cand.size:
             continue
-        pos_prefix = np.cumsum(labels[order])
-        kk = k[valid]
-        n_left = kk.astype(np.float64)
+        n_left = n_left_int[cand].astype(np.float64)
         n_right = n - n_left
-        pos_left = pos_prefix[kk - 1].astype(np.float64)
+        pos_left = (cum_pos[cand] - j[cand] * total_pos).astype(np.float64)
         pos_right = total_pos - pos_left
         pl = pos_left / n_left
         ql = (n_left - pos_left) / n_left
@@ -158,11 +226,14 @@ def best_split(
         gini_left = 1.0 - pl * pl - ql * ql
         gini_right = 1.0 - pr * pr - qr * qr
         decrease = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
-        j = int(np.argmax(decrease))  # first max = lowest threshold
-        if decrease[j] > best_dec:
-            best_dec = float(decrease[j])
-            kj = int(kk[j])
-            best = (f, (float(v[kj - 1]) + float(v[kj])) / 2.0)
+        k = int(np.argmax(decrease))  # first max = lowest feature, then threshold
+        if decrease[k] > best_dec:
+            best_dec = float(decrease[k])
+            c, jc = int(cand[k]), int(j[cand[k]])
+            f = int(group[jc])
+            table = values[f]
+            lo, hi = bins[c] - offsets[jc], bins[c + 1] - offsets[jc]
+            best = (f, (float(table[lo]) + float(table[hi])) / 2.0)
     return best
 
 
@@ -245,7 +316,7 @@ def grow_tree(
     idx0 = np.asarray(bootstrap_indices, dtype=np.int64)
     if idx0.size == 0:
         raise DataError("bootstrap sample is empty")
-    columns = training_set.columns
+    codes, values = training_set.codes, training_set.values
     y = training_set.labels
     min_leaf = params.min_leaf
 
@@ -278,7 +349,9 @@ def grow_tree(
         f, thr = split
         feature[node_id] = f
         threshold[node_id] = thr
-        go_left = columns[f][idx] <= thr
+        # value <= thr, on ranks; the midpoint of two adjacent floats can
+        # round up to the upper one, which then goes left too
+        go_left = codes[f][idx] <= np.searchsorted(values[f], thr, side="right") - 1
         left_id, right_id = new_node(), new_node()
         left[node_id], right[node_id] = left_id, right_id
         stack.append((right_id, idx[~go_left]))
@@ -328,7 +401,7 @@ def train(
     seed, so trees may be grown in any order or in parallel with identical
     results.  Trees are grown through map, which may be a worker pool's.
     """
-    N, M = training_set.features.shape
+    M, N = training_set.codes.shape
     m = params.resolve_m(M)
     if N < 2 * params.min_leaf:
         raise ConfigError(
@@ -469,7 +542,7 @@ def sample_training_pixels(
                 values, base, offsets = feature_planes(tile, spec, y0, y1)
                 pixels = base[flat[i:j] - y0 * tile.width]
                 columns[:, out_rows[i:j]] = values[offsets[:, None] + pixels]
-    return TrainingSet(columns.T, labels)
+    return TrainingSet.from_columns(columns, labels)
 
 
 # ---------------------------------------------------------------------------

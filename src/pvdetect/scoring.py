@@ -288,9 +288,10 @@ def write_pr_svg(curve: PRCurve, path, title: str = "") -> None:
             f'text-anchor="end" font-size="10">{tick:g}</text>'
         )
     if title:
+        text = title.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
         parts.append(
             f'<text x="{width // 2}" y="20" text-anchor="middle" '
-            f'font-size="14">{title}</text>'
+            f'font-size="14">{text}</text>'
         )
     if curve.prevalence > 0:
         parts.append(

@@ -138,6 +138,54 @@ def exhaustive_cart(X, y, min_leaf):
     }
 
 
+def argsort_best_split(sample_indices, feature_subset, X, y, min_leaf):
+    """best_split on the float matrix X, one argsort per feature.
+
+    The split search pvdetect used before rank codes: sort the node's
+    values of each feature, scan the boundaries between distinct values,
+    and keep the first strictly larger Gini decrease.
+    """
+    idx = np.asarray(sample_indices, dtype=np.int64)
+    n = idx.size
+    if n < 2 * min_leaf:
+        return None
+    labels = np.asarray(y, dtype=bool)[idx]
+    total_pos = int(labels.sum())
+    p = total_pos / n
+    q = (n - total_pos) / n
+    parent = 1.0 - p * p - q * q
+    best = None
+    best_dec = 0.0
+    k = np.arange(1, n)
+    size_ok = (k >= min_leaf) & (n - k >= min_leaf)
+    for f in sorted(int(f) for f in feature_subset):
+        col = X[idx, f]
+        order = np.argsort(col)
+        v = col[order]
+        valid = size_ok & (v[1:] > v[:-1])
+        if not valid.any():
+            continue
+        pos_prefix = np.cumsum(labels[order])
+        kk = k[valid]
+        n_left = kk.astype(np.float64)
+        n_right = n - n_left
+        pos_left = pos_prefix[kk - 1].astype(np.float64)
+        pos_right = total_pos - pos_left
+        pl = pos_left / n_left
+        ql = (n_left - pos_left) / n_left
+        pr = pos_right / n_right
+        qr = (n_right - pos_right) / n_right
+        gini_left = 1.0 - pl * pl - ql * ql
+        gini_right = 1.0 - pr * pr - qr * qr
+        decrease = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
+        j = int(np.argmax(decrease))
+        if decrease[j] > best_dec:
+            best_dec = float(decrease[j])
+            kj = int(kk[j])
+            best = (f, (float(v[kj - 1]) + float(v[kj])) / 2.0)
+    return best
+
+
 def cart_predict(tree, x):
     while not tree["leaf"]:
         tree = tree["left"] if x[tree["feature"]] <= tree["threshold"] else tree["right"]

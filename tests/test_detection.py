@@ -69,12 +69,15 @@ def test_nms_non_square_map_matches_oracle():
                 assert got == brute_nms(values, side), (shape, side)
 
 
-def test_nms_nan_never_suppresses_a_neighbour():
-    rng = np.random.default_rng(14)
-    conf = np.round(rng.uniform(0, 1, size=(30, 30)), 1)
-    conf[rng.uniform(0, 1, size=conf.shape) < 0.05] = np.nan
-    want = [m for m in brute_nms(conf, 9) if not np.isnan(m[2])]
-    assert len(want) > 5 and nonmax_suppress(conf, 9) == want
+def test_nms_and_postprocess_reject_non_finite_maps():
+    conf = np.round(np.random.default_rng(14).uniform(0, 1, size=(30, 30)), 1)
+    for poison in (np.nan, np.inf, -np.inf):
+        bad = conf.copy()
+        bad[7, 11] = poison
+        with pytest.raises(DataError):
+            nonmax_suppress(bad, 9)
+        with pytest.raises(DataError):
+            postprocess(bad, PPParams())
 
 
 def test_postprocess_crop_larger_than_map():
@@ -434,5 +437,8 @@ def test_cmap_errors(tmp_path):
         partly[1, 0] = poison
         with pytest.raises(DataError):
             encode_confidence_map(partly)
+        payload = np.array([0.5, 0.5, poison, 0.5], dtype="<f4").tobytes()
+        with pytest.raises(DataError):
+            decode_confidence_map(good[:13] + payload)
     with pytest.raises(InputError):
         load_confidence_map(tmp_path / "missing.cmap")

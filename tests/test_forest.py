@@ -31,6 +31,7 @@ from pvdetect.imagery import ImageTile
 from pvdetect.synth import SceneParams, generate_scene
 from pvdetect.imagery import rasterize
 from oracles import (
+    argsort_best_split,
     cart_predict,
     exhaustive_cart,
     naive_pixel_features,
@@ -111,6 +112,99 @@ def test_best_split_matches_exhaustive_enumeration():
             assert got is None, trial
         else:
             assert got == (oracle["feature"], oracle["threshold"]), trial
+
+
+def random_column(rng, n):
+    kind = int(rng.integers(0, 4))
+    if kind == 0:
+        return np.full(n, float(rng.normal()))  # one distinct value
+    if kind == 1:
+        return rng.integers(0, 3, size=n).astype(float)  # heavy duplicates
+    if kind == 2:
+        return np.round(rng.normal(size=n), 2)  # some duplicates, and -0.0
+    return rng.normal(size=n) * 1e3  # every value distinct
+
+
+def test_best_split_matches_argsort_oracle(monkeypatch):
+    """Random nodes, against the float argsort search the rank codes replaced.
+
+    Tables about as large as the node send small groups to the sort path;
+    few distinct values send them to the bincount.  BAND_PIXELS sets how
+    many features share a group: one, a few, or all.
+    """
+    rng = np.random.default_rng(17)
+    for band_pixels in (1, 64, 1 << 14):
+        monkeypatch.setattr(forest_module, "BAND_PIXELS", band_pixels)
+        for trial in range(60):
+            N = int(rng.integers(2, 200))
+            M = int(rng.integers(1, 7))
+            X = np.column_stack([random_column(rng, N) for _ in range(M)])
+            y = rng.uniform(size=N) < rng.uniform(0.1, 0.9)
+            y[:2] = [True, False]
+            ts = TrainingSet(X, y)
+            for node in range(6):
+                if node == 0:
+                    idx = np.full(int(rng.integers(2, 20)), rng.integers(N))  # one row
+                else:
+                    # bootstrap-like: rows repeat
+                    idx = rng.integers(0, N, size=int(rng.integers(1, 2 * N)))
+                subset = rng.permutation(M)[: int(rng.integers(1, M + 1))]
+                half = idx.size // 2
+                for min_leaf in sorted({1, max(1, half), half + 1, int(rng.integers(1, half + 2))}):
+                    got = best_split(idx, subset, ts, min_leaf)
+                    want = argsort_best_split(idx, subset, X, y, min_leaf)
+                    assert got == want, (band_pixels, trial, node, min_leaf)
+
+
+def test_best_split_int32_codes_match_oracle():
+    rng = np.random.default_rng(18)
+    N = 70_000  # column 1 has more distinct values than uint16 can rank
+    X = np.column_stack([rng.integers(0, 50, N) / 7.0, rng.permutation(N) / 3.0])
+    y = rng.uniform(size=N) < (X[:, 0] + X[:, 1] / N) / 9.0
+    ts = TrainingSet(X, y)
+    assert ts.codes.dtype == np.int32 and ts.values[1].size == N
+    assert_bitwise_equal(ts.decode(), X)
+    # handed over, column 0's codes are written in place before column 1
+    # widens them, and the widened codes no longer live in the matrix
+    columns = np.ascontiguousarray(X.T)
+    handed = TrainingSet.from_columns(columns, y)
+    assert handed.codes.dtype == np.int32 and not np.shares_memory(handed.codes, columns)
+    assert np.array_equal(handed.codes, ts.codes)
+    for n in (N, 5000, 300, 30):
+        idx = rng.integers(0, N, size=n)
+        for subset, min_leaf in (([0, 1], 1), ([1], 5), ([1, 0], n // 2)):
+            got = best_split(idx, subset, ts, min_leaf)
+            assert got == argsort_best_split(idx, subset, X, y, min_leaf), (n, subset)
+
+
+def _check_float_partition(tree, X, rows, node=0):
+    """Each node's count equals its rows under value <= threshold routing."""
+    assert tree.count[node] == rows.size
+    if tree.feature[node] >= 0:
+        go_left = X[rows, tree.feature[node]] <= tree.threshold[node]
+        _check_float_partition(tree, X, rows[go_left], tree.left[node])
+        _check_float_partition(tree, X, rows[~go_left], tree.right[node])
+
+
+def test_grow_tree_midpoint_of_adjacent_floats():
+    up = np.nextafter(1.0, 2.0)
+    for lo, hi in ((1.0, up), (up, np.nextafter(up, 2.0))):
+        # feature 1 splits lo | hi best at the root; feature 0 then splits
+        # whatever the root's threshold sent left
+        X = np.array([[0.0, lo]] * 3 + [[1.0, hi]] * 3 + [[0.0, 5.0]] * 3)
+        y = np.array([True] * 3 + [False] * 6)
+        ts = TrainingSet(X, y)
+        threshold = (lo + hi) / 2.0
+        assert best_split(np.arange(9), [0, 1], ts, 1) == (1, threshold)
+        tree = grow_tree(np.arange(9), ts, RFParams(min_leaf=1), all_features(2))
+        assert tree.threshold[0] == threshold
+        _check_float_partition(tree, X, np.arange(9))
+        oracle = exhaustive_cart(X, y, min_leaf=1)
+        for row in X:
+            assert route_and_read(tree, row) == cart_predict(oracle, row)
+    # the second pair's midpoint rounds up to hi, so hi goes left
+    assert threshold == hi
+    assert tree.count[tree.left[0]] == 6
 
 
 # ---------------------------------------------------------------------------
@@ -246,19 +340,28 @@ def test_train_validates_inputs():
         train(ts, RFParams(features_per_node=2))  # only 1 feature available
 
 
+def assert_bitwise_equal(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype == np.float64
+    assert np.array_equal(a.view(np.uint64), b.view(np.uint64))
+
+
 def test_training_set_holds_one_column_major_copy():
     rng = np.random.default_rng(16)
     X = rng.uniform(0, 1, size=(7, 3))
+    X[2, 1] = X[5, 1]  # a repeated value shares one rank
     y = np.array([True, False] * 3 + [True])
     ts = TrainingSet(X, y)
-    assert np.array_equal(ts.features, X)
-    assert ts.columns.flags.c_contiguous
-    assert np.shares_memory(ts.features, ts.columns)
-    # a column-major matrix is taken as it is, without a copy
+    assert ts.codes.dtype == np.uint16
+    assert ts.codes.shape == (3, 7) and ts.codes.flags.c_contiguous
+    assert [t.size for t in ts.values] == [7, 6, 7]
+    assert all((np.diff(t) > 0).all() for t in ts.values)
+    assert_bitwise_equal(ts.decode(), X)
+    # a column-major matrix handed over is encoded into its own memory
     columns = np.ascontiguousarray(X.T)
-    again = TrainingSet(columns.T, y)
-    assert np.shares_memory(again.columns, columns)
-    assert np.array_equal(again.features, X)
+    again = TrainingSet.from_columns(columns, y)
+    assert np.shares_memory(again.codes, columns)
+    assert np.array_equal(again.codes, ts.codes)
+    assert_bitwise_equal(again.decode(), X)
 
 
 def _single_leaf_tree(prob, count=5):
@@ -426,16 +529,17 @@ def test_sample_training_pixels_contract():
     tiles, masks = zip(*[_scene_with_mask(s) for s in (1, 2)])
     n_pos = sum(int(m.sum()) for m in masks)
     ts = sample_training_pixels(list(tiles), list(masks), spec, n_pos + 300, seed=0)
-    assert ts.features.shape == (n_pos + 300, 102)
+    assert ts.codes.shape == (102, n_pos + 300)
+    assert ts.codes.dtype == np.uint16 and ts.codes.flags.c_contiguous
+    assert ts.decode().shape == (n_pos + 300, 102)
     assert int(ts.labels.sum()) == n_pos
     assert ts.labels[:n_pos].all() and not ts.labels[n_pos:].any()
-    assert ts.columns.flags.c_contiguous
-    assert np.shares_memory(ts.features, ts.columns)
     # deterministic
     again = sample_training_pixels(list(tiles), list(masks), spec, n_pos + 300, seed=0)
-    assert np.array_equal(ts.features, again.features)
+    assert np.array_equal(ts.codes, again.codes)
+    assert_bitwise_equal(ts.decode(), again.decode())
     other = sample_training_pixels(list(tiles), list(masks), spec, n_pos + 300, seed=1)
-    assert not np.array_equal(ts.features, other.features)
+    assert not np.array_equal(ts.decode(), other.decode())
 
 
 def test_sample_training_pixels_features_match_extraction(monkeypatch):
@@ -443,15 +547,17 @@ def test_sample_training_pixels_features_match_extraction(monkeypatch):
     tile, mask = _scene_with_mask(3)
     n_pos = int(mask.sum())
     ts = sample_training_pixels([tile], [mask], spec, n_pos + 50, seed=0)
+    assert ts.codes.dtype == np.uint16
+    rows = ts.decode()
     fi = extract_feature_rows(tile, spec, 0, tile.height)
     ys, xs = np.nonzero(mask)
-    assert np.array_equal(ts.features[:n_pos], fi[ys, xs])
+    assert_bitwise_equal(rows[:n_pos], fi[ys, xs])
     # bands of 5 rows give the same rows as one band over the 64-row tile
     monkeypatch.setattr(forest_module, "BAND_PIXELS", 5 * 64)
     banded = sample_training_pixels([tile], [mask], spec, n_pos + 50, seed=0)
-    assert np.array_equal(ts.features, banded.features)
+    assert_bitwise_equal(rows, banded.decode())
     # negatives are distinct non-PV pixels
-    neg_rows = ts.features[n_pos:]
+    neg_rows = rows[n_pos:]
     all_rows = {tuple(r) for r in fi[~mask]}
     assert all(tuple(r) in all_rows for r in neg_rows)
     assert len({tuple(r) for r in neg_rows}) == 50

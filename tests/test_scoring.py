@@ -1,3 +1,5 @@
+from xml.etree import ElementTree
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,7 @@ from pvdetect.scoring import (
     pixel_pr,
     read_pr_csv,
     write_pr_csv,
+    write_pr_svg,
 )
 
 # object tests run on tiles of this width; pixels are flat indices y * W + x
@@ -407,6 +410,26 @@ def test_pr_csv_roundtrip(tmp_path):
     assert np.array_equal(again.recall, curve.recall)
     assert again.prevalence == curve.prevalence
     assert again.quantized
+
+
+def test_pr_svg_is_valid_xml(tmp_path):
+    curve = PRCurve(
+        np.array([0.9, 0.5, 0.1]),
+        np.array([1.0, 0.75, 1.0 / 3.0]),
+        np.array([0.25, 0.5, 1.0]),
+        prevalence=0.1,
+    )
+    title = 'pixels & objects <J*=0.5> "test"'
+    path = tmp_path / "pr.svg"
+    write_pr_svg(curve, path, title)
+    svg = "{http://www.w3.org/2000/svg}"
+    root = ElementTree.parse(path).getroot()
+    assert root.tag == svg + "svg"
+    (polyline,) = root.findall(svg + "polyline")
+    assert len(polyline.get("points").split()) == 3
+    assert title in [text.text for text in root.iter(svg + "text")]
+    write_pr_svg(PRCurve(np.array([]), np.array([]), np.array([]), 0.0), path)
+    assert ElementTree.parse(path).getroot().findall(svg + "polyline") == []
 
 
 def test_pr_curve_invariants():
