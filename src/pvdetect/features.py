@@ -71,7 +71,8 @@ def ring_offsets(r: int) -> list[tuple[int, int]]:
 
 
 # callers work in bands of max(1, BAND_PIXELS // width) rows, so a band's
-# planes and per-tree routing state stay a few MB at any tile width
+# planes and the forest's routing state (about 8 * BAND_PIXELS tree-pixel
+# pairs at a time) stay a few MB at any tile width and tree count
 BAND_PIXELS = 1 << 14
 
 

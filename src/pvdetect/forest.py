@@ -13,6 +13,9 @@ split search counts samples and positives per rank (best_split): the same
 integer counts, and so the same splits, as sorting the node's values would
 give.  Only the chosen boundary is read back as a float threshold.
 
+Inference routes all trees at once: (tree, pixel) pairs advance level by
+level through one flat table of the forest's nodes (_mean_leaf_prob).
+
 Randomness is counter-based (see rng): the bootstrap of tree t and the
 feature subset of node k depend only on (seed, t, k), so training is a
 pure function of (training set, params) regardless of thread schedule.
@@ -162,7 +165,8 @@ def best_split(
     """Best (feature, threshold) by Gini decrease, or None.
 
     Candidate thresholds are midpoints between consecutive distinct sorted
-    values.  Splits leaving a child below min_leaf are rejected, as are
+    values, or the lower value where the midpoint is not below the upper
+    one.  Splits leaving a child below min_leaf are rejected, as are
     splits without strictly positive decrease.  Ties resolve to the lowest
     feature index, then the lowest threshold.
 
@@ -232,8 +236,12 @@ def best_split(
             c, jc = int(cand[k]), int(j[cand[k]])
             f = int(group[jc])
             table = values[f]
-            lo, hi = bins[c] - offsets[jc], bins[c + 1] - offsets[jc]
-            best = (f, (float(table[lo]) + float(table[hi])) / 2.0)
+            lo = float(table[bins[c] - offsets[jc]])
+            hi = float(table[bins[c + 1] - offsets[jc]])
+            # the midpoint of two adjacent floats can round up to hi, and of
+            # two huge ones overflow; either would send every row left
+            mid = (lo + hi) / 2.0
+            best = (f, mid if mid < hi else lo)
     return best
 
 
@@ -277,28 +285,6 @@ class DecisionTree:
             raise ModelFormatError("leaf probability outside [0, 1]")
         if not np.isfinite(self.threshold[internal]).all():
             raise ModelFormatError("non-finite split threshold")
-
-    def route_batch(
-        self, values: np.ndarray, base: np.ndarray, offsets: np.ndarray
-    ) -> np.ndarray:
-        """Leaf probabilities of the pixels whose feature f is values[b + offsets[f]].
-
-        Each b of base is one pixel.  Pixels that reach a leaf drop out, so
-        each level routes only the pixels still inside the tree.
-        """
-        out = np.empty(base.size)
-        pixel = np.arange(base.size)
-        node = np.zeros(base.size, dtype=np.int32)
-        while pixel.size:
-            f = self.feature[node]
-            leaf = f < 0
-            if leaf.any():
-                out[pixel[leaf]] = self.prob[node[leaf]]
-                inner = ~leaf
-                pixel, node, f, base = pixel[inner], node[inner], f[inner], base[inner]
-            go_left = values[base + offsets[f]] <= self.threshold[node]
-            node = np.where(go_left, self.left[node], self.right[node])
-        return out
 
 
 def grow_tree(
@@ -349,8 +335,7 @@ def grow_tree(
         f, thr = split
         feature[node_id] = f
         threshold[node_id] = thr
-        # value <= thr, on ranks; the midpoint of two adjacent floats can
-        # round up to the upper one, which then goes left too
+        # value <= thr, on ranks
         go_left = codes[f][idx] <= np.searchsorted(values[f], thr, side="right") - 1
         left_id, right_id = new_node(), new_node()
         left[node_id], right[node_id] = left_id, right_id
@@ -424,25 +409,60 @@ def train(
 def _mean_leaf_prob(
     forest: RandomForest, values: np.ndarray, base: np.ndarray, offsets: np.ndarray
 ) -> np.ndarray:
-    """Mean leaf probability across trees for each pixel of route_batch's input.
+    """Mean leaf probability across trees of each pixel b of base.
 
-    Each pixel's probabilities are sorted, then added left to right by
-    cumsum, so the result is exactly invariant under permutation of the trees.
+    Feature f of pixel b is values[b + offsets[f]].  (tree, pixel) pairs
+    advance level by level through one flat node table of all trees.  A
+    leaf is its own child; pairs at leaves are written out and dropped once
+    they are a quarter of those left.  Trees go in groups that keep routing
+    state near 8 * BAND_PIXELS pairs.  Each pixel's probabilities are
+    sorted, then added left to right by cumsum, so the result is exactly
+    invariant under permutation of the trees.
     """
-    probs = np.empty((base.size, forest.n_trees))
-    for t, tree in enumerate(forest.trees):
-        probs[:, t] = tree.route_batch(values, base, offsets)
-    probs.sort(axis=1)
-    return probs.cumsum(axis=1)[:, -1] / forest.n_trees
+    trees = forest.trees
+    T, P = len(trees), base.size
+    first = np.cumsum([0] + [tree.n_nodes for tree in trees])[:-1]
+    feature = np.concatenate([tree.feature for tree in trees])
+    threshold = np.concatenate([tree.threshold for tree in trees])
+    prob = np.concatenate([tree.prob for tree in trees])
+    leaf = feature < 0
+    # node k goes on to child[2k + goes_right]; a leaf goes on to itself
+    kids = np.concatenate([np.stack([t.left, t.right], 1) + k for t, k in zip(trees, first)])
+    child = np.where(leaf[:, None], np.arange(leaf.size)[:, None], kids).ravel()
+    inner = np.flatnonzero(~leaf)
+    at_node = np.zeros(leaf.size, dtype=np.intp)
+    at_node[inner] = offsets[feature[inner]]
+
+    probs = np.empty((T, P))
+    out = probs.reshape(-1)
+    group = max(1, 8 * BAND_PIXELS // max(P, 1))
+    for t0 in range(0, T, group):
+        t1 = min(t0 + group, T)
+        pair = np.arange(t0 * P, t1 * P)  # flat index into probs
+        at = np.tile(base, t1 - t0)
+        node = np.repeat(first[t0:t1], P)
+        while node.size:
+            done = leaf[node]
+            if 4 * np.count_nonzero(done) >= node.size:
+                out[pair[done]] = prob[node[done]]
+                keep = ~done
+                pair, at, node = pair[keep], at[keep], node[keep]
+            # not v > threshold, which would send NaN left
+            goes_right = ~(values[at + at_node[node]] <= threshold[node])
+            node = child[2 * node + goes_right]
+    probs.sort(axis=0)
+    return probs.cumsum(axis=0)[-1] / T
 
 
 def predict_batch(forest: RandomForest, X: np.ndarray) -> np.ndarray:
-    """Mean leaf probability across trees for each row of a (P, M) matrix."""
+    """Mean leaf probability across trees for each row of a finite (P, M) matrix."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     if X.ndim != 2 or X.shape[1] != forest.n_features:
         raise DataError(
             f"feature matrix of shape {X.shape}, forest expects M={forest.n_features}"
         )
+    if not np.isfinite(X).all():
+        raise DataError("feature matrix holds non-finite values")
     P, M = X.shape
     return _mean_leaf_prob(forest, X.ravel(), np.arange(P) * M, np.arange(M))
 
@@ -455,9 +475,10 @@ def predict_tile(
 ) -> np.ndarray:
     """Confidence map for a tile, routing on the feature planes of row bands.
 
-    A band holds about BAND_PIXELS pixels, so memory stays flat at any tile
-    size; banding is bit-identical to whole-tile extraction.  Bands are
-    routed through map, which may be a worker pool's.
+    A band holds about BAND_PIXELS pixels, routed about 8 * BAND_PIXELS
+    (tree, pixel) pairs at a time, so memory stays flat at any tile size
+    and tree count; banding is bit-identical to whole-tile extraction.
+    Bands are routed through map, which may be a worker pool's.
     """
     if spec.feature_count != forest.n_features:
         raise DataError(

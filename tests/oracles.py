@@ -92,7 +92,8 @@ def exhaustive_cart(X, y, min_leaf):
     """Recursive exhaustive CART over all features and all midpoints.
 
     Mirrors the documented contract: candidate thresholds at midpoints of
-    consecutive distinct values, weighted Gini decrease, both children at
+    consecutive distinct values (the lower value where the midpoint is not
+    below the upper one), weighted Gini decrease, both children at
     least min_leaf, strictly positive decrease, ties to the lowest feature
     then lowest threshold.
     """
@@ -124,7 +125,9 @@ def exhaustive_cart(X, y, min_leaf):
                 dec = parent - (n_left / n) * gini_left - (n_right / n) * gini_right
                 if dec > best_dec:
                     best_dec = dec
-                    best = (f, (pairs[k - 1][0] + pairs[k][0]) / 2.0)
+                    lo, hi = pairs[k - 1][0], pairs[k][0]
+                    mid = (lo + hi) / 2.0
+                    best = (f, mid if mid < hi else lo)
     if best is None:
         return {"leaf": True, "prob": prob, "count": n}
     f, threshold = best
@@ -182,7 +185,9 @@ def argsort_best_split(sample_indices, feature_subset, X, y, min_leaf):
         if decrease[j] > best_dec:
             best_dec = float(decrease[j])
             kj = int(kk[j])
-            best = (f, (float(v[kj - 1]) + float(v[kj])) / 2.0)
+            lo, hi = float(v[kj - 1]), float(v[kj])
+            mid = (lo + hi) / 2.0
+            best = (f, mid if mid < hi else lo)
     return best
 
 

@@ -1,3 +1,4 @@
+import signal
 import sys
 from concurrent.futures import ThreadPoolExecutor
 
@@ -195,6 +196,8 @@ def test_grow_tree_midpoint_of_adjacent_floats():
         y = np.array([True] * 3 + [False] * 6)
         ts = TrainingSet(X, y)
         threshold = (lo + hi) / 2.0
+        if threshold == hi:
+            threshold = lo
         assert best_split(np.arange(9), [0, 1], ts, 1) == (1, threshold)
         tree = grow_tree(np.arange(9), ts, RFParams(min_leaf=1), all_features(2))
         assert tree.threshold[0] == threshold
@@ -202,9 +205,35 @@ def test_grow_tree_midpoint_of_adjacent_floats():
         oracle = exhaustive_cart(X, y, min_leaf=1)
         for row in X:
             assert route_and_read(tree, row) == cart_predict(oracle, row)
-    # the second pair's midpoint rounds up to hi, so hi goes left
-    assert threshold == hi
-    assert tree.count[tree.left[0]] == 6
+    # the second pair's midpoint rounds up to hi, so the threshold is lo
+    assert threshold == lo
+    assert tree.count[tree.left[0]] == 3
+
+
+_UP = float(np.nextafter(1.0, 2.0))
+
+
+@pytest.mark.parametrize("lo, hi", [(_UP, float(np.nextafter(_UP, 2.0))), (1e308, 1.5e308)])
+def test_grow_tree_ends_when_midpoint_is_not_below_hi(lo, hi):
+    """grow_tree returns when the midpoint of lo and hi rounds up or overflows."""
+    # a threshold of hi or inf sends every row left, into the same node again
+    assert not (lo + hi) / 2.0 < hi
+    X = np.array([[lo]] * 3 + [[hi]] * 3)
+    y = np.array([True] * 3 + [False] * 3)
+
+    def hang(signum, frame):
+        raise TimeoutError("grow_tree did not return")
+
+    previous = signal.signal(signal.SIGALRM, hang)
+    signal.alarm(5)
+    try:
+        tree = grow_tree(np.arange(6), TrainingSet(X, y), RFParams(min_leaf=1), all_features(1))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert tree.n_nodes == 3
+    assert tree.threshold[0] == lo
+    assert tree.prob[tree.left[0]] == 1.0 and tree.prob[tree.right[0]] == 0.0
 
 
 # ---------------------------------------------------------------------------
@@ -455,6 +484,15 @@ def test_predict_batch_shape_and_range():
         predict_batch(model, feature_image)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_predict_batch_rejects_non_finite_rows(bad):
+    model = train(ten_sample_set(), RFParams(n_trees=2, min_leaf=1, seed=0))
+    X = np.zeros((4, 1))
+    X[2, 0] = bad
+    with pytest.raises(DataError, match="non-finite"):
+        predict_batch(model, X)
+
+
 def test_predict_tile_banding_consistency(monkeypatch):
     rng = np.random.default_rng(10)
     tile = ImageTile(rng.integers(0, 256, size=(40, 30, 3), dtype=np.uint8), "t")
@@ -506,8 +544,67 @@ def test_plane_routing_matches_scalar_oracle():
         for p, x in zip(picks, naive):
             assert conf[p // w, p % w] == scalar_predict(model, x)
         for tree in model.trees:
-            leaves = tree.route_batch(values, base[picks], offsets)
+            # the mean of one tree is its leaf probability, exactly
+            one = RandomForest([tree], model.n_features, "unspecified")
+            leaves = forest_module._mean_leaf_prob(one, values, base[picks], offsets)
             assert leaves.tolist() == [route_and_read(tree, x) for x in naive]
+
+
+def _mixed_depth_forest(X, y):
+    """Five trees: deep, a lone leaf, shallow, deep, and a one-split stump."""
+    ts = TrainingSet(X, y)
+    deep = train(ts, RFParams(n_trees=2, min_leaf=1, seed=5)).trees
+    shallow = train(ts, RFParams(n_trees=1, min_leaf=40, seed=6)).trees
+    stump = grow_tree(np.arange(y.size), ts, RFParams(min_leaf=y.size // 2 - 1),
+                      all_features(X.shape[1]))
+    trees = [deep[0], _single_leaf_tree(0.625), shallow[0], deep[1], stump]
+    depths = [_depth(t) for t in trees]
+    assert depths[1] == 0 and max(depths) >= 6 and 1 <= min(depths[2], depths[4]) <= 3
+    return RandomForest(trees, X.shape[1], "unspecified")
+
+
+def _depth(tree, node=0):
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
+
+
+@pytest.mark.parametrize("band_pixels", [4, 8, 16, 1 << 14])
+def test_forest_router_matches_scalar_oracle(monkeypatch, band_pixels):
+    """predict_tile and predict_batch equal scalar_predict bit for bit.
+
+    On a 12-row, 20-wide tile, BAND_PIXELS 4, 8 and 16 give bands of one
+    20-pixel row, routed in groups of 1, 3 (3 + 2) and all 5 trees;
+    1 << 14 gives one band of the whole tile.  predict_batch routes its
+    240 rows in groups of 1, 1, 1 and 5 trees.
+    """
+    rng = np.random.default_rng(21)
+    spec = FeatureSpec()
+    tile = ImageTile(rng.integers(0, 256, size=(12, 20, 3), dtype=np.uint8), "t")
+    X = extract_feature_rows(tile, spec, 0, tile.height).reshape(-1, spec.feature_count)
+    y = np.arange(X.shape[0]) % 3 == 0
+    rng.shuffle(y)
+    model = _mixed_depth_forest(X, y)
+    expected = np.array([scalar_predict(model, x) for x in X])
+    monkeypatch.setattr(forest_module, "BAND_PIXELS", band_pixels)
+    assert np.array_equal(predict_batch(model, X), expected)
+    assert np.array_equal(predict_tile(model, tile, spec).ravel(), expected)
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = predict_tile(model, tile, spec, map=pool.map)
+    assert np.array_equal(pooled.ravel(), expected)
+
+
+def test_forest_router_sends_nan_right():
+    """The router's test is value <= threshold -> left, so NaN goes right."""
+    rng = np.random.default_rng(22)
+    X = rng.uniform(0, 1, size=(240, 3))
+    y = X[:, 0] + X[:, 1] > 1.0
+    model = _mixed_depth_forest(X, y)
+    probe = rng.uniform(0, 1, size=(60, 3))
+    probe[rng.random(probe.shape) < 0.3] = np.nan
+    P, M = probe.shape
+    got = forest_module._mean_leaf_prob(model, probe.ravel(), np.arange(P) * M, np.arange(M))
+    assert got.tolist() == [scalar_predict(model, x) for x in probe]
 
 
 # ---------------------------------------------------------------------------
