@@ -19,6 +19,7 @@ import os
 import sys
 import tempfile
 import time
+from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
@@ -59,6 +60,7 @@ def _stage_manifest(
     config: RunConfig,
     inputs: list[Path],
     outputs: list[Path],
+    **counts,
 ) -> None:
     record = {
         "stage": stage,
@@ -67,11 +69,59 @@ def _stage_manifest(
         "config_sha256": config.digest(),
         "inputs": {str(p): _sha256(Path(p)) for p in inputs},
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
+        **counts,
     }
     _write_text_atomic(
         out_dir / f"{stage}_manifest.json",
         json.dumps(record, sort_keys=True, indent=2) + "\n",
     )
+
+
+# ---------------------------------------------------------------------------
+# Worker processes
+# ---------------------------------------------------------------------------
+
+_forked_fn = None  # set only in fork_map's worker processes
+
+
+def _adopt(fn) -> None:
+    global _forked_fn
+    _forked_fn = fn
+
+
+def _call_forked(args: tuple):
+    return _forked_fn(*args)
+
+
+def fork_map(workers: int):
+    """A map(fn, *iterables) that runs fn in at most `workers` forked processes.
+
+    fn reaches the workers through fork, unpickled, with everything it
+    closes over; only the arguments go out and only the results come back,
+    in order.  An exception raised by fn reaches the caller.  A fork pool
+    starts all of its processes up front, so their number is also capped at
+    the task count and the core count; with one, fn runs in this process
+    and nothing is forked.  Call it while no other thread runs: a forked
+    child has only the forking thread, so a lock another thread held would
+    stay held in the child.
+    """
+
+    def run(fn, *iterables) -> list:
+        tasks = list(zip(*iterables))
+        n = min(workers, len(tasks), os.cpu_count() or 1)
+        if n <= 1:
+            return [fn(*args) for args in tasks]
+        import multiprocessing  # only runs that fork pay for the import
+
+        with futures.ProcessPoolExecutor(
+            max_workers=n,
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_adopt,
+            initargs=(fn,),
+        ) as pool:
+            return list(pool.map(_call_forked, tasks))
+
+    return run
 
 
 # ---------------------------------------------------------------------------
@@ -191,7 +241,11 @@ def _load_role(
 
 
 def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
-    """Train the forest on the manifest's train tiles and save the model."""
+    """Train the forest on the manifest's train tiles and save the model.
+
+    Trees grow in up to config.threads forked worker processes.  The
+    manifest records the training rows and each tree's node count and depth.
+    """
     manifest = imagery.load_manifest(manifest_path)
     tiles, annotations = _load_role(manifest, "train")
     masks = [
@@ -202,8 +256,9 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
     training = forest.sample_training_pixels(
         tiles, masks, spec, config.train_pixels, config.seed
     )
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        model = forest.train(training, config.rf_params(), spec.fingerprint(), map=pool.map)
+    model = forest.train(
+        training, config.rf_params(), spec.fingerprint(), map=fork_map(config.threads)
+    )
     model_path = out_dir / "model.pvforest"
     _write_bytes_atomic(model_path, forest.dump_model(model))
     _stage_manifest(
@@ -212,6 +267,8 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
         config,
         [manifest_path, *(e.image_path for e in manifest.subset("train"))],
         [model_path],
+        training_rows=training.labels.size,
+        trees=[{"nodes": t.n_nodes, "depth": t.depth} for t in model.trees],
     )
     return model_path
 
@@ -404,7 +461,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="worker cap for trees, bands and tiles")
+        p.add_argument("--threads", type=int, help="worker cap: forked processes "
+                       "for trees (at most one per core), threads for bands and tiles")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("synth", help="generate synthetic scenes + manifest")

@@ -18,7 +18,8 @@ level through one flat table of the forest's nodes (_mean_leaf_prob).
 
 Randomness is counter-based (see rng): the bootstrap of tree t and the
 feature subset of node k depend only on (seed, t, k), so training is a
-pure function of (training set, params) regardless of thread schedule.
+pure function of (training set, params) however the trees are spread over
+workers.
 """
 
 from __future__ import annotations
@@ -263,6 +264,16 @@ class DecisionTree:
     def n_nodes(self) -> int:
         return self.feature.size
 
+    @property
+    def depth(self) -> int:
+        """Edges on the longest root-to-leaf path; 0 for a lone leaf."""
+        depth, level = -1, np.zeros(1, dtype=np.intp)
+        while level.size:
+            level = level[self.feature[level] >= 0]
+            level = np.concatenate([self.left[level], self.right[level]])
+            depth += 1
+        return depth
+
     def validate(self) -> None:
         n = self.n_nodes
         arrays = (self.feature, self.threshold, self.left, self.right, self.prob, self.count)
@@ -384,7 +395,9 @@ def train(
     Tree t derives its seed as counter_u64(params.seed, t); its bootstrap
     indices and per-node feature subsets come from counters under that
     seed, so trees may be grown in any order or in parallel with identical
-    results.  Trees are grown through map, which may be a worker pool's.
+    results.  Trees are grown through map(grow, range(n_trees)), which must
+    return them in order; a map over forked processes (cli.fork_map) hands
+    them the grow closure and the training set through fork, unpickled.
     """
     M, N = training_set.codes.shape
     m = params.resolve_m(M)

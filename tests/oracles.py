@@ -208,6 +208,13 @@ def route_and_read(tree, x):
     return float(tree.prob[node])
 
 
+def tree_depth(tree, node=0):
+    """Edges on the longest path below node of a pvdetect DecisionTree."""
+    if tree.feature[node] < 0:
+        return 0
+    return 1 + max(tree_depth(tree, tree.left[node]), tree_depth(tree, tree.right[node]))
+
+
 def scalar_predict(forest, x):
     """Mean leaf probability across trees for one vector, summed in sorted order."""
     probs = sorted(route_and_read(tree, x) for tree in forest.trees)

@@ -1,11 +1,13 @@
 import json
+import os
 import threading
+from concurrent import futures
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from pvdetect import detection
+from pvdetect import cli, detection, forest
 from pvdetect.cli import (
     cmd_detect,
     cmd_eval,
@@ -13,6 +15,7 @@ from pvdetect.cli import (
     cmd_score,
     cmd_synth,
     cmd_train,
+    fork_map,
     main,
     read_detections_csv,
     write_detections_csv,
@@ -21,6 +24,7 @@ from pvdetect.config import RunConfig, parse_config
 from pvdetect.detection import DetectionObject, load_confidence_map
 from pvdetect.errors import DataError, InputError
 from pvdetect.imagery import load_manifest
+from oracles import tree_depth
 
 TINY = dict(
     scenes=3,
@@ -227,6 +231,93 @@ def test_eval_deterministic_across_runs_and_threads(tmp_path):
     # thread count must not change a single byte of config-independent outputs;
     # the config text differs only in the threads field, so compare artifacts
     assert blobs[0] == blobs[2]
+
+
+# ---------------------------------------------------------------------------
+# Training in forked worker processes
+# ---------------------------------------------------------------------------
+
+
+def test_fork_map_runs_in_children_in_order_and_leaves_no_threads(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    offset = 100  # a closure cannot be pickled; it reaches the workers by fork
+    threads = threading.enumerate()
+    results = fork_map(2)(lambda a, b: (a * b + offset, os.getpid()), range(5), range(5, 10))
+    assert [r for r, _ in results] == [a * b + offset for a, b in zip(range(5), range(5, 10))]
+    assert os.getpid() not in {pid for _, pid in results}
+    # a later fork must not find the pool's threads still alive
+    assert threading.enumerate() == threads
+
+
+def test_fork_map_passes_worker_errors_to_caller(monkeypatch):
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+
+    def grow(t):
+        if t == 3:
+            raise DataError(f"tree {t} is malformed")
+        return t
+
+    with pytest.raises(DataError, match="tree 3 is malformed"):
+        fork_map(2)(grow, range(6))
+
+
+def _recording_pool(created: list):
+    """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
+
+    class RecordingPool:
+        def __init__(self, max_workers, mp_context, initializer, initargs):
+            created.append(max_workers)
+            initializer(*initargs)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return [fn(task) for task in tasks]
+
+    return RecordingPool
+
+
+@pytest.mark.parametrize("cores, trees", [(2, 5), (8, 3)])
+def test_cmd_train_caps_fork_workers(tmp_path, monkeypatch, cores, trees):
+    """A huge --threads starts at most one worker per core and per tree."""
+    manifest = cmd_synth(tiny_config(), tmp_path)
+    created = []
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", _recording_pool(created))
+    monkeypatch.setattr(cli, "_forked_fn", None)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    config = tiny_config(threads=10**6, trees=trees)
+    pooled = cmd_train(config, manifest, tmp_path / "pooled").read_bytes()
+    assert created == [min(cores, trees)]
+    serial = cmd_train(config.replace(threads=1), manifest, tmp_path / "serial")
+    assert pooled == serial.read_bytes()
+
+
+def test_cmd_train_with_one_worker_forks_nothing(tmp_path, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a process pool was constructed")
+
+    manifest = cmd_synth(tiny_config(), tmp_path)
+    monkeypatch.setattr(futures, "ProcessPoolExecutor", refuse)
+    cmd_train(tiny_config(threads=1), manifest, tmp_path / "a")
+    cmd_train(tiny_config(threads=4, trees=1), manifest, tmp_path / "b")
+
+
+def test_train_manifest_counts_match_saved_model(tmp_path):
+    manifest = cmd_synth(tiny_config(), tmp_path)
+    model_path = cmd_train(tiny_config(threads=2), manifest, tmp_path)
+    record = json.loads((tmp_path / "train_manifest.json").read_text())
+    model = forest.load_model(model_path)
+    assert len(record["trees"]) == model.n_trees == TINY["trees"]
+    for counts, tree in zip(record["trees"], model.trees):
+        assert counts == {"nodes": tree.n_nodes, "depth": tree_depth(tree)}
+        # each tree's bootstrap draws as many rows as the training set has,
+        # and every drawn row ends in one leaf
+        assert tree.count[tree.feature < 0].sum() == record["training_rows"]
+    assert 0 < record["training_rows"] <= TINY["train_pixels"]
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import os
 import signal
 import sys
 from concurrent.futures import ThreadPoolExecutor
@@ -13,6 +14,7 @@ from pvdetect.errors import (
     ModelVersionError,
 )
 from pvdetect import forest as forest_module
+from pvdetect.cli import fork_map
 from pvdetect.features import FeatureSpec, extract_feature_rows, feature_planes
 from pvdetect.forest import (
     RFParams,
@@ -38,6 +40,7 @@ from oracles import (
     naive_pixel_features,
     route_and_read,
     scalar_predict,
+    tree_depth,
 )
 
 
@@ -331,7 +334,7 @@ def test_train_deterministic_and_seed_sensitive():
     assert a != c
 
 
-def test_train_worker_pool_matches_serial():
+def test_train_worker_pool_matches_serial(monkeypatch):
     rng = np.random.default_rng(15)
     X = rng.uniform(0, 1, size=(400, 8))
     y = X[:, 0] + X[:, 3] * X[:, 5] > 0.6
@@ -346,6 +349,12 @@ def test_train_worker_pool_matches_serial():
     finally:
         sys.setswitchinterval(interval)
     assert pooled == serial
+    # forked workers, 7 trees spread unevenly; lift the core cap so that
+    # 3 processes really run on a host with fewer cores
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    for workers in (2, 3):
+        forked = dump_model(train(ts, params, "f", map=fork_map(workers)))
+        assert forked == serial, f"{workers} forked workers changed the model"
 
 
 def test_train_separable_2d_accuracy():
@@ -558,15 +567,17 @@ def _mixed_depth_forest(X, y):
     stump = grow_tree(np.arange(y.size), ts, RFParams(min_leaf=y.size // 2 - 1),
                       all_features(X.shape[1]))
     trees = [deep[0], _single_leaf_tree(0.625), shallow[0], deep[1], stump]
-    depths = [_depth(t) for t in trees]
+    depths = [tree_depth(t) for t in trees]
     assert depths[1] == 0 and max(depths) >= 6 and 1 <= min(depths[2], depths[4]) <= 3
     return RandomForest(trees, X.shape[1], "unspecified")
 
 
-def _depth(tree, node=0):
-    if tree.feature[node] < 0:
-        return 0
-    return 1 + max(_depth(tree, tree.left[node]), _depth(tree, tree.right[node]))
+def test_tree_depth_matches_recursive_oracle():
+    rng = np.random.default_rng(31)
+    X = rng.normal(size=(300, 4))
+    y = X[:, 0] * X[:, 1] > 0.1
+    for tree in _mixed_depth_forest(X, y).trees:
+        assert tree.depth == tree_depth(tree)
 
 
 @pytest.mark.parametrize("band_pixels", [4, 8, 16, 1 << 14])
