@@ -2,9 +2,12 @@
 
 Stage boundaries are plain files (P6 tiles, annotation CSVs, the model
 file, CMAP confidence maps, detections CSV, PR CSVs) so each stage can be
-rerun from disk and reproduces its outputs byte for byte.  Outputs are
-written atomically (temp file + rename) and every stage drops a JSON
-manifest recording the config, seed and input/output digests.
+rerun from disk and reproduces its outputs byte for byte.  Each file is
+encoded by the module that owns its format and written atomically (temp
+file + rename) by imagery.write_atomic, and every stage drops a JSON
+manifest recording the config, seed and input/output digests.  --threads
+caps every stage's workers, forked for trees and threads for bands and
+tiles, at one per task and one per core (_workers).
 
 Exit codes: 0 success, 2 config error, 3 missing/unreadable input,
 4 malformed data.
@@ -17,7 +20,6 @@ import hashlib
 import json
 import os
 import sys
-import tempfile
 import time
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
@@ -31,23 +33,6 @@ EXIT_OK = 0
 EXIT_CONFIG = 2
 EXIT_INPUT = 3
 EXIT_DATA = 4
-
-
-def _write_bytes_atomic(path: Path, data: bytes) -> None:
-    path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
-    try:
-        with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
-        os.replace(temp, path)
-    except BaseException:
-        if os.path.exists(temp):
-            os.unlink(temp)
-        raise
-
-
-def _write_text_atomic(path: Path, text: str) -> None:
-    _write_bytes_atomic(path, text.encode("utf-8"))
 
 
 def _sha256(path: Path) -> str:
@@ -71,15 +56,32 @@ def _stage_manifest(
         "outputs": {str(p): _sha256(Path(p)) for p in outputs},
         **counts,
     }
-    _write_text_atomic(
+    imagery.write_atomic(
         out_dir / f"{stage}_manifest.json",
         json.dumps(record, sort_keys=True, indent=2) + "\n",
     )
 
 
 # ---------------------------------------------------------------------------
-# Worker processes
+# Workers
 # ---------------------------------------------------------------------------
+
+
+def _workers(threads: int, tasks: int) -> int:
+    """Workers for `tasks` tasks: at most `threads`, one per task, one per core."""
+    return max(1, min(threads, tasks, os.cpu_count() or 1))
+
+
+def thread_map(threads: int):
+    """A lazy, ordered map(fn, *iterables) on _workers(threads, tasks) threads."""
+
+    def run(fn, *iterables):
+        tasks = list(zip(*iterables))
+        with ThreadPoolExecutor(max_workers=_workers(threads, len(tasks))) as pool:
+            yield from pool.map(lambda args: fn(*args), tasks)
+
+    return run
+
 
 _forked_fn = None  # set only in fork_map's worker processes
 
@@ -94,22 +96,21 @@ def _call_forked(args: tuple):
 
 
 def fork_map(workers: int):
-    """A map(fn, *iterables) that runs fn in at most `workers` forked processes.
+    """A map(fn, *iterables) that runs fn in _workers(workers, tasks) forked processes.
 
     fn reaches the workers through fork, unpickled, with everything it
     closes over; only the arguments go out and only the results come back,
     in order.  An exception raised by fn reaches the caller.  A fork pool
-    starts all of its processes up front, so their number is also capped at
-    the task count and the core count; with one, fn runs in this process
-    and nothing is forked.  Call it while no other thread runs: a forked
-    child has only the forking thread, so a lock another thread held would
-    stay held in the child.
+    starts all of its processes up front, hence the task and core caps;
+    with one worker, fn runs in this process and nothing is forked.  Call
+    it while no other thread runs: a forked child has only the forking
+    thread, so a lock another thread held would stay held in the child.
     """
 
     def run(fn, *iterables) -> list:
         tasks = list(zip(*iterables))
-        n = min(workers, len(tasks), os.cpu_count() or 1)
-        if n <= 1:
+        n = _workers(workers, len(tasks))
+        if n == 1:
             return [fn(*args) for args in tasks]
         import multiprocessing  # only runs that fork pay for the import
 
@@ -144,7 +145,7 @@ def write_detections_csv(
                 f"{tile_id},{k},{format(obj.confidence, '.17g')},{obj.area},"
                 f"{min_x},{min_y},{max_x},{max_y},{obj.to_rle()}"
             )
-    _write_text_atomic(path, "\n".join(lines) + "\n")
+    imagery.write_atomic(path, "\n".join(lines) + "\n")
 
 
 def read_detections_csv(
@@ -155,10 +156,7 @@ def read_detections_csv(
     A row naming an unknown tile, a pixel outside its tile, or an area or
     bounding box that disagrees with the pixel runs raises DataError.
     """
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"detections file not found: {path}")
-    lines = path.read_text(encoding="utf-8").splitlines()
+    lines = imagery.read_input(path, "detections file").decode("utf-8").splitlines()
     if not lines or lines[0] != _DETECTIONS_HEADER:
         raise DataError(f"{path}: missing detections header")
     by_tile: dict[str, list[detection.DetectionObject]] = {}
@@ -200,7 +198,6 @@ def read_detections_csv(
 def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     """Generate scenes plus annotations and a train/test manifest (2:1)."""
     scene_dir = out_dir / "scenes"
-    scene_dir.mkdir(parents=True, exist_ok=True)
     n_train = (2 * config.scenes + 2) // 3
     entries = []
     outputs = []
@@ -209,13 +206,8 @@ def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
         tile, annotations = synth.generate_scene(config.scene_params(i), tile_id)
         image_path = scene_dir / f"{tile_id}.ppm"
         ann_path = scene_dir / f"{tile_id}.csv"
-        _write_bytes_atomic(image_path, imagery.encode_tile(tile))
-        ann_lines = [
-            f"{a.tile_id},{a.polygon_id},"
-            + ",".join(format(c, ".17g") for c in a.vertices.ravel())
-            for a in annotations
-        ]
-        _write_text_atomic(ann_path, "\n".join(ann_lines) + "\n")
+        imagery.save_tile(tile, image_path)
+        imagery.save_annotations(annotations, ann_path)
         role = "train" if i < n_train else "test"
         entries.append(imagery.ManifestEntry(role, image_path, ann_path))
         outputs.extend([image_path, ann_path])
@@ -260,7 +252,7 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
         training, config.rf_params(), spec.fingerprint(), map=fork_map(config.threads)
     )
     model_path = out_dir / "model.pvforest"
-    _write_bytes_atomic(model_path, forest.dump_model(model))
+    forest.save_model(model, model_path)
     _stage_manifest(
         out_dir,
         "train",
@@ -279,16 +271,13 @@ def cmd_predict(
     """Write one confidence map per tile under out_dir/maps, one tile at a time."""
     model = forest.load_model(model_path)
     spec = config.feature_spec()
-    maps_dir = out_dir / "maps"
-    maps_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        for tile_path in tile_paths:
-            tile = imagery.load_tile(tile_path)
-            conf = forest.predict_tile(model, tile, spec, map=pool.map)
-            path = maps_dir / f"{tile.tile_id}.cmap"
-            _write_bytes_atomic(path, detection.encode_confidence_map(conf))
-            outputs.append(path)
+    for tile_path in tile_paths:
+        tile = imagery.load_tile(tile_path)
+        conf = forest.predict_tile(model, tile, spec, map=thread_map(config.threads))
+        path = out_dir / "maps" / f"{tile.tile_id}.cmap"
+        detection.save_confidence_map(conf, path)
+        outputs.append(path)
     _stage_manifest(
         out_dir, "predict", config, [model_path, *map(Path, tile_paths)], outputs
     )
@@ -300,21 +289,18 @@ def cmd_detect(
 ) -> tuple[list[Path], Path]:
     """Post-process confidence maps and extract detected objects."""
     params = config.pp_params()
-    enhanced_dir = out_dir / "enhanced"
-    enhanced_dir.mkdir(parents=True, exist_ok=True)
     cmap_paths = list(map(Path, cmap_paths))
     if len({src.stem for src in cmap_paths}) < len(cmap_paths):
         raise InputError("two confidence maps share a tile id (file stem)")
-    outputs = [enhanced_dir / f"{src.stem}.cmap" for src in cmap_paths]
+    outputs = [out_dir / "enhanced" / f"{src.stem}.cmap" for src in cmap_paths]
 
     def run(src: Path, path: Path) -> list[detection.DetectionObject]:
         # one task per tile, so at most `threads` maps are held at once
         enhanced = detection.postprocess(detection.load_confidence_map(src), params)
-        _write_bytes_atomic(path, detection.encode_confidence_map(enhanced))
+        detection.save_confidence_map(enhanced, path)
         return detection.extract_objects(enhanced)
 
-    with ThreadPoolExecutor(max_workers=config.threads) as pool:
-        objects = list(pool.map(run, cmap_paths, outputs))
+    objects = list(thread_map(config.threads)(run, cmap_paths, outputs))
     objects_by_tile = {src.stem: objs for src, objs in zip(cmap_paths, objects)}
     detections_path = out_dir / "detections.csv"
     write_detections_csv(objects_by_tile, detections_path)
@@ -337,7 +323,6 @@ def cmd_score(
         raise ConfigError("nothing to score: give a maps directory or detections")
     manifest = imagery.load_manifest(manifest_path)
     tiles, annotations = _load_role(manifest, role)
-    out_dir.mkdir(parents=True, exist_ok=True)
     outputs = []
     inputs = [manifest_path]
 
@@ -442,7 +427,7 @@ def cmd_eval(config: RunConfig, out_dir: Path) -> Path:
         "timings_seconds": timings,
     }
     report_path = out_dir / "eval_report.json"
-    _write_text_atomic(report_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
+    imagery.write_atomic(report_path, json.dumps(report, sort_keys=True, indent=2) + "\n")
     return report_path
 
 
@@ -461,8 +446,8 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p: argparse.ArgumentParser) -> None:
         p.add_argument("--config", help="key = value config file")
         p.add_argument("--seed", type=int, help="override the config seed")
-        p.add_argument("--threads", type=int, help="worker cap: forked processes "
-                       "for trees (at most one per core), threads for bands and tiles")
+        p.add_argument("--threads", type=int, help="worker cap, at most one per task "
+                       "and core: forked processes for trees, threads for bands and tiles")
         p.add_argument("--out", required=True, help="output directory")
 
     p = sub.add_parser("synth", help="generate synthetic scenes + manifest")
@@ -518,7 +503,6 @@ def main(argv: list[str] | None = None) -> int:
     try:
         config = _resolve_config(args)
         out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
         if args.command == "synth":
             manifest = cmd_synth(config, out_dir)
             print(f"wrote {config.scenes} scenes, manifest {manifest}")

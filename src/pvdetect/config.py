@@ -10,21 +10,13 @@ from __future__ import annotations
 
 import hashlib
 from dataclasses import dataclass, fields
-from pathlib import Path
 
 from .detection import PPParams
-from .errors import ConfigError, InputError
+from .errors import ConfigError
 from .features import FeatureSpec
 from .forest import RFParams
+from .imagery import read_input
 from .synth import SceneParams
-
-
-def _parse_int_tuple(text: str) -> tuple[int, ...]:
-    return tuple(int(v.strip()) for v in text.split(",") if v.strip())
-
-
-def _parse_float_tuple(text: str) -> tuple[float, ...]:
-    return tuple(float(v.strip()) for v in text.split(",") if v.strip())
 
 
 @dataclass(frozen=True)
@@ -141,14 +133,12 @@ class RunConfig:
         return RunConfig(**values)
 
 
-_TUPLE_PARSERS = {
-    "ring_radii": _parse_int_tuple,
-    "jaccard_levels": _parse_float_tuple,
-}
-
-
 def parse_config(text: str) -> RunConfig:
-    """Parse key = value lines; '#' starts a comment, unknown keys fail."""
+    """Parse key = value lines; '#' starts a comment, unknown keys fail.
+
+    A value takes its default's type; a tuple is comma-separated values of
+    its default's item type.
+    """
     defaults = RunConfig()
     names = {f.name for f in fields(RunConfig)}
     values = {}
@@ -162,18 +152,17 @@ def parse_config(text: str) -> RunConfig:
         key, value = key.strip(), value.strip()
         if key not in names:
             raise ConfigError(f"line {lineno}: unknown key {key!r}")
+        default = getattr(defaults, key)
         try:
-            if key in _TUPLE_PARSERS:
-                values[key] = _TUPLE_PARSERS[key](value)
+            if isinstance(default, tuple):
+                item = type(default[0])
+                values[key] = tuple(item(v) for v in value.split(",") if v.strip())
             else:
-                values[key] = type(getattr(defaults, key))(value)
+                values[key] = type(default)(value)
         except ValueError as exc:
             raise ConfigError(f"line {lineno}: bad value for {key!r}: {exc}") from None
     return RunConfig(**values)
 
 
 def load_config(path) -> RunConfig:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"config not found: {path}")
-    return parse_config(path.read_text(encoding="utf-8"))
+    return parse_config(read_input(path, "config").decode("utf-8"))

@@ -42,10 +42,10 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-
 import numpy as np
 
-from .errors import ConfigError, DataError, InputError
+from .errors import ConfigError, DataError
+from .imagery import read_input, write_atomic
 
 
 @dataclass(frozen=True)
@@ -439,15 +439,8 @@ def decode_confidence_map(data: bytes) -> np.ndarray:
 
 
 def save_confidence_map(conf: np.ndarray, path) -> None:
-    from pathlib import Path
-
-    Path(path).write_bytes(encode_confidence_map(conf))
+    write_atomic(path, encode_confidence_map(conf))
 
 
 def load_confidence_map(path) -> np.ndarray:
-    from pathlib import Path
-
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"confidence map not found: {path}")
-    return decode_confidence_map(path.read_bytes())
+    return decode_confidence_map(read_input(path, "confidence map"))

@@ -27,20 +27,18 @@ from __future__ import annotations
 import hashlib
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
 from .errors import (
     ConfigError,
     DataError,
-    InputError,
     ModelChecksumError,
     ModelFormatError,
     ModelVersionError,
 )
 from .features import BAND_PIXELS, FeatureSpec, feature_planes
-from .imagery import ImageTile
+from .imagery import ImageTile, read_input, write_atomic
 from .rng import Stream, counter_u64
 
 _MODEL_HEADER = "PVFOREST v1"
@@ -612,7 +610,7 @@ def dump_model(forest: RandomForest) -> bytes:
 
 
 def save_model(forest: RandomForest, path) -> None:
-    Path(path).write_bytes(dump_model(forest))
+    write_atomic(path, dump_model(forest))
 
 
 def _parse_tree(lines: list[str], start: int, n_nodes: int) -> tuple[DecisionTree, int]:
@@ -704,7 +702,4 @@ def loads_model(data: bytes) -> RandomForest:
 
 
 def load_model(path) -> RandomForest:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"model not found: {path}")
-    return loads_model(path.read_bytes())
+    return loads_model(read_input(path, "model"))

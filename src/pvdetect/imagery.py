@@ -1,4 +1,5 @@
-"""Raster tiles, polygon annotations, label masks and dataset manifests.
+"""Raster tiles, polygon annotations, label masks, dataset manifests, and
+the reader and atomic writer (read_input, write_atomic) of every pvdetect file.
 
 The canonical raster format is binary PPM (P6, maxval 255).  Annotations
 are simple polygons with fractional pixel coordinates, stored one per CSV
@@ -9,6 +10,8 @@ a polygon edge count as inside.
 
 from __future__ import annotations
 
+import os
+import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -136,6 +139,40 @@ def _check_simple(v: np.ndarray, polygon_id: str) -> None:
 
 
 # ---------------------------------------------------------------------------
+# File reading and writing
+# ---------------------------------------------------------------------------
+
+
+def read_input(path: str | Path, what: str) -> bytes:
+    """The bytes of an input file; InputError names `what` if it is missing."""
+    path = Path(path)
+    if not path.is_file():
+        raise InputError(f"{what} not found: {path}")
+    return path.read_bytes()
+
+
+def write_atomic(path: str | Path, data: bytes | str) -> None:
+    """Write data (str as UTF-8) to path by temp file and rename.
+
+    The directory is made if missing.  A reader sees the old file or the
+    whole new one, and a failed write leaves no temp file behind.
+    """
+    path = Path(path)
+    if isinstance(data, str):
+        data = data.encode("utf-8")
+    path.parent.mkdir(parents=True, exist_ok=True)
+    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    try:
+        with os.fdopen(fd, "wb") as handle:
+            handle.write(data)
+        os.replace(temp, path)
+    except BaseException:
+        if os.path.exists(temp):
+            os.unlink(temp)
+        raise
+
+
+# ---------------------------------------------------------------------------
 # P6 raster I/O
 # ---------------------------------------------------------------------------
 
@@ -170,9 +207,7 @@ def load_tile(path: str | Path, tile_id: str | None = None) -> ImageTile:
     is shorter than the header declares.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"raster not found: {path}")
-    data = path.read_bytes()
+    data = read_input(path, "raster")
     magic = data[:2]
     if magic in _GRAYSCALE_MAGICS:
         raise ChannelCountError(f"{path}: 1-channel raster, need 3-channel P6")
@@ -213,7 +248,7 @@ def encode_tile(tile: ImageTile) -> bytes:
 
 
 def save_tile(tile: ImageTile, path: str | Path) -> None:
-    Path(path).write_bytes(encode_tile(tile))
+    write_atomic(path, encode_tile(tile))
 
 
 # ---------------------------------------------------------------------------
@@ -228,10 +263,9 @@ def load_annotations(path: str | Path) -> list[PolygonAnnotation]:
     lines and lines starting with '#' are ignored.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"annotation file not found: {path}")
+    text = read_input(path, "annotation file").decode("utf-8")
     annotations = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -262,7 +296,7 @@ def save_annotations(annotations: list[PolygonAnnotation], path: str | Path) -> 
     for a in annotations:
         coords = ",".join(format(c, ".17g") for c in a.vertices.ravel())
         lines.append(f"{a.tile_id},{a.polygon_id},{coords}")
-    Path(path).write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 # ---------------------------------------------------------------------------
@@ -362,11 +396,10 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     Relative paths are resolved against the manifest's directory.
     """
     path = Path(path)
-    if not path.is_file():
-        raise InputError(f"manifest not found: {path}")
+    text = read_input(path, "manifest").decode("utf-8")
     base = path.parent
     entries = []
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), 1):
+    for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -394,7 +427,7 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
         except ValueError:
             img, ann = e.image_path, e.annotation_path
         lines.append(f"{e.role},{img},{ann}")
-    path.write_text("\n".join(lines) + ("\n" if lines else ""), encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + ("\n" if lines else ""))
 
 
 def load_entry(entry: ManifestEntry) -> tuple[ImageTile, list[PolygonAnnotation]]:

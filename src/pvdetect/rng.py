@@ -97,13 +97,15 @@ class Stream:
         """k distinct integers from [0, n), by partial Fisher-Yates.
 
         Output order is the draw order, deterministic for a given stream
-        position.
+        position.  The shuffled pool is kept sparse, as the positions that
+        differ from the identity, so time and memory are O(k), not O(n).
         """
         if not 0 <= k <= n:
             raise ValueError(f"cannot draw {k} distinct values from {n}")
-        pool = np.arange(n, dtype=np.int64)
-        draws = self.u64_array(k)
-        for j in range(k):
-            swap = j + int(draws[j] % np.uint64(n - j))
-            pool[j], pool[swap] = pool[swap], pool[j]
-        return pool[:k]
+        moved: dict[int, int] = {}
+        out = []
+        for j, draw in enumerate(self.u64_array(k).tolist()):
+            swap = j + draw % (n - j)
+            out.append(moved.get(swap, swap))
+            moved[swap] = moved.get(j, j)
+        return np.array(out, dtype=np.int64)

@@ -22,12 +22,12 @@ of the full candidate list at object level.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from .detection import DetectionObject
-from .errors import ConfigError, DataError, InputError
+from .errors import ConfigError, DataError
+from .imagery import read_input, write_atomic
 
 
 @dataclass(frozen=True)
@@ -251,7 +251,7 @@ def write_pr_csv(curve: PRCurve, path) -> None:
         lines.append(
             f"{format(t, '.17g')},{format(p, '.17g')},{format(r, '.17g')}"
         )
-    Path(path).write_text("\n".join(lines) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(lines) + "\n")
 
 
 def write_pr_svg(curve: PRCurve, path, title: str = "") -> None:
@@ -308,37 +308,38 @@ def write_pr_svg(curve: PRCurve, path, title: str = "") -> None:
             f'stroke-width="1.5"/>'
         )
     parts.append("</svg>")
-    Path(path).write_text("\n".join(parts) + "\n", encoding="utf-8")
+    write_atomic(path, "\n".join(parts) + "\n")
 
 
 def read_pr_csv(path) -> PRCurve:
-    path = Path(path)
-    if not path.is_file():
-        raise InputError(f"PR file not found: {path}")
+    text = read_input(path, "PR file").decode("utf-8")
     prevalence = 0.0
     quantized = False
     rows = []
     saw_header = False
-    for raw in path.read_text(encoding="utf-8").splitlines():
-        line = raw.strip()
-        if not line:
-            continue
-        if line.startswith("#"):
-            body = line[1:].strip()
-            if body.startswith("prevalence="):
-                prevalence = float(body.split("=", 1)[1])
-            elif body == "sweep=quantized":
-                quantized = True
-            continue
-        if not saw_header:
-            if line != "threshold,precision,recall":
-                raise DataError(f"{path}: bad PR header {line!r}")
-            saw_header = True
-            continue
-        parts = line.split(",")
-        if len(parts) != 3:
-            raise DataError(f"{path}: bad PR row {line!r}")
-        rows.append(tuple(float(v) for v in parts))
+    try:
+        for raw in text.splitlines():
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith("#"):
+                body = line[1:].strip()
+                if body.startswith("prevalence="):
+                    prevalence = float(body.split("=", 1)[1])
+                elif body == "sweep=quantized":
+                    quantized = True
+                continue
+            if not saw_header:
+                if line != "threshold,precision,recall":
+                    raise DataError(f"{path}: bad PR header {line!r}")
+                saw_header = True
+                continue
+            parts = line.split(",")
+            if len(parts) != 3:
+                raise DataError(f"{path}: bad PR row {line!r}")
+            rows.append(tuple(float(v) for v in parts))
+    except ValueError as exc:  # a field float() cannot read
+        raise DataError(f"{path}: {exc}") from None
     if not saw_header:
         raise DataError(f"{path}: missing PR header")
     arr = np.array(rows, dtype=np.float64).reshape(-1, 3)

@@ -56,8 +56,8 @@ class SceneParams:
             raise ConfigError("panel_side_max below panel_side_min")
         if len(self.palette) < 3:
             raise ConfigError("palette needs at least 3 textures")
-        if self.noise_sigma < 0 or self.panel_sigma < 0:
-            raise ConfigError("sigmas must be >= 0")
+        if not (0 <= self.noise_sigma < np.inf and 0 <= self.panel_sigma < np.inf):
+            raise ConfigError("sigmas must be finite and >= 0")
         if self.patch_size < 1 or self.panel_gap < 0:
             raise ConfigError("bad patch_size or panel_gap")
 

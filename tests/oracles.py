@@ -18,6 +18,24 @@ from pvdetect.scoring import PRCurve
 
 
 # ---------------------------------------------------------------------------
+# Random streams
+# ---------------------------------------------------------------------------
+
+
+def dense_fisher_yates(stream, n, k):
+    """k distinct integers from [0, n) by partial Fisher-Yates over a full pool.
+
+    Takes the k draws of stream.u64_array(k); the pool array costs O(n).
+    """
+    pool = np.arange(n, dtype=np.int64)
+    draws = stream.u64_array(k)
+    for j in range(k):
+        swap = j + int(draws[j] % np.uint64(n - j))
+        pool[j], pool[swap] = pool[swap], pool[j]
+    return pool[:k]
+
+
+# ---------------------------------------------------------------------------
 # Features
 # ---------------------------------------------------------------------------
 

@@ -23,7 +23,8 @@ from pvdetect.cli import (
 from pvdetect.config import RunConfig, parse_config
 from pvdetect.detection import DetectionObject, load_confidence_map
 from pvdetect.errors import DataError, InputError
-from pvdetect.imagery import load_manifest
+from pvdetect.features import BAND_PIXELS
+from pvdetect.imagery import ImageTile, load_manifest, save_tile
 from oracles import tree_depth
 
 TINY = dict(
@@ -213,6 +214,30 @@ def test_cmd_eval_end_to_end(tmp_path):
     assert "timings_seconds" in report
 
 
+def test_cmd_eval_writes_every_file_by_rename(tmp_path, monkeypatch):
+    """Each output arrives whole by os.replace, and no temp file stays behind."""
+    replaced = []
+    replace = os.replace
+
+    def recording_replace(src, dst):
+        replaced.append(Path(dst))
+        return replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", recording_replace)
+    out = tmp_path / "run"
+    cmd_eval(tiny_config(threads=2), out)
+    cmd_score(
+        tiny_config(), out / "scenes" / "manifest.txt", out / "svg", out / "maps",
+        out / "detections.csv", svg=True,
+    )
+    files = {p for p in out.rglob("*") if p.is_file()}
+    assert files == set(replaced)
+    assert len(replaced) == len(files)  # each file written once
+    assert not [p for p in files if p.name.startswith(".")]
+    assert {p.suffix for p in files} == {".ppm", ".csv", ".txt", ".pvforest",
+                                         ".cmap", ".json", ".svg"}
+
+
 def test_eval_deterministic_across_runs_and_threads(tmp_path):
     tracked = [
         "model.pvforest",
@@ -306,6 +331,46 @@ def test_cmd_train_with_one_worker_forks_nothing(tmp_path, monkeypatch):
     cmd_train(tiny_config(threads=4, trees=1), manifest, tmp_path / "b")
 
 
+@pytest.mark.parametrize("cores", [1, 3])
+def test_thread_stages_cap_workers_by_tasks_and_cores(tmp_path, monkeypatch, cores):
+    """A huge --threads gives predict and detect at most one thread per task and core."""
+    created = []
+
+    class RecordingPool:
+        """Stands in for ThreadPoolExecutor: records max_workers, runs in this thread."""
+
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
+
+    model = cmd_train(tiny_config(), cmd_synth(tiny_config(), tmp_path), tmp_path)
+    tile = tmp_path / "wide.ppm"
+    pixels = np.random.default_rng(6).integers(0, 256, (90, 1024, 3), dtype=np.uint8)
+    save_tile(ImageTile(pixels), tile)
+    assert BAND_PIXELS // 1024 == 16  # so the tile has 6 row bands
+    monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
+    monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    config = tiny_config(threads=10**6)
+    maps = cmd_predict(config, model, [tile], tmp_path / "huge")
+    assert created == [min(cores, 6)]
+    # two tiles, so the core cap binds only at one core
+    maps.append(_random_maps(tmp_path, 1, np.random.default_rng(5))[0])
+    created.clear()
+    cmd_detect(config, maps, tmp_path / "huge")
+    assert created == [min(cores, 2)]
+    # the bytes do not depend on the worker count
+    serial = cmd_predict(tiny_config(), model, [tile], tmp_path / "serial")
+    assert maps[0].read_bytes() == serial[0].read_bytes()
+
+
 def test_train_manifest_counts_match_saved_model(tmp_path):
     manifest = cmd_synth(tiny_config(), tmp_path)
     model_path = cmd_train(tiny_config(threads=2), manifest, tmp_path)
@@ -339,6 +404,18 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     code = main(["synth", "--config", str(config_path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])
+def test_main_non_finite_noise_sigma_exit_2(tmp_path, capsys, sigma):
+    # a NaN sigma once rendered all-black scenes and exited 0
+    config_path = tmp_path / "bad.cfg"
+    config_path.write_text(tiny_config_text(noise_sigma=sigma))
+    out = tmp_path / "o"
+    code = main(["synth", "--config", str(config_path), "--out", str(out)])
+    assert code == 2
+    assert "sigmas must be finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_main_missing_input_exit_3(tmp_path, capsys):

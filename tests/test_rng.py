@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pvdetect.rng import Stream, counter_u64, mix64
+from oracles import dense_fisher_yates
 
 
 def test_mix64_is_deterministic_and_mixing():
@@ -62,6 +63,26 @@ def test_sample_without_replacement_distinct_and_deterministic():
     assert np.array_equal(s, Stream(9).sample_without_replacement(100, 40))
     full = Stream(9).sample_without_replacement(25, 25)
     assert sorted(full.tolist()) == list(range(25))
+
+
+@pytest.mark.parametrize(
+    "n, k",
+    [(1, 0), (1, 1), (2, 2), (7, 0), (7, 3), (7, 7), (102, 10), (1000, 999),
+     (458_752, 2_000)],
+)
+def test_sample_without_replacement_matches_dense_oracle(n, k):
+    for seed in (0, 9, 2**64 - 1):
+        sparse = Stream(seed).sample_without_replacement(n, k)
+        dense = dense_fisher_yates(Stream(seed), n, k)
+        assert sparse.dtype == np.int64 and sparse.shape == (k,)
+        assert np.array_equal(sparse, dense)
+
+
+def test_sample_without_replacement_costs_o_of_k():
+    # a dense pool of 10**12 int64 would need 8 TB
+    s = Stream(5).sample_without_replacement(10**12, 3)
+    assert s.shape == (3,) and len(set(s.tolist())) == 3
+    assert all(0 <= v < 10**12 for v in s.tolist())
 
 
 def test_sample_without_replacement_bounds():

@@ -1,3 +1,5 @@
+import errno
+import os
 from xml.etree import ElementTree
 
 import numpy as np
@@ -410,6 +412,57 @@ def test_pr_csv_roundtrip(tmp_path):
     assert np.array_equal(again.recall, curve.recall)
     assert again.prevalence == curve.prevalence
     assert again.quantized
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("# prevalence=0.1\nthreshold,precision,recall\n0.5,x,1\n", "'x'"),
+        ("# prevalence=abc\nthreshold,precision,recall\n0.5,1,1\n", "'abc'"),
+    ],
+    ids=["row", "prevalence"],
+)
+def test_read_pr_csv_non_numeric_is_data_error(tmp_path, text, match):
+    path = tmp_path / "pr.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=match):
+        read_pr_csv(path)
+
+
+def test_pr_csv_write_failing_part_way_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "pr_pixel.csv"
+    write_pr_csv(PRCurve(np.array([0.5]), np.array([1.0]), np.array([1.0]), 0.1), path)
+    old = path.read_bytes()
+    fdopen = os.fdopen
+
+    class HalfWrite:
+        """A file handle whose write stores half its data, then finds the disk full."""
+
+        def __init__(self, fd, mode):
+            self.handle = fdopen(fd, mode)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            self.handle.close()
+
+        def write(self, data):
+            self.handle.write(data[: len(data) // 2])
+            self.handle.flush()
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(os, "fdopen", HalfWrite)
+    curve = PRCurve(
+        np.array([0.9, 0.5, 0.1]),
+        np.array([1.0, 0.75, 1.0 / 3.0]),
+        np.array([0.25, 0.5, 1.0]),
+        prevalence=0.2,
+    )
+    with pytest.raises(OSError, match="No space"):
+        write_pr_csv(curve, path)
+    assert path.read_bytes() == old
+    assert os.listdir(tmp_path) == ["pr_pixel.csv"]  # no temp file left
 
 
 def test_pr_svg_is_valid_xml(tmp_path):

@@ -95,6 +95,14 @@ def test_scene_params_validation():
         SceneParams(n_panels=-1)
 
 
+@pytest.mark.parametrize("sigma", [-1.0, float("nan"), float("inf"), float("-inf")])
+def test_scene_params_reject_negative_and_non_finite_sigmas(sigma):
+    with pytest.raises(ConfigError, match="sigmas"):
+        SceneParams(noise_sigma=sigma)
+    with pytest.raises(ConfigError, match="sigmas"):
+        SceneParams(panel_sigma=sigma)
+
+
 def test_palette_contains_panel_like_texture():
     params = SceneParams()
     panel = np.array(params.panel_color, dtype=np.float64)
