@@ -156,7 +156,7 @@ def read_detections_csv(
     A row naming an unknown tile, a pixel outside its tile, or an area or
     bounding box that disagrees with the pixel runs raises DataError.
     """
-    lines = imagery.read_input(path, "detections file").decode("utf-8").splitlines()
+    lines = imagery.read_text(path, "detections file").splitlines()
     if not lines or lines[0] != _DETECTIONS_HEADER:
         raise DataError(f"{path}: missing detections header")
     by_tile: dict[str, list[detection.DetectionObject]] = {}

@@ -15,7 +15,7 @@ from .detection import PPParams
 from .errors import ConfigError
 from .features import FeatureSpec
 from .forest import RFParams
-from .imagery import read_input
+from .imagery import read_text
 from .synth import SceneParams
 
 
@@ -165,4 +165,4 @@ def parse_config(text: str) -> RunConfig:
 
 
 def load_config(path) -> RunConfig:
-    return parse_config(read_input(path, "config").decode("utf-8"))
+    return parse_config(read_text(path, "config", ConfigError))

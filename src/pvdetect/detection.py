@@ -29,6 +29,11 @@ indices of the support, and rounds of hooking roots under smaller roots,
 each followed by pointer jumping (Shiloach & Vishkin), label each pixel
 with the smallest flat index of its component.
 
+Maps stay float32 (as the CMAP stores them) or else float64 throughout.
+Max, where, > 0 and x 256 are exact in float32 and c_0 is compared on
+Python floats (NumPy 2 would round it to float32 against a float32 array),
+so a float32 map and its float64 widening give the same bytes.
+
 Objects are the 8-connected components of the positive support of an
 enhanced map; each object's confidence is its maximum pixel value.  A
 DetectionObject stores its pixels in the one compact form used from
@@ -134,8 +139,14 @@ class DetectionObject:
         return cls(np.concatenate(runs), confidence, shape)
 
 
+def float_map(conf) -> np.ndarray:
+    """conf as an array, float32 kept as it is and anything else as float64."""
+    conf = np.asarray(conf)
+    return conf if conf.dtype == np.float32 else conf.astype(np.float64, copy=False)
+
+
 def _check_map(conf: np.ndarray) -> np.ndarray:
-    conf = np.asarray(conf, dtype=np.float64)
+    conf = float_map(conf)
     if conf.ndim != 2 or conf.size == 0:
         raise DataError(f"confidence map must be non-empty 2-D, got {conf.shape}")
     if not np.isfinite(conf).all():
@@ -411,10 +422,11 @@ def encode_confidence_map(conf: np.ndarray) -> bytes:
         raise DataError("confidence values must lie in [0, 1]")
     h, w = conf.shape
     header = _CMAP_MAGIC + bytes([_CMAP_VERSION]) + struct.pack("<II", w, h)
-    return header + conf.astype("<f4").tobytes()
+    return b"".join((header, np.ascontiguousarray(conf, dtype="<f4").data))
 
 
 def decode_confidence_map(data: bytes) -> np.ndarray:
+    """The stored float32 values, as a read-only (height, width) view of data."""
     if data[:4] != _CMAP_MAGIC:
         raise DataError(f"not a confidence map (magic {data[:4]!r})")
     if len(data) < 13:
@@ -430,9 +442,7 @@ def decode_confidence_map(data: bytes) -> np.ndarray:
         raise DataError(
             f"confidence map payload is {len(data)} bytes, expected {expected}"
         )
-    conf = (
-        np.frombuffer(data[13:], dtype="<f4").reshape(h, w).astype(np.float64)
-    )
+    conf = np.frombuffer(data, dtype="<f4", offset=13).reshape(h, w)
     if not np.isfinite(conf).all() or conf.min() < 0.0 or conf.max() > 1.0:
         raise DataError("confidence values must lie in [0, 1]")
     return conf

@@ -484,12 +484,13 @@ def predict_tile(
     spec: FeatureSpec,
     map=map,
 ) -> np.ndarray:
-    """Confidence map for a tile, routing on the feature planes of row bands.
+    """float32 confidence map for a tile, routed on the planes of row bands.
 
     A band holds about BAND_PIXELS pixels, routed about 8 * BAND_PIXELS
     (tree, pixel) pairs at a time, so memory stays flat at any tile size
     and tree count; banding is bit-identical to whole-tile extraction.
-    Bands are routed through map, which may be a worker pool's.
+    Bands are routed through map, which may be a worker pool's.  Each
+    band's float64 means are rounded into the map as the CMAP stores them.
     """
     if spec.feature_count != forest.n_features:
         raise DataError(
@@ -508,7 +509,7 @@ def predict_tile(
         planes = feature_planes(tile, spec, y0, min(y0 + rows, tile.height))
         return _mean_leaf_prob(forest, *planes)
 
-    out = np.empty((tile.height, tile.width))
+    out = np.empty((tile.height, tile.width), dtype=np.float32)
     for y0, conf in zip(starts, map(band, starts)):
         out[y0 : y0 + rows] = conf.reshape(-1, tile.width)
     return out

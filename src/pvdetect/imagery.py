@@ -1,5 +1,6 @@
 """Raster tiles, polygon annotations, label masks, dataset manifests, and
-the reader and atomic writer (read_input, write_atomic) of every pvdetect file.
+the readers and atomic writer (read_input, read_text, write_atomic) of every
+pvdetect file.
 
 The canonical raster format is binary PPM (P6, maxval 255).  Annotations
 are simple polygons with fractional pixel coordinates, stored one per CSV
@@ -11,7 +12,6 @@ a polygon edge count as inside.
 from __future__ import annotations
 
 import os
-import tempfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -151,17 +151,27 @@ def read_input(path: str | Path, what: str) -> bytes:
     return path.read_bytes()
 
 
+def read_text(path: str | Path, what: str, error=DataError) -> str:
+    """The UTF-8 text of an input file; other bytes raise error."""
+    try:
+        return read_input(path, what).decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
+
+
 def write_atomic(path: str | Path, data: bytes | str) -> None:
     """Write data (str as UTF-8) to path by temp file and rename.
 
     The directory is made if missing.  A reader sees the old file or the
-    whole new one, and a failed write leaves no temp file behind.
+    whole new one, and a failed write leaves no temp file behind.  The file
+    is created with mode 0o666 less the umask, as open() would create it.
     """
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
     path.parent.mkdir(parents=True, exist_ok=True)
-    fd, temp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.")
+    temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
+    fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
             handle.write(data)
@@ -263,7 +273,7 @@ def load_annotations(path: str | Path) -> list[PolygonAnnotation]:
     lines and lines starting with '#' are ignored.
     """
     path = Path(path)
-    text = read_input(path, "annotation file").decode("utf-8")
+    text = read_text(path, "annotation file")
     annotations = []
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.strip()
@@ -396,7 +406,7 @@ def load_manifest(path: str | Path) -> DatasetManifest:
     Relative paths are resolved against the manifest's directory.
     """
     path = Path(path)
-    text = read_input(path, "manifest").decode("utf-8")
+    text = read_text(path, "manifest")
     base = path.parent
     entries = []
     for lineno, raw in enumerate(text.splitlines(), 1):

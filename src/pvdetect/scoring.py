@@ -3,10 +3,12 @@
 Pixel scoring pools every pixel of the supplied maps and sweeps the
 acceptance threshold over the distinct positive confidence values in
 descending order (a pixel with confidence exactly at the threshold counts
-as detected).  Object scoring links detections to annotations with the
-Jaccard overlap: a detection is judged against the union of every
-annotation it touches, and an accepted detection marks all of them as
-detected.
+as detected).  Zero-confidence pixels are never detected, so only the
+positive ones are widened to float64 and sorted; annotated pixels and the
+prevalence count every pixel.  Object scoring links detections to
+annotations with the Jaccard overlap: a detection is judged against the
+union of every annotation it touches, and an accepted detection marks all
+of them as detected.
 
 Objects and annotations are sets of flat pixel indices y * width + x of
 their tile (see DetectionObject).  Whether a detection is accepted depends
@@ -25,9 +27,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionObject
+from .detection import DetectionObject, float_map
 from .errors import ConfigError, DataError
-from .imagery import read_input, write_atomic
+from .imagery import read_text, write_atomic
 
 
 @dataclass(frozen=True)
@@ -93,15 +95,18 @@ def pixel_pr(
     sweep="quantized" uses the 1001 uniform thresholds 1.000 .. 0.000 and
     marks the curve as quantized (thresholds that accept no pixel are
     dropped, since precision is undefined there).  In both modes pixels
-    with zero confidence are never counted as detections.
+    with zero confidence are never counted as detections, so only the
+    pixels with confidence > 0 are sorted.  Maps may be float32, the CMAP's
+    precision, or anything float64 can hold.
     """
     if sweep not in ("exact", "quantized"):
         raise ConfigError(f"unknown sweep mode {sweep!r}")
     if len(conf_maps) != len(label_masks) or not conf_maps:
         raise ConfigError("need one label mask per confidence map")
     confs, labels = [], []
+    n_pos = n_pixels = 0
     for conf, mask in zip(conf_maps, label_masks):
-        conf = np.asarray(conf, dtype=np.float64)
+        conf = float_map(conf)
         mask = np.asarray(mask, dtype=bool)
         if conf.shape != mask.shape:
             raise DataError(f"map {conf.shape} does not match mask {mask.shape}")
@@ -109,33 +114,31 @@ def pixel_pr(
             not np.isfinite(conf).all() or conf.min() < 0.0 or conf.max() > 1.0
         ):
             raise DataError("confidences must be finite values in [0, 1]")
-        confs.append(conf.ravel())
-        labels.append(mask.ravel())
-    conf = np.concatenate(confs)
-    label = np.concatenate(labels)
-    n_pos = int(label.sum())
+        detectable = conf > 0.0
+        confs.append(conf[detectable].astype(np.float64, copy=False))
+        labels.append(mask[detectable])
+        n_pos += int(np.count_nonzero(mask))
+        n_pixels += mask.size
     if n_pos == 0:
         raise DataError("ground truth contains no positive pixels")
-    prevalence = n_pos / label.size
+    prevalence = n_pos / n_pixels
 
+    conf = np.concatenate(confs)
     order = np.argsort(-conf, kind="stable")
     sorted_conf = conf[order]
-    cum_tp = np.cumsum(label[order])
+    cum_tp = np.cumsum(np.concatenate(labels)[order])
 
     if sweep == "exact":
-        positive = sorted_conf > 0.0
         last_of_value = np.ones(sorted_conf.size, dtype=bool)
         last_of_value[:-1] = sorted_conf[:-1] != sorted_conf[1:]
-        ends = np.nonzero(last_of_value & positive)[0]
+        ends = np.flatnonzero(last_of_value)
         thresholds = sorted_conf[ends]
         detected = ends + 1
         tp = cum_tp[ends]
     else:
         levels = np.arange(1000, -1, -1) / 1000.0
-        # detections at threshold t: pixels with 0 < confidence and conf >= t
-        n_positive_conf = int((sorted_conf > 0.0).sum())
+        # detections at threshold t: the positive confidences >= t
         detected = np.searchsorted(-sorted_conf, -levels, side="right")
-        detected = np.minimum(detected, n_positive_conf)
         keep = detected >= 1
         thresholds = levels[keep]
         detected = detected[keep]
@@ -247,10 +250,8 @@ def write_pr_csv(curve: PRCurve, path) -> None:
     if curve.quantized:
         lines.append("# sweep=quantized")
     lines.append("threshold,precision,recall")
-    for t, p, r in zip(curve.thresholds, curve.precision, curve.recall):
-        lines.append(
-            f"{format(t, '.17g')},{format(p, '.17g')},{format(r, '.17g')}"
-        )
+    rows = zip(curve.thresholds.tolist(), curve.precision.tolist(), curve.recall.tolist())
+    lines += [f"{t:.17g},{p:.17g},{r:.17g}" for t, p, r in rows]
     write_atomic(path, "\n".join(lines) + "\n")
 
 
@@ -312,7 +313,7 @@ def write_pr_svg(curve: PRCurve, path, title: str = "") -> None:
 
 
 def read_pr_csv(path) -> PRCurve:
-    text = read_input(path, "PR file").decode("utf-8")
+    text = read_text(path, "PR file")
     prevalence = 0.0
     quantized = False
     rows = []

@@ -438,6 +438,67 @@ def reference_postprocess(conf, params):
 
 
 # ---------------------------------------------------------------------------
+# Pixel scoring
+# ---------------------------------------------------------------------------
+# The original pixel scorer, which widens every pixel of every map to float64
+# and sorts them all, zero confidences included.  It is the reference for
+# pvdetect.scoring.pixel_pr, which sorts only the positive confidences.
+
+
+def full_sort_pixel_pr(conf_maps, label_masks, sweep="exact") -> PRCurve:
+    """Pooled pixel PR curve over the full sort of every pixel."""
+    if sweep not in ("exact", "quantized"):
+        raise ConfigError(f"unknown sweep mode {sweep!r}")
+    if len(conf_maps) != len(label_masks) or not conf_maps:
+        raise ConfigError("need one label mask per confidence map")
+    confs, labels = [], []
+    for conf, mask in zip(conf_maps, label_masks):
+        conf = np.asarray(conf, dtype=np.float64)
+        mask = np.asarray(mask, dtype=bool)
+        if conf.shape != mask.shape:
+            raise DataError(f"map {conf.shape} does not match mask {mask.shape}")
+        if conf.size and (
+            not np.isfinite(conf).all() or conf.min() < 0.0 or conf.max() > 1.0
+        ):
+            raise DataError("confidences must be finite values in [0, 1]")
+        confs.append(conf.ravel())
+        labels.append(mask.ravel())
+    conf = np.concatenate(confs)
+    label = np.concatenate(labels)
+    n_pos = int(label.sum())
+    if n_pos == 0:
+        raise DataError("ground truth contains no positive pixels")
+    prevalence = n_pos / label.size
+
+    order = np.argsort(-conf, kind="stable")
+    sorted_conf = conf[order]
+    cum_tp = np.cumsum(label[order])
+
+    if sweep == "exact":
+        positive = sorted_conf > 0.0
+        last_of_value = np.ones(sorted_conf.size, dtype=bool)
+        last_of_value[:-1] = sorted_conf[:-1] != sorted_conf[1:]
+        ends = np.nonzero(last_of_value & positive)[0]
+        thresholds = sorted_conf[ends]
+        detected = ends + 1
+        tp = cum_tp[ends]
+    else:
+        levels = np.arange(1000, -1, -1) / 1000.0
+        # detections at threshold t: pixels with 0 < confidence and conf >= t
+        n_positive_conf = int((sorted_conf > 0.0).sum())
+        detected = np.searchsorted(-sorted_conf, -levels, side="right")
+        detected = np.minimum(detected, n_positive_conf)
+        keep = detected >= 1
+        thresholds = levels[keep]
+        detected = detected[keep]
+        tp = cum_tp[detected - 1]
+
+    precision = tp / detected
+    recall = tp / n_pos
+    return PRCurve(thresholds, precision, recall, prevalence, sweep == "quantized")
+
+
+# ---------------------------------------------------------------------------
 # Object scoring
 # ---------------------------------------------------------------------------
 # The original object scorer, which re-matches the kept detections at every

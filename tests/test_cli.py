@@ -88,6 +88,14 @@ def test_detections_csv_roundtrip(tmp_path):
     assert again["tile_b"][0].confidence == 0.75
 
 
+def test_read_detections_csv_non_utf8_is_data_error(tmp_path):
+    path = tmp_path / "detections.csv"
+    write_detections_csv({"t": [DetectionObject([0], 0.5, (2, 2))]}, path)
+    path.write_bytes(path.read_bytes().replace(b"\nt,", b"\nt\xff,"))
+    with pytest.raises(DataError, match="not UTF-8"):
+        read_detections_csv(path, {"t": (2, 2)})
+
+
 # ---------------------------------------------------------------------------
 # Individual stages
 # ---------------------------------------------------------------------------
@@ -404,6 +412,16 @@ def test_main_config_error_exit_2(tmp_path, capsys):
     code = main(["synth", "--config", str(config_path), "--out", str(tmp_path / "o")])
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+def test_main_non_utf8_config_exit_2(tmp_path, capsys):
+    config_path = tmp_path / "bad.cfg"
+    config_path.write_bytes(b"seed = 1\xff")
+    out = tmp_path / "o"
+    code = main(["synth", "--config", str(config_path), "--out", str(out)])
+    assert code == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("sigma", ["nan", "inf", "-inf"])

@@ -88,6 +88,13 @@ def test_replace_preserves_unmentioned_fields():
     assert config.seed == 0
 
 
+def test_load_config_non_utf8_is_config_error(tmp_path):
+    path = tmp_path / "bad.cfg"
+    path.write_bytes(b"seed = 1\xff\n")
+    with pytest.raises(ConfigError, match="not UTF-8"):
+        load_config(path)
+
+
 def test_load_config_missing_file(tmp_path):
     with pytest.raises(InputError):
         load_config(tmp_path / "absent.cfg")

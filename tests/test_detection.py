@@ -245,6 +245,50 @@ def test_postprocess_support_monotone_through_morphology():
     assert ((closed > 0) <= (dilated > 0)).all()
 
 
+def _speckled_map(rng, side=64):
+    """float32 map: low speckle on 30% of pixels, blobs peaking above the
+    floor, and a grid of isolated maxima exactly at the 0.375 floor."""
+    conf = np.where(rng.random((side, side)) < 0.3, rng.uniform(0, 0.35, (side, side)), 0.0)
+    for _ in range(8):
+        y, x = rng.integers(0, side - 8, size=2)
+        blob = conf[y : y + 8, x : x + 8]
+        np.maximum(blob, rng.uniform(0.3, 1.0, (8, 8)), out=blob)
+    conf[::17, ::13] = 0.375
+    return conf.astype(np.float32)
+
+
+def test_postprocess_and_objects_same_for_float32_map_and_its_widening():
+    rng = np.random.default_rng(12)
+    for trial in range(4):
+        conf = _speckled_map(rng)
+        params = PPParams(closing_radius=5 - trial, dilation_radius=trial % 3)
+        enhanced32 = postprocess(conf, params)
+        enhanced64 = postprocess(conf.astype(np.float64), params)
+        assert (enhanced32.dtype, enhanced64.dtype) == (np.float32, np.float64)
+        assert encode_confidence_map(enhanced32) == encode_confidence_map(enhanced64)
+        assert np.array_equal(enhanced32, enhanced64)
+        objects32, objects64 = extract_objects(enhanced32), extract_objects(enhanced64)
+        assert len(objects32) >= 8
+        assert [(o.to_rle(), o.confidence) for o in objects32] == [
+            (o.to_rle(), o.confidence) for o in objects64
+        ]
+
+
+def test_floor_is_compared_in_float64():
+    # float32(0.7) is 0.69999998...: below a 0.7 floor, although a float32
+    # comparison would round the floor to that same value and keep it
+    params = PPParams(confidence_floor=0.7)
+    conf = np.zeros((15, 15), dtype=np.float32)
+    conf[7, 7] = 0.7
+    assert float(conf[7, 7]) < 0.7
+    assert filter_maxima(nonmax_suppress(conf, 9), 0.7) == []
+    assert not postprocess(conf, params).any()
+    conf[7, 7] = np.nextafter(np.float32(0.7), np.float32(1.0))
+    enhanced = postprocess(conf, params)
+    assert enhanced[7, 7] == conf[7, 7]
+    assert [o.confidence for o in extract_objects(enhanced)] == [float(conf[7, 7])]
+
+
 def test_ppparams_invariants():
     with pytest.raises(ConfigError):
         PPParams(nms_side=8)
@@ -413,6 +457,21 @@ def test_cmap_roundtrip(tmp_path):
     assert np.array_equal(conf, again)
     # encoding is canonical
     assert encode_confidence_map(again) == path.read_bytes()
+
+
+def test_cmap_decodes_read_only_float32_and_encodes_canonically():
+    rng = np.random.default_rng(8)
+    conf = rng.uniform(0, 1, size=(5, 7)).astype(np.float32)
+    data = encode_confidence_map(conf)
+    assert data == encode_confidence_map(conf.astype(np.float64))
+    again = decode_confidence_map(data)
+    assert again.dtype == np.float32 and again.shape == (5, 7)
+    assert not again.flags.writeable
+    assert np.array_equal(again, conf)
+    assert encode_confidence_map(again) == data
+    # a non-contiguous float32 map encodes as its contiguous copy
+    assert encode_confidence_map(conf.T) == encode_confidence_map(conf.T.copy())
+    assert np.array_equal(decode_confidence_map(encode_confidence_map(conf.T)), conf.T)
 
 
 def test_cmap_errors(tmp_path):

@@ -511,14 +511,16 @@ def test_predict_tile_banding_consistency(monkeypatch):
     y = X[:, 0] > np.median(X[:, 0])
     model = train(TrainingSet(X[:600], y[:600]), RFParams(n_trees=3, seed=6))
     whole = predict_batch(model, X).reshape(40, 30)
-    # bands of 13 rows: 13 + 13 + 13 + 1
+    # bands of 13 rows: 13 + 13 + 13 + 1, each bit-identical in float64
     monkeypatch.setattr(forest_module, "BAND_PIXELS", 13 * 30 + 29)
+    assert np.array_equal(_float64_bands(model, tile, spec), whole)
     banded = predict_tile(model, tile, spec)
-    assert np.array_equal(whole, banded)
+    assert banded.dtype == np.float32
+    assert np.array_equal(whole.astype(np.float32), banded)
     # the same uneven bands routed by two workers
     with ThreadPoolExecutor(max_workers=2) as pool:
         pooled = predict_tile(model, tile, spec, map=pool.map)
-    assert np.array_equal(whole, pooled)
+    assert np.array_equal(banded, pooled)
     with pytest.raises(DataError):
         predict_tile(model, tile, FeatureSpec(ring_radii=(2,)))
 
@@ -550,13 +552,27 @@ def test_plane_routing_matches_scalar_oracle():
             )
             for p in picks
         ]
-        for p, x in zip(picks, naive):
-            assert conf[p // w, p % w] == scalar_predict(model, x)
+        expected = [scalar_predict(model, x) for x in naive]
+        means = forest_module._mean_leaf_prob(model, values, base[picks], offsets)
+        assert means.tolist() == expected
+        assert conf[picks // w, picks % w].tolist() == np.float32(expected).tolist()
         for tree in model.trees:
             # the mean of one tree is its leaf probability, exactly
             one = RandomForest([tree], model.n_features, "unspecified")
             leaves = forest_module._mean_leaf_prob(one, values, base[picks], offsets)
             assert leaves.tolist() == [route_and_read(tree, x) for x in naive]
+
+
+def _float64_bands(model, tile, spec):
+    """The float64 means that predict_tile rounds into its map, band by band."""
+    rows = max(1, forest_module.BAND_PIXELS // tile.width)
+    bands = [
+        forest_module._mean_leaf_prob(
+            model, *feature_planes(tile, spec, y0, min(y0 + rows, tile.height))
+        )
+        for y0 in range(0, tile.height, rows)
+    ]
+    return np.concatenate(bands).reshape(tile.height, tile.width)
 
 
 def _mixed_depth_forest(X, y):
@@ -582,12 +598,13 @@ def test_tree_depth_matches_recursive_oracle():
 
 @pytest.mark.parametrize("band_pixels", [4, 8, 16, 1 << 14])
 def test_forest_router_matches_scalar_oracle(monkeypatch, band_pixels):
-    """predict_tile and predict_batch equal scalar_predict bit for bit.
+    """predict_batch and each predict_tile band equal scalar_predict bit for bit.
 
     On a 12-row, 20-wide tile, BAND_PIXELS 4, 8 and 16 give bands of one
     20-pixel row, routed in groups of 1, 3 (3 + 2) and all 5 trees;
     1 << 14 gives one band of the whole tile.  predict_batch routes its
-    240 rows in groups of 1, 1, 1 and 5 trees.
+    240 rows in groups of 1, 1, 1 and 5 trees.  The float64 means of every
+    band are checked; predict_tile's map holds them rounded to float32.
     """
     rng = np.random.default_rng(21)
     spec = FeatureSpec()
@@ -599,10 +616,13 @@ def test_forest_router_matches_scalar_oracle(monkeypatch, band_pixels):
     expected = np.array([scalar_predict(model, x) for x in X])
     monkeypatch.setattr(forest_module, "BAND_PIXELS", band_pixels)
     assert np.array_equal(predict_batch(model, X), expected)
-    assert np.array_equal(predict_tile(model, tile, spec).ravel(), expected)
+    assert np.array_equal(_float64_bands(model, tile, spec).ravel(), expected)
+    conf = predict_tile(model, tile, spec)
+    assert conf.dtype == np.float32
+    assert np.array_equal(conf.ravel(), expected.astype(np.float32))
     with ThreadPoolExecutor(max_workers=2) as pool:
         pooled = predict_tile(model, tile, spec, map=pool.map)
-    assert np.array_equal(pooled.ravel(), expected)
+    assert np.array_equal(pooled.ravel(), expected.astype(np.float32))
 
 
 def test_forest_router_sends_nan_right():

@@ -1,3 +1,6 @@
+import os
+import stat
+
 import numpy as np
 import pytest
 
@@ -23,6 +26,7 @@ from pvdetect.imagery import (
     save_annotations,
     save_manifest,
     save_tile,
+    write_atomic,
 )
 from oracles import point_in_polygon
 
@@ -373,3 +377,36 @@ def test_load_entry_mismatched_tile_id(tmp_path):
     entry = ManifestEntry("train", tmp_path / "t0.ppm", tmp_path / "t0.csv")
     with pytest.raises(AnnotationError):
         load_entry(entry)
+
+
+# ---------------------------------------------------------------------------
+# Reading text and writing files
+# ---------------------------------------------------------------------------
+
+
+def test_load_annotations_non_utf8_is_data_error(tmp_path):
+    path = tmp_path / "t.csv"
+    path.write_bytes(b"t,p,0,0,1,0,1,1\xff\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_annotations(path)
+
+
+def test_load_manifest_non_utf8_is_data_error(tmp_path):
+    path = tmp_path / "manifest.txt"
+    path.write_bytes(b"test,t\xff.ppm,t.csv\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        load_manifest(path)
+
+
+@pytest.mark.parametrize("umask, mode", [(0o022, 0o644), (0o077, 0o600)])
+def test_write_atomic_honours_umask(tmp_path, umask, mode):
+    path = tmp_path / "out" / "file.txt"
+    old = os.umask(umask)
+    try:
+        write_atomic(path, "text\n")
+        write_atomic(path, b"again\n")  # replacing keeps the mode rule
+    finally:
+        os.umask(old)
+    assert stat.S_IMODE(path.stat().st_mode) == mode
+    assert path.read_bytes() == b"again\n"
+    assert os.listdir(path.parent) == ["file.txt"]

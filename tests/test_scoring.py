@@ -4,8 +4,10 @@ from xml.etree import ElementTree
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from oracles import SetDetection
+from oracles import SetDetection, full_sort_pixel_pr
 from oracles import multi_tile_object_pr as oracle_multi_tile_object_pr
 from pvdetect.detection import DetectionObject
 from pvdetect.errors import ConfigError, DataError
@@ -182,6 +184,37 @@ def test_pixel_pr_quantized_sweep():
         detected = (conf >= t) & (conf > 0)
         assert p == (mask & detected).sum() / detected.sum()
         assert r == (mask & detected).sum() / n_pos
+
+
+@st.composite
+def pixel_cases(draw):
+    """Float32 or float64 maps of few distinct values, many exact zeros and
+    whole all-zero tiles, with masks holding at least one positive pixel."""
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    width = 32 if dtype is np.float32 else 64
+    values = st.floats(0.0, 1.0, width=width)
+    pool = draw(st.lists(values, min_size=1, max_size=4)) + [0.0] * draw(st.integers(0, 4))
+    confs, masks = [], []
+    for _ in range(draw(st.integers(1, 3))):
+        shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=7))
+        conf = draw(hnp.arrays(dtype, shape, elements=st.sampled_from(pool)))
+        confs.append(conf * dtype(0) if draw(st.booleans()) else conf)
+        masks.append(draw(hnp.arrays(bool, shape)))
+    masks[0].flat[0] = True
+    return confs, masks
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(pixel_cases())
+def test_pixel_pr_matches_full_sort_oracle_bit_for_bit(case):
+    confs, masks = case
+    for sweep in ("exact", "quantized"):
+        got = pixel_pr(confs, masks, sweep)
+        want = full_sort_pixel_pr(confs, masks, sweep)
+        for name in ("thresholds", "precision", "recall"):
+            a, b = getattr(got, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+        assert (got.prevalence, got.quantized) == (want.prevalence, want.quantized)
 
 
 # ---------------------------------------------------------------------------
@@ -412,6 +445,29 @@ def test_pr_csv_roundtrip(tmp_path):
     assert np.array_equal(again.recall, curve.recall)
     assert again.prevalence == curve.prevalence
     assert again.quantized
+
+
+def test_pr_csv_row_text_is_pinned(tmp_path):
+    curve = PRCurve(
+        np.array([1.0, 1.0 / 3.0, 5e-324]),
+        np.array([0.0, 1.0 / 3.0, 1.0]),
+        np.array([1.0 / 3.0, 0.5, 1.0]),
+        prevalence=0.0,
+    )
+    path = tmp_path / "pr.csv"
+    write_pr_csv(curve, path)
+    assert path.read_text().splitlines()[2:] == [
+        "1,0,0.33333333333333331",
+        "0.33333333333333331,0.33333333333333331,0.5",
+        "4.9406564584124654e-324,1,1",
+    ]
+
+
+def test_read_pr_csv_non_utf8_is_data_error(tmp_path):
+    path = tmp_path / "pr.csv"
+    path.write_bytes(b"# prevalence=0.1\nthreshold,precision,recall\n0.5,1,1\xff\n")
+    with pytest.raises(DataError, match="not UTF-8"):
+        read_pr_csv(path)
 
 
 @pytest.mark.parametrize(
