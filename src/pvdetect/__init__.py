@@ -12,7 +12,6 @@ from .config import RunConfig, load_config, parse_config
 from .detection import (
     DetectionObject,
     PPParams,
-    disk_element,
     extract_objects,
     filter_maxima,
     load_confidence_map,

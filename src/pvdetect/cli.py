@@ -25,6 +25,8 @@ from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
+import numpy as np
+
 from . import detection, forest, imagery, scoring, synth
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, InputError, PVDetectError
@@ -334,14 +336,23 @@ def cmd_score(
             scoring.write_pr_svg(curve, svg_path, title)
             outputs.append(svg_path)
 
+    # each annotation's flat pixel indices, computed once for both curves
+    annotation_pixels = [
+        [imagery.polygon_pixels(ann, tile.width, tile.height) for ann in anns]
+        for tile, anns in zip(tiles, annotations)
+    ]
+
     if maps_dir is not None:
         maps_dir = Path(maps_dir)
         conf_maps, masks = [], []
-        for tile, anns in zip(tiles, annotations):
+        for tile, pixels in zip(tiles, annotation_pixels):
             cmap_path = maps_dir / f"{tile.tile_id}.cmap"
             inputs.append(cmap_path)
             conf_maps.append(detection.load_confidence_map(cmap_path))
-            masks.append(imagery.rasterize(anns, tile.width, tile.height))
+            mask = np.zeros(tile.height * tile.width, dtype=bool)
+            for flat in pixels:
+                mask[flat] = True
+            masks.append(mask.reshape(tile.height, tile.width))
         curve = scoring.pixel_pr(conf_maps, masks, config.sweep)
         emit(curve, out_dir / "pr_pixel.csv", "pixel-level PR")
 
@@ -351,16 +362,12 @@ def cmd_score(
         detections_by_tile = read_detections_csv(
             detections_path, {t.tile_id: (t.height, t.width) for t in tiles}
         )
-        annotations_by_tile = {
-            tile.tile_id: [
-                imagery.polygon_pixels(ann, tile.width, tile.height) for ann in anns
-            ]
-            for tile, anns in zip(tiles, annotations)
-        }
-        for level in config.jaccard_levels:
-            curve = scoring.multi_tile_object_pr(
-                detections_by_tile, annotations_by_tile, level
-            )
+        curves = scoring.multi_tile_object_pr(
+            detections_by_tile,
+            {tile.tile_id: pixels for tile, pixels in zip(tiles, annotation_pixels)},
+            config.jaccard_levels,
+        )
+        for level, curve in zip(config.jaccard_levels, curves):
             emit(
                 curve,
                 out_dir / f"pr_object_j{level:g}.csv",

@@ -18,16 +18,21 @@ map of constant-valued grown regions:
    already-assigned value within disk r_2.  Closing is computed against
    the infinite plane, so it never loses support at tile borders.
 
-No step loops over pixels in Python.  NMS is three separable running-max
-filters (each doubling its span per pass): a pixel survives when it equals
-its window maximum and strictly exceeds the window rows above it and the
-window pixels left of it in its row, which is exactly the (y, x) tie-break.
-A disk filter takes one horizontal running max per distinct half-width of
-the disk's rows, then combines its 2r + 1 row shifts.  One labeler serves
-step 3 and objects: searchsorted finds neighbour pairs among the sorted flat
-indices of the support, and rounds of hooking roots under smaller roots,
-each followed by pointer jumping (Shiloach & Vishkin), label each pixel
-with the smallest flat index of its component.
+No step loops over pixels or seeds in Python.  NMS is three separable
+running-max filters (each doubling its span per pass): a pixel survives
+when it equals its window maximum and strictly exceeds the window rows
+above it and the window pixels left of it in its row, which is exactly the
+(y, x) tie-break.  Step 3 runs on batches of seeds sized by SEED_CELLS: one
+bincount gives every crop's histogram, the Otsu argmax is taken for all
+crops at once (exactly, first maximum on ties; Otsu 1979), and the crops,
+framed and stacked, take one labeling; regions merge by np.maximum.at,
+which does not depend on order.  A disk filter takes one horizontal running
+max per distinct half-width of the disk's rows, then combines its 2r + 1
+row shifts.  One labeler serves step 3 and objects: searchsorted finds
+neighbour pairs among the sorted flat indices of the support, and rounds of
+hooking roots under smaller roots, each followed by pointer jumping
+(Shiloach & Vishkin), label each pixel with the smallest flat index of its
+component.
 
 Maps stay float32 (as the CMAP stores them) or else float64 throughout.
 Max, where, > 0 and x 256 are exact in float32 and c_0 is compared on
@@ -50,7 +55,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .features import BAND_PIXELS
 from .imagery import read_input, write_atomic
+
+# step 3 grows seeds in batches of at most this many window cells
+# (seeds x otsu_side**2, 45 seeds at the defaults), so its memory stays
+# flat at any seed count; larger batches ran no faster
+SEED_CELLS = BAND_PIXELS
 
 
 @dataclass(frozen=True)
@@ -211,55 +222,15 @@ def otsu_threshold(values: np.ndarray) -> float:
     """Otsu threshold over a fixed 256-bin histogram of [0, 1].
 
     Returns the bin edge k/256 maximizing the between-class variance, with
-    ties resolved to the lowest edge.  Class statistics are compared in
-    exact integer arithmetic, so the argmax is reproducible bit for bit.
-    When every value falls into a single bin the edge just above that bin
-    is returned, making the foreground (values >= threshold, by bin) empty.
+    ties resolved to the lowest edge; see _otsu_bins, which decides ties
+    exactly.  When every value falls into a single bin the edge just above
+    that bin is returned, making the foreground (values >= threshold, by
+    bin) empty.
     """
     values = np.asarray(values, dtype=np.float64).ravel()
     if values.size == 0:
         raise ValueError("otsu_threshold needs at least one value")
-    hist = np.bincount(bin256(values), minlength=256)
-    counts = hist.tolist()
-    total = int(values.size)
-    weighted_total = sum(i * c for i, c in enumerate(counts))
-
-    best_k = None
-    # sigma_b = w0*w1*(mu0-mu1)^2 = (s0*w1 - s1*w0)^2 / (w0*w1); compare
-    # candidates by cross-multiplied integers to avoid float ties
-    best_num, best_den = -1, 1
-    w0 = 0
-    s0 = 0
-    for k in range(1, 256):
-        w0 += counts[k - 1]
-        s0 += (k - 1) * counts[k - 1]
-        w1 = total - w0
-        if w0 == 0 or w1 == 0:
-            continue
-        s1 = weighted_total - s0
-        num = (s0 * w1 - s1 * w0) ** 2
-        den = w0 * w1
-        if num * best_den > best_num * den:
-            best_num, best_den = num, den
-            best_k = k
-    if best_k is None:
-        # all values share one bin
-        only_bin = int(bin256(values[:1])[0])
-        return (only_bin + 1) / 256.0
-    return best_k / 256.0
-
-
-def disk_element(radius: int) -> list[tuple[int, int]]:
-    """Offsets (dx, dy) of the discrete disk dx**2 + dy**2 <= radius**2."""
-    if radius < 0:
-        raise ConfigError(f"disk radius must be >= 0, got {radius}")
-    r2 = radius * radius
-    return [
-        (dx, dy)
-        for dy in range(-radius, radius + 1)
-        for dx in range(-radius, radius + 1)
-        if dx * dx + dy * dy <= r2
-    ]
+    return int(_otsu_bins(np.bincount(bin256(values), minlength=256)[None])[0]) / 256.0
 
 
 def _max_filter(values: np.ndarray, radius: int, outside=0) -> np.ndarray:
@@ -337,35 +308,79 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             root = jumped
 
 
-def _component_containing(mask: np.ndarray, seed_y: int, seed_x: int) -> np.ndarray:
-    """8-connected component of mask containing the seed pixel."""
-    pixels, labels = _label(mask)
-    seed = labels[np.searchsorted(pixels, seed_y * mask.shape[1] + seed_x)]
-    out = np.zeros(mask.size, dtype=bool)
-    out[pixels[labels == seed]] = True
-    return out.reshape(mask.shape)
+def _grow_regions(conf: np.ndarray, xs: np.ndarray, ys: np.ndarray, side: int):
+    """Step 3 for a batch of seeds: (flat tile indices, values) to merge by max.
+
+    Off-tile cells of each side x side window are masked off (and counted in
+    a dropped 257th histogram bin), which leaves exactly the clamped crop.
+    Crops stack in one canvas with a background row under each.
+    """
+    h, w = conf.shape
+    half, n = side // 2, xs.size
+    offsets = np.arange(side) - half
+    rows, cols = ys[:, None] + offsets, xs[:, None] + offsets
+    inside = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None, :]
+    rows_in, cols_in = np.clip(rows, 0, h - 1), np.clip(cols, 0, w - 1)
+    bins = bin256(conf[rows_in[:, :, None], cols_in[:, None, :]])
+    hist = np.bincount(
+        (np.where(inside, bins, 256) + 257 * np.arange(n)[:, None, None]).ravel(),
+        minlength=257 * n,
+    ).reshape(n, 257)[:, :256]
+    foreground = inside & (bins >= _otsu_bins(hist)[:, None, None])
+    foreground[:, half, half] = True  # the maximum is always foreground
+    cell = (side + 1) * side
+    pixels, labels = _label(np.pad(foreground, ((0, 0), (0, 1), (0, 0))).reshape(-1, side))
+    seed_label = labels[np.searchsorted(pixels, np.arange(n) * cell + half * side + half)]
+    owner = pixels // cell
+    keep = labels == seed_label[owner]
+    owner = owner[keep]
+    r, c = np.divmod(pixels[keep] - owner * cell, side)
+    return rows[owner, r] * w + cols[owner, c], conf[ys, xs][owner]
+
+
+def _otsu_bins(hist: np.ndarray) -> np.ndarray:
+    """otsu_threshold's bin edge k (threshold k / 256) for each histogram row.
+
+    Only edges right above an occupied bin can be a first maximum.  A float
+    screen keeps every edge within 2**-40 of the row's largest between-class
+    variance, which the exact maximum always is; rows left with several are
+    settled in exact integers.  A row whose values share one bin gets the
+    edge above that bin.
+    """
+    weights, sums = np.cumsum(hist, axis=1), np.cumsum(hist * np.arange(256), axis=1)
+    w0, s0 = weights[:, :255], sums[:, :255]  # class 0 is the bins below k = 1 .. 255
+    w1, s1 = weights[:, 255:] - w0, sums[:, 255:] - s0
+    diff, den = s0 * w1 - s1 * w0, w0 * w1
+    valid = (hist[:, :255] > 0) & (w1 > 0)
+    sigma = np.where(valid, diff.astype(np.float64) ** 2 / np.maximum(den, 1), -1.0)
+    near = valid & (sigma >= sigma.max(axis=1, keepdims=True) * (1.0 - 2.0**-40))
+    one_bin = 256 - hist[:, ::-1].argmax(axis=1)  # the edge above the top bin
+    k = np.where(valid.any(axis=1), near.argmax(axis=1) + 1, one_bin)
+    for row in np.flatnonzero(near.sum(axis=1) > 1):
+        best_num, best_den = -1, 1
+        for j in np.flatnonzero(near[row]).tolist():
+            num, d = int(diff[row, j]) ** 2, int(den[row, j])
+            if num * best_den > best_num * d:
+                best_num, best_den, k[row] = num, d, j + 1
+    return k
 
 
 def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
     """Enhanced confidence map per the region-growing algorithm above."""
     conf = _check_map(conf)
+    if conf.min() < 0.0:
+        raise DataError("confidence map holds negative values")
     h, w = conf.shape
     maxima = filter_maxima(
         nonmax_suppress(conf, params.nms_side), params.confidence_floor
     )
-    enhanced = np.zeros_like(conf)
-    half = params.otsu_side // 2
-    for x, y, value in maxima:
-        ax, bx = max(0, x - half), min(w - 1, x + half)
-        ay, by = max(0, y - half), min(h - 1, y + half)
-        crop = conf[ay : by + 1, ax : bx + 1]
-        threshold = otsu_threshold(crop.ravel())
-        k = int(round(threshold * 256.0))
-        foreground = bin256(crop) >= k
-        foreground[y - ay, x - ax] = True  # the maximum is always foreground
-        component = _component_containing(foreground, y - ay, x - ax)
-        region = enhanced[ay : by + 1, ax : bx + 1]
-        np.maximum(region, np.where(component, value, 0.0), out=region)
+    xs, ys = np.array([m[:2] for m in maxima], dtype=np.int64).reshape(-1, 2).T
+    enhanced = np.zeros(h * w, dtype=conf.dtype)
+    step = max(1, SEED_CELLS // params.otsu_side**2)
+    for at in range(0, xs.size, step):
+        batch = slice(at, at + step)
+        np.maximum.at(enhanced, *_grow_regions(conf, xs[batch], ys[batch], params.otsu_side))
+    enhanced = enhanced.reshape(h, w)
 
     support = enhanced > 0.0
     closed = _close_support(support, params.closing_radius)
@@ -377,34 +392,21 @@ def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
     return np.where(closed, after_close, grown)
 
 
-def connected_components(mask: np.ndarray) -> list[np.ndarray]:
-    """8-connected components of a boolean mask.
-
-    Each component is an (n, 2) array of (y, x) pixel coordinates in
-    row-major order; the components are ordered by their first pixel.
-    """
-    pixels, labels = _label(mask)
-    if pixels.size == 0:
-        return []
-    order = np.argsort(labels, kind="stable")
-    pixels, labels = pixels[order], labels[order]
-    starts = np.flatnonzero(np.diff(labels)) + 1
-    width = mask.shape[1]
-    return [np.stack(np.divmod(c, width), axis=1) for c in np.split(pixels, starts)]
-
-
 def extract_objects(enhanced: np.ndarray) -> list[DetectionObject]:
-    """Detected objects: 8-connected components of the positive support."""
+    """Detected objects: 8-connected components of the positive support.
+
+    Objects come in the order of their first pixel, row-major.
+    """
     enhanced = _check_map(enhanced)
-    width = enhanced.shape[1]
+    pixels, labels = _label(enhanced > 0.0)
+    order = np.argsort(labels, kind="stable")
+    starts = np.flatnonzero(np.diff(labels[order])) + 1
     values = enhanced.ravel()
-    objects = []
-    for pixels in connected_components(enhanced > 0.0):
-        flat = pixels[:, 0] * width + pixels[:, 1]
-        objects.append(
-            DetectionObject(flat, float(values[flat].max()), enhanced.shape)
-        )
-    return objects
+    return [
+        DetectionObject(flat, float(values[flat].max()), enhanced.shape)
+        for flat in np.split(pixels[order], starts)
+        if flat.size
+    ]
 
 
 # ---------------------------------------------------------------------------

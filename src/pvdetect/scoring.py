@@ -13,8 +13,10 @@ of them as detected.
 Objects and annotations are sets of flat pixel indices y * width + x of
 their tile (see DetectionObject).  Whether a detection is accepted depends
 on that detection and its tile's annotations only, so each detection is
-judged once per Jaccard level, on its own tile; one sort by confidence
-then yields the whole object curve, as in the PASCAL VOC evaluation.
+judged once, on its own tile, for every Jaccard level: its Jaccard with
+the annotations it touches is computed once, and each level is one
+comparison.  One sort by confidence then yields every level's object
+curve, as in the PASCAL VOC evaluation.
 
 Both flavors report the positive-class prevalence as the random-detector
 baseline: the positive pixel fraction at pixel level, and the precision
@@ -50,14 +52,18 @@ class PRCurve:
             object.__setattr__(self, name, arr)
             if arr.shape != t.shape:
                 raise DataError("curve arrays must have identical length")
-        if t.size:
-            if not (np.diff(t) < 0).all():
-                raise DataError("thresholds must be strictly decreasing")
-            if (np.diff(r) < 0).any():
-                raise DataError("recall must be non-decreasing along the sweep")
-            for name, arr in (("precision", p), ("recall", r)):
-                if arr.min() < 0.0 or arr.max() > 1.0:
-                    raise DataError(f"{name} outside [0, 1]")
+        # every check is written so that NaN fails it
+        if not 0.0 <= self.prevalence <= 1.0:
+            raise DataError(f"prevalence {self.prevalence} outside [0, 1]")
+        if not np.isfinite(t).all():
+            raise DataError("thresholds must be finite")
+        if not (np.diff(t) < 0).all():
+            raise DataError("thresholds must be strictly decreasing")
+        if not (np.diff(r) >= 0).all():
+            raise DataError("recall must be non-decreasing along the sweep")
+        for name, arr in (("precision", p), ("recall", r)):
+            if not ((arr >= 0.0) & (arr <= 1.0)).all():
+                raise DataError(f"{name} outside [0, 1]")
 
     @property
     def max_recall(self) -> float:
@@ -150,21 +156,15 @@ def pixel_pr(
 
 
 def judge_detections(
-    detections: list[DetectionObject],
-    annotation_pixels: list,
-    jaccard_threshold: float,
-) -> list[np.ndarray]:
-    """Per detection, the indices of the annotations it detects.
+    detections: list[DetectionObject], annotation_pixels: list
+) -> tuple[list[np.ndarray], np.ndarray]:
+    """Per detection, the annotations it touches and its Jaccard with them.
 
-    Detections and annotations hold flat pixel indices of one tile.  A
-    detection is true when the union of the annotations it touches is
-    non-empty and overlaps it with Jaccard >= the threshold; it then
-    detects them all.  A false detection gets an empty array.
+    Detections and annotations hold flat pixel indices of one tile.  The
+    Jaccard is taken against the union of the touched annotations, and is
+    0.0 for a detection touching none.  At level J* a detection is true
+    when its Jaccard is >= J*; it then detects every annotation it touches.
     """
-    if not 0.0 < jaccard_threshold <= 1.0:
-        raise ConfigError(
-            f"jaccard threshold must be in (0, 1], got {jaccard_threshold}"
-        )
     anns = [np.asarray(a, dtype=np.int64) for a in annotation_pixels]
     # every annotation pixel with its owner, sorted by pixel; overlapping
     # annotations put several entries on one pixel
@@ -172,67 +172,78 @@ def judge_detections(
     flat = np.concatenate([np.empty(0, dtype=np.int64), *anns])
     order = np.argsort(flat, kind="stable")
     flat, owner = flat[order], owner[order]
-    judged = []
-    for det in detections:
+    touched, overlap = [], np.zeros(len(detections))
+    for i, det in enumerate(detections):
         lo = np.searchsorted(flat, det.pixels, side="left")
         hi = np.searchsorted(flat, det.pixels, side="right")
         n = hi - lo  # pixel k of the detection matches entries lo[k] .. hi[k]-1
         entries = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
-        touching = np.unique(owner[entries])
-        union = np.concatenate([flat[:0], *(anns[i] for i in touching)])
-        if not union.size or jaccard(det.pixels, union) < jaccard_threshold:
-            touching = touching[:0]
-        judged.append(touching)
-    return judged
+        ids = np.unique(owner[entries])
+        if ids.size:
+            overlap[i] = jaccard(det.pixels, np.concatenate([anns[j] for j in ids]))
+        touched.append(ids)
+    return touched, overlap
 
 
 def multi_tile_object_pr(
     detections_by_tile: dict,
     annotations_by_tile: dict,
-    jaccard_threshold: float,
-) -> PRCurve:
-    """Object-level PR curve pooled over tiles, keyed by tile id.
+    jaccard_levels,
+) -> list[PRCurve]:
+    """Object-level PR curves pooled over tiles, one per Jaccard level.
 
-    Each detection is judged once, against its own tile's annotations.  At
-    each distinct confidence t, precision is the true fraction of the
-    detections with confidence >= t, and recall the fraction of annotations
-    whose best true detection has confidence >= t.  The prevalence field
-    is the precision of the full candidate list (the random-detector
-    baseline); maximum recall stays below 1 if an annotation is missed.
+    Tiles are keyed by tile id.  Each detection is judged once, against its
+    own tile's annotations, for every level.  At each distinct confidence
+    t, precision is the true fraction of the detections with confidence
+    >= t, and recall the fraction of annotations whose best true detection
+    has confidence >= t.  The prevalence field is the precision of the full
+    candidate list (the random-detector baseline); maximum recall stays
+    below 1 if an annotation is missed.
     """
+    levels = [float(level) for level in jaccard_levels]
+    if not all(0.0 < level <= 1.0 for level in levels):
+        raise ConfigError(f"jaccard thresholds must be in (0, 1], got {levels}")
     extra = set(detections_by_tile) - set(annotations_by_tile)
     if extra:
         raise DataError(f"detections reference unknown tiles: {sorted(extra)}")
-    confidences, detected = [], []
+    confidences, touched, overlaps = [], [], []
     n_annotations = 0
     for tile_id in sorted(annotations_by_tile):
         anns = annotations_by_tile[tile_id]
         dets = detections_by_tile.get(tile_id, [])
         confidences.extend(d.confidence for d in dets)
-        for ids in judge_detections(dets, anns, jaccard_threshold):
-            detected.append(ids + n_annotations)
+        ids, overlap = judge_detections(dets, anns)
+        touched.extend(t + n_annotations for t in ids)
+        overlaps.append(overlap)
         n_annotations += len(anns)
     if not n_annotations:
         raise DataError("object scoring requires at least one annotation")
     if not confidences:
-        return PRCurve(np.array([]), np.array([]), np.array([]), 0.0)
+        return [PRCurve(np.array([]), np.array([]), np.array([]), 0.0) for _ in levels]
 
     conf = np.array(confidences, dtype=np.float64)
+    overlap = np.concatenate(overlaps)
     order = np.argsort(-conf, kind="stable")
     sorted_conf = conf[order]
-    cum_true = np.cumsum(np.array([ids.size > 0 for ids in detected])[order])
     ends = np.flatnonzero(np.append(sorted_conf[:-1] != sorted_conf[1:], True))
     thresholds = sorted_conf[ends]
-    best = np.full(n_annotations, -np.inf)
-    hits = np.concatenate(detected)
-    np.maximum.at(best, hits, np.repeat(conf, [ids.size for ids in detected]))
-    n_detected = np.searchsorted(np.sort(-best), -thresholds, side="right")
-    return PRCurve(
-        thresholds,
-        cum_true[ends] / (ends + 1),
-        n_detected / n_annotations,
-        int(cum_true[-1]) / conf.size,
-    )
+    hits = np.concatenate(touched)
+    hit_by = np.repeat(np.arange(conf.size), [ids.size for ids in touched])
+    curves = []
+    for level in levels:
+        true = overlap >= level
+        cum_true = np.cumsum(true[order])
+        best = np.full(n_annotations, -np.inf)
+        kept = true[hit_by]
+        np.maximum.at(best, hits[kept], conf[hit_by[kept]])
+        n_detected = np.searchsorted(np.sort(-best), -thresholds, side="right")
+        curves.append(PRCurve(
+            thresholds,
+            cum_true[ends] / (ends + 1),
+            n_detected / n_annotations,
+            int(cum_true[-1]) / conf.size,
+        ))
+    return curves
 
 
 # ---------------------------------------------------------------------------

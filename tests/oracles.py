@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 
+from pvdetect import detection
 from pvdetect.errors import ConfigError, DataError
 from pvdetect.scoring import PRCurve
 
@@ -337,12 +338,16 @@ def flood_components(mask):
 # ---------------------------------------------------------------------------
 
 
-def _disk(radius):
+def disk_element(radius: int) -> list[tuple[int, int]]:
+    """Offsets (dx, dy) of the discrete disk dx**2 + dy**2 <= radius**2."""
+    if radius < 0:
+        raise ConfigError(f"disk radius must be >= 0, got {radius}")
+    r2 = radius * radius
     return [
         (dx, dy)
         for dy in range(-radius, radius + 1)
         for dx in range(-radius, radius + 1)
-        if dx * dx + dy * dy <= radius * radius
+        if dx * dx + dy * dy <= r2
     ]
 
 
@@ -384,7 +389,7 @@ def reference_postprocess(conf, params):
     # morphology: closing against the infinite plane, then dilation; added
     # pixels take the maximum value within structuring-element reach
     r1, r2 = params.closing_radius, params.dilation_radius
-    d1, d2 = _disk(r1), _disk(r2)
+    d1, d2 = disk_element(r1), disk_element(r2)
     support = enhanced > 0.0
 
     dilated1 = np.zeros((h + 2 * r1, w + 2 * r1), dtype=bool)
@@ -435,6 +440,57 @@ def reference_postprocess(conf, params):
                             best = max(best, after_close[ny, nx])
                     result[y, x] = best
     return result
+
+
+# ---------------------------------------------------------------------------
+# Seed-by-seed post-processing
+# ---------------------------------------------------------------------------
+# pvdetect's earlier postprocess, which grew one seed at a time: a Python
+# Otsu loop (here the exact rational one above) and one labeling per crop.
+# It is the reference for the batched step 3 of
+# pvdetect.detection.postprocess, which must match it bit for bit.
+
+
+def _component_containing(mask: np.ndarray, seed_y: int, seed_x: int) -> np.ndarray:
+    """8-connected component of mask containing the seed pixel."""
+    pixels, labels = detection._label(mask)
+    seed = labels[np.searchsorted(pixels, seed_y * mask.shape[1] + seed_x)]
+    out = np.zeros(mask.size, dtype=bool)
+    out[pixels[labels == seed]] = True
+    return out.reshape(mask.shape)
+
+
+def seedwise_postprocess(conf: np.ndarray, params) -> np.ndarray:
+    """Enhanced confidence map, growing one seed's region at a time."""
+    conf = detection._check_map(conf)
+    h, w = conf.shape
+    maxima = detection.filter_maxima(
+        detection.nonmax_suppress(conf, params.nms_side), params.confidence_floor
+    )
+    enhanced = np.zeros_like(conf)
+    half = params.otsu_side // 2
+    for x, y, value in maxima:
+        ax, bx = max(0, x - half), min(w - 1, x + half)
+        ay, by = max(0, y - half), min(h - 1, y + half)
+        crop = conf[ay : by + 1, ax : bx + 1]
+        threshold = exhaustive_otsu(crop.ravel())
+        k = int(round(threshold * 256.0))
+        foreground = detection.bin256(crop) >= k
+        foreground[y - ay, x - ax] = True  # the maximum is always foreground
+        component = _component_containing(foreground, y - ay, x - ax)
+        region = enhanced[ay : by + 1, ax : bx + 1]
+        np.maximum(region, np.where(component, value, 0.0), out=region)
+
+    support = enhanced > 0.0
+    closed = detection._close_support(support, params.closing_radius)
+    grown = np.where(closed, detection._max_filter(enhanced, params.closing_radius), 0.0)
+    after_close = np.where(support, enhanced, grown)
+    del enhanced, grown  # full-size maps: keep at most a few alive at once
+    dilated = detection._max_filter(closed, params.dilation_radius)
+    grown = np.where(
+        dilated, detection._max_filter(after_close, params.dilation_radius), 0.0
+    )
+    return np.where(closed, after_close, grown)
 
 
 # ---------------------------------------------------------------------------

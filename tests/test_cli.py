@@ -458,6 +458,22 @@ def test_main_data_error_exit_4(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
 
 
+def test_main_eval_non_finite_pr_value_exit_4(tmp_path, capsys, monkeypatch):
+    # eval reads its PR files back into the report; JSON cannot hold a NaN
+    def write_nan_precision(curve, path):
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_text("# prevalence=0.5\nthreshold,precision,recall\n0.5,nan,1\n")
+
+    monkeypatch.setattr(cli.scoring, "write_pr_csv", write_nan_precision)
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(tiny_config_text())
+    out = tmp_path / "out"
+    code = main(["eval", "--config", str(config_path), "--out", str(out)])
+    assert code == 4
+    assert "precision outside [0, 1]" in capsys.readouterr().err
+    assert not (out / "eval_report.json").exists()
+
+
 def test_main_score_malformed_detections_exit_4(tmp_path, capsys):
     config_path = tmp_path / "run.cfg"
     config_path.write_text(tiny_config_text())

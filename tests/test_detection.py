@@ -1,12 +1,13 @@
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pvdetect.detection import (
     DetectionObject,
     PPParams,
-    connected_components,
     decode_confidence_map,
-    disk_element,
     encode_confidence_map,
     extract_objects,
     filter_maxima,
@@ -17,7 +18,15 @@ from pvdetect.detection import (
     save_confidence_map,
 )
 from pvdetect.errors import ConfigError, DataError, InputError
-from oracles import brute_nms, exhaustive_otsu, flood_components, reference_postprocess
+from pvdetect import detection
+from oracles import (
+    brute_nms,
+    disk_element,
+    exhaustive_otsu,
+    flood_components,
+    reference_postprocess,
+    seedwise_postprocess,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -151,6 +160,14 @@ def test_disk_element_examples():
     assert all(dx * dx + dy * dy <= 4 for dx, dy in disk_element(2))
     with pytest.raises(ConfigError):
         disk_element(-1)
+    # the disk filter's footprint around one pixel is exactly the disk
+    for radius in range(7):
+        impulse = np.zeros((2 * radius + 3, 2 * radius + 3))
+        impulse[radius + 1, radius + 1] = 1.0
+        footprint = detection._max_filter(impulse, radius)
+        dy, dx = np.nonzero(footprint)
+        offsets = zip((dx - radius - 1).tolist(), (dy - radius - 1).tolist())
+        assert sorted(offsets) == sorted(disk_element(radius)), radius
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +306,75 @@ def test_floor_is_compared_in_float64():
     assert [o.confidence for o in extract_objects(enhanced)] == [float(conf[7, 7])]
 
 
+@st.composite
+def seeded_maps(draw):
+    """(map, params, one seed per batch) for the seed-by-seed oracle.
+
+    Values come from a small pool padded with zeros, so crops hold
+    plateaus, ties and single bins; small maps put many seeds on borders
+    and corners with overlapping crops.  otsu_side 85 runs on maps large
+    enough that a crop holds more than 83**2 cells, past where the exact
+    Otsu numerator fits in int64.
+    """
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    side = draw(st.sampled_from([3, 5, 19, 85]))
+    limit = 96 if side == 85 else 40
+    shape = (draw(st.integers(1, limit)), draw(st.integers(1, limit)))
+    values = st.floats(0.0, 1.0, width=32 if dtype is np.float32 else 64)
+    pool = draw(st.lists(values, min_size=1, max_size=6)) + [0.0] * draw(st.integers(0, 6))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    conf = rng.choice(np.array(pool, dtype=dtype), size=shape)
+    params = PPParams(
+        nms_side=draw(st.sampled_from([3, 5, 9])),
+        confidence_floor=draw(st.sampled_from([0.01, 0.375, 0.9])),
+        otsu_side=side,
+        closing_radius=draw(st.integers(0, 3)),
+        dilation_radius=draw(st.integers(0, 2)),
+    )
+    return conf, params, draw(st.booleans())
+
+
+_TIE = np.array([[0.0, 100.5 / 256, 200.5 / 256]])  # bins 0, 100, 200: k=1 ties k=101
+_HALVES = np.zeros((90, 90))  # the peak's 85 x 85 crop: bins 0 and 255, numerator 1.1e19
+_HALVES[:, 45:] = 0.999
+_HALVES[45, 45] = 1.0
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(seeded_maps())
+@example((_TIE, PPParams(nms_side=3, otsu_side=5, closing_radius=0, dilation_radius=0), False))
+@example((_HALVES, PPParams(otsu_side=85, closing_radius=0, dilation_radius=0), False))
+@example((np.full((4, 6), 0.5, np.float32), PPParams(nms_side=3, otsu_side=3), True))
+def test_postprocess_matches_seedwise_oracle_bit_for_bit(case):
+    conf, params, one_seed_batches = case
+    cells = 1 if one_seed_batches else detection.SEED_CELLS
+    with mock.patch.object(detection, "SEED_CELLS", cells):
+        got = postprocess(conf, params)
+    want = seedwise_postprocess(conf, params)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+def test_otsu_matches_exhaustive_oracle_on_histograms_past_int64():
+    rng = np.random.default_rng(21)
+    hists = [rng.integers(0, 3, 256) * (rng.random(256) < 0.05) for _ in range(100)]
+    hists += [rng.integers(0, 2000, 256) * (rng.random(256) < 0.04) for _ in range(10)]
+    hists += [np.bincount([0, 100, 200], minlength=256), np.bincount([7] * 5, minlength=256)]
+    hists = [h for h in hists if h.any()]
+    # a crop of more than 83 x 83 cells is past int64 for the exact numerator
+    assert sum(h.sum() > 83 * 83 for h in hists) >= 5
+    got = detection._otsu_bins(np.array(hists))
+    for hist, k in zip(hists, got.tolist()):
+        values = (np.repeat(np.arange(256), hist) + 0.5) / 256
+        assert k / 256 == otsu_threshold(values) == exhaustive_otsu(values)
+
+
+def test_postprocess_rejects_negative_maps():
+    conf = np.full((9, 9), 0.5)
+    conf[0, 0] = -0.25
+    with pytest.raises(DataError):
+        postprocess(conf, PPParams())
+
+
 def test_ppparams_invariants():
     with pytest.raises(ConfigError):
         PPParams(nms_side=8)
@@ -353,12 +439,18 @@ def test_extract_objects_matches_flood_fill_oracle():
             assert o.confidence == max(sub)
 
 
+def _components(mask):
+    """extract_objects' components of a mask, as lists of (y, x) pixels."""
+    objects = extract_objects(mask.astype(np.float64))
+    return [list(map(divmod, o.pixels.tolist(), [mask.shape[1]] * o.area)) for o in objects]
+
+
 def test_connected_components_order_is_first_pixel_row_major():
     mask = np.zeros((6, 6), dtype=bool)
     mask[4, 0] = True
     mask[0, 5] = True
-    comps = connected_components(mask)
-    assert [tuple(c[0]) for c in comps] == [(0, 5), (4, 0)]
+    mask[5, 1] = True  # joins (4, 0), whose first pixel still comes after (0, 5)
+    assert [c[0] for c in _components(mask)] == [(0, 5), (4, 0)]
 
 
 def _serpentine(height, width):
@@ -417,8 +509,7 @@ def test_connected_components_match_flood_fill_on_adversarial_masks():
         "empty": np.zeros((9, 7), dtype=bool),
     }
     for name, mask in masks.items():
-        got = [[tuple(p) for p in c.tolist()] for c in connected_components(mask)]
-        assert got == flood_components(mask), name
+        assert _components(mask) == flood_components(mask), name
     assert len(flood_components(masks["spiral"])) == 1
     assert len(flood_components(checkerboard)) == 1
     assert len(flood_components(two_serpentines)) == 2

@@ -40,17 +40,15 @@ def rect(x0, y0, x1, y1):
 
 
 def object_pr(detections, annotation_pixels, threshold):
-    """Object PR curve of a single tile."""
-    return multi_tile_object_pr({"t": detections}, {"t": annotation_pixels}, threshold)
+    """Object PR curve of a single tile at one Jaccard level."""
+    (curve,) = multi_tile_object_pr({"t": detections}, {"t": annotation_pixels}, [threshold])
+    return curve
 
 
 def judge(detections, annotations, threshold):
-    """judge_detections on (x, y) pixel-set annotations, as Python lists."""
-    annotation_pixels = [flat(a) for a in annotations]
-    return [
-        ids.tolist()
-        for ids in judge_detections(detections, annotation_pixels, threshold)
-    ]
+    """Per detection, the annotations it detects at the threshold, as lists."""
+    touched, overlap = judge_detections(detections, [flat(a) for a in annotations])
+    return [ids.tolist() if j >= threshold else [] for ids, j in zip(touched, overlap)]
 
 
 # ---------------------------------------------------------------------------
@@ -282,9 +280,11 @@ def test_match_monotone_in_threshold():
 
 def test_match_threshold_validation():
     with pytest.raises(ConfigError):
-        judge_detections([], [flat(rect(0, 0, 1, 1))], 0.0)
+        object_pr([], [flat(rect(0, 0, 1, 1))], 0.0)
     with pytest.raises(ConfigError):
         object_pr([], [flat(rect(0, 0, 1, 1))], 1.5)
+    with pytest.raises(ConfigError):
+        multi_tile_object_pr({}, {"t": [flat(rect(0, 0, 1, 1))]}, [0.5, np.nan])
 
 
 # ---------------------------------------------------------------------------
@@ -334,13 +334,13 @@ def test_multi_tile_object_pr_keeps_tiles_apart():
     # identical coordinates on two tiles must not interact
     detections = {"a": [obj(ann, 0.9)], "b": [obj(ann, 0.8)]}
     annotations = {"a": [flat(ann)], "b": [flat(rect(10, 10, 12, 12))]}
-    curve = multi_tile_object_pr(detections, annotations, 0.5)
+    (curve,) = multi_tile_object_pr(detections, annotations, [0.5])
     assert curve.max_recall == 0.5  # tile b's annotation is never covered
     assert curve.precision[-1] == 0.5
     with pytest.raises(DataError):
-        multi_tile_object_pr({"zz": []}, annotations, 0.5)
+        multi_tile_object_pr({"zz": []}, annotations, [0.5])
     with pytest.raises(DataError):
-        multi_tile_object_pr(detections, {"a": [], "b": []}, 0.5)
+        multi_tile_object_pr(detections, {"a": [], "b": []}, [0.5])
 
 
 def _random_rect(rng, height, width, max_side):
@@ -408,8 +408,10 @@ def test_object_pr_matches_rematching_oracle():
             t: [_as_sets(a, shape[1]) for a in anns]
             for t, (shape, anns, _) in tiles.items()
         }
-        for level in (0.1, 0.3, 0.5, 0.7, 1.0):
-            got = multi_tile_object_pr(detections, annotations, level)
+        levels = (0.1, 0.3, 0.5, 0.7, 1.0)
+        curves = multi_tile_object_pr(detections, annotations, levels)
+        assert len(curves) == len(levels)
+        for level, got in zip(levels, curves):
             want = oracle_multi_tile_object_pr(
                 oracle_detections, oracle_annotations, level
             )
@@ -479,6 +481,27 @@ def test_read_pr_csv_non_utf8_is_data_error(tmp_path):
     ids=["row", "prevalence"],
 )
 def test_read_pr_csv_non_numeric_is_data_error(tmp_path, text, match):
+    path = tmp_path / "pr.csv"
+    path.write_text(text)
+    with pytest.raises(DataError, match=match):
+        read_pr_csv(path)
+
+
+@pytest.mark.parametrize(
+    "text, match",
+    [
+        ("# prevalence=0.1\nthreshold,precision,recall\n0.5,nan,1\n", "precision"),
+        ("# prevalence=0.1\nthreshold,precision,recall\n0.5,1,nan\n", "recall"),
+        ("# prevalence=0.1\nthreshold,precision,recall\ninf,1,1\n", "finite"),
+        ("# prevalence=0.1\nthreshold,precision,recall\nnan,1,1\n", "finite"),
+        ("# prevalence=-3\nthreshold,precision,recall\n0.5,1,1\n", "prevalence"),
+        ("# prevalence=nan\nthreshold,precision,recall\n0.5,1,1\n", "prevalence"),
+        ("# prevalence=1.5\nthreshold,precision,recall\n", "prevalence"),
+    ],
+    ids=["nan-precision", "nan-recall", "inf-threshold", "nan-threshold",
+         "negative-prevalence", "nan-prevalence", "prevalence-above-one"],
+)
+def test_read_pr_csv_rejects_values_a_curve_cannot_hold(tmp_path, text, match):
     path = tmp_path / "pr.csv"
     path.write_text(text)
     with pytest.raises(DataError, match=match):
