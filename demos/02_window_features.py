@@ -1,14 +1,13 @@
 """Window-statistics features from integral images.
 
 Shows the ring geometry, the exact integer prefix tables, and how the
-102-dimensional per-pixel descriptor is assembled from six box-filtered
-planes.
+102-dimensional per-pixel descriptor is read from six box-filtered planes:
+feature f of pixel p is values[base[p] + offsets[f]].
 """
 
 import numpy as np
 
 import pvdetect as pv
-from pvdetect.features import feature_planes
 
 spec = pv.FeatureSpec()
 print(f"window side {spec.window_side}, rings {spec.ring_radii}"
@@ -32,15 +31,16 @@ panel_pixel = (
 edge_pixel = (int(first[0][0]), int(first[0][1]))  # window straddles the boundary
 background_pixel = (5, 5)
 
-feature_image = pv.extract_feature_rows(tile, spec, 0, tile.height)
-print(f"full feature image {feature_image.shape}")
+values, base, offsets = pv.feature_planes(tile, spec, 0, tile.height)
+print(f"\n6 box-filtered planes of {values.size // 6} values each over the padded"
+      f" tile; {base.size} pixel bases, {offsets.size} feature offsets")
 
 for name, (x, y) in (
     ("panel interior", panel_pixel),
     ("panel corner", edge_pixel),
     ("background", background_pixel),
 ):
-    vec = feature_image[y, x]
+    vec = values[base[y * tile.width + x] + offsets]
     means = vec.reshape(-1, 6)[:, :3]
     variances = vec.reshape(-1, 6)[:, 3:]
     print(f"\n{name} pixel ({x},{y}):")
@@ -49,11 +49,9 @@ for name, (x, y) in (
     print(f"  mean over all windows       : {means.mean():.1f}"
           f", variance level {variances.mean():.1f}")
 
-band = pv.extract_feature_rows(tile, spec, 60, 70)
-assert np.array_equal(band, feature_image[60:70])
-print("\nrows 60..69 extracted as one band equal the same rows of the full image")
-
-values, base, offsets = feature_planes(tile, spec, 60, 70)
-print(f"the same rows as 6 box-filtered planes of {values.size // 6} values each;"
-      f" feature f of pixel p is values[base[p] + offsets[f]]")
-assert np.array_equal(values[base[:, None] + offsets].reshape(band.shape), band)
+band_values, band_base, band_offsets = pv.feature_planes(tile, spec, 60, 70)
+band = band_values[band_base[:, None] + band_offsets]
+whole = values[base[60 * tile.width : 70 * tile.width, None] + offsets]
+assert np.array_equal(band, whole)
+print(f"\nrows 60..69 as one band: planes of {band_values.size // 6} values each,"
+      f" and the same {band.shape} features as those rows of the whole tile")

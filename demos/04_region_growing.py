@@ -23,15 +23,16 @@ print(f"parameters: NMS {params.nms_side}x{params.nms_side},"
       f" floor {params.confidence_floor}, crop {params.otsu_side}x{params.otsu_side},"
       f" closing r={params.closing_radius}, dilation r={params.dilation_radius}")
 
+# maxima and seeds are sorted flat indices y * width + x, like object pixels
 maxima = nonmax_suppress(conf, params.nms_side)
-print(f"\nlocal maxima: {len(maxima)}")
-survivors = filter_maxima(maxima, params.confidence_floor)
+print(f"\nlocal maxima: {len(maxima)}, flat indices {maxima[:6].tolist()} ...")
+survivors = filter_maxima(conf, maxima, params.confidence_floor)
 print(f"above the floor: {len(survivors)}")
-for x, y, value in survivors:
-    print(f"  seed ({x},{y}) at confidence {value:.2f}")
+ys, xs = np.divmod(survivors, conf.shape[1])
+for y, x in zip(ys.tolist(), xs.tolist()):
+    print(f"  seed ({x},{y}) at confidence {conf[y, x]:.2f}")
 
-crop = conf[max(0, survivors[0][1] - 9) : survivors[0][1] + 10,
-            max(0, survivors[0][0] - 9) : survivors[0][0] + 10]
+crop = conf[max(0, ys[0] - 9) : ys[0] + 10, max(0, xs[0] - 9) : xs[0] + 10]
 threshold = pv.otsu_threshold(crop.ravel())
 print(f"\nOtsu threshold of the first seed's crop: {threshold:.4f}"
       f" ({int((crop >= threshold).sum())} of {crop.size} crop pixels foreground)")

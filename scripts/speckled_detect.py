@@ -36,7 +36,7 @@ from pvdetect.config import RunConfig
 params = RunConfig().pp_params()
 conf = detection.load_confidence_map(sys.argv[1])
 maxima = detection.nonmax_suppress(conf, params.nms_side)
-print(len(detection.filter_maxima(maxima, params.confidence_floor)))
+print(len(detection.filter_maxima(conf, maxima, params.confidence_floor)))
 """
 ENV = dict(os.environ, PYTHONPATH=str(SRC))
 

@@ -33,7 +33,7 @@ from .errors import (
     RasterFormatError,
     TruncatedRasterError,
 )
-from .features import FeatureSpec, extract_feature_rows, integral_tables, ring_offsets
+from .features import FeatureSpec, feature_planes, integral_tables, ring_offsets
 from .forest import (
     DecisionTree,
     RandomForest,
@@ -43,7 +43,6 @@ from .forest import (
     gini,
     grow_tree,
     load_model,
-    predict_batch,
     predict_tile,
     sample_training_pixels,
     save_model,

@@ -35,16 +35,18 @@ hooking roots under smaller roots, each followed by pointer jumping
 component.
 
 Maps stay float32 (as the CMAP stores them) or else float64 throughout.
-Max, where, > 0 and x 256 are exact in float32 and c_0 is compared on
-Python floats (NumPy 2 would round it to float32 against a float32 array),
-so a float32 map and its float64 widening give the same bytes.
+Max, where, > 0 and x 256 are exact in float32 and c_0 is compared with
+the maxima's values widened to float64 (NumPy 2 would round c_0 to float32
+against a float32 array), so a float32 map and its float64 widening give
+the same bytes.
 
 Objects are the 8-connected components of the positive support of an
-enhanced map; each object's confidence is its maximum pixel value.  A
-DetectionObject stores its pixels in the one compact form used from
-extraction through the detections CSV to scoring: sorted flat indices
-y * width + x into its tile.  Its run-length text form (to_rle/from_rle)
-is the only other pixel format, and decoding rejects runs outside the tile.
+enhanced map; each object's confidence is its maximum pixel value.  Pixel
+sets take one compact form, sorted flat indices y * width + x into their
+tile: the maxima of step 1, the seeds of step 2, and each
+DetectionObject's pixels from extraction through the detections CSV to
+scoring.  An object's run-length text form (to_rle/from_rle) is the only
+other pixel format, and decoding rejects runs outside the tile.
 """
 
 from __future__ import annotations
@@ -165,29 +167,30 @@ def _check_map(conf: np.ndarray) -> np.ndarray:
     return conf
 
 
-def nonmax_suppress(conf: np.ndarray, nms_side: int) -> list[tuple[int, int, float]]:
+def nonmax_suppress(conf: np.ndarray, nms_side: int) -> np.ndarray:
     """Local maxima of conf over clamped nms_side x nms_side windows.
 
     A pixel survives when it attains the window maximum and is the
     lexicographically smallest (y, x) among window pixels attaining it,
     that is, when it is also strictly greater than the window's rows above
     it and than the window pixels to its left in its own row.  Returned as
-    (x, y, value) in row-major order.
+    ascending int64 flat indices y * width + x.
     """
     conf = _check_map(conf)
     if nms_side < 3 or nms_side % 2 == 0:
         raise ConfigError(f"nms_side must be odd and >= 3, got {nms_side}")
     h, w = conf.shape
-    half = nms_side // 2
+    # past a half-width of max(h, w) - 1 a clamped window is the whole map
+    half = min(nms_side // 2, max(h, w))
+    side = 2 * half + 1
     # off-map pixels read -inf, which no value (negative ones included) loses to
     padded = np.pad(conf, half, constant_values=-np.inf)
     keep = conf > _window_max(padded[half : half + h, : w + half - 1], half)
-    rows = _window_max(padded, nms_side)
+    rows = _window_max(padded, side)
     del padded
     keep &= conf > _window_max(rows[: h + half - 1].T, half).T
-    keep &= conf == _window_max(rows.T, nms_side).T
-    keep_y, keep_x = np.nonzero(keep)
-    return list(zip(keep_x.tolist(), keep_y.tolist(), conf[keep_y, keep_x].tolist()))
+    keep &= conf == _window_max(rows.T, side).T
+    return np.flatnonzero(keep)
 
 
 def _window_max(values: np.ndarray, width: int) -> np.ndarray:
@@ -206,11 +209,13 @@ def _window_max(values: np.ndarray, width: int) -> np.ndarray:
     return np.maximum(out[:, :n], out[:, width - span : width - span + n])
 
 
-def filter_maxima(
-    maxima: list[tuple[int, int, float]], confidence_floor: float
-) -> list[tuple[int, int, float]]:
-    """Drop maxima strictly below the floor; equal values are kept."""
-    return [m for m in maxima if m[2] >= confidence_floor]
+def filter_maxima(conf: np.ndarray, maxima: np.ndarray, floor: float) -> np.ndarray:
+    """The flat indices of maxima whose value in conf is not below the floor.
+
+    Values are widened to float64 first, so a float32 map is compared with
+    the floor itself, not with its float32 rounding; equal values are kept.
+    """
+    return maxima[np.take(conf, maxima).astype(np.float64) >= floor]
 
 
 def bin256(values: np.ndarray) -> np.ndarray:
@@ -308,7 +313,7 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             root = jumped
 
 
-def _grow_regions(conf: np.ndarray, xs: np.ndarray, ys: np.ndarray, side: int):
+def _grow_regions(conf: np.ndarray, seeds: np.ndarray, side: int):
     """Step 3 for a batch of seeds: (flat tile indices, values) to merge by max.
 
     Off-tile cells of each side x side window are masked off (and counted in
@@ -316,7 +321,8 @@ def _grow_regions(conf: np.ndarray, xs: np.ndarray, ys: np.ndarray, side: int):
     Crops stack in one canvas with a background row under each.
     """
     h, w = conf.shape
-    half, n = side // 2, xs.size
+    half, n = side // 2, seeds.size
+    ys, xs = np.divmod(seeds, w)
     offsets = np.arange(side) - half
     rows, cols = ys[:, None] + offsets, xs[:, None] + offsets
     inside = ((rows >= 0) & (rows < h))[:, :, None] & ((cols >= 0) & (cols < w))[:, None, :]
@@ -335,7 +341,7 @@ def _grow_regions(conf: np.ndarray, xs: np.ndarray, ys: np.ndarray, side: int):
     keep = labels == seed_label[owner]
     owner = owner[keep]
     r, c = np.divmod(pixels[keep] - owner * cell, side)
-    return rows[owner, r] * w + cols[owner, c], conf[ys, xs][owner]
+    return rows[owner, r] * w + cols[owner, c], np.take(conf, seeds)[owner]
 
 
 def _otsu_bins(hist: np.ndarray) -> np.ndarray:
@@ -371,15 +377,14 @@ def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
     if conf.min() < 0.0:
         raise DataError("confidence map holds negative values")
     h, w = conf.shape
-    maxima = filter_maxima(
-        nonmax_suppress(conf, params.nms_side), params.confidence_floor
+    seeds = filter_maxima(
+        conf, nonmax_suppress(conf, params.nms_side), params.confidence_floor
     )
-    xs, ys = np.array([m[:2] for m in maxima], dtype=np.int64).reshape(-1, 2).T
     enhanced = np.zeros(h * w, dtype=conf.dtype)
-    step = max(1, SEED_CELLS // params.otsu_side**2)
-    for at in range(0, xs.size, step):
-        batch = slice(at, at + step)
-        np.maximum.at(enhanced, *_grow_regions(conf, xs[batch], ys[batch], params.otsu_side))
+    side = 2 * min(params.otsu_side // 2, max(h, w)) + 1  # clamped as in NMS
+    step = max(1, SEED_CELLS // side**2)
+    for at in range(0, seeds.size, step):
+        np.maximum.at(enhanced, *_grow_regions(conf, seeds[at : at + step], side))
     enhanced = enhanced.reshape(h, w)
 
     support = enhanced > 0.0

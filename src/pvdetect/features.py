@@ -124,15 +124,3 @@ def feature_planes(
     corner = np.array(spec.window_offsets()) - half + pad  # (u, v) of pixel (0, 0)
     offsets = (np.arange(6) * hp * wp + corner[:, 1:] * wp + corner[:, :1]).ravel()
     return planes.ravel(), base, offsets
-
-
-def extract_feature_rows(
-    tile: ImageTile, spec: FeatureSpec, row_start: int, row_stop: int
-) -> np.ndarray:
-    """Feature image rows [row_start, row_stop) as a (rows, width, M) array.
-
-    Each pixel holds, per window, (mR, mG, mB, vR, vG, vB), gathered from
-    the band's feature_planes.
-    """
-    values, base, offsets = feature_planes(tile, spec, row_start, row_stop)
-    return values[base[:, None] + offsets].reshape(row_stop - row_start, tile.width, -1)

@@ -79,49 +79,39 @@ class RFParams:
 class TrainingSet:
     """Training rows as per-column rank codes, plus labels (True = PV pixel).
 
-    Built from an (N, M) float matrix, which it does not keep: each column
-    is encoded once as ranks into its sorted distinct values.  values[f] is
-    column f's table of distinct values and codes[f] its (N,) ranks, so
-    values[f][codes[f]] is the column again, exactly.  codes is one
-    C-contiguous (M, N) array, uint16 when no column has more than 65,536
-    distinct values and int32 otherwise.  Split search and child partitions
-    work on the codes; only thresholds read the tables.
+    Built by taking over an (M, N) float64 matrix, one column of N rows per
+    feature: each column is encoded once as ranks into its sorted distinct
+    values.  values[f] is column f's table of distinct values and codes[f]
+    its (N,) ranks, so values[f][codes[f]] is the column again, exactly.
+    codes is one C-contiguous (M, N) array, uint16 when no column has more
+    than 65,536 distinct values and int32 otherwise.  Split search and child
+    partitions work on the codes; only thresholds read the tables.
+
+    The codes are written over the matrix as it is read, and its memory
+    then shrinks to theirs, so the floats and the codes are never held at
+    once.  The matrix must be C-contiguous and own its memory, and is
+    unusable afterwards.
     """
 
-    def __init__(self, features: np.ndarray, labels: np.ndarray):
-        X = np.asarray(features, dtype=np.float64)
-        self._encode(X.T, labels, np.empty(X.shape[::-1], dtype=np.uint16))
-
-    @classmethod
-    def from_columns(cls, columns: np.ndarray, labels: np.ndarray) -> "TrainingSet":
-        """A training set that takes over an (M, N) float64 C-contiguous matrix.
-
-        The codes are written over the matrix as it is read, and its memory
-        then shrinks to theirs, so the floats and the codes are never held
-        at once.  columns must own its memory and is unusable afterwards.
-        """
+    def __init__(self, columns: np.ndarray, labels: np.ndarray):
+        if not (
+            isinstance(columns, np.ndarray) and columns.ndim == 2 and columns.dtype == np.float64
+            and columns.flags.c_contiguous and columns.flags.owndata
+        ):
+            raise DataError("training features must be a 2-D float64 C-contiguous "
+                            "matrix that owns its memory")
         M, N = columns.shape
-        ts = cls.__new__(cls)
+        y = np.asarray(labels, dtype=bool)
+        if y.shape != (N,):
+            raise DataError(f"features {(N, M)} and labels {y.shape} are inconsistent")
+        n_pos = int(y.sum())
+        if n_pos == 0 or n_pos == N:
+            raise DataError("training set must contain both classes")
         # column f's codes take bytes [2fN, 2fN + 2N): inside columns already
         # read, since column f itself starts at byte 8fN
-        ts._encode(columns, labels, columns.reshape(-1).view(np.uint16)[: M * N].reshape(M, N))
-        if ts.codes.dtype == np.uint16:
-            ts.codes = None
-            columns.resize(-(-M * N // 4), refcheck=False)
-            ts.codes = columns.view(np.uint16)[: M * N].reshape(M, N)
-        return ts
-
-    def _encode(self, columns: np.ndarray, labels: np.ndarray, codes: np.ndarray) -> None:
-        y = np.asarray(labels, dtype=bool)
-        if columns.ndim != 2 or y.ndim != 1 or columns.shape[1] != y.shape[0]:
-            raise DataError(
-                f"features {columns.T.shape} and labels {y.shape} are inconsistent"
-            )
-        n_pos = int(y.sum())
-        if n_pos == 0 or n_pos == y.size:
-            raise DataError("training set must contain both classes")
+        codes = columns.reshape(-1).view(np.uint16)[: M * N].reshape(M, N)
         values = []
-        for f in range(columns.shape[0]):
+        for f in range(M):
             table, inverse = np.unique(columns[f], return_inverse=True)
             # sorted, so an infinity or NaN sits at one end of the table
             if not (np.isfinite(table[0]) and np.isfinite(table[-1])):
@@ -130,19 +120,12 @@ class TrainingSet:
                 codes = codes.astype(np.int32)
             codes[f] = inverse
             values.append(table)
+        if codes.dtype == np.uint16:
+            columns.resize(-(-M * N // 4), refcheck=False)
+            codes = columns.view(np.uint16)[: M * N].reshape(M, N)
         self.codes = codes
         self.values = tuple(values)
         self.labels = y
-
-    def decode(self) -> np.ndarray:
-        """The (N, M) float matrix the set was built from, bit for bit.
-
-        The one exception: -0.0 and 0.0 are one distinct value, so a column
-        holding both decodes them with one sign.
-        """
-        return np.stack(
-            [table[codes] for table, codes in zip(self.values, self.codes)], axis=1
-        )
 
 
 def gini(n_pos: int, n_neg: int) -> float:
@@ -465,19 +448,6 @@ def _mean_leaf_prob(
     return probs.cumsum(axis=0)[-1] / T
 
 
-def predict_batch(forest: RandomForest, X: np.ndarray) -> np.ndarray:
-    """Mean leaf probability across trees for each row of a finite (P, M) matrix."""
-    X = np.ascontiguousarray(X, dtype=np.float64)
-    if X.ndim != 2 or X.shape[1] != forest.n_features:
-        raise DataError(
-            f"feature matrix of shape {X.shape}, forest expects M={forest.n_features}"
-        )
-    if not np.isfinite(X).all():
-        raise DataError("feature matrix holds non-finite values")
-    P, M = X.shape
-    return _mean_leaf_prob(forest, X.ravel(), np.arange(P) * M, np.arange(M))
-
-
 def predict_tile(
     forest: RandomForest,
     tile: ImageTile,
@@ -575,7 +545,7 @@ def sample_training_pixels(
                 values, base, offsets = feature_planes(tile, spec, y0, y1)
                 pixels = base[flat[i:j] - y0 * tile.width]
                 columns[:, out_rows[i:j]] = values[offsets[:, None] + pixels]
-    return TrainingSet.from_columns(columns, labels)
+    return TrainingSet(columns, labels)
 
 
 # ---------------------------------------------------------------------------

@@ -61,12 +61,6 @@ class SceneParams:
         if self.patch_size < 1 or self.panel_gap < 0:
             raise ConfigError("bad patch_size or panel_gap")
 
-    @property
-    def prevalence_estimate(self) -> float:
-        """Expected panel-pixel fraction for these parameters."""
-        mean_side = (self.panel_side_min + self.panel_side_max) / 2.0
-        return self.n_panels * mean_side * mean_side / (self.width * self.height)
-
 
 def params_for_prevalence(
     target: float, panel_side: int = 16, width: int = 512, height: int = 512, seed: int = 0

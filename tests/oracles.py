@@ -2,7 +2,10 @@
 
 Everything here is deliberately written without integral images, rank
 tricks, separable filters or vectorized shortcuts, so an agreement test
-between pvdetect and these functions actually checks two code paths.
+between pvdetect and these functions actually checks two code paths.  The
+exceptions are three-line adapters between row matrices and pvdetect's one
+path per stage (feature_rows, rows_training_set, decode_rows, predict_rows):
+they let tests state cases as rows, and check nothing themselves.
 """
 
 from __future__ import annotations
@@ -15,6 +18,8 @@ import numpy as np
 
 from pvdetect import detection
 from pvdetect.errors import ConfigError, DataError
+from pvdetect.features import feature_planes
+from pvdetect.forest import TrainingSet, _mean_leaf_prob
 from pvdetect.scoring import PRCurve
 
 
@@ -76,6 +81,12 @@ def naive_pixel_features(pixels, offsets, window_side, x, y):
         out.extend(mean.tolist())
         out.extend(variance.tolist())
     return np.array(out)
+
+
+def feature_rows(tile, spec, row_start, row_stop):
+    """Rows [row_start, row_stop) as a (rows, width, M) array, from feature_planes."""
+    values, base, offsets = feature_planes(tile, spec, row_start, row_stop)
+    return values[base[:, None] + offsets].reshape(row_stop - row_start, tile.width, -1)
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +219,23 @@ def argsort_best_split(sample_indices, feature_subset, X, y, min_leaf):
             mid = (lo + hi) / 2.0
             best = (f, mid if mid < hi else lo)
     return best
+
+
+def rows_training_set(X, y):
+    """TrainingSet of the rows of an (N, M) matrix, handed over as a copy."""
+    return TrainingSet(np.array(X, dtype=np.float64).T.copy(), y)
+
+
+def decode_rows(training_set):
+    """The (N, M) matrix a TrainingSet encodes (-0.0 and 0.0 share one rank)."""
+    return np.stack([t[c] for t, c in zip(training_set.values, training_set.codes)], axis=1)
+
+
+def predict_rows(forest, X):
+    """pvdetect's router, _mean_leaf_prob, over each row of a (P, M) matrix."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    P, M = X.shape
+    return _mean_leaf_prob(forest, X.ravel(), np.arange(P) * M, np.arange(M))
 
 
 def cart_predict(tree, x):
@@ -465,11 +493,13 @@ def seedwise_postprocess(conf: np.ndarray, params) -> np.ndarray:
     conf = detection._check_map(conf)
     h, w = conf.shape
     maxima = detection.filter_maxima(
-        detection.nonmax_suppress(conf, params.nms_side), params.confidence_floor
+        conf, detection.nonmax_suppress(conf, params.nms_side), params.confidence_floor
     )
     enhanced = np.zeros_like(conf)
     half = params.otsu_side // 2
-    for x, y, value in maxima:
+    for m in maxima.tolist():
+        y, x = divmod(m, w)
+        value = float(conf[y, x])
         ax, bx = max(0, x - half), min(w - 1, x + half)
         ay, by = max(0, y - half), min(h - 1, y + half)
         crop = conf[ay : by + 1, ax : bx + 1]

@@ -15,8 +15,8 @@ import pvdetect as pv
 from pvdetect.cli import cmd_detect, cmd_eval, cmd_predict, cmd_train, read_detections_csv
 from pvdetect.config import RunConfig
 from pvdetect.detection import PPParams, otsu_threshold, postprocess
-from pvdetect.features import FeatureSpec, extract_feature_rows, integral_tables
-from pvdetect.forest import RFParams, TrainingSet, grow_tree, predict_batch, train
+from pvdetect.features import FeatureSpec, integral_tables
+from pvdetect.forest import RFParams, grow_tree, train
 from pvdetect.imagery import ImageTile, load_manifest, rasterize, save_manifest
 from pvdetect.imagery import DatasetManifest, ManifestEntry
 from pvdetect.scoring import jaccard, pixel_pr, read_pr_csv
@@ -24,10 +24,13 @@ from oracles import (
     cart_predict,
     exhaustive_cart,
     exhaustive_otsu,
+    feature_rows,
     naive_pixel_features,
+    predict_rows,
     prefix_table_by_matmul,
     reference_postprocess,
     route_and_read,
+    rows_training_set,
 )
 
 
@@ -82,7 +85,7 @@ def test_criterion_02_feature_parity_with_naive_oracle():
     for _ in range(25):
         h, w = int(rng.integers(9, 30)), int(rng.integers(9, 30))
         tile = ImageTile(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8))
-        image = extract_feature_rows(tile, spec, 0, tile.height)
+        image = feature_rows(tile, spec, 0, tile.height)
         for _ in range(40):
             x, y = int(rng.integers(0, w)), int(rng.integers(0, h))
             got = image[y, x]
@@ -109,7 +112,7 @@ def test_criterion_03_cart_oracle_equivalence():
         y = (X[:, 0] + rng.normal(0, 0.3, size=n)) > 0.5
         if y.all() or not y.any():
             continue
-        ts = TrainingSet(X, y)
+        ts = rows_training_set(X, y)
         tree = grow_tree(
             np.arange(n), ts, RFParams(min_leaf=1), lambda _: np.arange(d)
         )
@@ -126,8 +129,8 @@ def test_criterion_04_forest_learning_sanity():
     rng = np.random.default_rng(104)
     X = rng.normal(size=(1000, 2))
     y = X[:, 0] + X[:, 1] > 0
-    model = train(TrainingSet(X[:700], y[:700]), RFParams(n_trees=30, seed=7))
-    accuracy = float(((predict_batch(model, X[700:]) > 0.5) == y[700:]).mean())
+    model = train(rows_training_set(X[:700], y[:700]), RFParams(n_trees=30, seed=7))
+    accuracy = float(((predict_rows(model, X[700:]) > 0.5) == y[700:]).mean())
     elapsed = time.perf_counter() - started
     assert accuracy >= 0.95, f"held-out accuracy {accuracy}"
     assert elapsed < 30.0, f"training took {elapsed:.1f}s"

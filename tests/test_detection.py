@@ -1,3 +1,7 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -34,48 +38,85 @@ from oracles import (
 # ---------------------------------------------------------------------------
 
 
+def brute_flat(conf, side, floor=-np.inf):
+    """brute_nms's maxima not below floor, as flat indices; floor is a Python float."""
+    return [y * conf.shape[1] + x for x, y, v in brute_nms(conf, side) if v >= floor]
+
+
+def nms_flat(conf, side, floor=None):
+    """nonmax_suppress, then filter_maxima when a floor is given, as a list."""
+    maxima = nonmax_suppress(conf, side)
+    assert maxima.dtype == np.int64 and (np.diff(maxima) > 0).all()
+    return (maxima if floor is None else filter_maxima(conf, maxima, floor)).tolist()
+
+
 def test_nms_single_strict_peak():
     conf = np.zeros((16, 16))
     conf[5, 9] = 0.8
-    maxima = filter_maxima(nonmax_suppress(conf, 9), 0.5)
-    assert maxima == [(9, 5, 0.8)]
+    assert nms_flat(conf, 9, 0.5) == [5 * 16 + 9]
 
 
 def test_nms_constant_small_map_keeps_origin():
     conf = np.full((5, 5), 0.7)
-    assert nonmax_suppress(conf, 9) == [(0, 0, 0.7)]
+    assert nms_flat(conf, 9) == [0]
 
 
 def test_nms_plateau_tiebreak_lex_smallest():
     conf = np.zeros((12, 12))
     conf[4:7, 4:7] = 0.9  # flat plateau
-    maxima = nonmax_suppress(conf, 9)
-    plateau = [m for m in maxima if m[2] == 0.9]
-    assert plateau == [(4, 4, 0.9)]
+    plateau = [m for m in nms_flat(conf, 9) if conf.flat[m] == 0.9]
+    assert plateau == [4 * 12 + 4]
+
+
+# float32 maps drawn from each floor's float32 neighbours: float32(0.7) is
+# below 0.7, so a comparison in float32 would keep the maxima sitting there
+_FLOORS = (0.1, 0.3, 0.7)
+_NEAR = np.float32(_FLOORS)
+_FLOAT32_POOL = np.concatenate(
+    [_NEAR, np.nextafter(_NEAR, np.float32(0)), np.nextafter(_NEAR, np.float32(1)),
+     np.float32([0, 0.5, 1])]
+)
+
+
+def check_nms(values, side, float32_differs):
+    """nonmax_suppress, and filter_maxima at each floor, against brute_nms.
+
+    brute_flat filters on Python floats; float32_differs collects the floors
+    at which a comparison in the map's own dtype would give another answer.
+    """
+    assert nms_flat(values, side) == brute_flat(values, side)
+    for floor in _FLOORS:
+        want = brute_flat(values, side, floor)
+        assert nms_flat(values, side, floor) == want, floor
+        own = [m for m in nms_flat(values, side) if values.flat[m] >= values.dtype.type(floor)]
+        if own != want:
+            float32_differs.add(floor)
 
 
 def test_nms_matches_bruteforce_oracle():
-    rng = np.random.default_rng(0)
+    rng, rng32 = np.random.default_rng(0), np.random.default_rng(15)
+    float32_differs = set()
     for trial in range(8):
         conf = rng.uniform(0, 1, size=(32, 32))
         if trial % 2:
             conf = np.round(conf, 1)  # coarse values force plateaus
         # shifted below -1 too, so a 0 or -1 fill for off-map pixels would lose
-        for values in (conf, conf - 1.5):
+        for values in (conf, conf - 1.5, rng32.choice(_FLOAT32_POOL, size=(32, 32))):
             for side in (3, 5, 7, 9, 11):
-                got = nonmax_suppress(values, side)
-                assert got == brute_nms(values, side), (trial, side)
+                check_nms(values, side, float32_differs)
+    assert float32_differs == {0.7}
 
 
 def test_nms_non_square_map_matches_oracle():
-    rng = np.random.default_rng(12)
+    rng, rng32 = np.random.default_rng(12), np.random.default_rng(16)
+    float32_differs = set()
     # (3, 4), (2, 1) and (1, 1) are smaller than the half-window of sides 9 and 11
     for shape in [(5, 40), (40, 5), (1, 30), (30, 1), (3, 4), (2, 1), (1, 1)]:
         conf = np.round(rng.uniform(0, 1, size=shape), 1)
-        for values in (conf, conf - 1.5):
+        for values in (conf, conf - 1.5, rng32.choice(_FLOAT32_POOL, size=shape)):
             for side in (5, 7, 9, 11):
-                got = nonmax_suppress(values, side)
-                assert got == brute_nms(values, side), (shape, side)
+                check_nms(values, side, float32_differs)
+    assert float32_differs == {0.7}
 
 
 def test_nms_and_postprocess_reject_non_finite_maps():
@@ -96,16 +137,51 @@ def test_postprocess_crop_larger_than_map():
     assert np.array_equal(postprocess(conf, params), reference_postprocess(conf, params))
 
 
+_OVERSIZE_SIDES = """
+import resource
+import numpy as np
+from pvdetect.detection import PPParams, nonmax_suppress, postprocess
+
+resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+rng = np.random.default_rng(16)
+for shape in [(40, 40), (40, 23), (9, 40)]:
+    conf = np.round(rng.uniform(0, 1, size=shape), 1).astype(np.float32)
+    assert nonmax_suppress(conf, 100001).tolist() == nonmax_suppress(conf, 81).tolist()
+    for key in ("nms_side", "otsu_side"):
+        params = [PPParams(confidence_floor=0.1, **{key: side}) for side in (100001, 81)]
+        huge, whole = (postprocess(conf, p) for p in params)
+        assert huge.dtype == whole.dtype and huge.tobytes() == whole.tobytes(), key
+        assert whole.any(), key
+"""
+
+
+def test_oversize_windows_run_bounded_with_the_bytes_of_whole_map_windows():
+    """Sides of 100001 on maps up to 40 px give the bytes of side 81.
+
+    From a half-width of max(h, w) - 1 on, a window clamped to the map is
+    the whole map.  The child process may map at most 1 GiB, so a run that
+    allocates for the nominal side fails fast with MemoryError.
+    """
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", _OVERSIZE_SIDES], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 def test_nms_rejects_even_side():
     with pytest.raises(ConfigError):
         nonmax_suppress(np.zeros((4, 4)), 4)
 
 
 def test_filter_maxima_boundary_kept():
-    maxima = [(0, 0, 0.2), (1, 0, 0.375), (2, 0, 0.9)]
-    assert filter_maxima(maxima, 0.375) == [(1, 0, 0.375), (2, 0, 0.9)]
-    assert filter_maxima([], 0.375) == []
-    assert filter_maxima(maxima, 0.0) == maxima
+    conf = np.array([[0.2, 0.375, 0.9, 0.5]])
+    maxima = np.array([0, 1, 2])
+    assert filter_maxima(conf, maxima, 0.375).tolist() == [1, 2]
+    assert filter_maxima(conf, maxima[:0], 0.375).tolist() == []
+    assert filter_maxima(conf, maxima, 0.0).tolist() == [0, 1, 2]
 
 
 # ---------------------------------------------------------------------------
@@ -207,9 +283,8 @@ def test_postprocess_seed_never_lost():
     conf = rng.uniform(0, 1, size=(40, 40))
     params = PPParams()
     out = postprocess(conf, params)
-    kept = filter_maxima(nonmax_suppress(conf, params.nms_side), params.confidence_floor)
-    for x, y, _ in kept:
-        assert out[y, x] > 0.0
+    kept = nms_flat(conf, params.nms_side, params.confidence_floor)
+    assert kept and (out.ravel()[kept] > 0.0).all()
 
 
 def test_postprocess_values_come_from_surviving_maxima():
@@ -217,9 +292,7 @@ def test_postprocess_values_come_from_surviving_maxima():
     conf = rng.uniform(0, 1, size=(48, 48))
     params = PPParams()
     out = postprocess(conf, params)
-    kept = {v for _, _, v in filter_maxima(
-        nonmax_suppress(conf, params.nms_side), params.confidence_floor
-    )}
+    kept = set(conf.ravel()[nms_flat(conf, params.nms_side, params.confidence_floor)].tolist())
     assert set(np.unique(out[out > 0]).tolist()) <= kept
 
 
@@ -298,7 +371,8 @@ def test_floor_is_compared_in_float64():
     conf = np.zeros((15, 15), dtype=np.float32)
     conf[7, 7] = 0.7
     assert float(conf[7, 7]) < 0.7
-    assert filter_maxima(nonmax_suppress(conf, 9), 0.7) == []
+    assert 7 * 15 + 7 in nonmax_suppress(conf, 9)
+    assert filter_maxima(conf, nonmax_suppress(conf, 9), 0.7).tolist() == []
     assert not postprocess(conf, params).any()
     conf[7, 7] = np.nextafter(np.float32(0.7), np.float32(1.0))
     enhanced = postprocess(conf, params)

@@ -2,9 +2,14 @@ import numpy as np
 import pytest
 
 from pvdetect.errors import ConfigError
-from pvdetect.features import FeatureSpec, extract_feature_rows, integral_tables, ring_offsets
+from pvdetect.features import FeatureSpec, feature_planes, integral_tables, ring_offsets
 from pvdetect.imagery import ImageTile
-from oracles import naive_pixel_features, naive_window_stats, prefix_table_by_matmul
+from oracles import (
+    feature_rows,
+    naive_pixel_features,
+    naive_window_stats,
+    prefix_table_by_matmul,
+)
 
 
 def random_tile(rng, h, w, tile_id="t"):
@@ -23,7 +28,7 @@ def window_at(tile, side, cx, cy):
         for k, (dx, dy) in enumerate(spec.window_offsets()):
             x, y = cx - dx, cy - dy
             if 0 <= x < tile.width and 0 <= y < tile.height:
-                vec = extract_feature_rows(tile, spec, y, y + 1)[0, x, 6 * k : 6 * k + 6]
+                vec = feature_rows(tile, spec, y, y + 1)[0, x, 6 * k : 6 * k + 6]
                 return vec[:3], vec[3:]
     raise ValueError(f"no pixel reaches window center ({cx}, {cy})")
 
@@ -182,14 +187,14 @@ def test_window_stats_5x5_window():
 def test_feature_vector_length_default():
     rng = np.random.default_rng(5)
     tile = random_tile(rng, 12, 12)
-    rows = extract_feature_rows(tile, FeatureSpec(), 6, 7)
+    rows = feature_rows(tile, FeatureSpec(), 6, 7)
     assert rows.shape == (1, 12, 102)
     assert rows[0, 6].shape == (102,)
 
 
 def test_constant_tile_features():
     tile = ImageTile(np.full((16, 16, 3), 33, dtype=np.uint8))
-    image = extract_feature_rows(tile, FeatureSpec(), 0, 16)
+    image = feature_rows(tile, FeatureSpec(), 0, 16)
     means = image.reshape(16, 16, -1, 6)[:, :, :, :3]
     variances = image.reshape(16, 16, -1, 6)[:, :, :, 3:]
     assert (means == 33.0).all()
@@ -202,7 +207,7 @@ def test_pixel_features_match_naive_oracle():
     offsets = spec.window_offsets()
     for _ in range(5):
         tile = random_tile(rng, 14, 11)
-        image = extract_feature_rows(tile, spec, 0, tile.height)
+        image = feature_rows(tile, spec, 0, tile.height)
         for _ in range(20):
             x = int(rng.integers(0, 11))
             y = int(rng.integers(0, 14))
@@ -217,7 +222,7 @@ def test_feature_image_equals_pixel_path_bitwise():
     offsets = spec.window_offsets()
     tile = random_tile(rng, 12, 9)
     image = np.concatenate(
-        [extract_feature_rows(tile, spec, y0, min(y0 + 5, 12)) for y0 in range(0, 12, 5)]
+        [feature_rows(tile, spec, y0, min(y0 + 5, 12)) for y0 in range(0, 12, 5)]
     )
     assert image.shape == (12, 9, 102)
     for y in range(12):
@@ -230,9 +235,9 @@ def test_feature_rows_banding_matches_whole_image():
     rng = np.random.default_rng(8)
     spec = FeatureSpec()
     tile = random_tile(rng, 23, 9)
-    whole = extract_feature_rows(tile, spec, 0, 23)
+    whole = feature_rows(tile, spec, 0, 23)
     banded = np.concatenate(
-        [extract_feature_rows(tile, spec, y0, min(y0 + 7, 23)) for y0 in range(0, 23, 7)]
+        [feature_rows(tile, spec, y0, min(y0 + 7, 23)) for y0 in range(0, 23, 7)]
     )
     assert np.array_equal(whole, banded)
 
@@ -243,8 +248,8 @@ def test_translation_equivariance_away_from_borders():
     base = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
     a = ImageTile(base[0:32, 0:32].copy())
     b = ImageTile(base[2:34, 3:35].copy())  # content shifted by (dy=2, dx=3)
-    fa = extract_feature_rows(a, spec, 0, 32)
-    fb = extract_feature_rows(b, spec, 0, 32)
+    fa = feature_rows(a, spec, 0, 32)
+    fb = feature_rows(b, spec, 0, 32)
     margin = max(spec.ring_radii) + 1
     for y in range(2 + margin, 32 - margin):
         for x in range(3 + margin, 32 - margin):
@@ -257,7 +262,7 @@ def test_nondefault_spec_matches_naive_oracle():
     offsets = spec.window_offsets()
     assert spec.feature_count == 6 * len(offsets) == 102
     tile = random_tile(rng, 17, 13)
-    image = extract_feature_rows(tile, spec, 0, tile.height)
+    image = feature_rows(tile, spec, 0, tile.height)
     for x, y in [(0, 0), (12, 16), (6, 8), (0, 16), (12, 0)]:
         want = naive_pixel_features(tile.pixels, offsets, 5, x, y)
         assert np.array_equal(image[y, x], want)
@@ -268,10 +273,10 @@ def test_tile_smaller_than_ring_support():
     spec = FeatureSpec()
     tile = random_tile(rng, 4, 3)  # rings reach far outside the tile
     offsets = spec.window_offsets()
-    image = extract_feature_rows(tile, spec, 0, tile.height)
+    image = feature_rows(tile, spec, 0, tile.height)
     assert image.shape == (4, 3, 102)
     for y in range(4):
-        row = extract_feature_rows(tile, spec, y, y + 1)
+        row = feature_rows(tile, spec, y, y + 1)
         for x in range(3):
             want = naive_pixel_features(tile.pixels, offsets, 3, x, y)
             assert np.array_equal(image[y, x], want)
@@ -282,7 +287,7 @@ def test_variances_nonnegative():
     rng = np.random.default_rng(10)
     spec = FeatureSpec()
     tile = random_tile(rng, 16, 16)
-    image = extract_feature_rows(tile, spec, 0, 16)
+    image = feature_rows(tile, spec, 0, 16)
     variances = image.reshape(16, 16, -1, 6)[:, :, :, 3:]
     assert (variances >= 0.0).all()
 
@@ -292,4 +297,4 @@ def test_bad_row_range_rejected():
     tile = random_tile(rng, 6, 6)
     for start, stop in [(0, 0), (3, 2), (-1, 2), (0, 7), (6, 7)]:
         with pytest.raises(ValueError, match="bad row range"):
-            extract_feature_rows(tile, FeatureSpec(), start, stop)
+            feature_planes(tile, FeatureSpec(), start, stop)

@@ -15,7 +15,7 @@ from pvdetect.errors import (
 )
 from pvdetect import forest as forest_module
 from pvdetect.cli import fork_map
-from pvdetect.features import FeatureSpec, extract_feature_rows, feature_planes
+from pvdetect.features import FeatureSpec, feature_planes
 from pvdetect.forest import (
     RFParams,
     RandomForest,
@@ -25,7 +25,6 @@ from pvdetect.forest import (
     gini,
     grow_tree,
     loads_model,
-    predict_batch,
     predict_tile,
     sample_training_pixels,
     train,
@@ -36,9 +35,13 @@ from pvdetect.imagery import rasterize
 from oracles import (
     argsort_best_split,
     cart_predict,
+    decode_rows,
     exhaustive_cart,
+    feature_rows,
     naive_pixel_features,
+    predict_rows,
     route_and_read,
+    rows_training_set,
     scalar_predict,
     tree_depth,
 )
@@ -51,7 +54,7 @@ def all_features(n):
 def ten_sample_set():
     X = np.array([[0.0]] * 5 + [[1.0]] * 5)
     y = np.array([False] * 5 + [True] * 5)
-    return TrainingSet(X, y)
+    return rows_training_set(X, y)
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +78,7 @@ def test_best_split_ten_samples():
 
 def test_best_split_pure_node_returns_none():
     X = np.arange(10, dtype=float).reshape(-1, 1)
-    ts = TrainingSet(np.vstack([X, X]), np.array([True] * 10 + [False] * 10))
+    ts = rows_training_set(np.vstack([X, X]), np.array([True] * 10 + [False] * 10))
     pure = best_split(np.arange(10), [0], ts, min_leaf=1)
     assert pure is None  # first ten rows are all positive
 
@@ -83,19 +86,19 @@ def test_best_split_pure_node_returns_none():
 def test_best_split_min_leaf_blocks_all_candidates():
     X = np.arange(6, dtype=float).reshape(-1, 1)
     y = np.array([False] * 5 + [True])
-    ts = TrainingSet(X, y)
+    ts = rows_training_set(X, y)
     assert best_split(np.arange(6), [0], ts, min_leaf=5) is None
 
 
 def test_best_split_tie_prefers_lowest_feature_and_threshold():
     # two identical columns: feature 0 must win the tie
     col = np.array([0.0, 0.0, 1.0, 1.0])
-    ts = TrainingSet(np.column_stack([col, col]), np.array([False, False, True, True]))
+    ts = rows_training_set(np.column_stack([col, col]), np.array([False, False, True, True]))
     assert best_split(np.arange(4), [1, 0], ts, min_leaf=1) == (0, 0.5)
     # symmetric labels: two thresholds tie, the lower one must win
     X = np.array([[0.0], [1.0], [2.0]])
     y = np.array([False, True, False])
-    ts2 = TrainingSet(X, y)
+    ts2 = rows_training_set(X, y)
     feature, threshold = best_split(np.arange(3), [0], ts2, min_leaf=1)
     assert (feature, threshold) == (0, 0.5)
 
@@ -109,7 +112,7 @@ def test_best_split_matches_exhaustive_enumeration():
         y = rng.uniform(0, 1, size=n) < 0.5
         if y.all() or not y.any():
             continue
-        ts = TrainingSet(X, y)
+        ts = rows_training_set(X, y)
         got = best_split(np.arange(n), [0, 1, 2], ts, min_leaf=min_leaf)
         oracle = exhaustive_cart(X, y, min_leaf=min_leaf)
         if oracle["leaf"]:
@@ -145,7 +148,7 @@ def test_best_split_matches_argsort_oracle(monkeypatch):
             X = np.column_stack([random_column(rng, N) for _ in range(M)])
             y = rng.uniform(size=N) < rng.uniform(0.1, 0.9)
             y[:2] = [True, False]
-            ts = TrainingSet(X, y)
+            ts = rows_training_set(X, y)
             for node in range(6):
                 if node == 0:
                     idx = np.full(int(rng.integers(2, 20)), rng.integers(N))  # one row
@@ -165,15 +168,13 @@ def test_best_split_int32_codes_match_oracle():
     N = 70_000  # column 1 has more distinct values than uint16 can rank
     X = np.column_stack([rng.integers(0, 50, N) / 7.0, rng.permutation(N) / 3.0])
     y = rng.uniform(size=N) < (X[:, 0] + X[:, 1] / N) / 9.0
-    ts = TrainingSet(X, y)
+    # column 0's codes are written into the matrix before column 1 widens
+    # them, and the widened codes no longer live in the matrix
+    columns = X.T.copy()
+    ts = TrainingSet(columns, y)
     assert ts.codes.dtype == np.int32 and ts.values[1].size == N
-    assert_bitwise_equal(ts.decode(), X)
-    # handed over, column 0's codes are written in place before column 1
-    # widens them, and the widened codes no longer live in the matrix
-    columns = np.ascontiguousarray(X.T)
-    handed = TrainingSet.from_columns(columns, y)
-    assert handed.codes.dtype == np.int32 and not np.shares_memory(handed.codes, columns)
-    assert np.array_equal(handed.codes, ts.codes)
+    assert not np.shares_memory(ts.codes, columns)
+    assert_bitwise_equal(decode_rows(ts), X)
     for n in (N, 5000, 300, 30):
         idx = rng.integers(0, N, size=n)
         for subset, min_leaf in (([0, 1], 1), ([1], 5), ([1, 0], n // 2)):
@@ -197,7 +198,7 @@ def test_grow_tree_midpoint_of_adjacent_floats():
         # whatever the root's threshold sent left
         X = np.array([[0.0, lo]] * 3 + [[1.0, hi]] * 3 + [[0.0, 5.0]] * 3)
         y = np.array([True] * 3 + [False] * 6)
-        ts = TrainingSet(X, y)
+        ts = rows_training_set(X, y)
         threshold = (lo + hi) / 2.0
         if threshold == hi:
             threshold = lo
@@ -230,7 +231,7 @@ def test_grow_tree_ends_when_midpoint_is_not_below_hi(lo, hi):
     previous = signal.signal(signal.SIGALRM, hang)
     signal.alarm(5)
     try:
-        tree = grow_tree(np.arange(6), TrainingSet(X, y), RFParams(min_leaf=1), all_features(1))
+        tree = grow_tree(np.arange(6), rows_training_set(X, y), RFParams(min_leaf=1), all_features(1))
     finally:
         signal.alarm(0)
         signal.signal(signal.SIGALRM, previous)
@@ -270,7 +271,7 @@ def test_grow_tree_equals_exhaustive_cart_oracle():
         y = (X[:, 0] + rng.normal(0, 0.2, size=n)) > 0.5
         if y.all() or not y.any():
             continue
-        ts = TrainingSet(X, y)
+        ts = rows_training_set(X, y)
         tree = grow_tree(np.arange(n), ts, RFParams(min_leaf=1), all_features(d))
         oracle = exhaustive_cart(X, y, min_leaf=1)
         for row in X:
@@ -281,7 +282,7 @@ def test_grow_tree_leaf_counts_respect_min_leaf():
     rng = np.random.default_rng(2)
     X = rng.uniform(0, 1, size=(200, 4))
     y = rng.uniform(0, 1, size=200) < 0.4
-    ts = TrainingSet(X, y)
+    ts = rows_training_set(X, y)
     for min_leaf in (1, 5, 20):
         tree = grow_tree(
             np.arange(200), ts, RFParams(min_leaf=min_leaf), all_features(4)
@@ -296,9 +297,9 @@ def test_grow_tree_routing_invariant_under_monotone_rescale():
     y = (X[:, 0] + X[:, 1]) > 1.0
     params = RFParams(min_leaf=3)
     sampler = all_features(3)
-    base = grow_tree(np.arange(80), TrainingSet(X, y), params, sampler)
+    base = grow_tree(np.arange(80), rows_training_set(X, y), params, sampler)
     warped = grow_tree(
-        np.arange(80), TrainingSet(np.exp(X), y), params, sampler
+        np.arange(80), rows_training_set(np.exp(X), y), params, sampler
     )
     assert np.array_equal(base.feature, warped.feature)
     assert np.array_equal(base.left, warped.left)
@@ -319,14 +320,14 @@ def test_train_single_tree_prediction():
     model = train(ten_sample_set(), RFParams(n_trees=1, min_leaf=1, seed=1))
     assert scalar_predict(model, np.array([0.0])) == 0.0
     assert scalar_predict(model, np.array([1.0])) == 1.0
-    assert predict_batch(model, np.array([[0.0], [1.0]])).tolist() == [0.0, 1.0]
+    assert predict_rows(model, np.array([[0.0], [1.0]])).tolist() == [0.0, 1.0]
 
 
 def test_train_deterministic_and_seed_sensitive():
     rng = np.random.default_rng(4)
     X = rng.uniform(0, 1, size=(300, 5))
     y = X[:, 0] > 0.5
-    ts = TrainingSet(X, y)
+    ts = rows_training_set(X, y)
     a = dump_model(train(ts, RFParams(n_trees=5, seed=7)))
     b = dump_model(train(ts, RFParams(n_trees=5, seed=7)))
     c = dump_model(train(ts, RFParams(n_trees=5, seed=8)))
@@ -338,7 +339,7 @@ def test_train_worker_pool_matches_serial(monkeypatch):
     rng = np.random.default_rng(15)
     X = rng.uniform(0, 1, size=(400, 8))
     y = X[:, 0] + X[:, 3] * X[:, 5] > 0.6
-    ts = TrainingSet(X, y)
+    ts = rows_training_set(X, y)
     params = RFParams(n_trees=7, min_leaf=2, seed=9)
     serial = dump_model(train(ts, params, "f"))
     interval = sys.getswitchinterval()
@@ -361,8 +362,8 @@ def test_train_separable_2d_accuracy():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(1000, 2))
     y = X[:, 0] + X[:, 1] > 0
-    model = train(TrainingSet(X[:700], y[:700]), RFParams(n_trees=30, seed=0))
-    held_out = predict_batch(model, X[700:]) > 0.5
+    model = train(rows_training_set(X[:700], y[:700]), RFParams(n_trees=30, seed=0))
+    held_out = predict_rows(model, X[700:]) > 0.5
     assert (held_out == y[700:]).mean() >= 0.95
 
 
@@ -370,8 +371,10 @@ def test_train_validates_inputs():
     ts = ten_sample_set()
     with pytest.raises(ConfigError):
         train(ts, RFParams(n_trees=1, min_leaf=6))  # N=10 < 2*6
-    with pytest.raises(DataError):
-        TrainingSet(np.zeros((4, 2)), np.array([True] * 4))
+    with pytest.raises(DataError, match="both classes"):
+        rows_training_set(np.zeros((4, 2)), np.array([True] * 4))
+    with pytest.raises(DataError, match="inconsistent"):
+        rows_training_set(np.zeros((4, 2)), np.array([True, False] * 3))
     with pytest.raises(ConfigError):
         RFParams(n_trees=0)
     with pytest.raises(ConfigError):
@@ -388,18 +391,46 @@ def test_training_set_holds_one_column_major_copy():
     X = rng.uniform(0, 1, size=(7, 3))
     X[2, 1] = X[5, 1]  # a repeated value shares one rank
     y = np.array([True, False] * 3 + [True])
-    ts = TrainingSet(X, y)
+    # the column-major matrix handed over is encoded into its own memory,
+    # which then shrinks to the 21 uint16 codes
+    columns = X.T.copy()
+    ts = TrainingSet(columns, y)
+    assert np.shares_memory(ts.codes, columns) and columns.nbytes == 8 * -(-21 // 4)
     assert ts.codes.dtype == np.uint16
     assert ts.codes.shape == (3, 7) and ts.codes.flags.c_contiguous
     assert [t.size for t in ts.values] == [7, 6, 7]
     assert all((np.diff(t) > 0).all() for t in ts.values)
-    assert_bitwise_equal(ts.decode(), X)
-    # a column-major matrix handed over is encoded into its own memory
-    columns = np.ascontiguousarray(X.T)
-    again = TrainingSet.from_columns(columns, y)
-    assert np.shares_memory(again.codes, columns)
-    assert np.array_equal(again.codes, ts.codes)
-    assert_bitwise_equal(again.decode(), X)
+    assert_bitwise_equal(decode_rows(ts), X)
+
+
+_ROWS = np.arange(12.0).reshape(6, 2)
+_LABELS = np.array([True, False] * 3)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        _ROWS.T,  # a transposed view
+        np.arange(6.0),  # 1-D
+        np.array(_ROWS.T, dtype=np.float32, order="C"),
+        np.array(_ROWS.T, order="F"),  # owns its memory, not C-contiguous
+        _ROWS.T.copy()[:, :],  # C-contiguous, not its own memory
+        _ROWS.T.tolist(),
+    ],
+    ids=["transposed", "1-D", "float32", "fortran", "view", "list"],
+)
+def test_training_set_rejects_a_matrix_it_cannot_take_over(columns):
+    with pytest.raises(DataError, match="owns its memory"):
+        TrainingSet(columns, _LABELS)
+    assert TrainingSet(_ROWS.T.copy(), _LABELS).codes.shape == (2, 6)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_training_set_rejects_non_finite_rows(bad):
+    X = _ROWS.copy()
+    X[2, 1] = bad
+    with pytest.raises(DataError, match="finite"):
+        rows_training_set(X, _LABELS)
 
 
 def _single_leaf_tree(prob, count=5):
@@ -419,14 +450,16 @@ def test_predict_identities_and_errors():
     model = train(ten_sample_set(), RFParams(n_trees=1, min_leaf=1, seed=0))
     # constant features cannot split: one leaf carrying the class fraction
     leaf_only = train(
-        TrainingSet(np.zeros((6, 1)), np.array([True] * 4 + [False] * 2)),
+        rows_training_set(np.zeros((6, 1)), np.array([True] * 4 + [False] * 2)),
         RFParams(n_trees=1, min_leaf=3, seed=0),
     )
     assert leaf_only.trees[0].n_nodes == 1
     assert scalar_predict(leaf_only, np.array([123.0])) == leaf_only.trees[0].prob[0]
-    assert predict_batch(leaf_only, np.array([[123.0]]))[0] == leaf_only.trees[0].prob[0]
-    with pytest.raises(DataError):
-        predict_batch(model, np.array([[1.0, 2.0]]))
+    assert predict_rows(leaf_only, np.array([[123.0]]))[0] == leaf_only.trees[0].prob[0]
+    # a tile's 102 features cannot feed a one-feature forest
+    tile = ImageTile(np.zeros((4, 4, 3), dtype=np.uint8), "t")
+    with pytest.raises(DataError, match="102 features"):
+        predict_tile(model, tile, FeatureSpec())
 
 
 def test_predict_mean_of_two_trees():
@@ -434,19 +467,19 @@ def test_predict_mean_of_two_trees():
         [_single_leaf_tree(0.0), _single_leaf_tree(1.0)], 1, "unspecified"
     )
     assert scalar_predict(forest, np.array([0.0])) == 0.5
-    assert predict_batch(forest, np.array([[0.0]]))[0] == 0.5
+    assert predict_rows(forest, np.array([[0.0]]))[0] == 0.5
     single = RandomForest([_single_leaf_tree(0.375)], 1, "unspecified")
     assert scalar_predict(single, np.array([9.0])) == 0.375
-    assert predict_batch(single, np.array([[9.0]]))[0] == 0.375
+    assert predict_rows(single, np.array([[9.0]]))[0] == 0.375
 
 
 def test_predict_matches_route_and_read_oracle():
     rng = np.random.default_rng(6)
     X = rng.uniform(0, 1, size=(400, 4))
     y = (X[:, 1] > 0.6) | (X[:, 2] < 0.2)
-    model = train(TrainingSet(X, y), RFParams(n_trees=7, seed=11))
+    model = train(rows_training_set(X, y), RFParams(n_trees=7, seed=11))
     probe = rng.uniform(0, 1, size=(50, 4))
-    batch = predict_batch(model, probe)
+    batch = predict_rows(model, probe)
     for x, got in zip(probe, batch):
         probs = sorted(route_and_read(t, x) for t in model.trees)
         acc = 0.0
@@ -459,58 +492,51 @@ def test_predict_invariant_under_tree_permutation():
     rng = np.random.default_rng(7)
     X = rng.uniform(0, 1, size=(300, 3))
     y = X[:, 0] > 0.4
-    model = train(TrainingSet(X, y), RFParams(n_trees=9, seed=2))
+    model = train(rows_training_set(X, y), RFParams(n_trees=9, seed=2))
     shuffled = RandomForest(model.trees[::-1], model.n_features, "unspecified")
     probe = rng.uniform(0, 1, size=(40, 3))
-    assert np.array_equal(predict_batch(model, probe), predict_batch(shuffled, probe))
+    assert np.array_equal(predict_rows(model, probe), predict_rows(shuffled, probe))
 
 
-def test_predict_batch_matches_scalar_predict_bitwise():
+def test_row_routing_matches_scalar_predict_bitwise():
     rng = np.random.default_rng(8)
     X = rng.uniform(0, 1, size=(200, 3))
     y = X[:, 0] + X[:, 2] > 1.0
-    model = train(TrainingSet(X, y), RFParams(n_trees=6, seed=4))
+    model = train(rows_training_set(X, y), RFParams(n_trees=6, seed=4))
     probe = rng.uniform(0, 1, size=(31, 3))
-    batch = predict_batch(model, probe)
+    batch = predict_rows(model, probe)
     for i in range(31):
         assert batch[i] == scalar_predict(model, probe[i])
 
 
-def test_predict_batch_shape_and_range():
+def test_predict_tile_shape_and_range():
     rng = np.random.default_rng(9)
-    X = rng.uniform(0, 1, size=(200, 102))
-    y = X[:, 0] > 0.5
-    model = train(TrainingSet(X, y), RFParams(n_trees=3, seed=5))
-    feature_image = rng.uniform(0, 1, size=(6, 7, 102))
-    conf = predict_batch(model, feature_image.reshape(42, 102))
-    assert conf.shape == (42,)
-    assert conf.min() >= 0.0 and conf.max() <= 1.0
-    for i, row in enumerate(feature_image.reshape(42, 102)):
-        assert conf[i] == scalar_predict(model, row)
-    with pytest.raises(DataError):
-        predict_batch(model, rng.uniform(0, 1, size=(42, 54)))
-    with pytest.raises(DataError):
-        predict_batch(model, feature_image)
-
-
-@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-def test_predict_batch_rejects_non_finite_rows(bad):
-    model = train(ten_sample_set(), RFParams(n_trees=2, min_leaf=1, seed=0))
-    X = np.zeros((4, 1))
-    X[2, 0] = bad
-    with pytest.raises(DataError, match="non-finite"):
-        predict_batch(model, X)
+    spec = FeatureSpec()
+    tile = ImageTile(rng.integers(0, 256, size=(6, 7, 3), dtype=np.uint8), "t")
+    X = feature_rows(tile, spec, 0, 6).reshape(42, 102)
+    y = rng.uniform(size=42) < 0.5
+    model = train(rows_training_set(X, y), RFParams(n_trees=3, min_leaf=1, seed=5),
+                  spec.fingerprint())
+    conf = predict_tile(model, tile, spec)
+    assert conf.shape == (6, 7) and conf.dtype == np.float32
+    assert 0.0 <= conf.min() < conf.max() <= 1.0
+    for i, row in enumerate(X):
+        assert conf.flat[i] == np.float32(scalar_predict(model, row))
+    with pytest.raises(DataError, match="expects 102"):
+        predict_tile(model, tile, FeatureSpec(ring_radii=(2,)))  # 54 features
+    with pytest.raises(DataError, match="trained for features"):
+        predict_tile(model, tile, FeatureSpec(window_side=5, ring_radii=(1, 3)))
 
 
 def test_predict_tile_banding_consistency(monkeypatch):
     rng = np.random.default_rng(10)
     tile = ImageTile(rng.integers(0, 256, size=(40, 30, 3), dtype=np.uint8), "t")
     spec = FeatureSpec()
-    fi = extract_feature_rows(tile, spec, 0, tile.height)
+    fi = feature_rows(tile, spec, 0, tile.height)
     X = fi.reshape(-1, 102)
     y = X[:, 0] > np.median(X[:, 0])
-    model = train(TrainingSet(X[:600], y[:600]), RFParams(n_trees=3, seed=6))
-    whole = predict_batch(model, X).reshape(40, 30)
+    model = train(rows_training_set(X[:600], y[:600]), RFParams(n_trees=3, seed=6))
+    whole = predict_rows(model, X).reshape(40, 30)
     # bands of 13 rows: 13 + 13 + 13 + 1, each bit-identical in float64
     monkeypatch.setattr(forest_module, "BAND_PIXELS", 13 * 30 + 29)
     assert np.array_equal(_float64_bands(model, tile, spec), whole)
@@ -536,12 +562,12 @@ def test_plane_routing_matches_scalar_oracle():
     ]
     for spec, h, w in cases:
         tile = ImageTile(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8), "t")
-        X = extract_feature_rows(tile, spec, 0, h).reshape(h * w, -1)
+        X = feature_rows(tile, spec, 0, h).reshape(h * w, -1)
         # random labels grow deep trees that split on many features
         y = np.arange(h * w) % 2 == 0
         rng.shuffle(y)
         model = train(
-            TrainingSet(X, y), RFParams(n_trees=4, min_leaf=1, seed=3), spec.fingerprint()
+            rows_training_set(X, y), RFParams(n_trees=4, min_leaf=1, seed=3), spec.fingerprint()
         )
         conf = predict_tile(model, tile, spec)
         values, base, offsets = feature_planes(tile, spec, 0, h)
@@ -577,7 +603,7 @@ def _float64_bands(model, tile, spec):
 
 def _mixed_depth_forest(X, y):
     """Five trees: deep, a lone leaf, shallow, deep, and a one-split stump."""
-    ts = TrainingSet(X, y)
+    ts = rows_training_set(X, y)
     deep = train(ts, RFParams(n_trees=2, min_leaf=1, seed=5)).trees
     shallow = train(ts, RFParams(n_trees=1, min_leaf=40, seed=6)).trees
     stump = grow_tree(np.arange(y.size), ts, RFParams(min_leaf=y.size // 2 - 1),
@@ -598,24 +624,24 @@ def test_tree_depth_matches_recursive_oracle():
 
 @pytest.mark.parametrize("band_pixels", [4, 8, 16, 1 << 14])
 def test_forest_router_matches_scalar_oracle(monkeypatch, band_pixels):
-    """predict_batch and each predict_tile band equal scalar_predict bit for bit.
+    """Routed rows and each predict_tile band equal scalar_predict bit for bit.
 
     On a 12-row, 20-wide tile, BAND_PIXELS 4, 8 and 16 give bands of one
     20-pixel row, routed in groups of 1, 3 (3 + 2) and all 5 trees;
-    1 << 14 gives one band of the whole tile.  predict_batch routes its
+    1 << 14 gives one band of the whole tile.  predict_rows routes its
     240 rows in groups of 1, 1, 1 and 5 trees.  The float64 means of every
     band are checked; predict_tile's map holds them rounded to float32.
     """
     rng = np.random.default_rng(21)
     spec = FeatureSpec()
     tile = ImageTile(rng.integers(0, 256, size=(12, 20, 3), dtype=np.uint8), "t")
-    X = extract_feature_rows(tile, spec, 0, tile.height).reshape(-1, spec.feature_count)
+    X = feature_rows(tile, spec, 0, tile.height).reshape(-1, spec.feature_count)
     y = np.arange(X.shape[0]) % 3 == 0
     rng.shuffle(y)
     model = _mixed_depth_forest(X, y)
     expected = np.array([scalar_predict(model, x) for x in X])
     monkeypatch.setattr(forest_module, "BAND_PIXELS", band_pixels)
-    assert np.array_equal(predict_batch(model, X), expected)
+    assert np.array_equal(predict_rows(model, X), expected)
     assert np.array_equal(_float64_bands(model, tile, spec).ravel(), expected)
     conf = predict_tile(model, tile, spec)
     assert conf.dtype == np.float32
@@ -659,15 +685,15 @@ def test_sample_training_pixels_contract():
     ts = sample_training_pixels(list(tiles), list(masks), spec, n_pos + 300, seed=0)
     assert ts.codes.shape == (102, n_pos + 300)
     assert ts.codes.dtype == np.uint16 and ts.codes.flags.c_contiguous
-    assert ts.decode().shape == (n_pos + 300, 102)
+    assert decode_rows(ts).shape == (n_pos + 300, 102)
     assert int(ts.labels.sum()) == n_pos
     assert ts.labels[:n_pos].all() and not ts.labels[n_pos:].any()
     # deterministic
     again = sample_training_pixels(list(tiles), list(masks), spec, n_pos + 300, seed=0)
     assert np.array_equal(ts.codes, again.codes)
-    assert_bitwise_equal(ts.decode(), again.decode())
+    assert_bitwise_equal(decode_rows(ts), decode_rows(again))
     other = sample_training_pixels(list(tiles), list(masks), spec, n_pos + 300, seed=1)
-    assert not np.array_equal(ts.decode(), other.decode())
+    assert not np.array_equal(decode_rows(ts), decode_rows(other))
 
 
 def test_sample_training_pixels_features_match_extraction(monkeypatch):
@@ -676,14 +702,14 @@ def test_sample_training_pixels_features_match_extraction(monkeypatch):
     n_pos = int(mask.sum())
     ts = sample_training_pixels([tile], [mask], spec, n_pos + 50, seed=0)
     assert ts.codes.dtype == np.uint16
-    rows = ts.decode()
-    fi = extract_feature_rows(tile, spec, 0, tile.height)
+    rows = decode_rows(ts)
+    fi = feature_rows(tile, spec, 0, tile.height)
     ys, xs = np.nonzero(mask)
     assert_bitwise_equal(rows[:n_pos], fi[ys, xs])
     # bands of 5 rows give the same rows as one band over the 64-row tile
     monkeypatch.setattr(forest_module, "BAND_PIXELS", 5 * 64)
     banded = sample_training_pixels([tile], [mask], spec, n_pos + 50, seed=0)
-    assert_bitwise_equal(rows, banded.decode())
+    assert_bitwise_equal(rows, decode_rows(banded))
     # negatives are distinct non-PV pixels
     neg_rows = rows[n_pos:]
     all_rows = {tuple(r) for r in fi[~mask]}
@@ -734,7 +760,7 @@ def test_model_roundtrip_byte_identical():
     rng = np.random.default_rng(11)
     X = rng.uniform(0, 1, size=(150, 4))
     y = X[:, 3] > 0.5
-    model = train(TrainingSet(X, y), RFParams(n_trees=4, seed=12), "w3:r2,4")
+    model = train(rows_training_set(X, y), RFParams(n_trees=4, seed=12), "w3:r2,4")
     blob = dump_model(model)
     again = dump_model(loads_model(blob))
     assert blob == again
@@ -746,7 +772,7 @@ def test_golden_model_loads_and_predicts():
     assert model.feature_fingerprint == "w3:r2,4"
     for x, want in GOLDEN_PREDICTIONS:
         assert scalar_predict(model, np.array(x)) == want
-    batch = predict_batch(model, np.array([x for x, _ in GOLDEN_PREDICTIONS]))
+    batch = predict_rows(model, np.array([x for x, _ in GOLDEN_PREDICTIONS]))
     assert batch.tolist() == [want for _, want in GOLDEN_PREDICTIONS]
 
 

@@ -3,8 +3,8 @@
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from pvdetect.forest import RFParams, RandomForest, TrainingSet, grow_tree, predict_batch
-from oracles import scalar_predict
+from pvdetect.forest import RFParams, RandomForest, grow_tree
+from oracles import predict_rows, rows_training_set, scalar_predict
 
 # few distinct values, so grown trees split on ties and adjacent values
 _VALUES = st.sampled_from([-2.0, -1.0, -0.5, -0.0, 0.0, 0.5, 1.0, 1.5, 3.0])
@@ -19,7 +19,7 @@ def forests_and_probes(draw):
     ).reshape(n_rows, n_features)
     y = np.array(draw(st.lists(st.booleans(), min_size=n_rows, max_size=n_rows)))
     y[0], y[1] = True, False  # TrainingSet needs both classes
-    ts = TrainingSet(X, y)
+    ts = rows_training_set(X, y)
     trees = []
     for _ in range(draw(st.integers(1, 5))):
         rows = np.array(draw(st.lists(st.integers(0, n_rows - 1), min_size=1, max_size=n_rows)))
@@ -42,7 +42,7 @@ def forests_and_probes(draw):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(forests_and_probes())
-def test_predict_batch_matches_scalar_predict(case):
+def test_row_routing_matches_scalar_predict(case):
     forest, probes = case
-    got = predict_batch(forest, probes)
+    got = predict_rows(forest, probes)
     assert got.tolist() == [scalar_predict(forest, x) for x in probes]

@@ -81,7 +81,6 @@ def test_default_prevalence_near_half_percent():
     tile, annotations = generate_scene(params, "d")
     mask = rasterize(annotations, params.width, params.height)
     assert 0.003 < mask.mean() < 0.008
-    assert 0.003 < params.prevalence_estimate < 0.008
 
 
 def test_scene_params_validation():
