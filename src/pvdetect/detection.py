@@ -16,7 +16,8 @@ map of constant-valued grown regions:
    their value; a pixel added by closing takes the maximum confidence
    within disk r_1, and a pixel added by dilation the maximum
    already-assigned value within disk r_2.  Closing is computed against
-   the infinite plane, so it never loses support at tile borders.
+   the infinite plane, so it never loses support at tile borders.  A
+   dilation radius past hypot(h - 1, w - 1) changes nothing and is clamped.
 
 No step loops over pixels or seeds in Python.  NMS is three separable
 running-max filters (each doubling its span per pass): a pixel survives
@@ -28,11 +29,15 @@ crops at once (exactly, first maximum on ties; Otsu 1979), and the crops,
 framed and stacked, take one labeling; regions merge by np.maximum.at,
 which does not depend on order.  A disk filter takes one horizontal running
 max per distinct half-width of the disk's rows, then combines its 2r + 1
-row shifts.  One labeler serves step 3 and objects: searchsorted finds
-neighbour pairs among the sorted flat indices of the support, and rounds of
-hooking roots under smaller roots, each followed by pointer jumping
-(Shiloach & Vishkin), label each pixel with the smallest flat index of its
-component.
+row shifts.  Closing is the erosion of the dilation (Serra 1982), so step 4
+is three disk filters: of the map padded by r_1, nonzero on the dilated
+support and holding the values closing adds; of its zeros, the erosion;
+and of the closed map, zero where no closed pixel lies within r_2.
+
+One labeler serves step 3 and objects: searchsorted finds neighbour pairs
+among the sorted flat indices of the support, and rounds of hooking roots
+under smaller roots, each followed by pointer jumping (Shiloach & Vishkin),
+label each pixel with the smallest flat index of its component.
 
 Maps stay float32 (as the CMAP stores them) or else float64 throughout.
 Max, where, > 0 and x 256 are exact in float32 and c_0 is compared with
@@ -238,17 +243,18 @@ def otsu_threshold(values: np.ndarray) -> float:
     return int(_otsu_bins(np.bincount(bin256(values), minlength=256)[None])[0]) / 256.0
 
 
-def _max_filter(values: np.ndarray, radius: int, outside=0) -> np.ndarray:
+def _max_filter(values: np.ndarray, radius: int) -> np.ndarray:
     """Maximum of values over the disk of the given radius around each pixel.
 
-    Pixels outside the array read `outside`, and the result is at least
-    zero (False for a boolean mask, which makes this a binary dilation).
+    Pixels outside the array read zero, and the result is at least zero
+    (False for a boolean mask, which makes this a binary dilation).  Step 4
+    is three of these: of the r_1-padded map, of its zeros, of the closed map.
     Disk row dy spans dx in [-a, a] with a = isqrt(radius**2 - dy**2), so one
     horizontal running max per distinct a, taken at the 2 * radius + 1 row
     shifts, covers the disk.
     """
     h, w = values.shape
-    padded = np.pad(values, radius, constant_values=outside)
+    padded = np.pad(values, radius)
     out = np.zeros_like(values)
     rows_of = {}
     for dy in range(-radius, radius + 1):
@@ -258,20 +264,6 @@ def _max_filter(values: np.ndarray, radius: int, outside=0) -> np.ndarray:
         for dy in dys:
             np.maximum(out, row_max[radius + dy : radius + dy + h], out=out)
     return out
-
-
-def _close_support(mask: np.ndarray, radius: int) -> np.ndarray:
-    """Binary closing against the infinite plane, restricted to the array.
-
-    Padding by the radius before dilating keeps border support from being
-    eroded away, so closing never shrinks the support.
-    """
-    if radius == 0 or not mask.any():
-        return mask.copy()
-    dilated = _max_filter(np.pad(mask, radius), radius)
-    # erosion, with pixels outside the array as background
-    closed = ~_max_filter(~dilated, radius, outside=True)
-    return closed[radius:-radius, radius:-radius]
 
 
 def _label(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -387,14 +379,15 @@ def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
         np.maximum.at(enhanced, *_grow_regions(conf, seeds[at : at + step], side))
     enhanced = enhanced.reshape(h, w)
 
-    support = enhanced > 0.0
-    closed = _close_support(support, params.closing_radius)
-    grown = np.where(closed, _max_filter(enhanced, params.closing_radius), 0.0)
-    after_close = np.where(support, enhanced, grown)
-    del enhanced, grown  # full-size maps: keep at most a few alive at once
-    dilated = _max_filter(closed, params.dilation_radius)
-    grown = np.where(dilated, _max_filter(after_close, params.dilation_radius), 0.0)
-    return np.where(closed, after_close, grown)
+    r1 = params.closing_radius
+    # from any pixel, a disk of radius hypot(h - 1, w - 1) covers the map
+    r2 = min(params.dilation_radius, math.ceil(math.hypot(h - 1, w - 1)))
+    near = _max_filter(np.pad(enhanced, r1), r1)
+    closed = ~_max_filter(near == 0, r1)[r1 : r1 + h, r1 : r1 + w]
+    near = near[r1 : r1 + h, r1 : r1 + w]
+    after_close = np.where(closed & (enhanced == 0), near, enhanced)
+    del enhanced, near  # full-size maps: keep at most a few alive at once
+    return np.where(closed, after_close, _max_filter(after_close, r2))
 
 
 def extract_objects(enhanced: np.ndarray) -> list[DetectionObject]:

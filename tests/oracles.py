@@ -474,8 +474,9 @@ def reference_postprocess(conf, params):
 # Seed-by-seed post-processing
 # ---------------------------------------------------------------------------
 # pvdetect's earlier postprocess, which grew one seed at a time: a Python
-# Otsu loop (here the exact rational one above) and one labeling per crop.
-# It is the reference for the batched step 3 of
+# Otsu loop (here the exact rational one above) and one labeling per crop,
+# then closed and dilated the map in five disk filters.  It is the
+# reference for the batched step 3 and the three-filter step 4 of
 # pvdetect.detection.postprocess, which must match it bit for bit.
 
 
@@ -486,6 +487,20 @@ def _component_containing(mask: np.ndarray, seed_y: int, seed_x: int) -> np.ndar
     out = np.zeros(mask.size, dtype=bool)
     out[pixels[labels == seed]] = True
     return out.reshape(mask.shape)
+
+
+def _close_support(mask: np.ndarray, radius: int) -> np.ndarray:
+    """Binary closing against the infinite plane, restricted to the array.
+
+    Padding by the radius before dilating keeps border support from being
+    eroded away, so closing never shrinks the support.
+    """
+    if radius == 0 or not mask.any():
+        return mask.copy()
+    dilated = detection._max_filter(np.pad(mask, radius), radius)
+    # erosion; no kept pixel's disk reaches past the padded canvas
+    closed = ~detection._max_filter(~dilated, radius)
+    return closed[radius:-radius, radius:-radius]
 
 
 def seedwise_postprocess(conf: np.ndarray, params) -> np.ndarray:
@@ -512,7 +527,7 @@ def seedwise_postprocess(conf: np.ndarray, params) -> np.ndarray:
         np.maximum(region, np.where(component, value, 0.0), out=region)
 
     support = enhanced > 0.0
-    closed = detection._close_support(support, params.closing_radius)
+    closed = _close_support(support, params.closing_radius)
     grown = np.where(closed, detection._max_filter(enhanced, params.closing_radius), 0.0)
     after_close = np.where(support, enhanced, grown)
     del enhanced, grown  # full-size maps: keep at most a few alive at once

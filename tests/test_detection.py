@@ -1,3 +1,4 @@
+import hashlib
 import os
 import subprocess
 import sys
@@ -21,7 +22,9 @@ from pvdetect.detection import (
     postprocess,
     save_confidence_map,
 )
+from pvdetect.cli import write_detections_csv
 from pvdetect.errors import ConfigError, DataError, InputError
+from pvdetect.rng import Stream
 from pvdetect import detection
 from oracles import (
     brute_nms,
@@ -137,12 +140,26 @@ def test_postprocess_crop_larger_than_map():
     assert np.array_equal(postprocess(conf, params), reference_postprocess(conf, params))
 
 
+def _run_in_one_gib(script):
+    """Run script in a child Python that may map at most 1 GiB.
+
+    A run that allocates for a nominal 100001-pixel window or disk on a
+    small map then fails fast with MemoryError.
+    """
+    limit = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
+    result = subprocess.run(
+        [sys.executable, "-c", limit + script], env=env, capture_output=True,
+        text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+
+
 _OVERSIZE_SIDES = """
-import resource
 import numpy as np
 from pvdetect.detection import PPParams, nonmax_suppress, postprocess
 
-resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
 rng = np.random.default_rng(16)
 for shape in [(40, 40), (40, 23), (9, 40)]:
     conf = np.round(rng.uniform(0, 1, size=shape), 1).astype(np.float32)
@@ -159,16 +176,40 @@ def test_oversize_windows_run_bounded_with_the_bytes_of_whole_map_windows():
     """Sides of 100001 on maps up to 40 px give the bytes of side 81.
 
     From a half-width of max(h, w) - 1 on, a window clamped to the map is
-    the whole map.  The child process may map at most 1 GiB, so a run that
-    allocates for the nominal side fails fast with MemoryError.
+    the whole map.
     """
-    src = Path(__file__).resolve().parent.parent / "src"
-    env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
-    result = subprocess.run(
-        [sys.executable, "-c", _OVERSIZE_SIDES], env=env, capture_output=True,
-        text=True, timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
+    _run_in_one_gib(_OVERSIZE_SIDES)
+
+
+_OVERSIZE_DILATION = """
+import math
+import numpy as np
+from pvdetect.detection import PPParams, postprocess
+
+rng = np.random.default_rng(17)
+for shape in [(40, 40), (1, 30), (17, 5), (1, 1), (9, 23)]:
+    corner = np.zeros(shape, np.float32)
+    corner[0, 0] = 0.9
+    speckle = np.where(rng.random(shape) < 0.1, rng.uniform(0.4, 1, shape), 0.0)
+    reach = math.ceil(math.hypot(shape[0] - 1, shape[1] - 1))
+    for conf in (corner, np.maximum(corner, speckle).astype(np.float32)):
+        params = [PPParams(closing_radius=1, dilation_radius=r) for r in (100001, reach)]
+        huge, exact = (postprocess(conf, p) for p in params)
+        assert huge.dtype == exact.dtype and huge.tobytes() == exact.tobytes(), shape
+        assert exact.all(), shape
+    # one pixel short, the lone corner seed no longer reaches the far corner
+    if reach:
+        short = postprocess(corner, PPParams(closing_radius=1, dilation_radius=reach - 1))
+        assert short[-1, -1] == 0.0, shape
+"""
+
+
+def test_oversize_dilation_runs_bounded_with_the_bytes_of_the_reaching_disk():
+    """A dilation radius of 100001 gives the bytes of radius ceil(hypot(h-1, w-1)).
+
+    From any pixel, a disk of that radius already covers the whole map.
+    """
+    _run_in_one_gib(_OVERSIZE_DILATION)
 
 
 def test_nms_rejects_even_side():
@@ -297,21 +338,24 @@ def test_postprocess_values_come_from_surviving_maxima():
 
 
 def test_postprocess_matches_reference_oracle():
+    """Every closing radius, zero included, against the straight-line oracle.
+
+    Small sparse maps keep the oracle fast; single rows and columns put
+    every pixel on a border, and an all-zero map has no support to close.
+    One dense map holds many overlapping regions.
+    """
     rng = np.random.default_rng(4)
-    for trial in range(6):
-        conf = rng.uniform(0, 1, size=(32, 32))
-        if trial % 2:
-            conf = np.round(conf, 2)
-        params = PPParams(
-            nms_side=9,
-            confidence_floor=0.375,
-            otsu_side=19,
-            closing_radius=3 if trial % 3 else 5,
-            dilation_radius=trial % 3,
-        )
-        got = postprocess(conf, params)
-        want = reference_postprocess(conf, params)
-        assert np.array_equal(got, want), trial
+    maps = [np.zeros((6, 9)), np.round(rng.uniform(0, 1, (32, 32)), 2)]
+    for shape in [(20, 20), (1, 23), (23, 1), (7, 15)]:
+        sparse = np.where(rng.random(shape) < 0.3, rng.uniform(0, 1, shape), 0.0)
+        maps += [sparse, np.round(sparse, 1)]
+    for r1 in (0, 1, 2, 5):
+        for r2 in (0, 1, 3):
+            params = PPParams(nms_side=5, closing_radius=r1, dilation_radius=r2)
+            for conf in maps:
+                got = postprocess(conf, params)
+                want = reference_postprocess(conf, params)
+                assert np.array_equal(got, want), (r1, r2, conf.shape)
 
 
 def test_postprocess_structuring_radius_larger_than_map():
@@ -402,8 +446,8 @@ def seeded_maps(draw):
         nms_side=draw(st.sampled_from([3, 5, 9])),
         confidence_floor=draw(st.sampled_from([0.01, 0.375, 0.9])),
         otsu_side=side,
-        closing_radius=draw(st.integers(0, 3)),
-        dilation_radius=draw(st.integers(0, 2)),
+        closing_radius=draw(st.integers(0, 6)),
+        dilation_radius=draw(st.integers(0, 6)),
     )
     return conf, params, draw(st.booleans())
 
@@ -440,6 +484,39 @@ def test_otsu_matches_exhaustive_oracle_on_histograms_past_int64():
     for hist, k in zip(hists, got.tolist()):
         values = (np.repeat(np.arange(256), hist) + 0.5) / 256
         assert k / 256 == otsu_threshold(values) == exhaustive_otsu(values)
+
+
+def _golden_map(side=256):
+    """float32 map drawn from pvdetect.rng, so independent of NumPy's generators.
+
+    Low speckle on a quarter of the pixels, bright speckle on 0.5%, and
+    sixteen disk plateaus at confidences 0.4 + k / 20.
+    """
+    stream = Stream(2026)
+    u = stream.uniforms(side * side).reshape(side, side)
+    v = stream.uniforms(side * side).reshape(side, side)
+    conf = np.where(u < 0.25, 0.35 * v, 0.0)
+    conf = np.where(u < 0.005, 0.4 + 0.6 * v, conf)
+    ys, xs = np.ogrid[:side, :side]
+    n = 16
+    centres_y, centres_x = stream.integers(side, n).tolist(), stream.integers(side, n).tolist()
+    radii, levels = (2 + stream.integers(9, n)).tolist(), stream.integers(13, n).tolist()
+    for y, x, r, level in zip(centres_y, centres_x, radii, levels):
+        disk = (ys - y) ** 2 + (xs - x) ** 2 <= r * r
+        conf[disk] = np.maximum(conf[disk], 0.4 + level / 20)
+    return conf.astype(np.float32)
+
+
+def test_golden_detect_bytes(tmp_path):
+    """The enhanced map and detections CSV of a fixed map keep their bytes."""
+    enhanced = postprocess(_golden_map(), PPParams())
+    digest = hashlib.sha256(encode_confidence_map(enhanced)).hexdigest()
+    assert digest == "88a4dd6a7a1b0b1a925317ae57aa790e361bffaa9f632149fd88d748600ef4e9"
+    objects = extract_objects(enhanced)
+    assert len(objects) == 206
+    write_detections_csv({"golden": objects}, tmp_path / "detections.csv")
+    digest = hashlib.sha256((tmp_path / "detections.csv").read_bytes()).hexdigest()
+    assert digest == "a72e54be691443abbe27326c70ec31dee12ebf8b660e82b63d3ebc9835478f4c"
 
 
 def test_postprocess_rejects_negative_maps():
