@@ -72,7 +72,7 @@ from .scoring import (
     write_pr_csv,
     write_pr_svg,
 )
-from .synth import SceneParams, generate_scene, params_for_prevalence
+from .synth import SceneParams, generate_scene
 
 __version__ = "0.1.0"
 

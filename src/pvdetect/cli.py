@@ -353,7 +353,7 @@ def cmd_score(
             for flat in pixels:
                 mask[flat] = True
             masks.append(mask.reshape(tile.height, tile.width))
-        curve = scoring.pixel_pr(conf_maps, masks, config.sweep)
+        curve = scoring.pixel_pr(conf_maps, masks)
         emit(curve, out_dir / "pr_pixel.csv", "pixel-level PR")
 
     if detections_path is not None:

@@ -45,7 +45,6 @@ class RunConfig:
     dilation_radius: int = 2
 
     # scoring
-    sweep: str = "exact"
     jaccard_levels: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7)
 
     # synthetic scenes
@@ -62,8 +61,6 @@ class RunConfig:
             raise ConfigError(f"threads must be >= 1, got {self.threads}")
         if self.train_pixels < 2:
             raise ConfigError(f"train_pixels must be >= 2, got {self.train_pixels}")
-        if self.sweep not in ("exact", "quantized"):
-            raise ConfigError(f"sweep must be exact or quantized, got {self.sweep!r}")
         if not self.jaccard_levels or any(
             not 0.0 < j <= 1.0 for j in self.jaccard_levels
         ):

@@ -98,10 +98,10 @@ class PPParams:
 class DetectionObject:
     """One 8-connected detected region of a tile of the given (height, width).
 
-    pixels holds the region's distinct flat indices y * width + x in
-    ascending order, read-only; any integer sequence is accepted and
-    normalized.  Every index must lie inside the tile, so a pixel can never
-    alias onto another row.
+    pixels holds the region's flat indices y * width + x, strictly
+    increasing (so sorted and distinct) and inside the tile, so a pixel can
+    never alias onto another row; pixels that break this raise DataError.
+    The object keeps a read-only copy.
     """
 
     pixels: np.ndarray
@@ -110,9 +110,11 @@ class DetectionObject:
 
     def __post_init__(self):
         height, width = self.shape
-        pixels = np.unique(np.asarray(self.pixels, dtype=np.int64))
-        if pixels.size == 0:
-            raise DataError("detection object must cover at least one pixel")
+        pixels = np.array(self.pixels, dtype=np.int64)
+        if pixels.ndim != 1 or pixels.size == 0:
+            raise DataError("detection pixels must be a non-empty 1-D array")
+        if not (pixels[1:] > pixels[:-1]).all():
+            raise DataError("detection pixels must be strictly increasing")
         if pixels[0] < 0 or pixels[-1] >= height * width:
             raise DataError(f"detection pixel outside its {width}x{height} tile")
         pixels.setflags(write=False)
@@ -141,7 +143,8 @@ class DetectionObject:
     def from_rle(
         cls, text: str, confidence: float, shape: tuple[int, int]
     ) -> DetectionObject:
-        """Inverse of to_rle; a run outside the tile raises DataError."""
+        """Inverse of to_rle; a run outside the tile, out of row-major order
+        or overlapping another raises DataError."""
         height, width = shape
         runs = []
         for run in text.split(";"):
@@ -364,11 +367,25 @@ def _otsu_bins(hist: np.ndarray) -> np.ndarray:
 
 
 def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
-    """Enhanced confidence map per the region-growing algorithm above."""
+    """Enhanced confidence map per the region-growing algorithm above.
+
+    Closing works on a canvas of (h + 4 r_1) x (w + 4 r_1) cells, which no
+    clamp can shrink (closing is taken against the infinite plane), so a
+    closing radius whose canvas exceeds 4 h w + 2**20 cells raises
+    ConfigError before anything is allocated.  That keeps step 4's memory
+    within a constant factor of the map's, and admits the default r_1 = 5 on
+    every map from 1 x 1 to 5000 x 5000.
+    """
     conf = _check_map(conf)
     if conf.min() < 0.0:
         raise DataError("confidence map holds negative values")
     h, w = conf.shape
+    r1 = params.closing_radius
+    if (h + 4 * r1) * (w + 4 * r1) > 4 * h * w + 2**20:
+        raise ConfigError(
+            f"closing_radius {r1} needs a canvas over 4 h w + 2**20 cells "
+            f"on a {w}x{h} map"
+        )
     seeds = filter_maxima(
         conf, nonmax_suppress(conf, params.nms_side), params.confidence_floor
     )
@@ -379,7 +396,6 @@ def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
         np.maximum.at(enhanced, *_grow_regions(conf, seeds[at : at + step], side))
     enhanced = enhanced.reshape(h, w)
 
-    r1 = params.closing_radius
     # from any pixel, a disk of radius hypot(h - 1, w - 1) covers the map
     r2 = min(params.dilation_radius, math.ceil(math.hypot(h - 1, w - 1)))
     near = _max_filter(np.pad(enhanced, r1), r1)

@@ -42,7 +42,6 @@ class PRCurve:
     precision: np.ndarray
     recall: np.ndarray
     prevalence: float
-    quantized: bool = False
 
     def __post_init__(self):
         t = np.asarray(self.thresholds, dtype=np.float64)
@@ -90,23 +89,14 @@ def jaccard(pixels_a, pixels_b) -> float:
     return both / (a.size + b.size - both)
 
 
-def pixel_pr(
-    conf_maps: list[np.ndarray],
-    label_masks: list[np.ndarray],
-    sweep: str = "exact",
-) -> PRCurve:
+def pixel_pr(conf_maps: list[np.ndarray], label_masks: list[np.ndarray]) -> PRCurve:
     """Pooled pixel-level PR curve over paired maps and masks.
 
-    sweep="exact" uses every distinct positive confidence as a threshold;
-    sweep="quantized" uses the 1001 uniform thresholds 1.000 .. 0.000 and
-    marks the curve as quantized (thresholds that accept no pixel are
-    dropped, since precision is undefined there).  In both modes pixels
-    with zero confidence are never counted as detections, so only the
-    pixels with confidence > 0 are sorted.  Maps may be float32, the CMAP's
-    precision, or anything float64 can hold.
+    Every distinct positive confidence is a threshold.  Pixels with zero
+    confidence are never counted as detections, so only the pixels with
+    confidence > 0 are sorted.  Maps may be float32, the CMAP's precision,
+    or anything float64 can hold.
     """
-    if sweep not in ("exact", "quantized"):
-        raise ConfigError(f"unknown sweep mode {sweep!r}")
     if len(conf_maps) != len(label_masks) or not conf_maps:
         raise ConfigError("need one label mask per confidence map")
     confs, labels = [], []
@@ -127,32 +117,14 @@ def pixel_pr(
         n_pixels += mask.size
     if n_pos == 0:
         raise DataError("ground truth contains no positive pixels")
-    prevalence = n_pos / n_pixels
 
     conf = np.concatenate(confs)
     order = np.argsort(-conf, kind="stable")
     sorted_conf = conf[order]
-    cum_tp = np.cumsum(np.concatenate(labels)[order])
-
-    if sweep == "exact":
-        last_of_value = np.ones(sorted_conf.size, dtype=bool)
-        last_of_value[:-1] = sorted_conf[:-1] != sorted_conf[1:]
-        ends = np.flatnonzero(last_of_value)
-        thresholds = sorted_conf[ends]
-        detected = ends + 1
-        tp = cum_tp[ends]
-    else:
-        levels = np.arange(1000, -1, -1) / 1000.0
-        # detections at threshold t: the positive confidences >= t
-        detected = np.searchsorted(-sorted_conf, -levels, side="right")
-        keep = detected >= 1
-        thresholds = levels[keep]
-        detected = detected[keep]
-        tp = cum_tp[detected - 1]
-
-    precision = tp / detected
-    recall = tp / n_pos
-    return PRCurve(thresholds, precision, recall, prevalence, sweep == "quantized")
+    # the last pixel of each distinct confidence; no positive pixel, no point
+    ends = np.flatnonzero(np.append(sorted_conf[:-1] != sorted_conf[1:], conf.size > 0))
+    tp = np.cumsum(np.concatenate(labels)[order])[ends]
+    return PRCurve(sorted_conf[ends], tp / (ends + 1), tp / n_pos, n_pos / n_pixels)
 
 
 def judge_detections(
@@ -254,13 +226,9 @@ def multi_tile_object_pr(
 def write_pr_csv(curve: PRCurve, path) -> None:
     """CSV with header threshold,precision,recall and 17-digit decimals.
 
-    Prevalence and the quantized flag ride along as '#' comment lines
-    ahead of the header.
+    Prevalence rides along as a '#' comment line ahead of the header.
     """
-    lines = [f"# prevalence={format(curve.prevalence, '.17g')}"]
-    if curve.quantized:
-        lines.append("# sweep=quantized")
-    lines.append("threshold,precision,recall")
+    lines = [f"# prevalence={format(curve.prevalence, '.17g')}", "threshold,precision,recall"]
     rows = zip(curve.thresholds.tolist(), curve.precision.tolist(), curve.recall.tolist())
     lines += [f"{t:.17g},{p:.17g},{r:.17g}" for t, p, r in rows]
     write_atomic(path, "\n".join(lines) + "\n")
@@ -326,7 +294,6 @@ def write_pr_svg(curve: PRCurve, path, title: str = "") -> None:
 def read_pr_csv(path) -> PRCurve:
     text = read_text(path, "PR file")
     prevalence = 0.0
-    quantized = False
     rows = []
     saw_header = False
     try:
@@ -338,8 +305,6 @@ def read_pr_csv(path) -> PRCurve:
                 body = line[1:].strip()
                 if body.startswith("prevalence="):
                     prevalence = float(body.split("=", 1)[1])
-                elif body == "sweep=quantized":
-                    quantized = True
                 continue
             if not saw_header:
                 if line != "threshold,precision,recall":
@@ -355,4 +320,4 @@ def read_pr_csv(path) -> PRCurve:
     if not saw_header:
         raise DataError(f"{path}: missing PR header")
     arr = np.array(rows, dtype=np.float64).reshape(-1, 3)
-    return PRCurve(arr[:, 0], arr[:, 1], arr[:, 2], prevalence, quantized)
+    return PRCurve(arr[:, 0], arr[:, 1], arr[:, 2], prevalence)

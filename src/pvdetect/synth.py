@@ -62,23 +62,6 @@ class SceneParams:
             raise ConfigError("bad patch_size or panel_gap")
 
 
-def params_for_prevalence(
-    target: float, panel_side: int = 16, width: int = 512, height: int = 512, seed: int = 0
-) -> SceneParams:
-    """SceneParams with fixed-size panels approximating a target prevalence."""
-    if not 0.0 < target < 0.5:
-        raise ConfigError(f"target prevalence must be in (0, 0.5), got {target}")
-    n = max(1, round(target * width * height / (panel_side * panel_side)))
-    return SceneParams(
-        width=width,
-        height=height,
-        n_panels=n,
-        panel_side_min=panel_side,
-        panel_side_max=panel_side,
-        seed=seed,
-    )
-
-
 def _place_panels(params: SceneParams, stream: Stream) -> list[tuple[int, int, int, int]]:
     """Non-overlapping (x0, y0, w, h) rectangles, kept panel_gap apart."""
     rects: list[tuple[int, int, int, int]] = []

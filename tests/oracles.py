@@ -546,10 +546,8 @@ def seedwise_postprocess(conf: np.ndarray, params) -> np.ndarray:
 # pvdetect.scoring.pixel_pr, which sorts only the positive confidences.
 
 
-def full_sort_pixel_pr(conf_maps, label_masks, sweep="exact") -> PRCurve:
+def full_sort_pixel_pr(conf_maps, label_masks) -> PRCurve:
     """Pooled pixel PR curve over the full sort of every pixel."""
-    if sweep not in ("exact", "quantized"):
-        raise ConfigError(f"unknown sweep mode {sweep!r}")
     if len(conf_maps) != len(label_masks) or not conf_maps:
         raise ConfigError("need one label mask per confidence map")
     confs, labels = [], []
@@ -575,28 +573,17 @@ def full_sort_pixel_pr(conf_maps, label_masks, sweep="exact") -> PRCurve:
     sorted_conf = conf[order]
     cum_tp = np.cumsum(label[order])
 
-    if sweep == "exact":
-        positive = sorted_conf > 0.0
-        last_of_value = np.ones(sorted_conf.size, dtype=bool)
-        last_of_value[:-1] = sorted_conf[:-1] != sorted_conf[1:]
-        ends = np.nonzero(last_of_value & positive)[0]
-        thresholds = sorted_conf[ends]
-        detected = ends + 1
-        tp = cum_tp[ends]
-    else:
-        levels = np.arange(1000, -1, -1) / 1000.0
-        # detections at threshold t: pixels with 0 < confidence and conf >= t
-        n_positive_conf = int((sorted_conf > 0.0).sum())
-        detected = np.searchsorted(-sorted_conf, -levels, side="right")
-        detected = np.minimum(detected, n_positive_conf)
-        keep = detected >= 1
-        thresholds = levels[keep]
-        detected = detected[keep]
-        tp = cum_tp[detected - 1]
+    positive = sorted_conf > 0.0
+    last_of_value = np.ones(sorted_conf.size, dtype=bool)
+    last_of_value[:-1] = sorted_conf[:-1] != sorted_conf[1:]
+    ends = np.nonzero(last_of_value & positive)[0]
+    thresholds = sorted_conf[ends]
+    detected = ends + 1
+    tp = cum_tp[ends]
 
     precision = tp / detected
     recall = tp / n_pos
-    return PRCurve(thresholds, precision, recall, prevalence, sweep == "quantized")
+    return PRCurve(thresholds, precision, recall, prevalence)
 
 
 # ---------------------------------------------------------------------------

@@ -3,9 +3,11 @@ import os
 import threading
 from concurrent import futures
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvdetect import cli, detection, forest
 from pvdetect.cli import (
@@ -58,14 +60,53 @@ def tiny_config_text(**overrides):
 def test_rle_roundtrip():
     # (5, 0) and (0, 1) are adjacent flat indices but lie on different rows
     xy = {(0, 0), (1, 0), (2, 0), (4, 0), (5, 0), (0, 1), (5, 3)}
-    pixels = [y * 6 + x for x, y in xy]
+    pixels = sorted(y * 6 + x for x, y in xy)
     text = DetectionObject(pixels, 0.5, (4, 6)).to_rle()
     assert text == "0:0-2;0:4-5;1:0-0;3:5-5"
     again = DetectionObject.from_rle(text, 0.5, (4, 6))
-    assert again.pixels.tolist() == sorted(pixels)
-    for bad in ["not runs", "0:3-2", "-1:0-2", "0:-1-2", "0:5-6", "4:0-0", ""]:
+    assert again.pixels.tolist() == pixels
+    bad_runs = ["not runs", "0:3-2", "-1:0-2", "0:-1-2", "0:5-6", "4:0-0", ""]
+    # runs out of row-major order, or overlapping
+    bad_runs += ["1:0-0;0:0-2", "0:4-5;0:0-2", "0:0-2;0:2-3", "0:1-1;0:1-1"]
+    for bad in bad_runs:
         with pytest.raises(DataError):
             DetectionObject.from_rle(bad, 0.5, (4, 6))
+
+
+_RLE_TEXT = st.text() | st.text("0123456789:-;, ")
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_RLE_TEXT, st.tuples(st.integers(0, 8), st.integers(0, 8)))
+def test_from_rle_raises_only_data_error(text, shape):
+    try:
+        obj = DetectionObject.from_rle(text, 0.5, shape)
+    except DataError:
+        return
+    again = DetectionObject.from_rle(obj.to_rle(), 0.5, shape)
+    assert again.pixels.tolist() == obj.pixels.tolist()
+
+
+@st.composite
+def detections_texts(draw):
+    """A header and rows of nine short fields, on known tiles or not."""
+    rows = [cli._DETECTIONS_HEADER]
+    for _ in range(draw(st.integers(0, 3))):
+        tile = draw(st.sampled_from(["t", "t0", "u"]))
+        number = st.integers(-1, 30).map(str) | st.text("0123456789.-e", max_size=3)
+        numbers = draw(st.lists(number, min_size=7, max_size=7))
+        rows.append(",".join([tile, *numbers, draw(_RLE_TEXT)]))
+    return "\n".join(rows)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.text() | detections_texts())
+def test_read_detections_csv_raises_only_data_error(text):
+    try:
+        with mock.patch.object(cli.imagery, "read_text", return_value=text):
+            read_detections_csv(Path("detections.csv"), {"t": (4, 6), "t0": (1, 1)})
+    except DataError:
+        pass
 
 
 def test_detections_csv_roundtrip(tmp_path):
@@ -512,6 +553,8 @@ def test_main_score_malformed_detections_exit_4(tmp_path, capsys):
         "scene_002,0,0.5,2,95,0,96,0,0:95-96",  # x past the tile width
         "scene_002,0,0.5,1,0,96,0,96,96:0-0",  # y past the tile height
         "scene_000,0,0.5,2,3,4,4,4,4:3-4",  # a tile outside the test role
+        "scene_002,0,0.5,3,3,4,4,5,5:3-3;4:3-4",  # runs out of row-major order
+        "scene_002,0,0.5,2,3,4,4,4,4:3-4;4:4-4",  # overlapping runs
     ]:
         code, err = score(row)
         assert code == 4, row

@@ -18,7 +18,6 @@ def test_defaults_match_documented_parameter_table():
     assert config.window_side == 3
     assert config.ring_radii == (2, 4)
     assert config.jaccard_levels == (0.1, 0.3, 0.5, 0.7)
-    assert config.sweep == "exact"
     assert config.train_pixels == 200_000
 
 
@@ -36,14 +35,12 @@ seed = 9
 trees = 3      # inline comment
 ring_radii = 2,3,5
 jaccard_levels = 0.5
-sweep = quantized
 """
     config = parse_config(text)
     assert config.seed == 9
     assert config.trees == 3
     assert config.ring_radii == (2, 3, 5)
     assert config.jaccard_levels == (0.5,)
-    assert config.sweep == "quantized"
 
 
 def test_parse_rejects_unknown_keys_and_bad_values():
@@ -53,6 +50,10 @@ def test_parse_rejects_unknown_keys_and_bad_values():
         parse_config("trees = many\n")
     with pytest.raises(ConfigError):
         parse_config("just some text\n")
+    # pixel PR has one exact sweep and no key to choose it
+    for mode in ("exact", "quantized"):
+        with pytest.raises(ConfigError, match="unknown key 'sweep'"):
+            parse_config(f"sweep = {mode}\n")
 
 
 def test_invariants_enforced():
@@ -62,8 +63,6 @@ def test_invariants_enforced():
         RunConfig(confidence_floor=1.5)
     with pytest.raises(ConfigError):
         RunConfig(window_side=2)
-    with pytest.raises(ConfigError):
-        RunConfig(sweep="sometimes")
     with pytest.raises(ConfigError):
         RunConfig(jaccard_levels=())
     with pytest.raises(ConfigError):

@@ -212,6 +212,48 @@ def test_oversize_dilation_runs_bounded_with_the_bytes_of_the_reaching_disk():
     _run_in_one_gib(_OVERSIZE_DILATION)
 
 
+_OVERSIZE_CLOSING = """
+from pathlib import Path
+import numpy as np
+from pvdetect import cli
+from pvdetect.detection import save_confidence_map
+
+tmp = Path({tmp!r})
+conf = np.zeros((40, 40), np.float32)
+conf[20, 20] = 0.9
+save_confidence_map(conf, tmp / "m.cmap")
+(tmp / "run.cfg").write_text("closing_radius = 100001\\n")
+argv = ["detect", "--config", str(tmp / "run.cfg"), "--out", str(tmp / "out")]
+assert cli.main(argv + [str(tmp / "m.cmap")]) == 2
+"""
+
+
+def test_oversize_closing_exits_2_before_allocating(tmp_path):
+    """pvdetect detect with closing_radius 100001 on a 40x40 map is a config error.
+
+    Its closing canvas would need 149 GiB; no clamp gives the same bytes.
+    """
+    _run_in_one_gib(_OVERSIZE_CLOSING.format(tmp=str(tmp_path)))
+
+
+def test_closing_canvas_bound():
+    """A closing canvas (h + 4 r1)(w + 4 r1) up to 4 h w + 2**20 cells runs.
+
+    On a 40x40 map the bound is 1,054,976 cells: r1 = 246 needs 1,048,576
+    and r1 = 247 needs 1,056,784.
+    """
+    conf = np.zeros((40, 40), np.float32)
+    conf[20, 20] = 0.9
+    widest = postprocess(conf, PPParams(closing_radius=246))
+    # closing leaves a lone pixel as it is, at any radius
+    assert widest.tobytes() == postprocess(conf, PPParams(closing_radius=0)).tobytes()
+    with pytest.raises(ConfigError, match="closing_radius 247"):
+        postprocess(conf, PPParams(closing_radius=247))
+    # the default radius runs on the thinnest maps up to 5000 px
+    for shape in [(1, 1), (1, 5000), (5000, 1)]:
+        assert postprocess(np.full(shape, 0.5), PPParams()).any(), shape
+
+
 def test_nms_rejects_even_side():
     with pytest.raises(ConfigError):
         nonmax_suppress(np.zeros((4, 4)), 4)
@@ -667,10 +709,17 @@ def test_connected_components_match_flood_fill_on_adversarial_masks():
 
 
 def test_detection_object_invariants():
-    obj = DetectionObject([7, 2, 7, 3], 0.5, (3, 4))
-    assert obj.pixels.tolist() == [2, 3, 7]  # sorted and distinct
+    source = np.array([2, 3, 7])
+    obj = DetectionObject(source, 0.5, (3, 4))
+    assert obj.pixels.tolist() == [2, 3, 7]
     assert not obj.pixels.flags.writeable
+    source[0] = 0  # the object holds its own copy
+    assert obj.pixels.tolist() == [2, 3, 7]
     assert obj.area == 3 and obj.bbox == (2, 0, 3, 1)
+    # pixels are checked, not normalized: unsorted or repeated ones are refused
+    for pixels in ([7, 2, 3], [2, 3, 3, 7], [[2, 3, 7]]):
+        with pytest.raises(DataError):
+            DetectionObject(pixels, 0.5, (3, 4))
     with pytest.raises(DataError):
         DetectionObject([], 0.5, (3, 4))
     with pytest.raises(DataError):

@@ -1,5 +1,6 @@
 import errno
 import os
+from unittest import mock
 from xml.etree import ElementTree
 
 import numpy as np
@@ -9,6 +10,7 @@ from hypothesis.extra import numpy as hnp
 
 from oracles import SetDetection, full_sort_pixel_pr
 from oracles import multi_tile_object_pr as oracle_multi_tile_object_pr
+from pvdetect import scoring
 from pvdetect.detection import DetectionObject
 from pvdetect.errors import ConfigError, DataError
 from pvdetect.scoring import (
@@ -158,30 +160,10 @@ def test_pixel_pr_errors():
         pixel_pr([np.zeros((2, 2))], [np.ones((3, 3), dtype=bool)])
     with pytest.raises(ConfigError):
         pixel_pr([], [])
-    with pytest.raises(ConfigError):
-        pixel_pr([np.zeros((2, 2))], [np.ones((2, 2), dtype=bool)], sweep="fuzzy")
     with pytest.raises(DataError):
         pixel_pr([np.full((2, 2), np.nan)], [np.ones((2, 2), dtype=bool)])
     with pytest.raises(DataError):
         pixel_pr([np.full((2, 2), 1.5)], [np.ones((2, 2), dtype=bool)])
-
-
-def test_pixel_pr_quantized_sweep():
-    rng = np.random.default_rng(2)
-    conf = rng.uniform(0, 1, size=(64, 64))
-    conf[rng.uniform(0, 1, size=(64, 64)) < 0.1] = 0.0
-    mask = rng.uniform(0, 1, size=(64, 64)) < 0.2
-    exact = pixel_pr([conf], [mask], sweep="exact")
-    quantized = pixel_pr([conf], [mask], sweep="quantized")
-    assert quantized.quantized and not exact.quantized
-    assert quantized.thresholds.size <= 1001
-    assert quantized.thresholds[-1] == 0.0
-    # quantized points recompute exactly; zero-confidence pixels never count
-    n_pos = int(mask.sum())
-    for t, p, r in zip(quantized.thresholds, quantized.precision, quantized.recall):
-        detected = (conf >= t) & (conf > 0)
-        assert p == (mask & detected).sum() / detected.sum()
-        assert r == (mask & detected).sum() / n_pos
 
 
 @st.composite
@@ -206,13 +188,12 @@ def pixel_cases(draw):
 @given(pixel_cases())
 def test_pixel_pr_matches_full_sort_oracle_bit_for_bit(case):
     confs, masks = case
-    for sweep in ("exact", "quantized"):
-        got = pixel_pr(confs, masks, sweep)
-        want = full_sort_pixel_pr(confs, masks, sweep)
-        for name in ("thresholds", "precision", "recall"):
-            a, b = getattr(got, name), getattr(want, name)
-            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
-        assert (got.prevalence, got.quantized) == (want.prevalence, want.quantized)
+    got = pixel_pr(confs, masks)
+    want = full_sort_pixel_pr(confs, masks)
+    for name in ("thresholds", "precision", "recall"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+    assert got.prevalence == want.prevalence
 
 
 # ---------------------------------------------------------------------------
@@ -369,11 +350,13 @@ def _random_tile(rng):
     for _ in range(int(rng.integers(0, 9))):
         if annotations and rng.uniform() < 0.6:
             base = annotations[int(rng.integers(len(annotations)))]
-            pixels = np.concatenate(
-                [
-                    base[rng.uniform(size=base.size) < 0.8],
-                    _random_rect(rng, height, width, 3),
-                ]
+            pixels = np.unique(
+                np.concatenate(
+                    [
+                        base[rng.uniform(size=base.size) < 0.8],
+                        _random_rect(rng, height, width, 3),
+                    ]
+                )
             )
         else:
             pixels = _random_rect(rng, height, width, 5)
@@ -433,20 +416,24 @@ def test_pr_csv_roundtrip(tmp_path):
         np.array([1.0, 0.75, 1.0 / 3.0]),
         np.array([0.25, 0.5, 1.0]),
         prevalence=0.0007,
-        quantized=True,
     )
     path = tmp_path / "pr.csv"
     write_pr_csv(curve, path)
     text = path.read_text()
-    assert text.splitlines()[0] == "# prevalence=0.00069999999999999999"
-    assert "# sweep=quantized" in text
-    assert "threshold,precision,recall" in text
+    assert text.splitlines()[:2] == [
+        "# prevalence=0.00069999999999999999",
+        "threshold,precision,recall",
+    ]
     again = read_pr_csv(path)
     assert np.array_equal(again.thresholds, curve.thresholds)
     assert np.array_equal(again.precision, curve.precision)
     assert np.array_equal(again.recall, curve.recall)
     assert again.prevalence == curve.prevalence
-    assert again.quantized
+    # other '#' lines, such as a sweep tag in older files, are skipped
+    old = tmp_path / "old.csv"
+    old.write_text(text.replace("\nthreshold", "\n# sweep=quantized\nthreshold"))
+    for name in ("thresholds", "precision", "recall", "prevalence"):
+        assert np.array_equal(getattr(read_pr_csv(old), name), getattr(curve, name))
 
 
 def test_pr_csv_row_text_is_pinned(tmp_path):
@@ -506,6 +493,54 @@ def test_read_pr_csv_rejects_values_a_curve_cannot_hold(tmp_path, text, match):
     path.write_text(text)
     with pytest.raises(DataError, match=match):
         read_pr_csv(path)
+
+
+# values in [0, 1], with -0.0 and subnormals among them
+_UNIT = st.sampled_from([-0.0, 0.0, 5e-324, 2.2250738585072009e-308, 1.0]) | st.floats(0, 1)
+_FINITE = st.sampled_from([-0.0, -5e-324, 5e-324]) | st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def pr_curves(draw):
+    """Every valid PRCurve: strictly decreasing finite thresholds, precision
+    in [0, 1] and non-decreasing recall in [0, 1]."""
+    thresholds = sorted(set(draw(st.lists(_FINITE, max_size=8))), reverse=True)
+    n = len(thresholds)
+    precision = draw(st.lists(_UNIT, min_size=n, max_size=n))
+    recall = sorted(draw(st.lists(_UNIT, min_size=n, max_size=n)))
+    arrays = (np.array(v, dtype=np.float64) for v in (thresholds, precision, recall))
+    return PRCurve(*arrays, prevalence=draw(_UNIT))
+
+
+# the property tests below keep files in a dict: the codecs are text, and
+# test_pr_csv_roundtrip already goes through the disk
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(pr_curves())
+def test_pr_csv_roundtrip_is_bit_exact(curve):
+    files = {}
+    with mock.patch.object(scoring, "write_atomic", files.__setitem__), \
+            mock.patch.object(scoring, "read_text", lambda path, what: files[path]):
+        write_pr_csv(curve, "pr.csv")
+        again = read_pr_csv("pr.csv")
+    for name in ("thresholds", "precision", "recall"):
+        assert getattr(again, name).tobytes() == getattr(curve, name).tobytes(), name
+    assert np.float64(again.prevalence).tobytes() == np.float64(curve.prevalence).tobytes()
+
+
+_PR_TEXT = st.text() | st.text("#prevalence=thresholdcisionrcal,0123456789.-+eEnaif\n ")
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.booleans(), _PR_TEXT)
+def test_read_pr_csv_raises_only_data_error(with_header, text):
+    text = ("threshold,precision,recall\n" if with_header else "") + text
+    try:
+        with mock.patch.object(scoring, "read_text", return_value=text):
+            read_pr_csv("pr.csv")
+    except DataError:
+        pass
 
 
 def test_pr_csv_write_failing_part_way_keeps_old_file(tmp_path, monkeypatch):

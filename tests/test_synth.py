@@ -3,7 +3,7 @@ import pytest
 
 from pvdetect.errors import ConfigError, DataError
 from pvdetect.imagery import encode_tile, rasterize
-from pvdetect.synth import SceneParams, generate_scene, params_for_prevalence
+from pvdetect.synth import SceneParams, generate_scene
 
 
 def small_params(**overrides):
@@ -64,16 +64,6 @@ def test_placement_budget_exhausted():
                         panel_side_max=10, panel_gap=4, seed=0),
             "dense",
         )
-
-
-def test_params_for_prevalence():
-    params = params_for_prevalence(0.001, panel_side=16, width=512, height=512)
-    tile, annotations = generate_scene(params, "p")
-    mask = rasterize(annotations, 512, 512)
-    achieved = mask.mean()
-    assert abs(achieved - 0.001) / 0.001 < 0.25
-    with pytest.raises(ConfigError):
-        params_for_prevalence(0.9)
 
 
 def test_default_prevalence_near_half_percent():
