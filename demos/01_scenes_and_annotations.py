@@ -1,7 +1,8 @@
 """Generate a synthetic aerial scene and inspect its ground truth.
 
 Walks through the imagery layer: scene synthesis, P6 round-tripping,
-polygon annotations and their rasterization to a label mask.
+polygon annotations and their rasterization to annotated pixels, the sorted
+flat indices y * width + x that training and scoring take.
 """
 
 import tempfile
@@ -33,10 +34,13 @@ with tempfile.TemporaryDirectory() as tmp:
     assert np.array_equal(again.pixels, tile.pixels), "P6 round-trip must be exact"
     print("reloaded tile is pixel-identical")
 
-    mask = pv.rasterize(pv.load_annotations(ann_path), tile.width, tile.height)
-    print(f"\nlabel mask: {int(mask.sum())} PV pixels"
-          f" -> prevalence {mask.mean():.4f}")
-    print("mask equals the painted rectangles exactly:",
-          all(mask[int(a.vertices[0][1]):int(a.vertices[2][1]),
-                   int(a.vertices[0][0]):int(a.vertices[2][0])].all()
-              for a in annotations))
+    positives = pv.rasterize(pv.load_annotations(ann_path), tile.width, tile.height)
+    print(f"\nannotated pixels: {positives.size} PV pixels"
+          f" -> prevalence {positives.size / (tile.width * tile.height):.4f}")
+    painted = np.concatenate([
+        (np.arange(int(a.vertices[0][1]), int(a.vertices[2][1]))[:, None] * tile.width
+         + np.arange(int(a.vertices[0][0]), int(a.vertices[2][0]))).ravel()
+        for a in annotations
+    ])
+    print("annotated pixels equal the painted rectangles exactly:",
+          np.array_equal(positives, np.sort(painted)))

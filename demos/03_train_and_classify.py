@@ -7,6 +7,8 @@ deterministic training, the model file format, and confidence maps.
 import tempfile
 from pathlib import Path
 
+import numpy as np
+
 import pvdetect as pv
 from pvdetect.forest import dump_model, predict_tile, sample_training_pixels
 
@@ -18,13 +20,14 @@ def scene(seed):
     return pv.generate_scene(params, f"scene_{seed}")
 
 
-train_tiles, train_masks = [], []
+# each tile's annotated pixels as sorted flat indices y * width + x
+train_tiles, train_positives = [], []
 for seed in (1, 2, 3):
     tile, annotations = scene(seed)
     train_tiles.append(tile)
-    train_masks.append(pv.rasterize(annotations, tile.width, tile.height))
+    train_positives.append(pv.rasterize(annotations, tile.width, tile.height))
 
-training = sample_training_pixels(train_tiles, train_masks, spec, 20_000, seed=0)
+training = sample_training_pixels(train_tiles, train_positives, spec, 20_000, seed=0)
 n_pos = int(training.labels.sum())
 print(f"training set: {training.labels.size} pixels"
       f" ({n_pos} PV, {training.labels.size - n_pos} background)")
@@ -48,11 +51,11 @@ with tempfile.TemporaryDirectory() as tmp:
 
 test_tile, test_annotations = scene(99)
 conf = predict_tile(reloaded, test_tile, spec)
-mask = pv.rasterize(test_annotations, test_tile.width, test_tile.height)
-print(f"\nconfidence map: mean on PV pixels {conf[mask].mean():.3f},"
-      f" on background {conf[~mask].mean():.4f}")
+positives = pv.rasterize(test_annotations, test_tile.width, test_tile.height)
+print(f"\nconfidence map: mean on PV pixels {conf.ravel()[positives].mean():.3f},"
+      f" on background {np.delete(conf.ravel(), positives).mean():.4f}")
 
-curve = pv.pixel_pr([conf], [mask])
+curve = pv.pixel_pr([conf], [positives])
 print(f"pixel PR sweep over {curve.thresholds.size} thresholds,"
       f" prevalence {curve.prevalence:.4f}")
 print(f"best precision at recall >= 0.8: {curve.best_precision_at(0.8):.3f}")

@@ -25,8 +25,6 @@ from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
-import numpy as np
-
 from . import detection, forest, imagery, scoring, synth
 from .config import RunConfig, load_config
 from .errors import ConfigError, DataError, InputError, PVDetectError
@@ -242,13 +240,10 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
     """
     manifest = imagery.load_manifest(manifest_path)
     tiles, annotations = _load_role(manifest, "train")
-    masks = [
-        imagery.rasterize(anns, tile.width, tile.height)
-        for tile, anns in zip(tiles, annotations)
-    ]
+    positives = [imagery.rasterize(a, t.width, t.height) for t, a in zip(tiles, annotations)]
     spec = config.feature_spec()
     training = forest.sample_training_pixels(
-        tiles, masks, spec, config.train_pixels, config.seed
+        tiles, positives, spec, config.train_pixels, config.seed
     )
     model = forest.train(
         training, config.rf_params(), spec.fingerprint(), map=fork_map(config.threads)
@@ -344,16 +339,13 @@ def cmd_score(
 
     if maps_dir is not None:
         maps_dir = Path(maps_dir)
-        conf_maps, masks = [], []
+        conf_maps, positives = [], []
         for tile, pixels in zip(tiles, annotation_pixels):
             cmap_path = maps_dir / f"{tile.tile_id}.cmap"
             inputs.append(cmap_path)
             conf_maps.append(detection.load_confidence_map(cmap_path))
-            mask = np.zeros(tile.height * tile.width, dtype=bool)
-            for flat in pixels:
-                mask[flat] = True
-            masks.append(mask.reshape(tile.height, tile.width))
-        curve = scoring.pixel_pr(conf_maps, masks)
+            positives.append(imagery.pixel_union(pixels))
+        curve = scoring.pixel_pr(conf_maps, positives)
         emit(curve, out_dir / "pr_pixel.csv", "pixel-level PR")
 
     if detections_path is not None:

@@ -63,7 +63,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .features import BAND_PIXELS
-from .imagery import read_input, write_atomic
+from .imagery import flat_pixels, read_input, write_atomic
 
 # step 3 grows seeds in batches of at most this many window cells
 # (seeds x otsu_side**2, 45 seeds at the defaults), so its memory stays
@@ -98,10 +98,10 @@ class PPParams:
 class DetectionObject:
     """One 8-connected detected region of a tile of the given (height, width).
 
-    pixels holds the region's flat indices y * width + x, strictly
-    increasing (so sorted and distinct) and inside the tile, so a pixel can
-    never alias onto another row; pixels that break this raise DataError.
-    The object keeps a read-only copy.
+    pixels holds the region's flat indices y * width + x, at least one, as
+    imagery.flat_pixels checks them: strictly increasing and inside the
+    tile; pixels that break this raise DataError.  The object keeps a
+    read-only copy.
     """
 
     pixels: np.ndarray
@@ -109,14 +109,9 @@ class DetectionObject:
     shape: tuple[int, int]
 
     def __post_init__(self):
-        height, width = self.shape
-        pixels = np.array(self.pixels, dtype=np.int64)
-        if pixels.ndim != 1 or pixels.size == 0:
-            raise DataError("detection pixels must be a non-empty 1-D array")
-        if not (pixels[1:] > pixels[:-1]).all():
-            raise DataError("detection pixels must be strictly increasing")
-        if pixels[0] < 0 or pixels[-1] >= height * width:
-            raise DataError(f"detection pixel outside its {width}x{height} tile")
+        pixels = flat_pixels(np.array(self.pixels), self.shape[0] * self.shape[1])
+        if pixels.size == 0:
+            raise DataError("a detection needs at least one pixel")
         pixels.setflags(write=False)
         object.__setattr__(self, "pixels", pixels)
         if not 0.0 < self.confidence <= 1.0:

@@ -38,7 +38,7 @@ from .errors import (
     ModelVersionError,
 )
 from .features import BAND_PIXELS, FeatureSpec, feature_planes
-from .imagery import ImageTile, read_input, write_atomic
+from .imagery import ImageTile, flat_pixels, read_input, write_atomic
 from .rng import Stream, counter_u64
 
 _MODEL_HEADER = "PVFOREST v1"
@@ -487,28 +487,24 @@ def predict_tile(
 
 def sample_training_pixels(
     tiles: list[ImageTile],
-    masks: list[np.ndarray],
+    positives: list[np.ndarray],
     spec: FeatureSpec,
     n_total: int,
     seed: int,
 ) -> TrainingSet:
     """Build a training set: every positive pixel plus sampled negatives.
 
-    All PV pixels are included once, in (tile, row-major) order; the
-    remaining n_total - n_positive rows are negatives drawn uniformly
-    without replacement from the pooled non-PV pixels of all tiles,
-    deterministically for a given seed.
+    positives holds each tile's PV pixels as rasterize gives them, sorted
+    flat indices y * width + x.  All PV pixels are included once, in (tile,
+    row-major) order; the remaining n_total - n_positive rows are negatives
+    drawn uniformly without replacement from the pooled non-PV pixels of all
+    tiles, deterministically for a given seed.
     """
-    if len(tiles) != len(masks) or not tiles:
-        raise ConfigError("need one label mask per tile")
-    for tile, mask in zip(tiles, masks):
-        if mask.shape != (tile.height, tile.width):
-            raise DataError(
-                f"mask {mask.shape} does not match tile "
-                f"{(tile.height, tile.width)} for {tile.tile_id!r}"
-            )
-    pos_counts = [int(m.sum()) for m in masks]
-    neg_counts = [m.size - c for m, c in zip(masks, pos_counts)]
+    if len(tiles) != len(positives) or not tiles:
+        raise ConfigError("need one positive-pixel array per tile")
+    positives = [flat_pixels(p, t.height * t.width) for t, p in zip(tiles, positives)]
+    pos_counts = [pos.size for pos in positives]
+    neg_counts = [t.height * t.width - c for t, c in zip(tiles, pos_counts)]
     n_pos, total_neg = sum(pos_counts), sum(neg_counts)
     if n_total < n_pos:
         raise ConfigError(f"n_total={n_total} below the {n_pos} positive pixels")
@@ -525,13 +521,15 @@ def sample_training_pixels(
     columns = np.empty((spec.feature_count, n_total))
     labels = np.arange(n_total) < n_pos
     pos_starts = np.cumsum([0] + pos_counts)
-    for t, (tile, mask) in enumerate(zip(tiles, masks)):
+    for t, (tile, pos) in enumerate(zip(tiles, positives)):
         sel = np.nonzero(draw_tile == t)[0]
-        # the tile's sampled pixels as flat indices y * width + x, sorted,
-        # and the training row each one fills
-        flat = np.concatenate(
-            [np.flatnonzero(mask), np.flatnonzero(~mask)[draws[sel] - bounds[t]]]
-        )
+        # the k-th negative pixel is k plus the positives that precede it,
+        # pos[i] being preceded by pos[i] - i negatives
+        k = draws[sel] - bounds[t]
+        negatives = k + np.searchsorted(pos - np.arange(pos.size), k, side="right")
+        # the tile's sampled pixels as flat indices, sorted, and the
+        # training row each one fills
+        flat = np.concatenate([pos, negatives])
         out_rows = np.concatenate(
             [np.arange(pos_starts[t], pos_starts[t + 1]), n_pos + sel]
         )

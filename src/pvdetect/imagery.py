@@ -1,12 +1,13 @@
-"""Raster tiles, polygon annotations, label masks, dataset manifests, and
-the readers and atomic writer (read_input, read_text, write_atomic) of every
-pvdetect file.
+"""Raster tiles, polygon annotations, annotated pixels, dataset manifests,
+and the readers and atomic writer (read_input, read_text, write_atomic) of
+every pvdetect file.
 
 The canonical raster format is binary PPM (P6, maxval 255).  Annotations
 are simple polygons with fractional pixel coordinates, stored one per CSV
 line as ``tile_id,polygon_id,x1,y1,x2,y2,...``.  Rasterization samples
 pixel centers (i + 0.5, j + 0.5) with the even-odd rule; points exactly on
-a polygon edge count as inside.
+a polygon edge count as inside.  Annotated pixels, like detected ones, are
+the sorted flat indices y * width + x of their tile (see flat_pixels).
 """
 
 from __future__ import annotations
@@ -72,8 +73,9 @@ class PolygonAnnotation:
             raise AnnotationError(
                 f"polygon {self.polygon_id!r} has {v.shape[0]} vertices, need >= 3"
             )
-        if not np.isfinite(v).all():
-            raise AnnotationError(f"polygon {self.polygon_id!r} has non-finite vertices")
+        # past any tile, and small enough that no product below can overflow
+        if not (np.abs(v) <= 1e9).all():
+            raise AnnotationError(f"polygon {self.polygon_id!r} has a vertex outside ±1e9")
         _check_simple(v, self.polygon_id)
         v.setflags(write=False)
 
@@ -353,17 +355,32 @@ def polygon_pixels(ann: PolygonAnnotation, width: int, height: int) -> np.ndarra
     return ys[hits] * width + xs[hits]  # row-major, hence sorted
 
 
-def rasterize(
-    annotations: list[PolygonAnnotation], width: int, height: int
-) -> np.ndarray:
-    """Union of polygons as a boolean (height, width) mask.
+def rasterize(annotations: list[PolygonAnnotation], width: int, height: int) -> np.ndarray:
+    """Sorted, distinct int64 flat indices of the pixels that polygon_pixels
+    of at least one polygon holds; no tile-sized mask is built."""
+    return pixel_union([polygon_pixels(ann, width, height) for ann in annotations])
 
-    A pixel is set when polygon_pixels of at least one polygon holds it.
-    """
-    mask = np.zeros(height * width, dtype=bool)
-    for ann in annotations:
-        mask[polygon_pixels(ann, width, height)] = True
-    return mask.reshape(height, width)
+
+def pixel_union(parts: list[np.ndarray]) -> np.ndarray:
+    """Sorted, distinct int64 union of arrays of flat pixel indices."""
+    return np.unique(np.concatenate([np.empty(0, dtype=np.int64), *parts]))
+
+
+def flat_pixels(pixels, size: int) -> np.ndarray:
+    """pixels as int64 flat indices y * width + x of a tile of size pixels:
+    a 1-D, strictly increasing (so sorted and distinct) array of integers in
+    [0, size), so none can alias onto another row, or DataError."""
+    flat = np.asarray(pixels)
+    if flat.ndim != 1:
+        raise DataError(f"pixel indices must be 1-D, got shape {flat.shape}")
+    if flat.size and flat.dtype.kind not in "iu":
+        raise DataError(f"pixel indices must be integers, got {flat.dtype}")
+    flat = flat.astype(np.int64, copy=False)
+    if not (flat[1:] > flat[:-1]).all():
+        raise DataError("pixel indices must be strictly increasing")
+    if flat.size and (flat[0] < 0 or flat[-1] >= size):
+        raise DataError(f"pixel index outside its tile of {size} pixels")
+    return flat
 
 
 # ---------------------------------------------------------------------------

@@ -31,7 +31,7 @@ import numpy as np
 
 from .detection import DetectionObject, float_map
 from .errors import ConfigError, DataError
-from .imagery import read_text, write_atomic
+from .imagery import flat_pixels, read_text, write_atomic
 
 
 @dataclass(frozen=True)
@@ -89,32 +89,35 @@ def jaccard(pixels_a, pixels_b) -> float:
     return both / (a.size + b.size - both)
 
 
-def pixel_pr(conf_maps: list[np.ndarray], label_masks: list[np.ndarray]) -> PRCurve:
-    """Pooled pixel-level PR curve over paired maps and masks.
+def pixel_pr(conf_maps: list[np.ndarray], positives: list[np.ndarray]) -> PRCurve:
+    """Pooled pixel-level PR curve over paired maps and annotated pixels.
 
-    Every distinct positive confidence is a threshold.  Pixels with zero
-    confidence are never counted as detections, so only the pixels with
-    confidence > 0 are sorted.  Maps may be float32, the CMAP's precision,
-    or anything float64 can hold.
+    positives holds each map's PV pixels as rasterize gives them, sorted
+    flat indices y * width + x.  Every distinct positive confidence is a
+    threshold.  Pixels with zero confidence are never counted as detections,
+    so only the pixels with confidence > 0 are sorted, each labelled by
+    membership in positives.  Maps may be float32, the CMAP's precision, or
+    anything float64 can hold.
     """
-    if len(conf_maps) != len(label_masks) or not conf_maps:
-        raise ConfigError("need one label mask per confidence map")
+    if len(conf_maps) != len(positives) or not conf_maps:
+        raise ConfigError("need one positive-pixel array per confidence map")
     confs, labels = [], []
     n_pos = n_pixels = 0
-    for conf, mask in zip(conf_maps, label_masks):
+    for conf, pos in zip(conf_maps, positives):
         conf = float_map(conf)
-        mask = np.asarray(mask, dtype=bool)
-        if conf.shape != mask.shape:
-            raise DataError(f"map {conf.shape} does not match mask {mask.shape}")
+        pos = flat_pixels(pos, conf.size)
         if conf.size and (
             not np.isfinite(conf).all() or conf.min() < 0.0 or conf.max() > 1.0
         ):
             raise DataError("confidences must be finite values in [0, 1]")
-        detectable = conf > 0.0
-        confs.append(conf[detectable].astype(np.float64, copy=False))
-        labels.append(mask[detectable])
-        n_pos += int(np.count_nonzero(mask))
-        n_pixels += mask.size
+        flat = conf.ravel()
+        detectable = np.flatnonzero(flat > 0.0)
+        confs.append(flat[detectable].astype(np.float64, copy=False))
+        label = np.zeros(detectable.size, dtype=bool)
+        label[np.searchsorted(detectable, pos[flat[pos] > 0.0])] = True
+        labels.append(label)
+        n_pos += pos.size
+        n_pixels += conf.size
     if n_pos == 0:
         raise DataError("ground truth contains no positive pixels")
 

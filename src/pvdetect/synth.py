@@ -20,12 +20,15 @@ from .rng import Stream
 
 # (name, mean RGB, per-pixel sigma); "shade_roof" is intentionally close to
 # the panel color so the classifier has to use texture, not just hue
-DEFAULT_PALETTE: tuple[tuple[str, tuple[int, int, int], float], ...] = (
+PALETTE: tuple[tuple[str, tuple[int, int, int], float], ...] = (
     ("grass", (76, 112, 62), 9.0),
     ("pavement", (148, 146, 142), 7.0),
     ("asphalt", (96, 97, 102), 6.0),
     ("shade_roof", (74, 86, 120), 16.0),
 )
+PATCH_SIZE = 32  # side of one background texture patch
+PANEL_COLOR = (52, 62, 106)  # mean RGB of a panel
+PANEL_SIGMA = 10.0  # per-pixel sigma of a panel's texture
 
 
 @dataclass(frozen=True)
@@ -37,11 +40,7 @@ class SceneParams:
     n_panels: int = 8
     panel_side_min: int = 10
     panel_side_max: int = 15
-    panel_color: tuple[int, int, int] = (52, 62, 106)
-    panel_sigma: float = 10.0
-    palette: tuple = DEFAULT_PALETTE
     noise_sigma: float = 3.0
-    patch_size: int = 32
     panel_gap: int = 12
     seed: int = 0
 
@@ -54,12 +53,10 @@ class SceneParams:
             raise ConfigError("panels must be at least 3 pixels on a side")
         if self.panel_side_max < self.panel_side_min:
             raise ConfigError("panel_side_max below panel_side_min")
-        if len(self.palette) < 3:
-            raise ConfigError("palette needs at least 3 textures")
-        if not (0 <= self.noise_sigma < np.inf and 0 <= self.panel_sigma < np.inf):
+        if not 0 <= self.noise_sigma < np.inf:
             raise ConfigError("sigmas must be finite and >= 0")
-        if self.patch_size < 1 or self.panel_gap < 0:
-            raise ConfigError("bad patch_size or panel_gap")
+        if self.panel_gap < 0:
+            raise ConfigError("bad panel_gap")
 
 
 def _place_panels(params: SceneParams, stream: Stream) -> list[tuple[int, int, int, int]]:
@@ -115,28 +112,24 @@ def generate_scene(
     place_stream = stream.spawn(3)
     panel_stream = stream.spawn(4)
 
-    patches_y = -(-h // params.patch_size)
-    patches_x = -(-w // params.patch_size)
-    patch_idx = patch_stream.integers(len(params.palette), patches_y * patches_x)
+    patches_y = -(-h // PATCH_SIZE)
+    patches_x = -(-w // PATCH_SIZE)
+    patch_idx = patch_stream.integers(len(PALETTE), patches_y * patches_x)
     patch_idx = patch_idx.reshape(patches_y, patches_x)
-    tex = np.repeat(np.repeat(patch_idx, params.patch_size, 0), params.patch_size, 1)
+    tex = np.repeat(np.repeat(patch_idx, PATCH_SIZE, 0), PATCH_SIZE, 1)
     tex = tex[:h, :w]
 
-    means = np.array([p[1] for p in params.palette], dtype=np.float64)
-    sigmas = np.array([p[2] for p in params.palette], dtype=np.float64)
+    means = np.array([p[1] for p in PALETTE], dtype=np.float64)
+    sigmas = np.array([p[2] for p in PALETTE], dtype=np.float64)
     image = means[tex]
     image += sigmas[tex][:, :, None] * noise_stream.normals(h * w * 3).reshape(h, w, 3)
     image += params.noise_sigma * noise_stream.normals(h * w * 3).reshape(h, w, 3)
 
     rects = _place_panels(params, place_stream)
-    panel_mean = np.array(params.panel_color, dtype=np.float64)
+    panel_mean = np.array(PANEL_COLOR, dtype=np.float64)
     for x0, y0, pw, ph in rects:
-        block = panel_mean + params.panel_sigma * panel_stream.normals(
-            ph * pw * 3
-        ).reshape(ph, pw, 3)
-        block += params.noise_sigma * panel_stream.normals(ph * pw * 3).reshape(
-            ph, pw, 3
-        )
+        block = panel_mean + PANEL_SIGMA * panel_stream.normals(ph * pw * 3).reshape(ph, pw, 3)
+        block += params.noise_sigma * panel_stream.normals(ph * pw * 3).reshape(ph, pw, 3)
         image[y0 : y0 + ph, x0 : x0 + pw] = block
 
     pixels = np.clip(np.rint(image), 0, 255).astype(np.uint8)

@@ -20,6 +20,7 @@ from pvdetect import detection
 from pvdetect.errors import ConfigError, DataError
 from pvdetect.features import feature_planes
 from pvdetect.forest import TrainingSet, _mean_leaf_prob
+from pvdetect.rng import Stream
 from pvdetect.scoring import PRCurve
 
 
@@ -269,6 +270,27 @@ def scalar_predict(forest, x):
     for p in probs:
         acc += p
     return acc / forest.n_trees
+
+
+# ---------------------------------------------------------------------------
+# Training-pixel sampling
+# ---------------------------------------------------------------------------
+# The mask-based sampler that pvdetect.forest.sample_training_pixels replaced:
+# each tile's labels are a boolean mask, the k-th pooled negative pixel is
+# read off np.flatnonzero(~mask), and every row comes from one whole-tile
+# feature extraction.  It is the reference for the sampler's flat-index pick.
+
+
+def mask_training_set(tiles, masks, spec, n_total, seed) -> TrainingSet:
+    """Every masked pixel in (tile, row-major) order, then n_total minus
+    that many negatives drawn by dense Fisher-Yates from the pooled rest."""
+    rows = [feature_rows(t, spec, 0, t.height).reshape(t.height * t.width, -1) for t in tiles]
+    positives = [(t, p) for t, m in enumerate(masks) for p in np.flatnonzero(m).tolist()]
+    negatives = [(t, p) for t, m in enumerate(masks) for p in np.flatnonzero(~m).tolist()]
+    draws = dense_fisher_yates(Stream(seed), len(negatives), n_total - len(positives))
+    picks = positives + [negatives[k] for k in draws.tolist()]
+    X = np.array([rows[t][p] for t, p in picks])
+    return rows_training_set(X, np.arange(n_total) < len(positives))
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import threading
@@ -305,6 +306,25 @@ def test_eval_deterministic_across_runs_and_threads(tmp_path):
     # thread count must not change a single byte of config-independent outputs;
     # the config text differs only in the threads field, so compare artifacts
     assert blobs[0] == blobs[2]
+
+
+def test_golden_train_and_score_bytes(tmp_path):
+    """The model and PR curves of acceptance criterion 9's config keep their bytes."""
+    config = RunConfig(
+        scenes=3, scene_width=128, scene_height=128, panels_per_scene=3,
+        panel_side_min=8, panel_side_max=12, train_pixels=5000, trees=5, seed=21,
+    )
+    cmd_eval(config, tmp_path)
+    golden = {
+        "model.pvforest": "d9f12ac15943ae1dc0ba72a42d456300ca7386727d68ed1af7957ba72f47936e",
+        "scores/pr_pixel.csv": "f7bd46404d1ad5bd810adf37963dbf9fef1ec3dd895fc208799de6086e28eee9",
+        "scores/pr_object_j0.1.csv": "59c7acd2deeb2cd0e25a129bc0a060fa8fe92138a36faa29580017a91c961980",
+        "scores/pr_object_j0.3.csv": "59c7acd2deeb2cd0e25a129bc0a060fa8fe92138a36faa29580017a91c961980",
+        "scores/pr_object_j0.5.csv": "1ef436226a9429859f43a76f7ca875218f983e3a295a9fb74cbba259d637aca2",
+        "scores/pr_object_j0.7.csv": "36914d36602acb022858e671c195194d929dda55c58bc0f8a77ceac23e02cbda",
+    }
+    digests = {rel: hashlib.sha256((tmp_path / rel).read_bytes()).hexdigest() for rel in golden}
+    assert digests == golden
 
 
 # ---------------------------------------------------------------------------

@@ -669,7 +669,7 @@ def test_forest_router_sends_nan_right():
 # ---------------------------------------------------------------------------
 
 
-def _scene_with_mask(seed):
+def _scene_with_positives(seed):
     params = SceneParams(
         width=64, height=64, n_panels=2, panel_side_min=6, panel_side_max=8,
         panel_gap=8, seed=seed,
@@ -680,53 +680,54 @@ def _scene_with_mask(seed):
 
 def test_sample_training_pixels_contract():
     spec = FeatureSpec()
-    tiles, masks = zip(*[_scene_with_mask(s) for s in (1, 2)])
-    n_pos = sum(int(m.sum()) for m in masks)
-    ts = sample_training_pixels(list(tiles), list(masks), spec, n_pos + 300, seed=0)
+    tiles, positives = zip(*[_scene_with_positives(s) for s in (1, 2)])
+    n_pos = sum(p.size for p in positives)
+    ts = sample_training_pixels(list(tiles), list(positives), spec, n_pos + 300, seed=0)
     assert ts.codes.shape == (102, n_pos + 300)
     assert ts.codes.dtype == np.uint16 and ts.codes.flags.c_contiguous
     assert decode_rows(ts).shape == (n_pos + 300, 102)
     assert int(ts.labels.sum()) == n_pos
     assert ts.labels[:n_pos].all() and not ts.labels[n_pos:].any()
     # deterministic
-    again = sample_training_pixels(list(tiles), list(masks), spec, n_pos + 300, seed=0)
+    again = sample_training_pixels(list(tiles), list(positives), spec, n_pos + 300, seed=0)
     assert np.array_equal(ts.codes, again.codes)
     assert_bitwise_equal(decode_rows(ts), decode_rows(again))
-    other = sample_training_pixels(list(tiles), list(masks), spec, n_pos + 300, seed=1)
+    other = sample_training_pixels(list(tiles), list(positives), spec, n_pos + 300, seed=1)
     assert not np.array_equal(decode_rows(ts), decode_rows(other))
 
 
 def test_sample_training_pixels_features_match_extraction(monkeypatch):
     spec = FeatureSpec()
-    tile, mask = _scene_with_mask(3)
-    n_pos = int(mask.sum())
-    ts = sample_training_pixels([tile], [mask], spec, n_pos + 50, seed=0)
+    tile, pos = _scene_with_positives(3)
+    n_pos = pos.size
+    ts = sample_training_pixels([tile], [pos], spec, n_pos + 50, seed=0)
     assert ts.codes.dtype == np.uint16
     rows = decode_rows(ts)
-    fi = feature_rows(tile, spec, 0, tile.height)
-    ys, xs = np.nonzero(mask)
-    assert_bitwise_equal(rows[:n_pos], fi[ys, xs])
+    fi = feature_rows(tile, spec, 0, tile.height).reshape(tile.height * tile.width, -1)
+    assert_bitwise_equal(rows[:n_pos], fi[pos])
     # bands of 5 rows give the same rows as one band over the 64-row tile
     monkeypatch.setattr(forest_module, "BAND_PIXELS", 5 * 64)
-    banded = sample_training_pixels([tile], [mask], spec, n_pos + 50, seed=0)
+    banded = sample_training_pixels([tile], [pos], spec, n_pos + 50, seed=0)
     assert_bitwise_equal(rows, decode_rows(banded))
     # negatives are distinct non-PV pixels
     neg_rows = rows[n_pos:]
-    all_rows = {tuple(r) for r in fi[~mask]}
+    all_rows = {tuple(r) for r in np.delete(fi, pos, axis=0)}
     assert all(tuple(r) in all_rows for r in neg_rows)
     assert len({tuple(r) for r in neg_rows}) == 50
 
 
 def test_sample_training_pixels_errors():
     spec = FeatureSpec()
-    tile, mask = _scene_with_mask(4)
-    n_pos = int(mask.sum())
+    tile, pos = _scene_with_positives(4)
+    n_pos = pos.size
     with pytest.raises(ConfigError):
-        sample_training_pixels([tile], [mask], spec, n_pos - 1, seed=0)
+        sample_training_pixels([tile], [pos], spec, n_pos - 1, seed=0)
     with pytest.raises(ConfigError):
-        sample_training_pixels([tile], [mask], spec, n_pos, seed=0)
+        sample_training_pixels([tile], [pos], spec, n_pos, seed=0)
+    with pytest.raises(ConfigError):
+        sample_training_pixels([tile], [pos, pos], spec, n_pos + 10, seed=0)
     with pytest.raises(DataError):
-        sample_training_pixels([tile], [mask[:32]], spec, n_pos + 10, seed=0)
+        sample_training_pixels([tile], [np.append(pos, 64 * 64)], spec, n_pos + 10, seed=0)
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,19 @@
 import os
 import stat
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from pvdetect import imagery
 from pvdetect.errors import (
     AnnotationError,
     ChannelCountError,
     DataError,
     InputError,
+    PVDetectError,
     RasterFormatError,
     TruncatedRasterError,
 )
@@ -33,6 +38,16 @@ from oracles import point_in_polygon
 
 def square(x0, y0, x1, y1):
     return np.array([[x0, y0], [x1, y0], [x1, y1], [x0, y1]], dtype=np.float64)
+
+
+def oracle_pixels(vertices, width, height):
+    """np.flatnonzero of the mask of pixel centers point_in_polygon puts inside."""
+    mask = np.array(
+        [[point_in_polygon(vertices, x + 0.5, y + 0.5) for x in range(width)]
+         for y in range(height)],
+        dtype=bool,
+    )
+    return np.flatnonzero(mask)
 
 
 # ---------------------------------------------------------------------------
@@ -177,6 +192,20 @@ def test_self_intersecting_polygon_rejected():
         PolygonAnnotation("t", "p", bowtie)
 
 
+@pytest.mark.parametrize("far", [1e10, 1e308, float("inf"), float("nan")])
+def test_far_or_non_finite_vertex_rejected(far):
+    verts = np.array([[-far, -far], [far, -far], [0, far]], dtype=np.float64)
+    with pytest.raises(AnnotationError):
+        PolygonAnnotation("t", "p", verts)
+
+
+def test_vertices_out_to_1e9_rasterize_exactly():
+    # with vertices at 1e308 the containment arithmetic overflowed, and a
+    # triangle holding the whole tile rasterized to no pixel at all
+    verts = np.array([[-1e9, -1e9], [1e9, -1e9], [0, 1e9]])
+    assert np.array_equal(rasterize([PolygonAnnotation("t", "p", verts)], 8, 6), np.arange(48))
+
+
 def test_repeated_vertex_rejected():
     verts = np.array([[0, 0], [2, 0], [2, 2], [0, 0]], dtype=np.float64)
     with pytest.raises(AnnotationError):
@@ -197,21 +226,59 @@ def test_annotations_roundtrip(tmp_path):
         assert (a.tile_id, a.polygon_id) == (b.tile_id, b.polygon_id)
 
 
+# coordinates on, between and beyond the centers of an 8 x 6 tile's pixels
+_COORD = (st.floats(-3, 11) | st.integers(-6, 22).map(lambda i: i / 2)).map(repr)
+_FIELD = _COORD | st.floats().map(repr) | st.text("0123456789.-+einaf", max_size=4)
+
+
+@st.composite
+def annotation_texts(draw):
+    """Polygon rows, half of them well formed, with comment and blank lines."""
+    rows = []
+    for k in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            n = draw(st.sampled_from([6, 6, 8, 10]))
+            coords = draw(st.lists(_COORD, min_size=n, max_size=n))
+        else:
+            coords = draw(st.lists(_FIELD, max_size=10))
+        rows.append(",".join([draw(st.sampled_from(["t", "", " t "])), f"p{k}", *coords]))
+        rows += draw(st.lists(st.sampled_from(["", "# note", "  "]), max_size=1))
+    return "\n".join(rows)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.text() | annotation_texts())
+def test_load_annotations_fuzz(text):
+    """Any text parses or raises a PVDetectError, and every polygon that
+    parses rasterizes to the point-in-polygon oracle's pixels."""
+    try:
+        with mock.patch.object(imagery, "read_text", return_value=text):
+            annotations = load_annotations("t.csv")
+    except PVDetectError:
+        return
+    for ann in annotations:
+        got = rasterize([ann], 8, 6)
+        assert got.dtype == np.int64 and (np.diff(got) > 0).all()
+        assert got.size == 0 or 0 <= got[0] <= got[-1] < 8 * 6
+        assert np.array_equal(got, oracle_pixels(ann.vertices, 8, 6)), ann.vertices
+
+
 # ---------------------------------------------------------------------------
 # Rasterization
 # ---------------------------------------------------------------------------
 
 
 def test_rasterize_unit_square_on_6x6():
-    mask = rasterize([PolygonAnnotation("t", "p", square(0, 0, 4, 4))], 6, 6)
+    got = rasterize([PolygonAnnotation("t", "p", square(0, 0, 4, 4))], 6, 6)
     expected = np.zeros((6, 6), dtype=bool)
     expected[0:4, 0:4] = True
-    assert np.array_equal(mask, expected)
-    assert mask.sum() == 16
+    assert got.dtype == np.int64
+    assert np.array_equal(got, np.flatnonzero(expected))
 
 
 def test_rasterize_empty_and_union_idempotent():
-    assert not rasterize([], 6, 6).any()
+    empty = rasterize([], 6, 6)
+    assert empty.dtype == np.int64 and empty.size == 0
     one = rasterize([PolygonAnnotation("t", "p", square(1, 1, 4, 3))], 8, 8)
     two = rasterize(
         [
@@ -226,16 +293,16 @@ def test_rasterize_empty_and_union_idempotent():
 
 def test_rasterize_on_edge_counts_inside():
     # pixel centers at 0.5 land exactly on this polygon's boundary
-    mask = rasterize([PolygonAnnotation("t", "p", square(0.5, 0.5, 3.5, 3.5))], 6, 6)
-    assert bool(mask[0, 0]) and bool(mask[3, 3])
-    assert mask.sum() == 16
+    got = rasterize([PolygonAnnotation("t", "p", square(0.5, 0.5, 3.5, 3.5))], 6, 6)
+    assert got[0] == 0 and got[-1] == 3 * 6 + 3
+    assert got.size == 16
 
 
 def test_rasterize_clips_out_of_bounds():
-    mask = rasterize([PolygonAnnotation("t", "p", square(-5, -5, 3, 3))], 6, 6)
+    got = rasterize([PolygonAnnotation("t", "p", square(-5, -5, 3, 3))], 6, 6)
     expected = np.zeros((6, 6), dtype=bool)
     expected[0:3, 0:3] = True
-    assert np.array_equal(mask, expected)
+    assert np.array_equal(got, np.flatnonzero(expected))
 
 
 def test_rasterize_order_independent_and_union_property():
@@ -255,9 +322,10 @@ def test_rasterize_order_independent_and_union_property():
     forward = rasterize(polys, 12, 12)
     backward = rasterize(polys[::-1], 12, 12)
     assert np.array_equal(forward, backward)
+    assert (np.diff(forward) > 0).all()
     a, b = polys[:3], polys[3:]
     assert np.array_equal(
-        forward, rasterize(a, 12, 12) | rasterize(b, 12, 12)
+        forward, np.union1d(rasterize(a, 12, 12), rasterize(b, 12, 12))
     )
 
 
@@ -266,14 +334,12 @@ def test_rasterize_concave_polygon():
     ell = np.array(
         [[0, 0], [6, 0], [6, 3], [3, 3], [3, 6], [0, 6]], dtype=np.float64
     )
-    mask = rasterize([PolygonAnnotation("t", "p", ell)], 8, 8)
+    got = rasterize([PolygonAnnotation("t", "p", ell)], 8, 8)
     expected = np.zeros((8, 8), dtype=bool)
     expected[0:3, 0:6] = True
     expected[3:6, 0:3] = True
-    assert np.array_equal(mask, expected)
-    for y in range(8):
-        for x in range(8):
-            assert mask[y, x] == point_in_polygon(ell, x + 0.5, y + 0.5)
+    assert np.array_equal(got, np.flatnonzero(expected))
+    assert np.array_equal(got, oracle_pixels(ell, 8, 8))
 
 
 def test_rasterize_matches_point_in_polygon_oracle():
@@ -287,10 +353,8 @@ def test_rasterize_matches_point_in_polygon_oracle():
             )
             if area > 1e-6:
                 break
-        mask = rasterize([PolygonAnnotation("t", "p", v)], 8, 8)
-        for y in range(8):
-            for x in range(8):
-                assert mask[y, x] == point_in_polygon(v, x + 0.5, y + 0.5), (v, x, y)
+        got = rasterize([PolygonAnnotation("t", "p", v)], 8, 8)
+        assert np.array_equal(got, oracle_pixels(v, 8, 8)), v
 
 
 def test_polygon_pixels_match_rasterized_mask():
@@ -315,14 +379,8 @@ def test_polygon_pixels_match_rasterized_mask():
                 continue
         got = polygon_pixels(ann, w, h)
         assert got.dtype == np.int64
-        assert np.array_equal(got, np.flatnonzero(rasterize([ann], w, h))), trial
-        want = [
-            y * w + x
-            for y in range(h)
-            for x in range(w)
-            if point_in_polygon(ann.vertices, x + 0.5, y + 0.5)
-        ]
-        assert got.tolist() == want, trial
+        assert np.array_equal(got, rasterize([ann], w, h)), trial
+        assert np.array_equal(got, oracle_pixels(ann.vertices, w, h)), trial
         off_tile += got.size == 0
     assert 0 < off_tile < 300
 

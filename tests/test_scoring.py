@@ -94,8 +94,7 @@ def test_jaccard_both_empty_is_error():
 
 def test_pixel_pr_four_pixel_worked_example():
     conf = np.array([[0.9, 0.8, 0.7, 0.1]])
-    mask = np.array([[True, False, True, False]])
-    curve = pixel_pr([conf], [mask])
+    curve = pixel_pr([conf], [np.array([0, 2])])
     assert curve.thresholds.tolist() == [0.9, 0.8, 0.7, 0.1]
     assert curve.precision.tolist() == [1.0, 0.5, 2.0 / 3.0, 0.5]
     assert curve.recall.tolist() == [0.5, 0.5, 1.0, 1.0]
@@ -105,7 +104,7 @@ def test_pixel_pr_four_pixel_worked_example():
 def test_pixel_pr_perfect_detector_single_point():
     mask = np.zeros((8, 8), dtype=bool)
     mask[2:4, 2:5] = True
-    curve = pixel_pr([mask.astype(np.float64)], [mask])
+    curve = pixel_pr([mask.astype(np.float64)], [np.flatnonzero(mask)])
     assert curve.thresholds.tolist() == [1.0]
     assert curve.precision.tolist() == [1.0]
     assert curve.recall.tolist() == [1.0]
@@ -114,20 +113,17 @@ def test_pixel_pr_perfect_detector_single_point():
 def test_pixel_pr_prevalence_baseline():
     # 7 positive pixels in 10000: a random detector scores P = 0.0007
     conf = np.zeros((100, 100))
-    mask = np.zeros((100, 100), dtype=bool)
-    mask[0, :7] = True
     conf[0, :7] = 0.9
-    curve = pixel_pr([conf], [mask])
+    curve = pixel_pr([conf], [np.arange(7)])
     assert curve.prevalence == 0.0007
 
 
 def test_pixel_pr_recall_monotone_and_final_recall_one():
     rng = np.random.default_rng(1)
     conf = rng.uniform(0.01, 1.0, size=(32, 32))
-    mask = rng.uniform(0, 1, size=(32, 32)) < 0.1
-    if not mask.any():
-        mask[0, 0] = True
-    curve = pixel_pr([conf], [mask])
+    pos = np.flatnonzero(rng.uniform(0, 1, size=32 * 32) < 0.1)
+    assert pos.size
+    curve = pixel_pr([conf], [pos])
     assert (np.diff(curve.thresholds) < 0).all()
     assert (np.diff(curve.recall) >= 0).all()
     assert curve.recall[-1] == 1.0  # sweep reaches the lowest positive confidence
@@ -135,10 +131,8 @@ def test_pixel_pr_recall_monotone_and_final_recall_one():
 
 def test_pixel_pr_pools_multiple_maps():
     c1 = np.array([[1.0, 0.0]])
-    m1 = np.array([[True, False]])
     c2 = np.array([[0.5]])
-    m2 = np.array([[True]])
-    curve = pixel_pr([c1, c2], [m1, m2])
+    curve = pixel_pr([c1, c2], [np.array([0]), np.array([0])])
     assert curve.thresholds.tolist() == [1.0, 0.5]
     assert curve.recall.tolist() == [0.5, 1.0]
     assert curve.prevalence == pytest.approx(2.0 / 3.0)
@@ -146,24 +140,26 @@ def test_pixel_pr_pools_multiple_maps():
 
 def test_pixel_pr_zero_confidence_pixels_never_detected():
     conf = np.array([[0.9, 0.0, 0.0]])
-    mask = np.array([[True, True, False]])
-    curve = pixel_pr([conf], [mask])
+    curve = pixel_pr([conf], [np.array([0, 1])])
     # the zero-confidence positive is unreachable: recall tops out at 0.5
     assert curve.thresholds.tolist() == [0.9]
     assert curve.recall.tolist() == [0.5]
 
 
 def test_pixel_pr_errors():
+    every = np.arange(4)
     with pytest.raises(DataError):
-        pixel_pr([np.zeros((2, 2))], [np.zeros((2, 2), dtype=bool)])
+        pixel_pr([np.zeros((2, 2))], [np.empty(0, dtype=np.int64)])
     with pytest.raises(DataError):
-        pixel_pr([np.zeros((2, 2))], [np.ones((3, 3), dtype=bool)])
+        pixel_pr([np.zeros((2, 2))], [np.arange(9)])
     with pytest.raises(ConfigError):
         pixel_pr([], [])
+    with pytest.raises(ConfigError):
+        pixel_pr([np.zeros((2, 2))], [every, every])
     with pytest.raises(DataError):
-        pixel_pr([np.full((2, 2), np.nan)], [np.ones((2, 2), dtype=bool)])
+        pixel_pr([np.full((2, 2), np.nan)], [every])
     with pytest.raises(DataError):
-        pixel_pr([np.full((2, 2), 1.5)], [np.ones((2, 2), dtype=bool)])
+        pixel_pr([np.full((2, 2), 1.5)], [every])
 
 
 @st.composite
@@ -188,7 +184,7 @@ def pixel_cases(draw):
 @given(pixel_cases())
 def test_pixel_pr_matches_full_sort_oracle_bit_for_bit(case):
     confs, masks = case
-    got = pixel_pr(confs, masks)
+    got = pixel_pr(confs, [np.flatnonzero(m) for m in masks])
     want = full_sort_pixel_pr(confs, masks)
     for name in ("thresholds", "precision", "recall"):
         a, b = getattr(got, name), getattr(want, name)
