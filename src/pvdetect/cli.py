@@ -343,7 +343,10 @@ def cmd_score(
         for tile, pixels in zip(tiles, annotation_pixels):
             cmap_path = maps_dir / f"{tile.tile_id}.cmap"
             inputs.append(cmap_path)
-            conf_maps.append(detection.load_confidence_map(cmap_path))
+            conf = detection.load_confidence_map(cmap_path)
+            if conf.shape != (tile.height, tile.width):
+                raise DataError(f"{cmap_path}: map {conf.shape} does not match its tile")
+            conf_maps.append(conf)
             positives.append(imagery.pixel_union(pixels))
         curve = scoring.pixel_pr(conf_maps, positives)
         emit(curve, out_dir / "pr_pixel.csv", "pixel-level PR")

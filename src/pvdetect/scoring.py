@@ -94,15 +94,16 @@ def pixel_pr(conf_maps: list[np.ndarray], positives: list[np.ndarray]) -> PRCurv
 
     positives holds each map's PV pixels as rasterize gives them, sorted
     flat indices y * width + x.  Every distinct positive confidence is a
-    threshold.  Pixels with zero confidence are never counted as detections,
-    so only the pixels with confidence > 0 are sorted, each labelled by
-    membership in positives.  Maps may be float32, the CMAP's precision, or
-    anything float64 can hold.
+    threshold, and its true positives are the positive pixels whose
+    confidence is at or above it.  Pixels with zero confidence are never
+    counted as detections, so only the pixels with confidence > 0 are
+    sorted.  Maps may be float32, the CMAP's precision, or anything float64
+    can hold.
     """
     if len(conf_maps) != len(positives) or not conf_maps:
         raise ConfigError("need one positive-pixel array per confidence map")
-    confs, labels = [], []
-    n_pos = n_pixels = 0
+    confs, pos_confs = [], []
+    n_pixels = 0
     for conf, pos in zip(conf_maps, positives):
         conf = float_map(conf)
         pos = flat_pixels(pos, conf.size)
@@ -111,23 +112,19 @@ def pixel_pr(conf_maps: list[np.ndarray], positives: list[np.ndarray]) -> PRCurv
         ):
             raise DataError("confidences must be finite values in [0, 1]")
         flat = conf.ravel()
-        detectable = np.flatnonzero(flat > 0.0)
-        confs.append(flat[detectable].astype(np.float64, copy=False))
-        label = np.zeros(detectable.size, dtype=bool)
-        label[np.searchsorted(detectable, pos[flat[pos] > 0.0])] = True
-        labels.append(label)
-        n_pos += pos.size
+        confs.append(flat[flat > 0.0].astype(np.float64, copy=False))
+        pos_confs.append(flat[pos].astype(np.float64, copy=False))
         n_pixels += conf.size
+    pos_conf = np.sort(np.concatenate(pos_confs))
+    n_pos = pos_conf.size
     if n_pos == 0:
         raise DataError("ground truth contains no positive pixels")
 
-    conf = np.concatenate(confs)
-    order = np.argsort(-conf, kind="stable")
-    sorted_conf = conf[order]
+    conf = np.sort(np.concatenate(confs))[::-1]
     # the last pixel of each distinct confidence; no positive pixel, no point
-    ends = np.flatnonzero(np.append(sorted_conf[:-1] != sorted_conf[1:], conf.size > 0))
-    tp = np.cumsum(np.concatenate(labels)[order])[ends]
-    return PRCurve(sorted_conf[ends], tp / (ends + 1), tp / n_pos, n_pos / n_pixels)
+    ends = np.flatnonzero(np.append(conf[:-1] != conf[1:], conf.size > 0))
+    tp = n_pos - np.searchsorted(pos_conf, conf[ends], side="left")
+    return PRCurve(conf[ends], tp / (ends + 1), tp / n_pos, n_pos / n_pixels)
 
 
 def judge_detections(

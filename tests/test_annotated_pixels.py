@@ -1,8 +1,9 @@
 """Annotated pixels travel as sorted flat indices y * width + x.
 
 sample_training_pixels and pixel_pr take one such array per tile.  These
-tests hold both to the boolean-mask references in oracles, and check that
-either entry point rejects any other form with DataError.
+tests hold the sampler to the boolean-mask reference in oracles (pixel_pr
+meets its mask reference in test_scoring), and check that either entry
+point rejects any other form with DataError.
 """
 
 import numpy as np
@@ -10,40 +11,26 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from oracles import full_sort_pixel_pr, mask_training_set
+from oracles import mask_training_set
 from pvdetect.errors import ConfigError, DataError
 from pvdetect.features import FeatureSpec
 from pvdetect.forest import sample_training_pixels
 from pvdetect.imagery import ImageTile
 from pvdetect.scoring import pixel_pr
+from test_scoring import label_mask
 
 SPEC = FeatureSpec()
 
 
 @st.composite
 def labelled_tiles(draw):
-    """1-3 small random tiles, each with a confidence map of few distinct
-    values and a label mask that is random, empty, every pixel but one, or
-    only the first or the last pixel."""
-    tiles, confs, masks = [], [], []
+    """1-3 small random tiles, each with a label_mask."""
+    tiles, masks = [], []
     for t in range(draw(st.integers(1, 3))):
         h, w = draw(st.integers(1, 6)), draw(st.integers(1, 6))
         tiles.append(ImageTile(draw(hnp.arrays(np.uint8, (h, w, 3))), f"t{t}"))
-        values = st.sampled_from([0.0, 0.0, 0.25, 0.5, 1.0])
-        confs.append(draw(hnp.arrays(np.float64, (h, w), elements=values)))
-        kind = draw(st.sampled_from(["random", "empty", "all but one", "first", "last"]))
-        mask = np.zeros(h * w, dtype=bool)
-        if kind == "random":
-            mask = draw(hnp.arrays(bool, h * w))
-        elif kind == "all but one":
-            mask[:] = True
-            mask[draw(st.integers(0, h * w - 1))] = False
-        elif kind == "first":
-            mask[0] = True
-        elif kind == "last":
-            mask[-1] = True
-        masks.append(mask.reshape(h, w))
-    return tiles, confs, masks
+        masks.append(label_mask(draw, (h, w)))
+    return tiles, masks
 
 
 def assert_same_bits(a, b):
@@ -52,8 +39,8 @@ def assert_same_bits(a, b):
 
 @settings(derandomize=True, max_examples=150, deadline=None)
 @given(labelled_tiles(), st.data())
-def test_flat_positives_match_mask_oracles(case, data):
-    tiles, confs, masks = case
+def test_flat_positives_match_mask_sampler(case, data):
+    tiles, masks = case
     positives = [np.flatnonzero(m) for m in masks]
     n_pos = sum(p.size for p in positives)
     total_neg = sum(m.size for m in masks) - n_pos
@@ -61,10 +48,7 @@ def test_flat_positives_match_mask_oracles(case, data):
     if n_pos == 0:
         with pytest.raises(DataError):
             sample_training_pixels(tiles, positives, SPEC, 1, seed)
-        with pytest.raises(DataError):
-            pixel_pr(confs, positives)
-        return
-    if total_neg == 0:
+    elif total_neg == 0:
         with pytest.raises(ConfigError):
             sample_training_pixels(tiles, positives, SPEC, n_pos + 1, seed)
     else:
@@ -75,10 +59,6 @@ def test_flat_positives_match_mask_oracles(case, data):
         assert_same_bits(got.labels, want.labels)
         for a, b in zip(got.values, want.values, strict=True):
             assert_same_bits(a, b)
-    got, want = pixel_pr(confs, positives), full_sort_pixel_pr(confs, masks)
-    for name in ("thresholds", "precision", "recall"):
-        assert_same_bits(getattr(got, name), getattr(want, name))
-    assert got.prevalence == want.prevalence
 
 
 MALFORMED = {

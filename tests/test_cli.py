@@ -581,6 +581,31 @@ def test_main_score_malformed_detections_exit_4(tmp_path, capsys):
         assert "data error" in err and "Traceback" not in err, row
 
 
+def test_main_score_wrong_shaped_map_exit_4(tmp_path, capsys):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(tiny_config_text(scene_width=96, scene_height=48))
+    out = tmp_path / "out"
+    assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
+    manifest = out / "scenes" / "manifest.txt"
+    maps = tmp_path / "maps"
+    maps.mkdir()
+
+    def score(shape):
+        conf = np.random.default_rng(0).random(shape, dtype=np.float32)
+        detection.save_confidence_map(conf, maps / "scene_002.cmap")
+        capsys.readouterr()
+        args = ["--manifest", str(manifest), "--maps", str(maps)]
+        code = main(["score", "--config", str(config_path), *args, "--out", str(out)])
+        return code, capsys.readouterr().err
+
+    assert score((48, 96))[0] == 0
+    # transposed, the same pixel count in other dimensions, and a larger map
+    for shape in [(96, 48), (24, 192), (96, 96)]:
+        code, err = score(shape)
+        assert code == 4, shape
+        assert "does not match its tile" in err and "Traceback" not in err, shape
+
+
 def test_main_malformed_model_exit_4(tmp_path, capsys):
     import hashlib
 

@@ -162,10 +162,25 @@ def test_pixel_pr_errors():
         pixel_pr([np.full((2, 2), 1.5)], [every])
 
 
+def label_mask(draw, shape):
+    """A label mask that is random, empty, every pixel but one, or only the
+    first or the last pixel."""
+    kind = draw(st.sampled_from(["random", "empty", "all but one", "first", "last"]))
+    if kind == "random":
+        return draw(hnp.arrays(bool, shape))
+    mask = np.zeros(shape, dtype=bool)
+    if kind == "all but one":
+        mask[...] = True
+        mask.flat[draw(st.integers(0, mask.size - 1))] = False
+    elif kind != "empty":
+        mask.flat[0 if kind == "first" else -1] = True
+    return mask
+
+
 @st.composite
 def pixel_cases(draw):
     """Float32 or float64 maps of few distinct values, many exact zeros and
-    whole all-zero tiles, with masks holding at least one positive pixel."""
+    whole all-zero tiles, each with a label_mask."""
     dtype = draw(st.sampled_from([np.float32, np.float64]))
     width = 32 if dtype is np.float32 else 64
     values = st.floats(0.0, 1.0, width=width)
@@ -175,8 +190,7 @@ def pixel_cases(draw):
         shape = draw(hnp.array_shapes(min_dims=2, max_dims=2, max_side=7))
         conf = draw(hnp.arrays(dtype, shape, elements=st.sampled_from(pool)))
         confs.append(conf * dtype(0) if draw(st.booleans()) else conf)
-        masks.append(draw(hnp.arrays(bool, shape)))
-    masks[0].flat[0] = True
+        masks.append(label_mask(draw, shape))
     return confs, masks
 
 
@@ -184,7 +198,12 @@ def pixel_cases(draw):
 @given(pixel_cases())
 def test_pixel_pr_matches_full_sort_oracle_bit_for_bit(case):
     confs, masks = case
-    got = pixel_pr(confs, [np.flatnonzero(m) for m in masks])
+    positives = [np.flatnonzero(m) for m in masks]
+    if not any(p.size for p in positives):
+        with pytest.raises(DataError):
+            pixel_pr(confs, positives)
+        return
+    got = pixel_pr(confs, positives)
     want = full_sort_pixel_pr(confs, masks)
     for name in ("thresholds", "precision", "recall"):
         a, b = getattr(got, name), getattr(want, name)
