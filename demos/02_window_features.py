@@ -17,8 +17,8 @@ print("ring r=2 window centers:", pv.ring_offsets(2))
 tile, annotations = pv.generate_scene(
     pv.SceneParams(width=128, height=128, n_panels=3, seed=3), "feat_demo"
 )
-sums, sq_sums = pv.integral_tables(tile.pixels)
-print(f"\nintegral tables: {sums.shape}, dtype {sums.dtype}")
+sums = pv.integral_tables(tile.pixels)
+print(f"\nintegral table: {sums.shape}, dtype {sums.dtype}")
 total = sums[-1, -1]
 assert np.array_equal(total, tile.pixels.astype(np.int64).sum(axis=(0, 1)))
 print(f"bottom-right corner = per-channel pixel sums: {total.tolist()}")

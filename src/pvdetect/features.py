@@ -7,12 +7,13 @@ With the default 3x3 window and rings at radii 2 and 4 this yields
 window, which is emitted once).
 
 Window coordinates are clamped (edge-replicated) into the tile.  A band of
-rows is edge-padded and box-filtered, through its integral tables, into six
-planes: the three channel means and the three variances (clamped at zero)
-of the window at each padded position.  A feature is then one flat offset
-into the planes (its statistic and window displacement) added to a pixel's
-base index (its row and column).  Sums are exact 64-bit integers and only
-the final division is floating point, so any banding gives the same bits.
+rows is edge-padded and box-filtered, one channel at a time through one
+reused integral table, into six planes: the three channel means and the
+three variances (clamped at zero) of the window at each padded position.
+A feature is then one flat offset into the planes (its statistic and window
+displacement) added to a pixel's base index (its row and column).  Sums are
+exact 64-bit integers and only the final division is floating point, so any
+banding gives the same bits.
 """
 
 from __future__ import annotations
@@ -44,6 +45,11 @@ class FeatureSpec:
             raise ConfigError(f"ring radii must be strictly increasing: {self.ring_radii}")
 
     @property
+    def pad(self) -> int:
+        """Rows and columns of edge padding around a band's planes."""
+        return max(self.ring_radii) + self.window_side // 2
+
+    @property
     def feature_count(self) -> int:
         """6 features per window; the shared (0,0) window counts once."""
         return 6 * len(self.window_offsets())
@@ -70,25 +76,30 @@ def ring_offsets(r: int) -> list[tuple[int, int]]:
     return [(x, y) for x in (0, -r, r) for y in (0, -r, r)]
 
 
-# callers work in bands of max(1, BAND_PIXELS // width) rows, so a band's
-# planes and the forest's routing state (about 8 * BAND_PIXELS tree-pixel
-# pairs at a time) stay a few MB at any tile width and tree count
+# a routing band holds max(1, BAND_PIXELS // width) rows, so the forest's
+# routing state (about 8 * BAND_PIXELS tree-pixel pairs at a time) stays a
+# few MB at any tile width and tree count; planes are built for plane bands
+# of whole routing bands, at least as tall as their padding (forest.py)
 BAND_PIXELS = 1 << 14
 
 
-def integral_tables(pixels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Exclusive int64 prefix-sum tables of an (H, W, 3) array and its squares.
+def integral_tables(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Exclusive int64 prefix sums of an (H, W) or (H, W, C) array.
 
-    Entry [y, x, c] holds the sum over rows [0, y) and columns [0, x) of
-    channel c; row and column 0 are therefore all zeros.
+    Entry [y, x] holds the sum over rows [0, y) and columns [0, x); row and
+    column 0 are therefore all zeros.  The table is (H + 1, W + 1[, C]),
+    written into out when one is given.
     """
-    px = np.asarray(pixels, dtype=np.int64)
-    h, w = px.shape[:2]
-    sums = np.zeros((h + 1, w + 1, 3), dtype=np.int64)
-    sq_sums = np.zeros_like(sums)
-    np.cumsum(np.cumsum(px, axis=0), axis=1, out=sums[1:, 1:])
-    np.cumsum(np.cumsum(px * px, axis=0), axis=1, out=sq_sums[1:, 1:])
-    return sums, sq_sums
+    values = np.asarray(values)
+    h, w = values.shape[:2]
+    if out is None:
+        out = np.empty((h + 1, w + 1) + values.shape[2:], dtype=np.int64)
+    out[0] = 0
+    out[:, 0] = 0
+    inner = out[1:, 1:]
+    np.cumsum(values, axis=0, dtype=np.int64, out=inner)
+    np.cumsum(inner, axis=1, out=inner)
+    return out
 
 
 def feature_planes(
@@ -105,22 +116,26 @@ def feature_planes(
     """
     if not 0 <= row_start < row_stop <= tile.height:
         raise ValueError(f"bad row range [{row_start}, {row_stop})")
-    side = spec.window_side
-    half = side // 2
-    pad = max(spec.ring_radii) + half
+    side, pad = spec.window_side, spec.pad
     rows = np.clip(np.arange(row_start - pad, row_stop + pad), 0, tile.height - 1)
     padded = np.pad(tile.pixels[rows], ((0, 0), (pad, pad), (0, 0)), mode="edge")
-    sums, sq_sums = (t.transpose(2, 0, 1) for t in integral_tables(padded))
+    hp, wp = padded.shape[0] - side + 1, padded.shape[1] - side + 1
+    planes = np.empty((6, hp, wp))
+    table = np.empty((hp + side, wp + side), dtype=np.int64)
     lo, hi = slice(None, -side), slice(side, None)
 
-    def box(t: np.ndarray) -> np.ndarray:
-        return t[:, hi, hi] - t[:, lo, hi] - t[:, hi, lo] + t[:, lo, lo]
+    def box(values: np.ndarray) -> np.ndarray:
+        t = integral_tables(values, table)
+        return t[hi, hi] - t[lo, hi] - t[hi, lo] + t[lo, lo]
 
     n = side * side
-    mean = box(sums) / n
-    planes = np.concatenate([mean, np.maximum(box(sq_sums) / n - mean * mean, 0.0)])
-    hp, wp = planes.shape[1:]
+    for c in range(3):
+        channel = padded[:, :, c]
+        mean = np.divide(box(channel), n, out=planes[c])
+        var = np.divide(box(np.square(channel, dtype=np.int64)), n, out=planes[3 + c])
+        var -= mean * mean
+        np.maximum(var, 0.0, out=var)
     base = (np.arange(row_stop - row_start)[:, None] * wp + np.arange(tile.width)).ravel()
-    corner = np.array(spec.window_offsets()) - half + pad  # (u, v) of pixel (0, 0)
+    corner = np.array(spec.window_offsets()) - side // 2 + pad  # (u, v) of pixel (0, 0)
     offsets = (np.arange(6) * hp * wp + corner[:, 1:] * wp + corner[:, :1]).ravel()
     return planes.ravel(), base, offsets

@@ -410,8 +410,8 @@ def _mean_leaf_prob(
     leaf is its own child; pairs at leaves are written out and dropped once
     they are a quarter of those left.  Trees go in groups that keep routing
     state near 8 * BAND_PIXELS pairs.  Each pixel's probabilities are
-    sorted, then added left to right by cumsum, so the result is exactly
-    invariant under permutation of the trees.
+    sorted, then added left to right one row at a time, so the result is
+    exactly invariant under permutation of the trees.
     """
     trees = forest.trees
     T, P = len(trees), base.size
@@ -445,7 +445,21 @@ def _mean_leaf_prob(
             goes_right = ~(values[at + at_node[node]] <= threshold[node])
             node = child[2 * node + goes_right]
     probs.sort(axis=0)
-    return probs.cumsum(axis=0)[-1] / T
+    total = probs[0]
+    for row in probs[1:]:
+        total += row
+    return total / T
+
+
+def _band_rows(width: int, spec: FeatureSpec) -> tuple[int, int]:
+    """Rows of a routing band and of a plane band of a tile this wide.
+
+    A routing band holds about BAND_PIXELS pixels.  A plane band is the
+    fewest whole routing bands at least as tall as the 2 * spec.pad rows of
+    padding its planes carry, so planes cover at most twice the rows routed.
+    """
+    rows = max(1, BAND_PIXELS // width)
+    return rows, rows * -(-2 * spec.pad // rows)
 
 
 def predict_tile(
@@ -456,11 +470,13 @@ def predict_tile(
 ) -> np.ndarray:
     """float32 confidence map for a tile, routed on the planes of row bands.
 
-    A band holds about BAND_PIXELS pixels, routed about 8 * BAND_PIXELS
-    (tree, pixel) pairs at a time, so memory stays flat at any tile size
-    and tree count; banding is bit-identical to whole-tile extraction.
-    Bands are routed through map, which may be a worker pool's.  Each
-    band's float64 means are rounded into the map as the CMAP stores them.
+    Planes are built once per plane band (_band_rows), and each routing
+    band of about BAND_PIXELS pixels is routed on them through its slice of
+    base, about 8 * BAND_PIXELS (tree, pixel) pairs at a time, so memory
+    stays flat at any tile size and tree count; banding is bit-identical to
+    whole-tile extraction.  Plane bands are routed through map, which may
+    be a worker pool's.  Each band's float64 means are rounded into the map
+    as the CMAP stores them.
     """
     if spec.feature_count != forest.n_features:
         raise DataError(
@@ -472,16 +488,18 @@ def predict_tile(
             f"forest was trained for features {forest.feature_fingerprint!r}, "
             f"not {spec.fingerprint()!r}"
         )
-    rows = max(1, BAND_PIXELS // tile.width)
-    starts = range(0, tile.height, rows)
+    rows, plane_rows = _band_rows(tile.width, spec)
+    chunk = rows * tile.width
+    starts = range(0, tile.height, plane_rows)
 
     def band(y0: int) -> np.ndarray:
-        planes = feature_planes(tile, spec, y0, min(y0 + rows, tile.height))
-        return _mean_leaf_prob(forest, *planes)
+        values, base, offsets = feature_planes(tile, spec, y0, min(y0 + plane_rows, tile.height))
+        routed = (base[i : i + chunk] for i in range(0, base.size, chunk))
+        return np.concatenate([_mean_leaf_prob(forest, values, b, offsets) for b in routed])
 
     out = np.empty((tile.height, tile.width), dtype=np.float32)
     for y0, conf in zip(starts, map(band, starts)):
-        out[y0 : y0 + rows] = conf.reshape(-1, tile.width)
+        out[y0 : y0 + plane_rows] = conf.reshape(-1, tile.width)
     return out
 
 
@@ -535,7 +553,7 @@ def sample_training_pixels(
         )
         order = np.argsort(flat)
         flat, out_rows = flat[order], out_rows[order]
-        rows = max(1, BAND_PIXELS // tile.width)
+        rows = _band_rows(tile.width, spec)[1]
         for y0 in range(0, tile.height, rows):
             y1 = min(y0 + rows, tile.height)
             i, j = np.searchsorted(flat, [y0 * tile.width, y1 * tile.width])

@@ -41,7 +41,8 @@ def test_criterion_01_integral_image_exactness():
     rectangles_checked = 0
     for _ in range(100):
         px = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
-        sums, sq_sums = integral_tables(px)
+        sums = integral_tables(px)
+        sq_sums = integral_tables(np.square(px, dtype=np.int64))
         for c in range(3):
             channel = px[:, :, c].astype(np.int64)
             # every prefix rectangle, against an independent matmul oracle;

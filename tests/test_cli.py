@@ -327,6 +327,18 @@ def test_golden_train_and_score_bytes(tmp_path):
     assert digests == golden
 
 
+def test_golden_wide_tile_predict_bytes(tmp_path):
+    """A 2000-px-wide tile, whose plane bands hold two 8-row routing bands, keeps its CMAP bytes."""
+    model = cmd_train(tiny_config(), cmd_synth(tiny_config(), tmp_path), tmp_path)
+    tile = tmp_path / "wide.ppm"
+    pixels = np.random.default_rng(18).integers(0, 256, (23, 2000, 3), dtype=np.uint8)
+    save_tile(ImageTile(pixels, "wide"), tile)
+    golden = "c6a38e4e22ae7d19f598b05d7a26b898932d29a59d702c53ad5dc1e6e6358d31"
+    for threads in (1, 3):
+        (cmap,) = cmd_predict(tiny_config(threads=threads), model, [tile], tmp_path / f"t{threads}")
+        assert hashlib.sha256(cmap.read_bytes()).hexdigest() == golden, threads
+
+
 # ---------------------------------------------------------------------------
 # Training in forked worker processes
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 import hashlib
 import os
+import struct
 import subprocess
 import sys
 from pathlib import Path
@@ -23,7 +24,7 @@ from pvdetect.detection import (
     save_confidence_map,
 )
 from pvdetect.cli import write_detections_csv
-from pvdetect.errors import ConfigError, DataError, InputError
+from pvdetect.errors import ConfigError, DataError, InputError, PVDetectError
 from pvdetect.rng import Stream
 from pvdetect import detection
 from oracles import (
@@ -763,6 +764,39 @@ def test_cmap_decodes_read_only_float32_and_encodes_canonically():
     # a non-contiguous float32 map encodes as its contiguous copy
     assert encode_confidence_map(conf.T) == encode_confidence_map(conf.T.copy())
     assert np.array_equal(decode_confidence_map(encode_confidence_map(conf.T)), conf.T)
+
+
+@st.composite
+def cmap_bytes(draw):
+    """CMAP files of odd floats, some with one part broken: the magic, the
+    version, the size fields, the float count or a trailing byte."""
+    broken = draw(st.sampled_from([None, None, None, "magic", "version", "size", "count", "tail"]))
+    w, h = draw(st.sampled_from([1, 2, 3, 0, 2**32 - 1])), draw(st.sampled_from([1, 2, 0, 2**31]))
+    n = min(w * h, 8) + (draw(st.sampled_from([-1, 1])) if broken == "count" else 0)
+    odd = st.sampled_from([-0.0, np.nan, np.inf, -np.inf, 1.5, -1e-45])
+    floats = st.floats(0.0, 1.0, width=32) | odd | st.floats(width=32)
+    values = draw(st.lists(floats, min_size=max(n, 0), max_size=max(n, 0)))
+    return b"".join(
+        [
+            b"CMAx" if broken == "magic" else b"CMAP",
+            bytes([draw(st.sampled_from([0, 2, 255]))]) if broken == "version" else b"\x01",
+            struct.pack("<II", w, h)[: 3 if broken == "size" else 8],
+            np.array(values, dtype="<f4").tobytes(),
+            b"x" if broken == "tail" else b"",
+        ]
+    )
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.binary() | cmap_bytes())
+def test_decode_confidence_map_fuzz(data):
+    """Any bytes decode to a map in [0, 1] that re-encodes to them, or raise a PVDetectError."""
+    try:
+        conf = decode_confidence_map(data)
+    except PVDetectError:
+        return
+    assert np.isfinite(conf).all() and 0.0 <= conf.min() <= conf.max() <= 1.0
+    assert encode_confidence_map(conf) == data
 
 
 def test_cmap_errors(tmp_path):

@@ -93,15 +93,20 @@ def test_ring_offsets_r1_and_r4():
 # ---------------------------------------------------------------------------
 
 
+def _tables(pixels):
+    """The prefix tables of pixels and of their squares."""
+    return integral_tables(pixels), integral_tables(np.square(pixels, dtype=np.int64))
+
+
 def test_integral_1x1():
-    sums, sq_sums = integral_tables(np.array([[[5, 0, 7]]], dtype=np.uint8))
+    sums, sq_sums = _tables(np.array([[[5, 0, 7]]], dtype=np.uint8))
     assert sums[1, 1].tolist() == [5, 0, 7]
     assert sq_sums[1, 1].tolist() == [25, 0, 49]
     assert sums[0].sum() == 0 and sums[:, 0].sum() == 0
 
 
 def test_integral_all_zero():
-    sums, sq_sums = integral_tables(np.zeros((3, 4, 3), dtype=np.uint8))
+    sums, sq_sums = _tables(np.zeros((3, 4, 3), dtype=np.uint8))
     assert sums.shape == sq_sums.shape == (4, 5, 3)
     assert not sums.any()
     assert not sq_sums.any()
@@ -110,7 +115,7 @@ def test_integral_all_zero():
 def test_integral_matches_matmul_prefix_oracle():
     rng = np.random.default_rng(1)
     tile = random_tile(rng, 16, 16)
-    sums, sq_sums = integral_tables(tile.pixels)
+    sums, sq_sums = _tables(tile.pixels)
     assert sums.dtype == sq_sums.dtype == np.int64
     for c in range(3):
         channel = tile.pixels[:, :, c].astype(np.int64)
@@ -118,10 +123,21 @@ def test_integral_matches_matmul_prefix_oracle():
         assert np.array_equal(sq_sums[:, :, c], prefix_table_by_matmul(channel * channel))
 
 
+def test_integral_one_channel_into_reused_table():
+    """feature_planes' use: strided channel views, one stale table for all."""
+    rng = np.random.default_rng(3)
+    tile = random_tile(rng, 9, 13)
+    table = np.full((10, 14), -1, dtype=np.int64)
+    for c in range(3):
+        channel = tile.pixels[:, :, c]
+        assert integral_tables(channel, table) is table
+        assert np.array_equal(table, prefix_table_by_matmul(channel.astype(np.int64)))
+
+
 def test_rect_sum_matches_slice_sums():
     rng = np.random.default_rng(2)
     tile = random_tile(rng, 16, 12)
-    sums, sq_sums = integral_tables(tile.pixels)
+    sums, sq_sums = _tables(tile.pixels)
     px = tile.pixels.astype(np.int64)
     for _ in range(200):
         x0, x1 = sorted(rng.integers(0, 12, size=2).tolist())

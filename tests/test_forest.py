@@ -38,6 +38,7 @@ from oracles import (
     decode_rows,
     exhaustive_cart,
     feature_rows,
+    mask_training_set,
     naive_pixel_features,
     predict_rows,
     route_and_read,
@@ -649,6 +650,76 @@ def test_forest_router_matches_scalar_oracle(monkeypatch, band_pixels):
     with ThreadPoolExecutor(max_workers=2) as pool:
         pooled = predict_tile(model, tile, spec, map=pool.map)
     assert np.array_equal(pooled.ravel(), expected.astype(np.float32))
+
+
+@pytest.mark.parametrize(
+    "spec, rows, plane_rows",
+    [
+        (FeatureSpec(), 1, 10),
+        (FeatureSpec(), 2, 10),
+        (FeatureSpec(), 3, 12),
+        (FeatureSpec(5, (1, 4)), 1, 12),
+        (FeatureSpec(5, (1, 4)), 2, 12),
+        (FeatureSpec(5, (1, 4)), 3, 12),
+    ],
+)
+def test_plane_bands_match_whole_tile(monkeypatch, spec, rows, plane_rows):
+    """Plane bands give whole-tile bits in predict_tile and sample_training_pixels.
+
+    On a 25-row, 20-wide tile, BAND_PIXELS 20, 40 and 60 give routing bands
+    of 1, 2 and 3 rows.  A plane band is the fewest whole routing bands at
+    least as tall as its 2 * pad rows of padding (pad 5 for the default
+    spec, 6 for FeatureSpec(5, (1, 4))); 25 rows is a multiple of neither
+    10 nor 12, so the last plane band is short.  Planes are built once per
+    plane band, and each routing band is routed on its own.
+    """
+    h, w = 25, 20
+    rng = np.random.default_rng(23 + rows)
+    tile = ImageTile(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8), "t")
+    X = feature_rows(tile, spec, 0, h).reshape(h * w, -1)
+    y = np.arange(h * w) % 3 == 0
+    rng.shuffle(y)
+    model = _mixed_depth_forest(X, y)
+    expected = np.array([scalar_predict(model, x) for x in X])
+    positives = np.flatnonzero(y)
+    n_total = positives.size + 150
+    want = mask_training_set([tile], [y.reshape(h, w)], spec, n_total, seed=4)
+
+    planes, routed = [], []
+    route = forest_module._mean_leaf_prob
+
+    def recorded_planes(*args):
+        planes.append(args[2:])
+        return feature_planes(*args)
+
+    def recorded_route(*args):
+        means = route(*args)
+        routed.append(means)
+        return means
+
+    monkeypatch.setattr(forest_module, "BAND_PIXELS", rows * w)
+    monkeypatch.setattr(forest_module, "feature_planes", recorded_planes)
+    monkeypatch.setattr(forest_module, "_mean_leaf_prob", recorded_route)
+    bands = [(y0, min(y0 + plane_rows, h)) for y0 in range(0, h, plane_rows)]
+    chunks = [min(rows, y1 - r) * w for y0, y1 in bands for r in range(y0, y1, rows)]
+
+    conf = predict_tile(model, tile, spec)
+    assert planes == bands
+    assert [m.size for m in routed] == chunks
+    assert np.array_equal(np.concatenate(routed), expected)
+    assert np.array_equal(conf.ravel(), expected.astype(np.float32))
+    planes.clear()
+    routed.clear()
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        pooled = predict_tile(model, tile, spec, map=pool.map)
+    assert sorted(planes) == bands
+    assert sorted(m.size for m in routed) == sorted(chunks)
+    assert np.array_equal(pooled, conf)
+    planes.clear()
+    ts = sample_training_pixels([tile], [positives], spec, n_total, seed=4)
+    assert planes == bands
+    assert_bitwise_equal(decode_rows(ts), decode_rows(want))
+    assert np.array_equal(ts.labels, want.labels)
 
 
 def test_forest_router_sends_nan_right():

@@ -131,6 +131,37 @@ def test_tile_roundtrip(tmp_path):
     assert encode_tile(again) == encode_tile(tile)
 
 
+_P6_ODD = st.sampled_from([b"-1", b"+2", b"1_0", b"x", b"\xff", b"99999999999", b"P6", b"#"])
+_P6_GAP = st.sampled_from([b" ", b"\n", b"\t", b"\r\n", b"#c\n", b"\x0b", b""])
+
+
+@st.composite
+def p6_bytes(draw):
+    """Near-P6 files: a magic, three header fields with up to two odd tokens
+    inserted or swapped in, gaps, and a payload near the declared size."""
+    w, h = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    fields = [b"%d" % w, b"%d" % h, draw(st.sampled_from([b"255", b"255", b"256", b"0"]))]
+    for _ in range(draw(st.integers(0, 2))):
+        i = draw(st.integers(0, len(fields)))
+        fields[i:i + draw(st.integers(0, 1))] = [draw(_P6_ODD)]
+    magic = draw(st.sampled_from([b"P6", b"P6", b"P6", b"P5", b"P3", b"P7"]))
+    header = magic + b"".join(draw(_P6_GAP) + f for f in fields) + draw(_P6_GAP)
+    n = max(w * h * 3 + draw(st.sampled_from([0, 0, 0, -1, 1])), 0)
+    return header + draw(st.binary(min_size=n, max_size=n))
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.binary() | p6_bytes())
+def test_load_tile_fuzz(data):
+    """Any bytes load as a tile of the declared size or raise a PVDetectError."""
+    try:
+        with mock.patch.object(imagery, "read_input", return_value=data):
+            tile = load_tile("t.ppm")
+    except PVDetectError:
+        return
+    assert tile.pixels.tobytes() == data[len(data) - tile.pixels.size :]
+
+
 def test_tile_invariants():
     with pytest.raises(ChannelCountError):
         ImageTile(np.zeros((4, 4), dtype=np.uint8))
