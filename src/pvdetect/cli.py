@@ -1,16 +1,18 @@
 """Command-line pipeline: synth, train, predict, detect, score, eval.
 
-Stage boundaries are plain files (P6 tiles, annotation CSVs, the model
-file, CMAP confidence maps, detections CSV, PR CSVs) so each stage can be
-rerun from disk and reproduces its outputs byte for byte.  Each file is
-encoded by the module that owns its format and written atomically (temp
-file + rename) by imagery.write_atomic, and every stage drops a JSON
-manifest recording the config, seed and input/output digests.  --threads
-caps every stage's workers, forked for trees and threads for bands and
-tiles, at one per task and one per core (_workers).
+This module holds only the stages, their worker maps and argument
+parsing.  Stage boundaries are plain files (P6 tiles, annotation CSVs, the
+model file, CMAP confidence maps, detections CSV, PR CSVs) so each stage
+can be rerun from disk and reproduces its outputs byte for byte.  Each file
+is encoded by the module that owns its format (imagery, forest, detection,
+scoring) and written atomically (temp file + rename) by
+imagery.write_atomic, and every stage drops a JSON manifest recording the
+config, seed and input/output digests.  --threads caps every stage's
+workers, forked for trees and threads for bands and tiles, at one per task
+and one per core (_workers).
 
-Exit codes: 0 success, 2 config error, 3 missing/unreadable input,
-4 malformed data.
+Exit codes: 0 success, 2 config error, 3 missing or unreadable input, or
+an output that cannot be written, 4 malformed data.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from pathlib import Path
 
 from . import detection, forest, imagery, scoring, synth
 from .config import RunConfig, load_config
+from .detection import read_detections_csv, write_detections_csv
 from .errors import ConfigError, DataError, InputError, PVDetectError
 
 EXIT_OK = 0
@@ -126,79 +129,19 @@ def fork_map(workers: int):
 
 
 # ---------------------------------------------------------------------------
-# Detections CSV
-# ---------------------------------------------------------------------------
-
-_DETECTIONS_HEADER = (
-    "tile_id,object_id,confidence,area,min_x,min_y,max_x,max_y,rle_pixels"
-)
-
-
-def write_detections_csv(
-    objects_by_tile: dict[str, list[detection.DetectionObject]], path: Path
-) -> None:
-    lines = [_DETECTIONS_HEADER]
-    for tile_id in sorted(objects_by_tile):
-        for k, obj in enumerate(objects_by_tile[tile_id]):
-            min_x, min_y, max_x, max_y = obj.bbox
-            lines.append(
-                f"{tile_id},{k},{format(obj.confidence, '.17g')},{obj.area},"
-                f"{min_x},{min_y},{max_x},{max_y},{obj.to_rle()}"
-            )
-    imagery.write_atomic(path, "\n".join(lines) + "\n")
-
-
-def read_detections_csv(
-    path: Path, shapes: dict[str, tuple[int, int]]
-) -> dict[str, list[detection.DetectionObject]]:
-    """Detections by tile; shapes gives the (height, width) of each known tile.
-
-    A row naming an unknown tile, a pixel outside its tile, or an area or
-    bounding box that disagrees with the pixel runs raises DataError.
-    """
-    lines = imagery.read_text(path, "detections file").splitlines()
-    if not lines or lines[0] != _DETECTIONS_HEADER:
-        raise DataError(f"{path}: missing detections header")
-    by_tile: dict[str, list[detection.DetectionObject]] = {}
-    for lineno, line in enumerate(lines[1:], 2):
-        if not line.strip():
-            continue
-        parts = line.split(",")
-        if len(parts) != 9:
-            raise DataError(f"{path}:{lineno}: expected 9 fields, got {len(parts)}")
-        tile_id = parts[0]
-        if tile_id not in shapes:
-            raise DataError(f"{path}:{lineno}: unknown tile {tile_id!r}")
-        try:
-            confidence = float(parts[2])
-            area, *bbox = (int(v) for v in parts[3:8])
-        except ValueError:
-            raise DataError(
-                f"{path}:{lineno}: bad confidence, area or bounding box"
-            ) from None
-        try:
-            obj = detection.DetectionObject.from_rle(
-                parts[8], confidence, shapes[tile_id]
-            )
-        except DataError as exc:
-            raise DataError(f"{path}:{lineno}: {exc}") from None
-        if obj.area != area or obj.bbox != tuple(bbox):
-            raise DataError(
-                f"{path}:{lineno}: area or bounding box does not match pixel runs"
-            )
-        by_tile.setdefault(tile_id, []).append(obj)
-    return by_tile
-
-
-# ---------------------------------------------------------------------------
 # Stages
 # ---------------------------------------------------------------------------
+
+
+def _train_scenes(scenes: int) -> int:
+    """Train scenes of the 2:1 train/test split of `scenes` scenes."""
+    return (2 * scenes + 2) // 3
 
 
 def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     """Generate scenes plus annotations and a train/test manifest (2:1)."""
     scene_dir = out_dir / "scenes"
-    n_train = (2 * config.scenes + 2) // 3
+    n_train = _train_scenes(config.scenes)
     entries = []
     outputs = []
     for i in range(config.scenes):
@@ -375,6 +318,8 @@ def cmd_score(
 
 def cmd_eval(config: RunConfig, out_dir: Path) -> Path:
     """Full pipeline: synth, train, predict, detect, score, report."""
+    if _train_scenes(config.scenes) == config.scenes:
+        raise ConfigError(f"scenes = {config.scenes} leaves the 2:1 split no test scene")
     timings = {}
     started = time.perf_counter()
 
@@ -539,7 +484,7 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"pvdetect: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (InputError, FileNotFoundError, PermissionError) as exc:
+    except (InputError, OSError) as exc:
         print(f"pvdetect: input error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DataError, PVDetectError) as exc:

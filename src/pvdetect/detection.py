@@ -51,7 +51,8 @@ sets take one compact form, sorted flat indices y * width + x into their
 tile: the maxima of step 1, the seeds of step 2, and each
 DetectionObject's pixels from extraction through the detections CSV to
 scoring.  An object's run-length text form (to_rle/from_rle) is the only
-other pixel format, and decoding rejects runs outside the tile.
+other pixel format, and decoding rejects runs outside the tile.  This
+module owns the detect stage's files: CMAP maps and the detections CSV.
 """
 
 from __future__ import annotations
@@ -62,13 +63,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .features import BAND_PIXELS
-from .imagery import flat_pixels, read_input, write_atomic
+from .imagery import flat_pixels, read_input, read_text, write_atomic
 
 # step 3 grows seeds in batches of at most this many window cells
 # (seeds x otsu_side**2, 45 seeds at the defaults), so its memory stays
 # flat at any seed count; larger batches ran no faster
-SEED_CELLS = BAND_PIXELS
+SEED_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -153,6 +153,59 @@ class DetectionObject:
                 raise DataError(f"bad pixel run {run!r} in a {width}x{height} tile")
             runs.append(np.arange(y * width + x0, y * width + x1 + 1))
         return cls(np.concatenate(runs), confidence, shape)
+
+
+_DETECTIONS_HEADER = (
+    "tile_id,object_id,confidence,area,min_x,min_y,max_x,max_y,rle_pixels"
+)
+
+
+def write_detections_csv(objects_by_tile: dict[str, list[DetectionObject]], path) -> None:
+    lines = [_DETECTIONS_HEADER]
+    for tile_id in sorted(objects_by_tile):
+        for k, obj in enumerate(objects_by_tile[tile_id]):
+            min_x, min_y, max_x, max_y = obj.bbox
+            lines.append(
+                f"{tile_id},{k},{format(obj.confidence, '.17g')},{obj.area},"
+                f"{min_x},{min_y},{max_x},{max_y},{obj.to_rle()}"
+            )
+    write_atomic(path, "\n".join(lines) + "\n")
+
+
+def read_detections_csv(
+    path, shapes: dict[str, tuple[int, int]]
+) -> dict[str, list[DetectionObject]]:
+    """Detections by tile; shapes gives the (height, width) of each known tile.
+
+    A row naming an unknown tile, a pixel outside its tile, or an area or
+    bounding box that disagrees with the pixel runs raises DataError.
+    """
+    lines = read_text(path, "detections file").splitlines()
+    if not lines or lines[0] != _DETECTIONS_HEADER:
+        raise DataError(f"{path}: missing detections header")
+    by_tile: dict[str, list[DetectionObject]] = {}
+    for lineno, line in enumerate(lines[1:], 2):
+        if not line.strip():
+            continue
+        parts = line.split(",")
+        if len(parts) != 9:
+            raise DataError(f"{path}:{lineno}: expected 9 fields, got {len(parts)}")
+        tile_id = parts[0]
+        if tile_id not in shapes:
+            raise DataError(f"{path}:{lineno}: unknown tile {tile_id!r}")
+        try:
+            confidence = float(parts[2])
+            area, *bbox = (int(v) for v in parts[3:8])
+        except ValueError:
+            raise DataError(f"{path}:{lineno}: bad confidence, area or bounding box") from None
+        try:
+            obj = DetectionObject.from_rle(parts[8], confidence, shapes[tile_id])
+        except DataError as exc:
+            raise DataError(f"{path}:{lineno}: {exc}") from None
+        if obj.area != area or obj.bbox != tuple(bbox):
+            raise DataError(f"{path}:{lineno}: area or bounding box does not match pixel runs")
+        by_tile.setdefault(tile_id, []).append(obj)
+    return by_tile
 
 
 def float_map(conf) -> np.ndarray:

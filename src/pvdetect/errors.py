@@ -1,9 +1,9 @@
 """Exception hierarchy shared by all pvdetect modules.
 
 Three broad classes map onto the CLI exit codes: ConfigError (bad
-parameters or config files, exit 2), InputError (missing/unreadable
-inputs, exit 3) and DataError (well-located but malformed content,
-exit 4).
+parameters or config files, exit 2), InputError (missing or unreadable
+input, exit 3, as is any OSError such as an output that cannot be
+written) and DataError (well-located but malformed content, exit 4).
 """
 
 

@@ -76,13 +76,6 @@ def ring_offsets(r: int) -> list[tuple[int, int]]:
     return [(x, y) for x in (0, -r, r) for y in (0, -r, r)]
 
 
-# a routing band holds max(1, BAND_PIXELS // width) rows, so the forest's
-# routing state (about 8 * BAND_PIXELS tree-pixel pairs at a time) stays a
-# few MB at any tile width and tree count; planes are built for plane bands
-# of whole routing bands, at least as tall as their padding (forest.py)
-BAND_PIXELS = 1 << 14
-
-
 def integral_tables(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Exclusive int64 prefix sums of an (H, W) or (H, W, C) array.
 

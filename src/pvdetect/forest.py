@@ -14,7 +14,9 @@ integer counts, and so the same splits, as sorting the node's values would
 give.  Only the chosen boundary is read back as a float threshold.
 
 Inference routes all trees at once: (tree, pixel) pairs advance level by
-level through one flat table of the forest's nodes (_mean_leaf_prob).
+level through one flat table of the forest's nodes (_mean_leaf_prob), on
+row bands of about BAND_PIXELS pixels.  A forest records the fingerprint
+of the feature spec it was trained on, and predicts only with that spec.
 
 Randomness is counter-based (see rng): the bootstrap of tree t and the
 feature subset of node k depend only on (seed, t, k), so training is a
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -37,11 +39,17 @@ from .errors import (
     ModelFormatError,
     ModelVersionError,
 )
-from .features import BAND_PIXELS, FeatureSpec, feature_planes
+from .features import FeatureSpec, feature_planes
 from .imagery import ImageTile, flat_pixels, read_input, write_atomic
 from .rng import Stream, counter_u64
 
 _MODEL_HEADER = "PVFOREST v1"
+
+# a routing band holds max(1, BAND_PIXELS // width) rows, so the forest's
+# routing state (about 8 * BAND_PIXELS tree-pixel pairs at a time) stays a
+# few MB at any tile width and tree count; planes are built for plane bands
+# of whole routing bands, at least as tall as their padding (_band_rows)
+BAND_PIXELS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -348,9 +356,9 @@ def grow_tree(
 class RandomForest:
     """An ensemble of trees over a fixed-width feature space."""
 
-    trees: list[DecisionTree] = field(default_factory=list)
-    n_features: int = 0
-    feature_fingerprint: str = "unspecified"
+    trees: list[DecisionTree]
+    n_features: int
+    feature_fingerprint: str  # FeatureSpec.fingerprint() of the trained features
 
     def __post_init__(self):
         if not self.trees:
@@ -368,7 +376,7 @@ class RandomForest:
 def train(
     training_set: TrainingSet,
     params: RFParams,
-    feature_fingerprint: str = "unspecified",
+    feature_fingerprint: str,
     map=map,
 ) -> RandomForest:
     """Train a forest; a pure function of (training_set, params).
@@ -483,7 +491,7 @@ def predict_tile(
             f"feature spec yields {spec.feature_count} features, "
             f"forest expects {forest.n_features}"
         )
-    if forest.feature_fingerprint not in ("unspecified", spec.fingerprint()):
+    if forest.feature_fingerprint != spec.fingerprint():
         raise DataError(
             f"forest was trained for features {forest.feature_fingerprint!r}, "
             f"not {spec.fingerprint()!r}"

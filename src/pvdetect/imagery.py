@@ -214,6 +214,7 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
 def load_tile(path: str | Path, tile_id: str | None = None) -> ImageTile:
     """Load a binary PPM (P6) tile.
 
+    The pixels are a read-only view of the file's bytes, not a copy.
     Raises RasterFormatError for malformed headers, ChannelCountError for
     grayscale/bitmap inputs and TruncatedRasterError when the pixel payload
     is shorter than the header declares.
@@ -242,14 +243,12 @@ def load_tile(path: str | Path, tile_id: str | None = None) -> ImageTile:
         raise RasterFormatError(f"{path}: missing whitespace after maxval")
     pos += 1
     expected = width * height * 3
-    payload = data[pos:]
-    if len(payload) < expected:
-        raise TruncatedRasterError(
-            f"{path}: expected {expected} sample bytes, found {len(payload)}"
-        )
-    if len(payload) > expected:
-        raise RasterFormatError(f"{path}: {len(payload) - expected} trailing bytes")
-    pixels = np.frombuffer(payload, dtype=np.uint8).reshape(height, width, 3).copy()
+    found = len(data) - pos
+    if found < expected:
+        raise TruncatedRasterError(f"{path}: expected {expected} sample bytes, found {found}")
+    if found > expected:
+        raise RasterFormatError(f"{path}: {found - expected} trailing bytes")
+    pixels = np.frombuffer(data, np.uint8, count=expected, offset=pos).reshape(height, width, 3)
     return ImageTile(pixels, tile_id if tile_id is not None else path.stem)
 
 

@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 import pvdetect as pv
-from pvdetect.cli import cmd_detect, cmd_eval, cmd_predict, cmd_train, read_detections_csv
+from pvdetect.cli import cmd_detect, cmd_eval, cmd_predict, cmd_train
 from pvdetect.config import RunConfig
-from pvdetect.detection import PPParams, otsu_threshold, postprocess
+from pvdetect.detection import PPParams, otsu_threshold, postprocess, read_detections_csv
 from pvdetect.features import FeatureSpec, integral_tables
 from pvdetect.forest import RFParams, grow_tree, train
 from pvdetect.imagery import ImageTile, load_manifest, rasterize, save_manifest
@@ -130,7 +130,7 @@ def test_criterion_04_forest_learning_sanity():
     rng = np.random.default_rng(104)
     X = rng.normal(size=(1000, 2))
     y = X[:, 0] + X[:, 1] > 0
-    model = train(rows_training_set(X[:700], y[:700]), RFParams(n_trees=30, seed=7))
+    model = train(rows_training_set(X[:700], y[:700]), RFParams(n_trees=30, seed=7), "rows")
     accuracy = float(((predict_rows(model, X[700:]) > 0.5) == y[700:]).mean())
     elapsed = time.perf_counter() - started
     assert accuracy >= 0.95, f"held-out accuracy {accuracy}"

@@ -20,13 +20,16 @@ from pvdetect.cli import (
     cmd_train,
     fork_map,
     main,
+)
+from pvdetect.config import RunConfig, parse_config
+from pvdetect.detection import (
+    DetectionObject,
+    load_confidence_map,
     read_detections_csv,
     write_detections_csv,
 )
-from pvdetect.config import RunConfig, parse_config
-from pvdetect.detection import DetectionObject, load_confidence_map
 from pvdetect.errors import DataError, InputError
-from pvdetect.features import BAND_PIXELS
+from pvdetect.forest import BAND_PIXELS
 from pvdetect.imagery import ImageTile, load_manifest, save_tile
 from oracles import tree_depth
 
@@ -91,7 +94,7 @@ def test_from_rle_raises_only_data_error(text, shape):
 @st.composite
 def detections_texts(draw):
     """A header and rows of nine short fields, on known tiles or not."""
-    rows = [cli._DETECTIONS_HEADER]
+    rows = [detection._DETECTIONS_HEADER]
     for _ in range(draw(st.integers(0, 3))):
         tile = draw(st.sampled_from(["t", "t0", "u"]))
         number = st.integers(-1, 30).map(str) | st.text("0123456789.-e", max_size=3)
@@ -104,7 +107,7 @@ def detections_texts(draw):
 @given(st.text() | detections_texts())
 def test_read_detections_csv_raises_only_data_error(text):
     try:
-        with mock.patch.object(cli.imagery, "read_text", return_value=text):
+        with mock.patch.object(detection, "read_text", return_value=text):
             read_detections_csv(Path("detections.csv"), {"t": (4, 6), "t0": (1, 1)})
     except DataError:
         pass
@@ -521,6 +524,40 @@ def test_main_missing_input_exit_3(tmp_path, capsys):
     )
     assert code == 3
     assert "input error" in capsys.readouterr().err
+
+
+def test_main_unwritable_output_exit_3(tmp_path, capsys):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(tiny_config_text())
+    # an output directory below a regular file: NotADirectoryError
+    code = main(["synth", "--config", str(config_path), "--out", str(config_path / "x")])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "input error" in err and "Traceback" not in err
+    # a manifest path that is a directory: IsADirectoryError from the rename
+    out = tmp_path / "out"
+    (out / "scenes" / "manifest.txt").mkdir(parents=True)
+    code = main(["synth", "--config", str(config_path), "--out", str(out)])
+    err = capsys.readouterr().err
+    assert code == 3
+    assert "input error" in err and "Traceback" not in err
+    assert (out / "scenes" / "scene_000.ppm").is_file()
+    assert list(tmp_path.rglob(".*")) == []  # write_atomic's temp files
+
+
+@pytest.mark.parametrize("scenes", [1, 2])
+def test_main_eval_without_a_test_scene_exit_2(tmp_path, capsys, scenes):
+    # the 2:1 split puts every scene in train; eval stops before synth
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(tiny_config_text(scenes=scenes))
+    out = tmp_path / "out"
+    code = main(["eval", "--config", str(config_path), "--out", str(out)])
+    assert code == 2
+    assert "no test scene" in capsys.readouterr().err
+    assert not (out / "scenes").exists()
+    # synth alone still accepts so few scenes
+    assert main(["synth", "--config", str(config_path), "--out", str(out)]) == 0
+    assert len(load_manifest(out / "scenes" / "manifest.txt").subset("train")) == scenes
 
 
 def test_main_data_error_exit_4(tmp_path, capsys):

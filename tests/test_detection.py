@@ -22,8 +22,8 @@ from pvdetect.detection import (
     otsu_threshold,
     postprocess,
     save_confidence_map,
+    write_detections_csv,
 )
-from pvdetect.cli import write_detections_csv
 from pvdetect.errors import ConfigError, DataError, InputError, PVDetectError
 from pvdetect.rng import Stream
 from pvdetect import detection

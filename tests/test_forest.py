@@ -318,7 +318,7 @@ def test_grow_tree_routing_invariant_under_monotone_rescale():
 
 def test_train_single_tree_prediction():
     # min_leaf=1 so any two-class bootstrap splits the step function exactly
-    model = train(ten_sample_set(), RFParams(n_trees=1, min_leaf=1, seed=1))
+    model = train(ten_sample_set(), RFParams(n_trees=1, min_leaf=1, seed=1), "rows")
     assert scalar_predict(model, np.array([0.0])) == 0.0
     assert scalar_predict(model, np.array([1.0])) == 1.0
     assert predict_rows(model, np.array([[0.0], [1.0]])).tolist() == [0.0, 1.0]
@@ -329,9 +329,9 @@ def test_train_deterministic_and_seed_sensitive():
     X = rng.uniform(0, 1, size=(300, 5))
     y = X[:, 0] > 0.5
     ts = rows_training_set(X, y)
-    a = dump_model(train(ts, RFParams(n_trees=5, seed=7)))
-    b = dump_model(train(ts, RFParams(n_trees=5, seed=7)))
-    c = dump_model(train(ts, RFParams(n_trees=5, seed=8)))
+    a = dump_model(train(ts, RFParams(n_trees=5, seed=7), "rows"))
+    b = dump_model(train(ts, RFParams(n_trees=5, seed=7), "rows"))
+    c = dump_model(train(ts, RFParams(n_trees=5, seed=8), "rows"))
     assert a == b
     assert a != c
 
@@ -363,7 +363,7 @@ def test_train_separable_2d_accuracy():
     rng = np.random.default_rng(5)
     X = rng.normal(size=(1000, 2))
     y = X[:, 0] + X[:, 1] > 0
-    model = train(rows_training_set(X[:700], y[:700]), RFParams(n_trees=30, seed=0))
+    model = train(rows_training_set(X[:700], y[:700]), RFParams(n_trees=30, seed=0), "rows")
     held_out = predict_rows(model, X[700:]) > 0.5
     assert (held_out == y[700:]).mean() >= 0.95
 
@@ -371,7 +371,7 @@ def test_train_separable_2d_accuracy():
 def test_train_validates_inputs():
     ts = ten_sample_set()
     with pytest.raises(ConfigError):
-        train(ts, RFParams(n_trees=1, min_leaf=6))  # N=10 < 2*6
+        train(ts, RFParams(n_trees=1, min_leaf=6), "rows")  # N=10 < 2*6
     with pytest.raises(DataError, match="both classes"):
         rows_training_set(np.zeros((4, 2)), np.array([True] * 4))
     with pytest.raises(DataError, match="inconsistent"):
@@ -379,7 +379,7 @@ def test_train_validates_inputs():
     with pytest.raises(ConfigError):
         RFParams(n_trees=0)
     with pytest.raises(ConfigError):
-        train(ts, RFParams(features_per_node=2))  # only 1 feature available
+        train(ts, RFParams(features_per_node=2), "rows")  # only 1 feature available
 
 
 def assert_bitwise_equal(a, b):
@@ -448,11 +448,12 @@ def _single_leaf_tree(prob, count=5):
 
 
 def test_predict_identities_and_errors():
-    model = train(ten_sample_set(), RFParams(n_trees=1, min_leaf=1, seed=0))
+    model = train(ten_sample_set(), RFParams(n_trees=1, min_leaf=1, seed=0), "rows")
     # constant features cannot split: one leaf carrying the class fraction
     leaf_only = train(
         rows_training_set(np.zeros((6, 1)), np.array([True] * 4 + [False] * 2)),
         RFParams(n_trees=1, min_leaf=3, seed=0),
+        "rows",
     )
     assert leaf_only.trees[0].n_nodes == 1
     assert scalar_predict(leaf_only, np.array([123.0])) == leaf_only.trees[0].prob[0]
@@ -465,11 +466,11 @@ def test_predict_identities_and_errors():
 
 def test_predict_mean_of_two_trees():
     forest = RandomForest(
-        [_single_leaf_tree(0.0), _single_leaf_tree(1.0)], 1, "unspecified"
+        [_single_leaf_tree(0.0), _single_leaf_tree(1.0)], 1, "rows"
     )
     assert scalar_predict(forest, np.array([0.0])) == 0.5
     assert predict_rows(forest, np.array([[0.0]]))[0] == 0.5
-    single = RandomForest([_single_leaf_tree(0.375)], 1, "unspecified")
+    single = RandomForest([_single_leaf_tree(0.375)], 1, "rows")
     assert scalar_predict(single, np.array([9.0])) == 0.375
     assert predict_rows(single, np.array([[9.0]]))[0] == 0.375
 
@@ -478,7 +479,7 @@ def test_predict_matches_route_and_read_oracle():
     rng = np.random.default_rng(6)
     X = rng.uniform(0, 1, size=(400, 4))
     y = (X[:, 1] > 0.6) | (X[:, 2] < 0.2)
-    model = train(rows_training_set(X, y), RFParams(n_trees=7, seed=11))
+    model = train(rows_training_set(X, y), RFParams(n_trees=7, seed=11), "rows")
     probe = rng.uniform(0, 1, size=(50, 4))
     batch = predict_rows(model, probe)
     for x, got in zip(probe, batch):
@@ -493,8 +494,8 @@ def test_predict_invariant_under_tree_permutation():
     rng = np.random.default_rng(7)
     X = rng.uniform(0, 1, size=(300, 3))
     y = X[:, 0] > 0.4
-    model = train(rows_training_set(X, y), RFParams(n_trees=9, seed=2))
-    shuffled = RandomForest(model.trees[::-1], model.n_features, "unspecified")
+    model = train(rows_training_set(X, y), RFParams(n_trees=9, seed=2), "rows")
+    shuffled = RandomForest(model.trees[::-1], model.n_features, "rows")
     probe = rng.uniform(0, 1, size=(40, 3))
     assert np.array_equal(predict_rows(model, probe), predict_rows(shuffled, probe))
 
@@ -503,7 +504,7 @@ def test_row_routing_matches_scalar_predict_bitwise():
     rng = np.random.default_rng(8)
     X = rng.uniform(0, 1, size=(200, 3))
     y = X[:, 0] + X[:, 2] > 1.0
-    model = train(rows_training_set(X, y), RFParams(n_trees=6, seed=4))
+    model = train(rows_training_set(X, y), RFParams(n_trees=6, seed=4), "rows")
     probe = rng.uniform(0, 1, size=(31, 3))
     batch = predict_rows(model, probe)
     for i in range(31):
@@ -529,6 +530,18 @@ def test_predict_tile_shape_and_range():
         predict_tile(model, tile, FeatureSpec(window_side=5, ring_radii=(1, 3)))
 
 
+def test_predict_tile_requires_the_trained_spec():
+    """A forest's fingerprint must equal the spec's; no label is a wildcard."""
+    tile = ImageTile(np.zeros((3, 4, 3), dtype=np.uint8), "t")
+    spec = FeatureSpec()
+    for label in ("unspecified", "rows", "w3:r2"):
+        forest = RandomForest([_single_leaf_tree(0.5)], spec.feature_count, label)
+        with pytest.raises(DataError, match="trained for features"):
+            predict_tile(forest, tile, spec)
+    labelled = RandomForest([_single_leaf_tree(0.5)], spec.feature_count, spec.fingerprint())
+    assert (predict_tile(labelled, tile, spec) == 0.5).all()
+
+
 def test_predict_tile_banding_consistency(monkeypatch):
     rng = np.random.default_rng(10)
     tile = ImageTile(rng.integers(0, 256, size=(40, 30, 3), dtype=np.uint8), "t")
@@ -536,7 +549,8 @@ def test_predict_tile_banding_consistency(monkeypatch):
     fi = feature_rows(tile, spec, 0, tile.height)
     X = fi.reshape(-1, 102)
     y = X[:, 0] > np.median(X[:, 0])
-    model = train(rows_training_set(X[:600], y[:600]), RFParams(n_trees=3, seed=6))
+    model = train(rows_training_set(X[:600], y[:600]), RFParams(n_trees=3, seed=6),
+                  spec.fingerprint())
     whole = predict_rows(model, X).reshape(40, 30)
     # bands of 13 rows: 13 + 13 + 13 + 1, each bit-identical in float64
     monkeypatch.setattr(forest_module, "BAND_PIXELS", 13 * 30 + 29)
@@ -585,7 +599,7 @@ def test_plane_routing_matches_scalar_oracle():
         assert conf[picks // w, picks % w].tolist() == np.float32(expected).tolist()
         for tree in model.trees:
             # the mean of one tree is its leaf probability, exactly
-            one = RandomForest([tree], model.n_features, "unspecified")
+            one = RandomForest([tree], model.n_features, model.feature_fingerprint)
             leaves = forest_module._mean_leaf_prob(one, values, base[picks], offsets)
             assert leaves.tolist() == [route_and_read(tree, x) for x in naive]
 
@@ -602,17 +616,17 @@ def _float64_bands(model, tile, spec):
     return np.concatenate(bands).reshape(tile.height, tile.width)
 
 
-def _mixed_depth_forest(X, y):
+def _mixed_depth_forest(X, y, fingerprint="rows"):
     """Five trees: deep, a lone leaf, shallow, deep, and a one-split stump."""
     ts = rows_training_set(X, y)
-    deep = train(ts, RFParams(n_trees=2, min_leaf=1, seed=5)).trees
-    shallow = train(ts, RFParams(n_trees=1, min_leaf=40, seed=6)).trees
+    deep = train(ts, RFParams(n_trees=2, min_leaf=1, seed=5), "rows").trees
+    shallow = train(ts, RFParams(n_trees=1, min_leaf=40, seed=6), "rows").trees
     stump = grow_tree(np.arange(y.size), ts, RFParams(min_leaf=y.size // 2 - 1),
                       all_features(X.shape[1]))
     trees = [deep[0], _single_leaf_tree(0.625), shallow[0], deep[1], stump]
     depths = [tree_depth(t) for t in trees]
     assert depths[1] == 0 and max(depths) >= 6 and 1 <= min(depths[2], depths[4]) <= 3
-    return RandomForest(trees, X.shape[1], "unspecified")
+    return RandomForest(trees, X.shape[1], fingerprint)
 
 
 def test_tree_depth_matches_recursive_oracle():
@@ -639,7 +653,7 @@ def test_forest_router_matches_scalar_oracle(monkeypatch, band_pixels):
     X = feature_rows(tile, spec, 0, tile.height).reshape(-1, spec.feature_count)
     y = np.arange(X.shape[0]) % 3 == 0
     rng.shuffle(y)
-    model = _mixed_depth_forest(X, y)
+    model = _mixed_depth_forest(X, y, spec.fingerprint())
     expected = np.array([scalar_predict(model, x) for x in X])
     monkeypatch.setattr(forest_module, "BAND_PIXELS", band_pixels)
     assert np.array_equal(predict_rows(model, X), expected)
@@ -679,7 +693,7 @@ def test_plane_bands_match_whole_tile(monkeypatch, spec, rows, plane_rows):
     X = feature_rows(tile, spec, 0, h).reshape(h * w, -1)
     y = np.arange(h * w) % 3 == 0
     rng.shuffle(y)
-    model = _mixed_depth_forest(X, y)
+    model = _mixed_depth_forest(X, y, spec.fingerprint())
     expected = np.array([scalar_predict(model, x) for x in X])
     positives = np.flatnonzero(y)
     n_total = positives.size + 150

@@ -32,7 +32,7 @@ def forests_and_probes(draw):
         )
         params = RFParams(min_leaf=draw(st.integers(1, 3)))
         trees.append(grow_tree(rows, ts, params, lambda node_id: subset))
-    forest = RandomForest(trees, n_features, "unspecified")
+    forest = RandomForest(trees, n_features, "rows")
     # probe values: every threshold exactly, both zeros, and the data's values
     thresholds = sorted({float(t) for tree in trees for t in tree.threshold[tree.feature >= 0]})
     pool = st.sampled_from(thresholds + [-0.0, 0.0] + X.ravel().tolist())
@@ -59,7 +59,7 @@ def test_grown_forests_round_trip_the_model_format(case):
     blob = dump_model(forest)
     again = loads_model(blob)
     assert dump_model(again) == blob
-    assert (again.n_features, again.feature_fingerprint) == (forest.n_features, "unspecified")
+    assert (again.n_features, again.feature_fingerprint) == (forest.n_features, "rows")
     for a, b in zip(forest.trees, again.trees, strict=True):
         leaf = a.feature < 0
         for name in ("feature", "left", "right"):

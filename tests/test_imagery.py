@@ -79,12 +79,24 @@ def test_load_tile_header_comments(tmp_path):
     assert (tile.width, tile.height) == (2, 1)
 
 
+def test_load_tile_pixels_are_read_only_payload(tmp_path):
+    payload = np.random.default_rng(3).integers(0, 256, 5 * 4 * 3, dtype=np.uint8).tobytes()
+    path = tmp_path / "v.ppm"
+    path.write_bytes(b"P6\n# odd header length\n4 5\n255\n" + payload)
+    tile = load_tile(path)
+    assert tile.pixels.shape == (5, 4, 3)
+    assert tile.pixels.tobytes() == payload
+    assert not tile.pixels.flags.writeable
+    with pytest.raises(ValueError, match="read-only"):
+        tile.pixels[0, 0, 0] = 1
+
+
 def test_load_tile_truncated(tmp_path):
     # declares 4 pixels, contains 3
     data = b"P6\n2 2\n255\n" + bytes(9)
     path = tmp_path / "short.ppm"
     path.write_bytes(data)
-    with pytest.raises(TruncatedRasterError):
+    with pytest.raises(TruncatedRasterError, match="expected 12 sample bytes, found 9"):
         load_tile(path)
 
 
@@ -111,7 +123,7 @@ def test_load_tile_bad_magic_and_maxval(tmp_path):
 def test_load_tile_trailing_bytes_rejected(tmp_path):
     path = tmp_path / "long.ppm"
     path.write_bytes(b"P6\n1 1\n255\n" + bytes(5))
-    with pytest.raises(RasterFormatError):
+    with pytest.raises(RasterFormatError, match="2 trailing bytes"):
         load_tile(path)
 
 
