@@ -39,7 +39,12 @@ EXIT_DATA = 4
 
 
 def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
+    # in 1 MiB reads, so that a manifest never holds a map or tile whole
+    digest = hashlib.sha256()
+    with path.open("rb") as handle:
+        for chunk in iter(lambda: handle.read(1 << 20), b""):
+            digest.update(chunk)
+    return digest.hexdigest()
 
 
 def _stage_manifest(
@@ -76,13 +81,18 @@ def _workers(threads: int, tasks: int) -> int:
 
 
 def thread_map(threads: int):
-    """A lazy, ordered map(fn, *iterables) on _workers(threads, tasks) threads."""
+    """A lazy, ordered map(fn, *iterables) on _workers(threads, tasks) threads.
+
+    Its workers attribute is that count for as many tasks as threads, so
+    forest.predict_tile cuts a tile into a multiple of that many bands.
+    """
 
     def run(fn, *iterables):
         tasks = list(zip(*iterables))
         with ThreadPoolExecutor(max_workers=_workers(threads, len(tasks))) as pool:
             yield from pool.map(lambda args: fn(*args), tasks)
 
+    run.workers = _workers(threads, threads)
     return run
 
 

@@ -479,20 +479,25 @@ _CMAP_MAGIC = b"CMAP"
 _CMAP_VERSION = 1
 
 
-def encode_confidence_map(conf: np.ndarray) -> bytes:
-    """CMAP bytes: magic, version byte, u32 width/height LE, f32 row-major."""
+def encode_confidence_map(conf: np.ndarray) -> tuple[bytes, memoryview]:
+    """A CMAP file as two chunks, whose b"".join is its bytes.
+
+    The header holds the magic, a version byte and u32 width/height LE; the
+    payload is the f32 row-major values, a view of conf itself when conf is
+    already C-contiguous float32.
+    """
     conf = _check_map(conf)
     if conf.min() < 0.0 or conf.max() > 1.0:
         raise DataError("confidence values must lie in [0, 1]")
     h, w = conf.shape
     header = _CMAP_MAGIC + bytes([_CMAP_VERSION]) + struct.pack("<II", w, h)
-    return b"".join((header, np.ascontiguousarray(conf, dtype="<f4").data))
+    return header, np.ascontiguousarray(conf, dtype="<f4").data
 
 
-def decode_confidence_map(data: bytes) -> np.ndarray:
+def decode_confidence_map(data: bytes | memoryview) -> np.ndarray:
     """The stored float32 values, as a read-only (height, width) view of data."""
     if data[:4] != _CMAP_MAGIC:
-        raise DataError(f"not a confidence map (magic {data[:4]!r})")
+        raise DataError(f"not a confidence map (magic {bytes(data[:4])!r})")
     if len(data) < 13:
         raise DataError("confidence map header truncated")
     version = data[4]
@@ -517,4 +522,5 @@ def save_confidence_map(conf: np.ndarray, path) -> None:
 
 
 def load_confidence_map(path) -> np.ndarray:
-    return decode_confidence_map(read_input(path, "confidence map"))
+    """The map of a CMAP file, read so that its float32 payload is aligned."""
+    return decode_confidence_map(read_input(path, "confidence map", aligned_at=13))

@@ -106,11 +106,23 @@ def feature_planes(
     top-left cell is each padded position.  base holds one int64 index per
     band pixel, row-major, and offsets one per feature, so feature f of
     pixel p is values[base[p] + offsets[f]].
+
+    A spec that would pad the whole tile past 4 (h + 16)(w + 16) + 2**20
+    cells raises ConfigError before anything is padded.  The padded tile
+    bounds every padded band, so memory stays within a constant factor of
+    the tile's at any banding; any pad up to 8, the default spec's 5
+    included, passes on every tile, however thin.
     """
     if not 0 <= row_start < row_stop <= tile.height:
         raise ValueError(f"bad row range [{row_start}, {row_stop})")
     side, pad = spec.window_side, spec.pad
-    rows = np.clip(np.arange(row_start - pad, row_stop + pad), 0, tile.height - 1)
+    h, w = tile.height, tile.width
+    if (h + 2 * pad) * (w + 2 * pad) > 4 * (h + 16) * (w + 16) + 2**20:
+        raise ConfigError(
+            f"window_side {side} and ring_radii {spec.ring_radii} pad a {w}x{h} "
+            f"tile past 4 (h + 16)(w + 16) + 2**20 cells"
+        )
+    rows = np.clip(np.arange(row_start - pad, row_stop + pad), 0, h - 1)
     padded = np.pad(tile.pixels[rows], ((0, 0), (pad, pad), (0, 0)), mode="edge")
     hp, wp = padded.shape[0] - side + 1, padded.shape[1] - side + 1
     planes = np.empty((6, hp, wp))
@@ -128,7 +140,7 @@ def feature_planes(
         var = np.divide(box(np.square(channel, dtype=np.int64)), n, out=planes[3 + c])
         var -= mean * mean
         np.maximum(var, 0.0, out=var)
-    base = (np.arange(row_stop - row_start)[:, None] * wp + np.arange(tile.width)).ravel()
+    base = (np.arange(row_stop - row_start)[:, None] * wp + np.arange(w)).ravel()
     corner = np.array(spec.window_offsets()) - side // 2 + pad  # (u, v) of pixel (0, 0)
     offsets = (np.arange(6) * hp * wp + corner[:, 1:] * wp + corner[:, :1]).ravel()
     return planes.ravel(), base, offsets

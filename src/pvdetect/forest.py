@@ -13,10 +13,10 @@ split search counts samples and positives per rank (best_split): the same
 integer counts, and so the same splits, as sorting the node's values would
 give.  Only the chosen boundary is read back as a float threshold.
 
-Inference routes all trees at once: (tree, pixel) pairs advance level by
-level through one flat table of the forest's nodes (_mean_leaf_prob), on
-row bands of about BAND_PIXELS pixels.  A forest records the fingerprint
-of the feature spec it was trained on, and predicts only with that spec.
+Inference walks each tree depth first over a whole band of up to
+8 * BAND_PIXELS pixels, splitting the pixels that reach a node once per
+node (_mean_leaf_prob).  A forest records the fingerprint of the feature
+spec it was trained on, and predicts only with that spec.
 
 Randomness is counter-based (see rng): the bootstrap of tree t and the
 feature subset of node k depend only on (seed, t, k), so training is a
@@ -26,6 +26,7 @@ workers.
 
 from __future__ import annotations
 
+import builtins
 import hashlib
 import math
 from dataclasses import dataclass
@@ -45,10 +46,10 @@ from .rng import Stream, counter_u64
 
 _MODEL_HEADER = "PVFOREST v1"
 
-# a routing band holds max(1, BAND_PIXELS // width) rows, so the forest's
-# routing state (about 8 * BAND_PIXELS tree-pixel pairs at a time) stays a
-# few MB at any tile width and tree count; planes are built for plane bands
-# of whole routing bands, at least as tall as their padding (_band_rows)
+# best_split's feature groups hold about BAND_PIXELS keys, and sampling's
+# bands about BAND_PIXELS pixels; predict's bands hold up to 8 * BAND_PIXELS
+# (_band_rows), so that each node's numpy calls act on many pixels while a
+# band's planes stay a few MB at any tile width
 BAND_PIXELS = 1 << 14
 
 
@@ -413,61 +414,60 @@ def _mean_leaf_prob(
 ) -> np.ndarray:
     """Mean leaf probability across trees of each pixel b of base.
 
-    Feature f of pixel b is values[b + offsets[f]].  (tree, pixel) pairs
-    advance level by level through one flat node table of all trees.  A
-    leaf is its own child; pairs at leaves are written out and dropped once
-    they are a quarter of those left.  Trees go in groups that keep routing
-    state near 8 * BAND_PIXELS pairs.  Each pixel's probabilities are
-    sorted, then added left to right one row at a time, so the result is
-    exactly invariant under permutation of the trees.
+    Feature f of pixel b is values[b + offsets[f]].  Each tree is walked
+    depth first with a stack of pixel sets: an internal node reads its
+    feature once for the pixels that reach it and splits them in two, and
+    only nonempty children are visited.  A leaf records, for its pixels,
+    its probability's rank among the forest's distinct leaf probabilities,
+    in the smallest unsigned dtype that holds them.  Sorting each pixel's
+    ranks sorts its probabilities, which are then added left to right one
+    row at a time, so the result is exactly invariant under permutation of
+    the trees.
     """
     trees = forest.trees
-    T, P = len(trees), base.size
-    first = np.cumsum([0] + [tree.n_nodes for tree in trees])[:-1]
-    feature = np.concatenate([tree.feature for tree in trees])
-    threshold = np.concatenate([tree.threshold for tree in trees])
-    prob = np.concatenate([tree.prob for tree in trees])
-    leaf = feature < 0
-    # node k goes on to child[2k + goes_right]; a leaf goes on to itself
-    kids = np.concatenate([np.stack([t.left, t.right], 1) + k for t, k in zip(trees, first)])
-    child = np.where(leaf[:, None], np.arange(leaf.size)[:, None], kids).ravel()
-    inner = np.flatnonzero(~leaf)
-    at_node = np.zeros(leaf.size, dtype=np.intp)
-    at_node[inner] = offsets[feature[inner]]
-
-    probs = np.empty((T, P))
-    out = probs.reshape(-1)
-    group = max(1, 8 * BAND_PIXELS // max(P, 1))
-    for t0 in range(0, T, group):
-        t1 = min(t0 + group, T)
-        pair = np.arange(t0 * P, t1 * P)  # flat index into probs
-        at = np.tile(base, t1 - t0)
-        node = np.repeat(first[t0:t1], P)
-        while node.size:
-            done = leaf[node]
-            if 4 * np.count_nonzero(done) >= node.size:
-                out[pair[done]] = prob[node[done]]
-                keep = ~done
-                pair, at, node = pair[keep], at[keep], node[keep]
+    table = np.unique(np.concatenate([t.prob[t.feature < 0] for t in trees]))
+    ranks = np.empty((len(trees), base.size), dtype=np.min_scalar_type(table.size - 1))
+    leaf_rank = np.empty(int(base.max(initial=-1)) + 1, dtype=ranks.dtype)  # at b
+    offsets = offsets.tolist()
+    for tree, out in zip(trees, ranks):
+        feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
+        left, right = tree.left.tolist(), tree.right.tolist()
+        rank = np.searchsorted(table, tree.prob).tolist()
+        stack = [(0, base)]
+        while stack:
+            node, at = stack.pop()
+            f = feature[node]
+            if f < 0:
+                leaf_rank[at] = rank[node]
+                continue
             # not v > threshold, which would send NaN left
-            goes_right = ~(values[at + at_node[node]] <= threshold[node])
-            node = child[2 * node + goes_right]
-    probs.sort(axis=0)
-    total = probs[0]
-    for row in probs[1:]:
-        total += row
-    return total / T
+            goes_left = values.take(at + offsets[f]) <= threshold[node]
+            for child, pixels in ((right[node], at[~goes_left]), (left[node], at[goes_left])):
+                if pixels.size:
+                    stack.append((child, pixels))
+        np.take(leaf_rank, base, out=out)
+    # odd-even transposition: T rounds of compare-exchange sort each column
+    low = np.empty_like(leaf_rank, shape=base.size)
+    for k in range(len(trees)):
+        for i in range(k % 2, len(trees) - 1, 2):
+            np.minimum(ranks[i], ranks[i + 1], out=low)
+            np.maximum(ranks[i], ranks[i + 1], out=ranks[i + 1])
+            ranks[i] = low
+    total = table[ranks[0]]
+    for row in ranks[1:]:
+        total += table[row]
+    return total / len(trees)
 
 
-def _band_rows(width: int, spec: FeatureSpec) -> tuple[int, int]:
-    """Rows of a routing band and of a plane band of a tile this wide.
+def _band_rows(height: int, width: int, workers: int = 1) -> int:
+    """Rows of each band of a height x width tile, the last band perhaps fewer.
 
-    A routing band holds about BAND_PIXELS pixels.  A plane band is the
-    fewest whole routing bands at least as tall as the 2 * spec.pad rows of
-    padding its planes carry, so planes cover at most twice the rows routed.
+    Bands hold at most about 8 * BAND_PIXELS pixels each and are as few as
+    that allows, rounded up to a multiple of workers so that a pool of that
+    many gets equal shares; a band is at least one row.
     """
-    rows = max(1, BAND_PIXELS // width)
-    return rows, rows * -(-2 * spec.pad // rows)
+    bands = workers * -(-height * width // (workers * 8 * BAND_PIXELS))
+    return -(-height // min(bands, height))
 
 
 def predict_tile(
@@ -476,15 +476,15 @@ def predict_tile(
     spec: FeatureSpec,
     map=map,
 ) -> np.ndarray:
-    """float32 confidence map for a tile, routed on the planes of row bands.
+    """float32 confidence map for a tile, routed band by band.
 
-    Planes are built once per plane band (_band_rows), and each routing
-    band of about BAND_PIXELS pixels is routed on them through its slice of
-    base, about 8 * BAND_PIXELS (tree, pixel) pairs at a time, so memory
-    stays flat at any tile size and tree count; banding is bit-identical to
-    whole-tile extraction.  Plane bands are routed through map, which may
-    be a worker pool's.  Each band's float64 means are rounded into the map
-    as the CMAP stores them.
+    Bands are routed through map: the builtin map, or a pool's map that
+    gives its thread count as map.workers (cli.thread_map's does).  The
+    tile is cut into row bands of equal height for that many workers
+    (_band_rows); each band's feature planes are built once and all its
+    pixels are routed on them, so memory stays flat at any tile size and
+    banding is bit-identical to whole-tile extraction.  Each band's float64
+    means are rounded into the map as the CMAP stores them.
     """
     if spec.feature_count != forest.n_features:
         raise DataError(
@@ -496,18 +496,19 @@ def predict_tile(
             f"forest was trained for features {forest.feature_fingerprint!r}, "
             f"not {spec.fingerprint()!r}"
         )
-    rows, plane_rows = _band_rows(tile.width, spec)
-    chunk = rows * tile.width
-    starts = range(0, tile.height, plane_rows)
+    workers = getattr(map, "workers", 1 if map is builtins.map else None)
+    if workers is None:
+        raise TypeError("a pool's map must give its thread count as map.workers")
+    rows = _band_rows(tile.height, tile.width, workers)
+    starts = range(0, tile.height, rows)
 
     def band(y0: int) -> np.ndarray:
-        values, base, offsets = feature_planes(tile, spec, y0, min(y0 + plane_rows, tile.height))
-        routed = (base[i : i + chunk] for i in range(0, base.size, chunk))
-        return np.concatenate([_mean_leaf_prob(forest, values, b, offsets) for b in routed])
+        planes = feature_planes(tile, spec, y0, min(y0 + rows, tile.height))
+        return _mean_leaf_prob(forest, *planes)
 
     out = np.empty((tile.height, tile.width), dtype=np.float32)
     for y0, conf in zip(starts, map(band, starts)):
-        out[y0 : y0 + plane_rows] = conf.reshape(-1, tile.width)
+        out[y0 : y0 + rows] = conf.reshape(-1, tile.width)
     return out
 
 
@@ -561,7 +562,10 @@ def sample_training_pixels(
         )
         order = np.argsort(flat)
         flat, out_rows = flat[order], out_rows[order]
-        rows = _band_rows(tile.width, spec)[1]
+        # only a band's sampled pixels are read, so its planes set the cost:
+        # bands are an eighth of predict's, but at least as tall as their
+        # padding
+        rows = max(2 * spec.pad, -(-BAND_PIXELS // tile.width))
         for y0 in range(0, tile.height, rows):
             y1 = min(y0 + rows, tile.height)
             i, j = np.searchsorted(flat, [y0 * tile.width, y1 * tile.width])

@@ -145,12 +145,24 @@ def _check_simple(v: np.ndarray, polygon_id: str) -> None:
 # ---------------------------------------------------------------------------
 
 
-def read_input(path: str | Path, what: str) -> bytes:
-    """The bytes of an input file; InputError names `what` if it is missing."""
+def read_input(path: str | Path, what: str, aligned_at: int = 0) -> bytes | memoryview:
+    """The bytes of an input file; InputError names `what` if it is missing.
+
+    With aligned_at, the file is read once into a buffer placed so that
+    byte aligned_at lies on an 8-byte boundary, and a read-only memoryview
+    of it is returned: an array viewed from that byte on is aligned.
+    """
     path = Path(path)
     if not path.is_file():
         raise InputError(f"{what} not found: {path}")
-    return path.read_bytes()
+    if not aligned_at:
+        return path.read_bytes()
+    with path.open("rb") as handle:
+        size = os.fstat(handle.fileno()).st_size
+        buffer = np.empty(size + 8, dtype=np.uint8)
+        start = -(buffer.ctypes.data + aligned_at) % 8
+        size = handle.readinto(buffer[start : start + size])
+    return memoryview(buffer[start : start + size]).toreadonly()
 
 
 def read_text(path: str | Path, what: str, error=DataError) -> str:
@@ -161,22 +173,27 @@ def read_text(path: str | Path, what: str, error=DataError) -> str:
         raise error(f"{what} {path} is not UTF-8 text: {exc}") from None
 
 
-def write_atomic(path: str | Path, data: bytes | str) -> None:
-    """Write data (str as UTF-8) to path by temp file and rename.
+def write_atomic(path: str | Path, data) -> None:
+    """Write data to path by temp file and rename.
 
-    The directory is made if missing.  A reader sees the old file or the
+    data is a str, written as UTF-8, a bytes-like object, or a list or tuple
+    of bytes-like chunks written one after another, so that a large buffer
+    is written where it lies instead of being joined into a copy.  The
+    directory is made if missing.  A reader sees the old file or the
     whole new one, and a failed write leaves no temp file behind.  The file
     is created with mode 0o666 less the umask, as open() would create it.
     """
     path = Path(path)
     if isinstance(data, str):
         data = data.encode("utf-8")
+    chunks = data if isinstance(data, (list, tuple)) else (data,)
     path.parent.mkdir(parents=True, exist_ok=True)
     temp = path.with_name(f".{path.name}.{os.urandom(8).hex()}")
     fd = os.open(temp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "wb") as handle:
-            handle.write(data)
+            for chunk in chunks:
+                handle.write(chunk)
         os.replace(temp, path)
     except BaseException:
         if os.path.exists(temp):

@@ -29,6 +29,7 @@ from pvdetect.detection import (
     write_detections_csv,
 )
 from pvdetect.errors import DataError, InputError
+from pvdetect.features import FeatureSpec
 from pvdetect.forest import BAND_PIXELS
 from pvdetect.imagery import ImageTile, load_manifest, save_tile
 from oracles import tree_depth
@@ -330,8 +331,10 @@ def test_golden_train_and_score_bytes(tmp_path):
     assert digests == golden
 
 
-def test_golden_wide_tile_predict_bytes(tmp_path):
-    """A 2000-px-wide tile, whose plane bands hold two 8-row routing bands, keeps its CMAP bytes."""
+def test_golden_wide_tile_predict_bytes(tmp_path, monkeypatch):
+    """A 23x2000 tile keeps its CMAP bytes as one band and as three (8 + 8 + 7 rows)."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    assert [forest._band_rows(23, 2000, workers) for workers in (1, 3)] == [23, 8]
     model = cmd_train(tiny_config(), cmd_synth(tiny_config(), tmp_path), tmp_path)
     tile = tmp_path / "wide.ppm"
     pixels = np.random.default_rng(18).integers(0, 256, (23, 2000, 3), dtype=np.uint8)
@@ -417,8 +420,13 @@ def test_cmd_train_with_one_worker_forks_nothing(tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("cores", [1, 3])
 def test_thread_stages_cap_workers_by_tasks_and_cores(tmp_path, monkeypatch, cores):
-    """A huge --threads gives predict and detect at most one thread per task and core."""
-    created = []
+    """A huge --threads gives predict and detect at most one thread per task and core.
+
+    predict cuts its tile into as many equal bands as it has threads, so
+    each thread gets one: on a 90x1024 tile, under 8 * BAND_PIXELS, one band of
+    90 rows for one core and three of 30 rows for three.
+    """
+    created, mapped = [], []
 
     class RecordingPool:
         """Stands in for ThreadPoolExecutor: records max_workers, runs in this thread."""
@@ -432,24 +440,29 @@ def test_thread_stages_cap_workers_by_tasks_and_cores(tmp_path, monkeypatch, cor
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, *iterables):
-            return map(fn, *iterables)
+        def map(self, fn, tasks):
+            tasks = list(tasks)
+            mapped.append(len(tasks))
+            return map(fn, tasks)
 
     model = cmd_train(tiny_config(), cmd_synth(tiny_config(), tmp_path), tmp_path)
     tile = tmp_path / "wide.ppm"
     pixels = np.random.default_rng(6).integers(0, 256, (90, 1024, 3), dtype=np.uint8)
     save_tile(ImageTile(pixels), tile)
-    assert BAND_PIXELS // 1024 == 16  # so the tile has 6 row bands
+    assert 90 * 1024 <= 8 * BAND_PIXELS  # so the tile needs one band per thread
+    assert forest._band_rows(90, 1024, cores) == 90 // cores
     monkeypatch.setattr(cli, "ThreadPoolExecutor", RecordingPool)
     monkeypatch.setattr(os, "cpu_count", lambda: cores)
+    assert cli.thread_map(10**6).workers == cores
     config = tiny_config(threads=10**6)
     maps = cmd_predict(config, model, [tile], tmp_path / "huge")
-    assert created == [min(cores, 6)]
+    assert created == mapped == [cores]
     # two tiles, so the core cap binds only at one core
     maps.append(_random_maps(tmp_path, 1, np.random.default_rng(5))[0])
     created.clear()
+    mapped.clear()
     cmd_detect(config, maps, tmp_path / "huge")
-    assert created == [min(cores, 2)]
+    assert created == [min(cores, 2)] and mapped == [2]
     # the bytes do not depend on the worker count
     serial = cmd_predict(tiny_config(), model, [tile], tmp_path / "serial")
     assert maps[0].read_bytes() == serial[0].read_bytes()
@@ -472,6 +485,50 @@ def test_train_manifest_counts_match_saved_model(tmp_path):
 # ---------------------------------------------------------------------------
 # Exit codes through main()
 # ---------------------------------------------------------------------------
+
+
+_OVERSIZE_FEATURES = """
+import contextlib, io
+from pvdetect import cli
+
+for argv in {runs!r}:
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    assert code == 2, (argv, code, err.getvalue())
+    assert "pvdetect: config error: window_side" in err.getvalue(), err.getvalue()
+    assert "past 4 (h + 16)(w + 16) + 2**20 cells" in err.getvalue(), err.getvalue()
+"""
+
+
+def test_oversize_feature_geometry_exits_2_before_padding(tmp_path):
+    """window_side 100001 or ring radius 100000 is a config error in train and predict.
+
+    Padding a 96x96 tile for them would take 28 and 112 GiB of planes; the
+    runs go in a child that may map 1 GiB, so allocating first would end
+    in MemoryError rather than exit 2.  Predict's model carries the
+    oversize spec's fingerprint, so only the geometry can stop it.
+    """
+    from test_detection import _run_in_one_gib
+
+    manifest = cmd_synth(tiny_config(), tmp_path)
+    tile = tmp_path / "scenes" / "scene_000.ppm"
+    runs = []
+    for key, value, spec in [
+        ("window_side", 100001, FeatureSpec(100001, (2, 4))),
+        ("ring_radii", "2,100000", FeatureSpec(3, (2, 100000))),
+    ]:
+        config = tmp_path / f"{key}.cfg"
+        config.write_text(tiny_config_text(**{key: value}))
+        model = tmp_path / f"{key}.pvforest"
+        leaf = forest.DecisionTree(*(np.array([v]) for v in (-1, 0.0, -1, -1, 0.5, 1)))
+        forest.save_model(forest.RandomForest([leaf], 102, spec.fingerprint()), model)
+        out = str(tmp_path / key)
+        runs.append(["train", "--config", str(config), "--manifest", str(manifest), "--out", out])
+        runs.append(["predict", "--config", str(config), "--model", str(model),
+                     "--out", out, str(tile)])
+    _run_in_one_gib(_OVERSIZE_FEATURES.format(runs=runs))
+    assert not list(tmp_path.glob("*/model.pvforest")) + list(tmp_path.glob("*/maps"))
 
 
 def test_main_eval_exit_zero(tmp_path, capsys):

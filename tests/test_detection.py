@@ -37,6 +37,11 @@ from oracles import (
 )
 
 
+def _cmap_file(conf) -> bytes:
+    """The bytes of the CMAP file that save_confidence_map writes for conf."""
+    return b"".join(encode_confidence_map(conf))
+
+
 # ---------------------------------------------------------------------------
 # Non-maximum suppression
 # ---------------------------------------------------------------------------
@@ -442,7 +447,7 @@ def test_postprocess_and_objects_same_for_float32_map_and_its_widening():
         enhanced32 = postprocess(conf, params)
         enhanced64 = postprocess(conf.astype(np.float64), params)
         assert (enhanced32.dtype, enhanced64.dtype) == (np.float32, np.float64)
-        assert encode_confidence_map(enhanced32) == encode_confidence_map(enhanced64)
+        assert _cmap_file(enhanced32) == _cmap_file(enhanced64)
         assert np.array_equal(enhanced32, enhanced64)
         objects32, objects64 = extract_objects(enhanced32), extract_objects(enhanced64)
         assert len(objects32) >= 8
@@ -553,7 +558,7 @@ def _golden_map(side=256):
 def test_golden_detect_bytes(tmp_path):
     """The enhanced map and detections CSV of a fixed map keep their bytes."""
     enhanced = postprocess(_golden_map(), PPParams())
-    digest = hashlib.sha256(encode_confidence_map(enhanced)).hexdigest()
+    digest = hashlib.sha256(_cmap_file(enhanced)).hexdigest()
     assert digest == "88a4dd6a7a1b0b1a925317ae57aa790e361bffaa9f632149fd88d748600ef4e9"
     objects = extract_objects(enhanced)
     assert len(objects) == 206
@@ -747,23 +752,29 @@ def test_cmap_roundtrip(tmp_path):
     save_confidence_map(conf, path)
     again = load_confidence_map(path)
     assert np.array_equal(conf, again)
+    # the payload at byte 13 is read into place aligned, and stays read-only
+    assert again.dtype == np.float32 and again.flags.aligned
+    assert not again.flags.writeable
     # encoding is canonical
-    assert encode_confidence_map(again) == path.read_bytes()
+    assert _cmap_file(again) == path.read_bytes()
 
 
 def test_cmap_decodes_read_only_float32_and_encodes_canonically():
     rng = np.random.default_rng(8)
     conf = rng.uniform(0, 1, size=(5, 7)).astype(np.float32)
-    data = encode_confidence_map(conf)
-    assert data == encode_confidence_map(conf.astype(np.float64))
+    data = _cmap_file(conf)
+    assert data == _cmap_file(conf.astype(np.float64))
     again = decode_confidence_map(data)
     assert again.dtype == np.float32 and again.shape == (5, 7)
     assert not again.flags.writeable
     assert np.array_equal(again, conf)
-    assert encode_confidence_map(again) == data
+    assert _cmap_file(again) == data
+    # a C-contiguous float32 map is written from its own buffer
+    header, payload = encode_confidence_map(conf)
+    assert header == data[:13] and payload.obj is conf
     # a non-contiguous float32 map encodes as its contiguous copy
-    assert encode_confidence_map(conf.T) == encode_confidence_map(conf.T.copy())
-    assert np.array_equal(decode_confidence_map(encode_confidence_map(conf.T)), conf.T)
+    assert _cmap_file(conf.T) == _cmap_file(conf.T.copy())
+    assert np.array_equal(decode_confidence_map(_cmap_file(conf.T)), conf.T)
 
 
 @st.composite
@@ -796,13 +807,13 @@ def test_decode_confidence_map_fuzz(data):
     except PVDetectError:
         return
     assert np.isfinite(conf).all() and 0.0 <= conf.min() <= conf.max() <= 1.0
-    assert encode_confidence_map(conf) == data
+    assert _cmap_file(conf) == data
 
 
 def test_cmap_errors(tmp_path):
     with pytest.raises(DataError):
         decode_confidence_map(b"NOPE" + bytes(20))
-    good = encode_confidence_map(np.full((2, 2), 0.5))
+    good = _cmap_file(np.full((2, 2), 0.5))
     with pytest.raises(DataError):
         decode_confidence_map(good[:10])  # truncated
     with pytest.raises(DataError):

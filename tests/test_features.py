@@ -314,3 +314,29 @@ def test_bad_row_range_rejected():
     for start, stop in [(0, 0), (3, 2), (-1, 2), (0, 7), (6, 7)]:
         with pytest.raises(ValueError, match="bad row range"):
             feature_planes(tile, FeatureSpec(), start, stop)
+
+
+def test_padding_bound():
+    """A spec whose padded tile stays within 4 (h + 16)(w + 16) + 2**20 cells runs.
+
+    On a 40x40 tile the bound is 1,061,120 cells: pad 495 (ring radius 494
+    with 3x3 windows) needs 1030**2 = 1,060,900 and pad 496 needs
+    1032**2 = 1,065,024.  The check comes before the row range is padded.
+    Any pad up to 8 passes on every tile, so the default spec runs on the
+    thinnest tiles at any length: a 200,000x1 tile passes, where 4 h w +
+    2**20 would stop a pad of 5 past 149,780 px.  The bound is on the whole
+    tile, so one row of it is enough to check.
+    """
+    rng = np.random.default_rng(12)
+    tile = random_tile(rng, 40, 40)
+    widest = feature_planes(tile, FeatureSpec(ring_radii=(494,)), 0, 1)
+    assert widest[0].size == 6 * (1 + 2 * 495 - 2) * (40 + 2 * 495 - 2)
+    for spec in (FeatureSpec(ring_radii=(495,)), FeatureSpec(window_side=993, ring_radii=(1,))):
+        with pytest.raises(ConfigError, match=r"4 \(h \+ 16\)\(w \+ 16\)"):
+            feature_planes(tile, spec, 0, 1)
+    thin = FeatureSpec(window_side=3, ring_radii=(7,))
+    assert thin.pad == 8
+    for h, w in [(1, 1), (1, 5000), (200_000, 1)]:
+        tile = random_tile(rng, h, w)
+        for spec in (thin, FeatureSpec()):
+            assert feature_planes(tile, spec, 0, 1)[1].size == w

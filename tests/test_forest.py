@@ -552,15 +552,20 @@ def test_predict_tile_banding_consistency(monkeypatch):
     model = train(rows_training_set(X[:600], y[:600]), RFParams(n_trees=3, seed=6),
                   spec.fingerprint())
     whole = predict_rows(model, X).reshape(40, 30)
-    # bands of 13 rows: 13 + 13 + 13 + 1, each bit-identical in float64
-    monkeypatch.setattr(forest_module, "BAND_PIXELS", 13 * 30 + 29)
+    # three bands of at most 8 * 52 = 416 pixels: 14 + 14 + 12 rows, each
+    # bit-identical in float64
+    monkeypatch.setattr(forest_module, "BAND_PIXELS", 52)
+    assert forest_module._band_rows(40, 30) == 14
     assert np.array_equal(_float64_bands(model, tile, spec), whole)
     banded = predict_tile(model, tile, spec)
     assert banded.dtype == np.float32
     assert np.array_equal(whole.astype(np.float32), banded)
-    # the same uneven bands routed by two workers
+    # the same uneven bands routed by two workers; a pool's map that does
+    # not say how many threads it runs is refused, not run as one band
     with ThreadPoolExecutor(max_workers=2) as pool:
-        pooled = predict_tile(model, tile, spec, map=pool.map)
+        pooled = predict_tile(model, tile, spec, map=_sized_map(1, pool.map))
+        with pytest.raises(TypeError, match="map.workers"):
+            predict_tile(model, tile, spec, map=pool.map)
     assert np.array_equal(banded, pooled)
     with pytest.raises(DataError):
         predict_tile(model, tile, FeatureSpec(ring_radii=(2,)))
@@ -604,9 +609,19 @@ def test_plane_routing_matches_scalar_oracle():
             assert leaves.tolist() == [route_and_read(tree, x) for x in naive]
 
 
-def _float64_bands(model, tile, spec):
+def _sized_map(workers, fn=map):
+    """fn as a map that gives its thread count as map.workers, like cli.thread_map."""
+
+    def run(*args):
+        return fn(*args)
+
+    run.workers = workers
+    return run
+
+
+def _float64_bands(model, tile, spec, workers=1):
     """The float64 means that predict_tile rounds into its map, band by band."""
-    rows = max(1, forest_module.BAND_PIXELS // tile.width)
+    rows = forest_module._band_rows(tile.height, tile.width, workers)
     bands = [
         forest_module._mean_leaf_prob(
             model, *feature_planes(tile, spec, y0, min(y0 + rows, tile.height))
@@ -641,33 +656,39 @@ def test_tree_depth_matches_recursive_oracle():
 def test_forest_router_matches_scalar_oracle(monkeypatch, band_pixels):
     """Routed rows and each predict_tile band equal scalar_predict bit for bit.
 
-    On a 12-row, 20-wide tile, BAND_PIXELS 4, 8 and 16 give bands of one
-    20-pixel row, routed in groups of 1, 3 (3 + 2) and all 5 trees;
-    1 << 14 gives one band of the whole tile.  predict_rows routes its
-    240 rows in groups of 1, 1, 1 and 5 trees.  The float64 means of every
-    band are checked; predict_tile's map holds them rounded to float32.
+    On a 60-row, 4-wide tile, BAND_PIXELS 4, 8, 16 and 1 << 14 give bands
+    of at most 32, 64, 128 and 131072 pixels: 8 rows (seven bands and a
+    short last one), 15, 30 and all 60 rows; for two workers, 8, 15, 30 and
+    30 rows.  Each band is routed whole, every tree depth first over the
+    band's pixels, and predict_rows routes all 240 rows at once.  The
+    float64 means of every band are checked; predict_tile's map holds them
+    rounded to float32, serially and on two threads.
     """
     rng = np.random.default_rng(21)
     spec = FeatureSpec()
-    tile = ImageTile(rng.integers(0, 256, size=(12, 20, 3), dtype=np.uint8), "t")
+    tile = ImageTile(rng.integers(0, 256, size=(60, 4, 3), dtype=np.uint8), "t")
     X = feature_rows(tile, spec, 0, tile.height).reshape(-1, spec.feature_count)
     y = np.arange(X.shape[0]) % 3 == 0
     rng.shuffle(y)
     model = _mixed_depth_forest(X, y, spec.fingerprint())
     expected = np.array([scalar_predict(model, x) for x in X])
     monkeypatch.setattr(forest_module, "BAND_PIXELS", band_pixels)
+    rows = {4: (8, 8), 8: (15, 15), 16: (30, 30), 1 << 14: (60, 30)}[band_pixels]
+    assert tuple(forest_module._band_rows(60, 4, workers) for workers in (1, 2)) == rows
     assert np.array_equal(predict_rows(model, X), expected)
-    assert np.array_equal(_float64_bands(model, tile, spec).ravel(), expected)
+    for workers in (1, 2):
+        bands = _float64_bands(model, tile, spec, workers)
+        assert np.array_equal(bands.ravel(), expected)
     conf = predict_tile(model, tile, spec)
     assert conf.dtype == np.float32
     assert np.array_equal(conf.ravel(), expected.astype(np.float32))
     with ThreadPoolExecutor(max_workers=2) as pool:
-        pooled = predict_tile(model, tile, spec, map=pool.map)
+        pooled = predict_tile(model, tile, spec, map=_sized_map(2, pool.map))
     assert np.array_equal(pooled.ravel(), expected.astype(np.float32))
 
 
 @pytest.mark.parametrize(
-    "spec, rows, plane_rows",
+    "spec, workers, sample_rows",
     [
         (FeatureSpec(), 1, 10),
         (FeatureSpec(), 2, 10),
@@ -677,18 +698,23 @@ def test_forest_router_matches_scalar_oracle(monkeypatch, band_pixels):
         (FeatureSpec(5, (1, 4)), 3, 12),
     ],
 )
-def test_plane_bands_match_whole_tile(monkeypatch, spec, rows, plane_rows):
-    """Plane bands give whole-tile bits in predict_tile and sample_training_pixels.
+def test_plane_bands_match_whole_tile(monkeypatch, spec, workers, sample_rows):
+    """Bands give whole-tile bits in predict_tile and sample_training_pixels.
 
-    On a 25-row, 20-wide tile, BAND_PIXELS 20, 40 and 60 give routing bands
-    of 1, 2 and 3 rows.  A plane band is the fewest whole routing bands at
-    least as tall as its 2 * pad rows of padding (pad 5 for the default
-    spec, 6 for FeatureSpec(5, (1, 4))); 25 rows is a multiple of neither
-    10 nor 12, so the last plane band is short.  Planes are built once per
-    plane band, and each routing band is routed on its own.
+    On a 25-row, 20-wide tile, BAND_PIXELS is 20 * sample_rows (200 or
+    240), so predict_tile's bands may hold 1600 or 1920 pixels, more than
+    the tile's 500.  Its bands are as few as that allows, rounded up to a
+    multiple of workers, and share one height: all 25 rows, 13 + 12 and
+    9 + 9 + 7 rows for 1, 2 and 3 workers.  Each band's planes are built
+    once and all its pixels are routed in one call, serially and on a pool
+    of `workers` threads.  sample_training_pixels' bands hold BAND_PIXELS,
+    that is sample_rows rows, which is at least their 2 * pad rows of
+    padding (pad 5 for the default spec, 6 for FeatureSpec(5, (1, 4)));
+    25 rows is a multiple of neither 10 nor 12, so the last sampling band
+    is short.
     """
     h, w = 25, 20
-    rng = np.random.default_rng(23 + rows)
+    rng = np.random.default_rng(23 + workers)
     tile = ImageTile(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8), "t")
     X = feature_rows(tile, spec, 0, h).reshape(h * w, -1)
     y = np.arange(h * w) % 3 == 0
@@ -711,27 +737,26 @@ def test_plane_bands_match_whole_tile(monkeypatch, spec, rows, plane_rows):
         routed.append(means)
         return means
 
-    monkeypatch.setattr(forest_module, "BAND_PIXELS", rows * w)
+    monkeypatch.setattr(forest_module, "BAND_PIXELS", w * sample_rows)
     monkeypatch.setattr(forest_module, "feature_planes", recorded_planes)
     monkeypatch.setattr(forest_module, "_mean_leaf_prob", recorded_route)
-    bands = [(y0, min(y0 + plane_rows, h)) for y0 in range(0, h, plane_rows)]
-    chunks = [min(rows, y1 - r) * w for y0, y1 in bands for r in range(y0, y1, rows)]
+    bands = {1: [(0, 25)], 2: [(0, 13), (13, 25)], 3: [(0, 9), (9, 18), (18, 25)]}[workers]
 
-    conf = predict_tile(model, tile, spec)
+    conf = predict_tile(model, tile, spec, map=_sized_map(workers))
     assert planes == bands
-    assert [m.size for m in routed] == chunks
+    assert [m.size for m in routed] == [(y1 - y0) * w for y0, y1 in bands]
     assert np.array_equal(np.concatenate(routed), expected)
     assert np.array_equal(conf.ravel(), expected.astype(np.float32))
     planes.clear()
     routed.clear()
-    with ThreadPoolExecutor(max_workers=2) as pool:
-        pooled = predict_tile(model, tile, spec, map=pool.map)
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        pooled = predict_tile(model, tile, spec, map=_sized_map(workers, pool.map))
     assert sorted(planes) == bands
-    assert sorted(m.size for m in routed) == sorted(chunks)
-    assert np.array_equal(pooled, conf)
+    assert sorted(m.size for m in routed) == sorted((y1 - y0) * w for y0, y1 in bands)
+    assert pooled.tobytes() == conf.tobytes()
     planes.clear()
     ts = sample_training_pixels([tile], [positives], spec, n_total, seed=4)
-    assert planes == bands
+    assert planes == [(0, sample_rows), (sample_rows, 2 * sample_rows), (2 * sample_rows, h)]
     assert_bitwise_equal(decode_rows(ts), decode_rows(want))
     assert np.array_equal(ts.labels, want.labels)
 
@@ -747,6 +772,104 @@ def test_forest_router_sends_nan_right():
     P, M = probe.shape
     got = forest_module._mean_leaf_prob(model, probe.ravel(), np.arange(P) * M, np.arange(M))
     assert got.tolist() == [scalar_predict(model, x) for x in probe]
+
+
+def _hand_tree(nodes):
+    """A DecisionTree from ("I", feature, threshold, left, right) and
+    ("L", prob) records, node k being nodes[k]."""
+    from pvdetect.forest import DecisionTree
+
+    n = len(nodes)
+    feature, left, right = (np.full(n, -1, dtype=np.int32) for _ in range(3))
+    threshold, prob = np.zeros(n), np.zeros(n)
+    for k, node in enumerate(nodes):
+        if node[0] == "I":
+            feature[k], threshold[k], left[k], right[k] = node[1:]
+        else:
+            prob[k] = node[1]
+    return DecisionTree(feature, threshold, left, right, prob, np.ones(n, dtype=np.int64))
+
+
+def _chain_tree(thresholds, probs):
+    """A chain on feature 0: node 2k tests x <= thresholds[k], its left child
+    is a leaf of probs[k] and its right the next test; the last right child
+    is a leaf of probs[-1]."""
+    nodes = []
+    for k, t in enumerate(thresholds):
+        nodes += [("I", 0, t, 2 * k + 1, 2 * k + 2), ("L", probs[k])]
+    return _hand_tree(nodes + [("L", probs[len(thresholds)])])
+
+
+class _CountedReads(np.ndarray):
+    """Feature values that record how many pixels each take() reads."""
+
+    reads: list = []
+
+    def take(self, indices, *args, **kwargs):
+        _CountedReads.reads.append(indices.size)
+        return np.asarray(self).take(indices, *args, **kwargs)
+
+
+def _route_counted(model, X):
+    """predict_rows on X, and the pixel count of every feature read."""
+    P, M = X.shape
+    _CountedReads.reads = []
+    values = np.ascontiguousarray(X, dtype=np.float64).ravel().view(_CountedReads)
+    means = forest_module._mean_leaf_prob(model, values, np.arange(P) * M, np.arange(M))
+    return means, _CountedReads.reads
+
+
+def test_forest_router_skips_nodes_no_pixel_reaches():
+    """An internal node that no pixel reaches is never read; means stay exact.
+
+    Node 1 tests x0 <= 0.7 on pixels with x0 <= 0.5, so its right child,
+    internal node 4, receives no pixels.  Node 0 sends NaN right.
+    """
+    rng = np.random.default_rng(25)
+    tree = _hand_tree([
+        ("I", 0, 0.5, 1, 2), ("I", 0, 0.7, 3, 4), ("L", 0.875), ("L", 0.125),
+        ("I", 1, 0.3, 5, 6), ("L", 0.25), ("L", 0.375),
+    ])
+    model = RandomForest([tree, _single_leaf_tree(0.5)], 2, "rows")
+    X = rng.uniform(0, 1, size=(50, 2))
+    X[::7, 0] = np.nan
+    means, reads = _route_counted(model, X)
+    assert means.tolist() == [scalar_predict(model, x) for x in X]
+    assert reads == [50, int(np.count_nonzero(X[:, 0] <= 0.5))]
+    # with every pixel right of node 0, node 1 is not read either
+    means, reads = _route_counted(model, X[~(X[:, 0] <= 0.5)])
+    assert set(means.tolist()) == {(0.5 + 0.875) / 2} and reads == [means.size]
+
+
+def test_lone_leaf_forest_matches_scalar_oracle():
+    """A forest of lone leaves reads no feature, NaN or not, and is exact."""
+    rng = np.random.default_rng(26)
+    model = RandomForest([_single_leaf_tree(p) for p in (0.7, 0.1, 0.7, 0.3, 0.9)], 2, "rows")
+    X = rng.uniform(0, 1, size=(9, 2))
+    X[::2, 0] = np.nan
+    means, reads = _route_counted(model, X)
+    assert means.tolist() == [scalar_predict(model, x) for x in X]
+    assert reads == []
+
+
+def test_forest_router_ranks_wider_than_a_byte():
+    """More than 256 distinct leaf probabilities take 16-bit ranks, exactly.
+
+    Six chains of 60 leaves each and a lone leaf hold 361 distinct
+    probabilities; a rank kept in 8 bits would wrap and break the means.
+    """
+    rng = np.random.default_rng(27)
+    probs = rng.permutation(np.arange(361) / 360)
+    trees = [
+        _chain_tree(np.sort(rng.uniform(0, 1, 59)), probs[60 * k : 60 * k + 60])
+        for k in range(6)
+    ] + [_single_leaf_tree(probs[360])]
+    model = RandomForest(trees, 1, "rows")
+    leaf_probs = np.concatenate([t.prob[t.feature < 0] for t in trees])
+    assert np.unique(leaf_probs).size == 361
+    X = rng.uniform(-0.1, 1.1, size=(400, 1))
+    X[::13] = np.nan
+    assert predict_rows(model, X).tolist() == [scalar_predict(model, x) for x in X]
 
 
 # ---------------------------------------------------------------------------
@@ -790,8 +913,9 @@ def test_sample_training_pixels_features_match_extraction(monkeypatch):
     rows = decode_rows(ts)
     fi = feature_rows(tile, spec, 0, tile.height).reshape(tile.height * tile.width, -1)
     assert_bitwise_equal(rows[:n_pos], fi[pos])
-    # bands of 5 rows give the same rows as one band over the 64-row tile
-    monkeypatch.setattr(forest_module, "BAND_PIXELS", 5 * 64)
+    # bands of 13 rows (4 * 13 + 12) give the same rows as one band over the
+    # 64-row tile
+    monkeypatch.setattr(forest_module, "BAND_PIXELS", 13 * 64)
     banded = sample_training_pixels([tile], [pos], spec, n_pos + 50, seed=0)
     assert_bitwise_equal(rows, decode_rows(banded))
     # negatives are distinct non-PV pixels

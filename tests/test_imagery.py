@@ -28,6 +28,7 @@ from pvdetect.imagery import (
     load_tile,
     polygon_pixels,
     rasterize,
+    read_input,
     save_annotations,
     save_manifest,
     save_tile,
@@ -511,3 +512,27 @@ def test_write_atomic_honours_umask(tmp_path, umask, mode):
     assert stat.S_IMODE(path.stat().st_mode) == mode
     assert path.read_bytes() == b"again\n"
     assert os.listdir(path.parent) == ["file.txt"]
+
+
+def test_write_atomic_writes_chunks_in_order(tmp_path):
+    """A list or tuple of bytes-like chunks is written as their concatenation."""
+    values = np.arange(6, dtype="<f4").reshape(2, 3)
+    for chunks in ([b"head", values.data, bytearray(b"!")], (memoryview(b"xy"),), []):
+        path = tmp_path / "chunks.bin"
+        write_atomic(path, chunks)
+        assert path.read_bytes() == b"".join(chunks)
+    assert os.listdir(tmp_path) == ["chunks.bin"]
+
+
+@pytest.mark.parametrize("size", [0, 1, 12, 13, 14, 17, 1000])
+def test_read_input_aligned_at(tmp_path, size):
+    """Byte aligned_at of the read-only view lies on an 8-byte boundary."""
+    data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+    path = tmp_path / "input.bin"
+    path.write_bytes(data)
+    assert read_input(path, "input") == data
+    for at in (1, 5, 13):
+        view = read_input(path, "input", aligned_at=at)
+        assert view.readonly and view == data
+        if size:  # an empty view has no address of its own
+            assert (np.frombuffer(view, dtype=np.uint8).ctypes.data + at) % 8 == 0
