@@ -495,7 +495,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"pvdetect: config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except (InputError, OSError) as exc:
-        print(f"pvdetect: input error: {exc}", file=sys.stderr)
+        label = "input" if isinstance(exc, InputError) else "file"
+        print(f"pvdetect: {label} error: {exc}", file=sys.stderr)
         return EXIT_INPUT
     except (DataError, PVDetectError) as exc:
         print(f"pvdetect: data error: {exc}", file=sys.stderr)

@@ -28,33 +28,33 @@ class RunConfig:
     manifest: str = ""
 
     # feature extraction
-    window_side: int = 3
-    ring_radii: tuple[int, ...] = (2, 4)
+    window_side: int = FeatureSpec.window_side
+    ring_radii: tuple[int, ...] = FeatureSpec.ring_radii
 
     # random forest
-    trees: int = 30
+    trees: int = RFParams.n_trees
     features_per_node: int = 0  # 0 = floor(sqrt(M))
-    min_leaf: int = 5
+    min_leaf: int = RFParams.min_leaf
     train_pixels: int = 200_000
 
     # post-processing
-    nms_side: int = 9
-    confidence_floor: float = 0.375
-    otsu_side: int = 19
-    closing_radius: int = 5
-    dilation_radius: int = 2
+    nms_side: int = PPParams.nms_side
+    confidence_floor: float = PPParams.confidence_floor
+    otsu_side: int = PPParams.otsu_side
+    closing_radius: int = PPParams.closing_radius
+    dilation_radius: int = PPParams.dilation_radius
 
     # scoring
     jaccard_levels: tuple[float, ...] = (0.1, 0.3, 0.5, 0.7)
 
     # synthetic scenes
     scenes: int = 10
-    scene_width: int = 512
-    scene_height: int = 512
-    panels_per_scene: int = 8
-    panel_side_min: int = 10
-    panel_side_max: int = 15
-    noise_sigma: float = 3.0
+    scene_width: int = SceneParams.width
+    scene_height: int = SceneParams.height
+    panels_per_scene: int = SceneParams.n_panels
+    panel_side_min: int = SceneParams.panel_side_min
+    panel_side_max: int = SceneParams.panel_side_max
+    noise_sigma: float = SceneParams.noise_sigma
 
     def __post_init__(self):
         if self.threads < 1:

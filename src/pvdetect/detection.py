@@ -63,7 +63,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .imagery import flat_pixels, read_input, read_text, write_atomic
+from .imagery import check_canvas, flat_pixels, read_input, read_text, write_atomic
 
 # step 3 grows seeds in batches of at most this many window cells
 # (seeds x otsu_side**2, 45 seeds at the defaults), so its memory stays
@@ -208,18 +208,19 @@ def read_detections_csv(
     return by_tile
 
 
-def float_map(conf) -> np.ndarray:
-    """conf as an array, float32 kept as it is and anything else as float64."""
+def check_map(conf, low: float = -np.inf, high: float = np.inf) -> np.ndarray:
+    """conf as a non-empty 2-D map of finite values in [low, high], or DataError.
+
+    float32 is kept as it is and anything else becomes float64.  The map's
+    min and max decide, and NaN carries through both, so no mask is built.
+    """
     conf = np.asarray(conf)
-    return conf if conf.dtype == np.float32 else conf.astype(np.float64, copy=False)
-
-
-def _check_map(conf: np.ndarray) -> np.ndarray:
-    conf = float_map(conf)
+    conf = conf if conf.dtype == np.float32 else conf.astype(np.float64, copy=False)
     if conf.ndim != 2 or conf.size == 0:
         raise DataError(f"confidence map must be non-empty 2-D, got {conf.shape}")
-    if not np.isfinite(conf).all():
-        raise DataError("confidence map holds NaN or infinite values")
+    lo, hi = conf.min(), conf.max()
+    if not (-np.inf < lo and low <= lo and hi <= high and hi < np.inf):
+        raise DataError(f"confidence map spans [{lo}, {hi}], not finite in [{low}, {high}]")
     return conf
 
 
@@ -232,7 +233,7 @@ def nonmax_suppress(conf: np.ndarray, nms_side: int) -> np.ndarray:
     it and than the window pixels to its left in its own row.  Returned as
     ascending int64 flat indices y * width + x.
     """
-    conf = _check_map(conf)
+    conf = check_map(conf)
     if nms_side < 3 or nms_side % 2 == 0:
         raise ConfigError(f"nms_side must be odd and >= 3, got {nms_side}")
     h, w = conf.shape
@@ -419,21 +420,14 @@ def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
 
     Closing works on a canvas of (h + 4 r_1) x (w + 4 r_1) cells, which no
     clamp can shrink (closing is taken against the infinite plane), so a
-    closing radius whose canvas exceeds 4 h w + 2**20 cells raises
-    ConfigError before anything is allocated.  That keeps step 4's memory
-    within a constant factor of the map's, and admits the default r_1 = 5 on
-    every map from 1 x 1 to 5000 x 5000.
+    closing radius must pass imagery.check_canvas with a margin of 2 r_1
+    before anything is allocated; any r_1 up to 8, the default 5 included,
+    passes on every map.  Map values must be finite and >= 0.
     """
-    conf = _check_map(conf)
-    if conf.min() < 0.0:
-        raise DataError("confidence map holds negative values")
+    conf = check_map(conf, low=0.0)
     h, w = conf.shape
     r1 = params.closing_radius
-    if (h + 4 * r1) * (w + 4 * r1) > 4 * h * w + 2**20:
-        raise ConfigError(
-            f"closing_radius {r1} needs a canvas over 4 h w + 2**20 cells "
-            f"on a {w}x{h} map"
-        )
+    check_canvas(h, w, 2 * r1, f"closing_radius {r1}")
     seeds = filter_maxima(
         conf, nonmax_suppress(conf, params.nms_side), params.confidence_floor
     )
@@ -459,7 +453,7 @@ def extract_objects(enhanced: np.ndarray) -> list[DetectionObject]:
 
     Objects come in the order of their first pixel, row-major.
     """
-    enhanced = _check_map(enhanced)
+    enhanced = check_map(enhanced)
     pixels, labels = _label(enhanced > 0.0)
     order = np.argsort(labels, kind="stable")
     starts = np.flatnonzero(np.diff(labels[order])) + 1
@@ -486,9 +480,7 @@ def encode_confidence_map(conf: np.ndarray) -> tuple[bytes, memoryview]:
     payload is the f32 row-major values, a view of conf itself when conf is
     already C-contiguous float32.
     """
-    conf = _check_map(conf)
-    if conf.min() < 0.0 or conf.max() > 1.0:
-        raise DataError("confidence values must lie in [0, 1]")
+    conf = check_map(conf, 0.0, 1.0)
     h, w = conf.shape
     header = _CMAP_MAGIC + bytes([_CMAP_VERSION]) + struct.pack("<II", w, h)
     return header, np.ascontiguousarray(conf, dtype="<f4").data
@@ -504,16 +496,13 @@ def decode_confidence_map(data: bytes | memoryview) -> np.ndarray:
     if version != _CMAP_VERSION:
         raise DataError(f"unsupported confidence-map version {version}")
     w, h = struct.unpack("<II", data[5:13])
-    if w < 1 or h < 1:
-        raise DataError(f"confidence map declares empty size {w}x{h}")
     expected = 13 + 4 * w * h
     if len(data) != expected:
         raise DataError(
             f"confidence map payload is {len(data)} bytes, expected {expected}"
         )
     conf = np.frombuffer(data, dtype="<f4", offset=13).reshape(h, w)
-    if not np.isfinite(conf).all() or conf.min() < 0.0 or conf.max() > 1.0:
-        raise DataError("confidence values must lie in [0, 1]")
+    check_map(conf, 0.0, 1.0)
     return conf
 
 

@@ -2,8 +2,8 @@
 
 Three broad classes map onto the CLI exit codes: ConfigError (bad
 parameters or config files, exit 2), InputError (missing or unreadable
-input, exit 3, as is any OSError such as an output that cannot be
-written) and DataError (well-located but malformed content, exit 4).
+input, exit 3, as does any OSError, reported as a file error) and
+DataError (well-located but malformed content, exit 4).
 """
 
 

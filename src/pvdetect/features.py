@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .imagery import ImageTile
+from .imagery import ImageTile, check_canvas
 
 
 @dataclass(frozen=True)
@@ -107,21 +107,15 @@ def feature_planes(
     band pixel, row-major, and offsets one per feature, so feature f of
     pixel p is values[base[p] + offsets[f]].
 
-    A spec that would pad the whole tile past 4 (h + 16)(w + 16) + 2**20
-    cells raises ConfigError before anything is padded.  The padded tile
-    bounds every padded band, so memory stays within a constant factor of
-    the tile's at any banding; any pad up to 8, the default spec's 5
-    included, passes on every tile, however thin.
+    The whole tile padded by spec.pad must pass imagery.check_canvas before
+    anything is padded; it bounds every padded band, and the default pad of
+    5 passes on every tile, however thin.
     """
     if not 0 <= row_start < row_stop <= tile.height:
         raise ValueError(f"bad row range [{row_start}, {row_stop})")
     side, pad = spec.window_side, spec.pad
     h, w = tile.height, tile.width
-    if (h + 2 * pad) * (w + 2 * pad) > 4 * (h + 16) * (w + 16) + 2**20:
-        raise ConfigError(
-            f"window_side {side} and ring_radii {spec.ring_radii} pad a {w}x{h} "
-            f"tile past 4 (h + 16)(w + 16) + 2**20 cells"
-        )
+    check_canvas(h, w, pad, f"window_side {side} and ring_radii {spec.ring_radii}")
     rows = np.clip(np.arange(row_start - pad, row_stop + pad), 0, h - 1)
     padded = np.pad(tile.pixels[rows], ((0, 0), (pad, pad), (0, 0)), mode="edge")
     hp, wp = padded.shape[0] - side + 1, padded.shape[1] - side + 1

@@ -21,6 +21,7 @@ import numpy as np
 from .errors import (
     AnnotationError,
     ChannelCountError,
+    ConfigError,
     DataError,
     InputError,
     RasterFormatError,
@@ -54,6 +55,17 @@ class ImageTile:
     @property
     def height(self) -> int:
         return self.pixels.shape[0]
+
+
+def check_canvas(h: int, w: int, margin: int, what: str) -> None:
+    """The one bound on padded canvases (feature planes, closing): ConfigError
+    when an h x w map grown by margin on every side needs more cells than
+    4 (h + 16)(w + 16) + 2**20.  Memory stays within a constant factor of
+    the map's, and any margin up to 16 passes on every map, however thin."""
+    if (h + 2 * margin) * (w + 2 * margin) > 4 * (h + 16) * (w + 16) + 2**20:
+        raise ConfigError(
+            f"{what}: a {w}x{h} map grown by {margin} goes past 4 (h + 16)(w + 16) + 2**20 cells"
+        )
 
 
 @dataclass(frozen=True)

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionObject, float_map
+from .detection import DetectionObject, check_map
 from .errors import ConfigError, DataError
 from .imagery import flat_pixels, read_text, write_atomic
 
@@ -97,20 +97,17 @@ def pixel_pr(conf_maps: list[np.ndarray], positives: list[np.ndarray]) -> PRCurv
     threshold, and its true positives are the positive pixels whose
     confidence is at or above it.  Pixels with zero confidence are never
     counted as detections, so only the pixels with confidence > 0 are
-    sorted.  Maps may be float32, the CMAP's precision, or anything float64
-    can hold.
+    sorted.  Maps are non-empty and 2-D, of finite values in [0, 1] (see
+    check_map), and may be float32, the CMAP's precision, or anything
+    float64 can hold.
     """
     if len(conf_maps) != len(positives) or not conf_maps:
         raise ConfigError("need one positive-pixel array per confidence map")
     confs, pos_confs = [], []
     n_pixels = 0
     for conf, pos in zip(conf_maps, positives):
-        conf = float_map(conf)
+        conf = check_map(conf, 0.0, 1.0)
         pos = flat_pixels(pos, conf.size)
-        if conf.size and (
-            not np.isfinite(conf).all() or conf.min() < 0.0 or conf.max() > 1.0
-        ):
-            raise DataError("confidences must be finite values in [0, 1]")
         flat = conf.ravel()
         confs.append(flat[flat > 0.0].astype(np.float64, copy=False))
         pos_confs.append(flat[pos].astype(np.float64, copy=False))

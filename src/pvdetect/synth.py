@@ -57,6 +57,12 @@ class SceneParams:
             raise ConfigError("sigmas must be finite and >= 0")
         if self.panel_gap < 0:
             raise ConfigError("bad panel_gap")
+        # panels grown by gap / 2 per side are disjoint in the scene grown alike
+        n, gap, side = self.n_panels, self.panel_gap, self.panel_side_min + self.panel_gap
+        if n * side * side > (self.width + gap) * (self.height + gap):
+            raise ConfigError(
+                f"{n} panels {gap} px apart cannot fit a {self.width}x{self.height} scene"
+            )
 
 
 def _place_panels(params: SceneParams, stream: Stream) -> list[tuple[int, int, int, int]]:

@@ -527,7 +527,7 @@ def _close_support(mask: np.ndarray, radius: int) -> np.ndarray:
 
 def seedwise_postprocess(conf: np.ndarray, params) -> np.ndarray:
     """Enhanced confidence map, growing one seed's region at a time."""
-    conf = detection._check_map(conf)
+    conf = detection.check_map(conf)
     h, w = conf.shape
     maxima = detection.filter_maxima(
         conf, detection.nonmax_suppress(conf, params.nms_side), params.confidence_floor

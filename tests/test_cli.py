@@ -590,14 +590,14 @@ def test_main_unwritable_output_exit_3(tmp_path, capsys):
     code = main(["synth", "--config", str(config_path), "--out", str(config_path / "x")])
     err = capsys.readouterr().err
     assert code == 3
-    assert "input error" in err and "Traceback" not in err
+    assert "file error" in err and "Traceback" not in err
     # a manifest path that is a directory: IsADirectoryError from the rename
     out = tmp_path / "out"
     (out / "scenes" / "manifest.txt").mkdir(parents=True)
     code = main(["synth", "--config", str(config_path), "--out", str(out)])
     err = capsys.readouterr().err
     assert code == 3
-    assert "input error" in err and "Traceback" not in err
+    assert "file error" in err and "Traceback" not in err
     assert (out / "scenes" / "scene_000.ppm").is_file()
     assert list(tmp_path.rglob(".*")) == []  # write_atomic's temp files
 

@@ -3,6 +3,7 @@ import os
 import struct
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 from unittest import mock
 
@@ -137,6 +138,25 @@ def test_nms_and_postprocess_reject_non_finite_maps():
             nonmax_suppress(bad, 9)
         with pytest.raises(DataError):
             postprocess(bad, PPParams())
+        with pytest.raises(DataError):
+            extract_objects(bad)
+
+
+def test_map_check_builds_no_map_sized_mask():
+    """check_map decides from the map's min and max, so NaN and infinities
+    are caught without a mask: a 2000x2000 float32 map (16 MB) is checked
+    within 1 MB of traced allocations."""
+    conf = np.random.default_rng(15).random((2000, 2000), dtype=np.float32)
+    tracemalloc.start()
+    try:
+        assert detection.check_map(conf, 0.0, 1.0) is conf
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20, peak
+    conf[1999, 1999] = np.nan
+    with pytest.raises(DataError):
+        detection.check_map(conf)
 
 
 def test_postprocess_crop_larger_than_map():
@@ -243,21 +263,24 @@ def test_oversize_closing_exits_2_before_allocating(tmp_path):
 
 
 def test_closing_canvas_bound():
-    """A closing canvas (h + 4 r1)(w + 4 r1) up to 4 h w + 2**20 cells runs.
+    """Closing passes imagery.check_canvas with a margin of 2 r1: a canvas
+    (h + 4 r1)(w + 4 r1) up to 4 (h + 16)(w + 16) + 2**20 cells runs.
 
-    On a 40x40 map the bound is 1,054,976 cells: r1 = 246 needs 1,048,576
-    and r1 = 247 needs 1,056,784.
+    On a 40x40 map the bound is 1,061,120 cells: r1 = 247 needs 1028**2 =
+    1,056,784 and r1 = 248 needs 1032**2 = 1,065,024.
     """
     conf = np.zeros((40, 40), np.float32)
     conf[20, 20] = 0.9
-    widest = postprocess(conf, PPParams(closing_radius=246))
+    widest = postprocess(conf, PPParams(closing_radius=247))
     # closing leaves a lone pixel as it is, at any radius
     assert widest.tobytes() == postprocess(conf, PPParams(closing_radius=0)).tobytes()
-    with pytest.raises(ConfigError, match="closing_radius 247"):
-        postprocess(conf, PPParams(closing_radius=247))
-    # the default radius runs on the thinnest maps up to 5000 px
-    for shape in [(1, 1), (1, 5000), (5000, 1)]:
+    with pytest.raises(ConfigError, match="closing_radius 248"):
+        postprocess(conf, PPParams(closing_radius=248))
+    # radii up to 8, the default 5 included, run on the thinnest maps at
+    # any length; 4 h w + 2**20 stopped r1 = 5 past about 61.7k px
+    for shape in [(1, 1), (1, 5000), (5000, 1), (1, 70000), (70000, 1)]:
         assert postprocess(np.full(shape, 0.5), PPParams()).any(), shape
+    assert postprocess(np.full((1, 70000), 0.5), PPParams(closing_radius=8)).any()
 
 
 def test_nms_rejects_even_side():

@@ -160,6 +160,11 @@ def test_pixel_pr_errors():
         pixel_pr([np.full((2, 2), np.nan)], [every])
     with pytest.raises(DataError):
         pixel_pr([np.full((2, 2), 1.5)], [every])
+    # maps are non-empty and 2-D, as every map consumer requires
+    with pytest.raises(DataError, match="non-empty 2-D"):
+        pixel_pr([np.full(4, 0.5)], [every])
+    with pytest.raises(DataError, match="non-empty 2-D"):
+        pixel_pr([np.full((2, 2), 0.5), np.zeros((0, 3))], [every, every[:0]])
 
 
 def label_mask(draw, shape):

@@ -58,12 +58,30 @@ def test_panels_do_not_overlap():
 
 
 def test_placement_budget_exhausted():
-    with pytest.raises(DataError):
-        generate_scene(
-            SceneParams(width=32, height=32, n_panels=12, panel_side_min=10,
-                        panel_side_max=10, panel_gap=4, seed=0),
-            "dense",
-        )
+    # 5 panels of 10 px with gap 4 pass the fit bound on a 32x32 scene
+    # (5 * 14**2 <= 36**2), yet the try budget runs out before all are placed
+    for seed in range(3):
+        params = SceneParams(width=32, height=32, n_panels=5, panel_side_min=10,
+                             panel_side_max=10, panel_gap=4, seed=seed)
+        with pytest.raises(DataError, match="could not place"):
+            generate_scene(params, "dense")
+
+
+def test_panel_counts_that_cannot_fit_are_config_errors():
+    """n (panel_side_min + gap)**2 > (W + gap)(H + gap) raises up front.
+
+    Panels grown by gap / 2 on every side are disjoint inside the scene
+    grown the same way, so such a count can never be placed.
+    """
+    fits = dict(width=32, height=32, panel_side_min=10, panel_side_max=10, panel_gap=4)
+    SceneParams(n_panels=6, **fits)  # 6 * 196 = 1176 <= 36**2 = 1296
+    for n in (7, 12):
+        with pytest.raises(ConfigError, match="cannot fit"):
+            SceneParams(n_panels=n, **fits)
+    with pytest.raises(ConfigError, match="cannot fit"):
+        SceneParams(width=64, height=64, n_panels=2_000_000)
+    with pytest.raises(ConfigError, match="cannot fit"):
+        SceneParams(width=8, height=8, n_panels=1, panel_side_min=10, panel_side_max=10)
 
 
 def test_default_prevalence_near_half_percent():
