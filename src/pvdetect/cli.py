@@ -242,6 +242,8 @@ def cmd_detect(
     cmap_paths = list(map(Path, cmap_paths))
     if len({src.stem for src in cmap_paths}) < len(cmap_paths):
         raise InputError("two confidence maps share a tile id (file stem)")
+    for src in cmap_paths:
+        detection.check_tile_id(src.stem)
     outputs = [out_dir / "enhanced" / f"{src.stem}.cmap" for src in cmap_paths]
 
     def run(src: Path, path: Path) -> list[detection.DetectionObject]:
@@ -467,14 +469,10 @@ def main(argv: list[str] | None = None) -> int:
             model = cmd_train(config, _manifest_path(config), out_dir)
             print(f"wrote model {model}")
         elif args.command == "predict":
-            maps = cmd_predict(
-                config, Path(args.model), [Path(p) for p in args.tiles], out_dir
-            )
+            maps = cmd_predict(config, Path(args.model), args.tiles, out_dir)
             print(f"wrote {len(maps)} confidence maps under {out_dir / 'maps'}")
         elif args.command == "detect":
-            enhanced, detections = cmd_detect(
-                config, [Path(p) for p in args.maps], out_dir
-            )
+            enhanced, detections = cmd_detect(config, args.maps, out_dir)
             print(f"wrote {len(enhanced)} enhanced maps, detections {detections}")
         elif args.command == "score":
             outputs = cmd_score(

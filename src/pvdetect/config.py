@@ -9,7 +9,7 @@ equality exactly.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 
 from .detection import PPParams
 from .errors import ConfigError
@@ -33,7 +33,7 @@ class RunConfig:
 
     # random forest
     trees: int = RFParams.n_trees
-    features_per_node: int = 0  # 0 = floor(sqrt(M))
+    features_per_node: int = RFParams.features_per_node
     min_leaf: int = RFParams.min_leaf
     train_pixels: int = 200_000
 
@@ -79,7 +79,7 @@ class RunConfig:
     def rf_params(self) -> RFParams:
         return RFParams(
             n_trees=self.trees,
-            features_per_node=self.features_per_node or None,
+            features_per_node=self.features_per_node,
             min_leaf=self.min_leaf,
             seed=self.seed,
         )
@@ -125,9 +125,7 @@ class RunConfig:
         return hashlib.sha256(self.to_text().encode("utf-8")).hexdigest()
 
     def replace(self, **overrides) -> "RunConfig":
-        values = {f.name: getattr(self, f.name) for f in fields(self)}
-        values.update(overrides)
-        return RunConfig(**values)
+        return replace(self, **overrides)
 
 
 def parse_config(text: str) -> RunConfig:

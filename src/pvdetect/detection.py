@@ -34,10 +34,10 @@ is three disk filters: of the map padded by r_1, nonzero on the dilated
 support and holding the values closing adds; of its zeros, the erosion;
 and of the closed map, zero where no closed pixel lies within r_2.
 
-One labeler serves step 3 and objects: searchsorted finds neighbour pairs
-among the sorted flat indices of the support, and rounds of hooking roots
-under smaller roots, each followed by pointer jumping (Shiloach & Vishkin),
-label each pixel with the smallest flat index of its component.
+One labeler serves step 3 and objects, over row runs, not pixels (He, Chao
+& Suzuki 2008): searchsorted pairs runs that touch across rows, and rounds
+of hooking roots under smaller roots, each followed by pointer jumping
+(Shiloach & Vishkin), give each run its component's smallest flat index.
 
 Maps stay float32 (as the CMAP stores them) or else float64 throughout.
 Max, where, > 0 and x 256 are exact in float32 and c_0 is compared with
@@ -62,8 +62,8 @@ import struct
 from dataclasses import dataclass
 import numpy as np
 
-from .errors import ConfigError, DataError
-from .imagery import check_canvas, flat_pixels, read_input, read_text, write_atomic
+from .errors import ConfigError, DataError, InputError
+from .imagery import check_canvas, check_odd_side, flat_pixels, read_input, read_text, write_atomic
 
 # step 3 grows seeds in batches of at most this many window cells
 # (seeds x otsu_side**2, 45 seeds at the defaults), so its memory stays
@@ -82,10 +82,8 @@ class PPParams:
     dilation_radius: int = 2  # r_2
 
     def __post_init__(self):
-        for name in ("nms_side", "otsu_side"):
-            v = getattr(self, name)
-            if v < 3 or v % 2 == 0:
-                raise ConfigError(f"{name} must be odd and >= 3, got {v}")
+        check_odd_side("nms_side", self.nms_side)
+        check_odd_side("otsu_side", self.otsu_side)
         if not 0.0 < self.confidence_floor < 1.0:
             raise ConfigError(
                 f"confidence_floor must be in (0, 1), got {self.confidence_floor}"
@@ -128,10 +126,9 @@ class DetectionObject:
 
     def to_rle(self) -> str:
         """Row-major run-length encoding: 'y:x0-x1' runs joined by ';'."""
-        ys, xs = np.divmod(self.pixels, self.shape[1])
-        ends = np.flatnonzero((np.diff(ys) != 0) | (np.diff(xs) != 1))
-        first, last = np.append(0, ends + 1), np.append(ends, xs.size - 1)
-        runs = zip(ys[first].tolist(), xs[first].tolist(), xs[last].tolist())
+        starts, lengths = _row_runs(self.pixels, self.shape[1])
+        ys, xs = np.divmod(starts, self.shape[1])
+        runs = zip(ys.tolist(), xs.tolist(), (xs + lengths - 1).tolist())
         return ";".join(f"{y}:{x0}-{x1}" for y, x0, x1 in runs)
 
     @classmethod
@@ -160,9 +157,16 @@ _DETECTIONS_HEADER = (
 )
 
 
+def check_tile_id(tile_id: str) -> None:
+    """InputError when tile_id holds a comma or a line break, as no CSV row can."""
+    if "," in tile_id or "".join(tile_id.splitlines()) != tile_id:
+        raise InputError(f"tile id {tile_id!r} holds a comma or a line break")
+
+
 def write_detections_csv(objects_by_tile: dict[str, list[DetectionObject]], path) -> None:
     lines = [_DETECTIONS_HEADER]
     for tile_id in sorted(objects_by_tile):
+        check_tile_id(tile_id)
         for k, obj in enumerate(objects_by_tile[tile_id]):
             min_x, min_y, max_x, max_y = obj.bbox
             lines.append(
@@ -234,11 +238,9 @@ def nonmax_suppress(conf: np.ndarray, nms_side: int) -> np.ndarray:
     ascending int64 flat indices y * width + x.
     """
     conf = check_map(conf)
-    if nms_side < 3 or nms_side % 2 == 0:
-        raise ConfigError(f"nms_side must be odd and >= 3, got {nms_side}")
+    check_odd_side("nms_side", nms_side)
     h, w = conf.shape
-    # past a half-width of max(h, w) - 1 a clamped window is the whole map
-    half = min(nms_side // 2, max(h, w))
+    half = _clamped_half(nms_side, h, w)
     side = 2 * half + 1
     # off-map pixels read -inf, which no value (negative ones included) loses to
     padded = np.pad(conf, half, constant_values=-np.inf)
@@ -248,6 +250,12 @@ def nonmax_suppress(conf: np.ndarray, nms_side: int) -> np.ndarray:
     keep &= conf > _window_max(rows[: h + half - 1].T, half).T
     keep &= conf == _window_max(rows.T, side).T
     return np.flatnonzero(keep)
+
+
+def _clamped_half(side: int, h: int, w: int) -> int:
+    """The half-width of a side x side window clamped to an h x w map: past
+    max(h, w) - 1 a clamped window is the whole map."""
+    return min(side // 2, max(h, w))
 
 
 def _window_max(values: np.ndarray, width: int) -> np.ndarray:
@@ -318,42 +326,42 @@ def _max_filter(values: np.ndarray, radius: int) -> np.ndarray:
     return out
 
 
+def _row_runs(pixels: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted flat indices as row runs, (first pixel, length) per run; a run
+    breaks where the index skips or a row begins."""
+    first = np.flatnonzero((np.diff(pixels, prepend=-2) != 1) | (pixels % width == 0))
+    return pixels[first], np.diff(first, append=pixels.size)
+
+
 def _label(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """8-connected labeling: (pixels, labels) over the mask's support.
 
     pixels are the support's flat indices in ascending order; labels[i] is
-    the smallest flat index in the component of pixels[i].  Neighbour pairs
-    come from searchsorted; each round hooks every root under the smallest
-    root it touches, then pointer-jumps until every pixel points at a root.
-    Roots only ever move under smaller roots, so each component ends at
-    its minimum.
-    """
+    the smallest flat index in the component of pixels[i].  Two searchsorted
+    calls pair each row run with the next row's runs that touch it, with a
+    column of slack at each end, clamped to that row.  Each round hooks
+    every root run under the smallest root run it touches, then
+    pointer-jumps; roots only move under smaller roots, so each component
+    ends at its first run."""
     w = mask.shape[1]
     pixels = np.flatnonzero(mask)
-    n = pixels.size
-    col = pixels % w
-    position = np.arange(n)
-    heads, tails = [], []
-    # forward neighbours: right, below-left, below, below-right
-    for step, valid in ((1, col < w - 1), (w - 1, col > 0), (w, True), (w + 1, col < w - 1)):
-        target = pixels + step
-        at = np.minimum(np.searchsorted(pixels, target), n - 1)
-        hit = valid & (pixels[at] == target)
-        heads.append(position[hit])
-        tails.append(at[hit])
-    a, b = np.concatenate(heads), np.concatenate(tails)
-    root = position
+    starts, lengths = _row_runs(pixels, w)
+    ends = starts + lengths - 1
+    below = (starts // w + 1) * w  # the first pixel of the next row
+    lo = np.searchsorted(ends, np.maximum(starts + w - 1, below))
+    hi = np.searchsorted(starts, np.minimum(ends + w + 1, below + w - 1), side="right")
+    counts = np.maximum(hi - lo, 0)
+    a = np.repeat(np.arange(starts.size), counts)
+    b = np.arange(a.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    root = np.arange(starts.size)
     while True:
         ra, rb = root[a], root[b]
         live = ra != rb
         if not live.any():
-            return pixels, pixels[root]
+            return pixels, np.repeat(starts[root], lengths)
         a, b, ra, rb = a[live], b[live], ra[live], rb[live]
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
-        while True:
-            jumped = root[root]
-            if np.array_equal(jumped, root):
-                break
+        while not np.array_equal(jumped := root[root], root):
             root = jumped
 
 
@@ -432,7 +440,7 @@ def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
         conf, nonmax_suppress(conf, params.nms_side), params.confidence_floor
     )
     enhanced = np.zeros(h * w, dtype=conf.dtype)
-    side = 2 * min(params.otsu_side // 2, max(h, w)) + 1  # clamped as in NMS
+    side = 2 * _clamped_half(params.otsu_side, h, w) + 1
     step = max(1, SEED_CELLS // side**2)
     for at in range(0, seeds.size, step):
         np.maximum.at(enhanced, *_grow_regions(conf, seeds[at : at + step], side))

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError
-from .imagery import ImageTile, check_canvas
+from .imagery import ImageTile, check_canvas, check_odd_side
 
 
 @dataclass(frozen=True)
@@ -35,8 +35,7 @@ class FeatureSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "ring_radii", tuple(int(r) for r in self.ring_radii))
-        if self.window_side < 3 or self.window_side % 2 == 0:
-            raise ConfigError(f"window_side must be odd and >= 3, got {self.window_side}")
+        check_odd_side("window_side", self.window_side)
         if not self.ring_radii:
             raise ConfigError("at least one ring radius is required")
         if any(r < 1 for r in self.ring_radii):

@@ -55,29 +55,23 @@ BAND_PIXELS = 1 << 14
 
 @dataclass(frozen=True)
 class RFParams:
-    """Forest hyperparameters.
-
-    features_per_node=None means the conventional floor(sqrt(M)), resolved
-    when the feature count is known at training time.
-    """
+    """Forest hyperparameters."""
 
     n_trees: int = 30
-    features_per_node: int | None = None
+    features_per_node: int = 0  # 0 = floor(sqrt(M)), once M is known in train
     min_leaf: int = 5
     seed: int = 0
 
     def __post_init__(self):
         if self.n_trees < 1:
             raise ConfigError(f"n_trees must be >= 1, got {self.n_trees}")
-        if self.features_per_node is not None and self.features_per_node < 1:
-            raise ConfigError("features_per_node must be >= 1 or None")
+        if self.features_per_node < 0:
+            raise ConfigError("features_per_node must be >= 1, or 0 for floor(sqrt(M))")
         if self.min_leaf < 1:
             raise ConfigError(f"min_leaf must be >= 1, got {self.min_leaf}")
 
     def resolve_m(self, n_features: int) -> int:
-        m = self.features_per_node
-        if m is None:
-            m = int(math.floor(math.sqrt(n_features)))
+        m = self.features_per_node or math.isqrt(n_features)
         if not 1 <= m <= n_features:
             raise ConfigError(
                 f"features_per_node {m} out of range for {n_features} features"

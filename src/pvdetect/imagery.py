@@ -68,6 +68,12 @@ def check_canvas(h: int, w: int, margin: int, what: str) -> None:
         )
 
 
+def check_odd_side(name: str, side: int) -> None:
+    """The one window-side rule (feature windows, NMS, Otsu crops): odd and >= 3."""
+    if side < 3 or side % 2 == 0:
+        raise ConfigError(f"{name} must be odd and >= 3, got {side}")
+
+
 @dataclass(frozen=True)
 class PolygonAnnotation:
     """A simple polygon over fractional pixel coordinates of one tile."""
@@ -112,15 +118,12 @@ def _segments_intersect(p1, p2, p3, p4) -> bool:
         (d3 > 0 and d4 < 0) or (d3 < 0 and d4 > 0)
     ):
         return True
-    if d1 == 0 and _on_segment(*p3, *p4, *p1):
-        return True
-    if d2 == 0 and _on_segment(*p3, *p4, *p2):
-        return True
-    if d3 == 0 and _on_segment(*p1, *p2, *p3):
-        return True
-    if d4 == 0 and _on_segment(*p1, *p2, *p4):
-        return True
-    return False
+    return (
+        (d1 == 0 and _on_segment(*p3, *p4, *p1))
+        or (d2 == 0 and _on_segment(*p3, *p4, *p2))
+        or (d3 == 0 and _on_segment(*p1, *p2, *p3))
+        or (d4 == 0 and _on_segment(*p1, *p2, *p4))
+    )
 
 
 def _check_simple(v: np.ndarray, polygon_id: str) -> None:

@@ -503,12 +503,20 @@ def reference_postprocess(conf, params):
 
 
 def _component_containing(mask: np.ndarray, seed_y: int, seed_x: int) -> np.ndarray:
-    """8-connected component of mask containing the seed pixel."""
-    pixels, labels = detection._label(mask)
-    seed = labels[np.searchsorted(pixels, seed_y * mask.shape[1] + seed_x)]
-    out = np.zeros(mask.size, dtype=bool)
-    out[pixels[labels == seed]] = True
-    return out.reshape(mask.shape)
+    """8-connected component of mask containing the seed pixel, by a
+    breadth-first flood from the seed (independent of detection._label)."""
+    h, w = mask.shape
+    out = np.zeros((h, w), dtype=bool)
+    out[seed_y, seed_x] = True
+    queue = deque([(seed_y, seed_x)])
+    while queue:
+        cy, cx = queue.popleft()
+        for ny in range(max(0, cy - 1), min(h, cy + 2)):
+            for nx in range(max(0, cx - 1), min(w, cx + 2)):
+                if mask[ny, nx] and not out[ny, nx]:
+                    out[ny, nx] = True
+                    queue.append((ny, nx))
+    return out
 
 
 def _close_support(mask: np.ndarray, radius: int) -> np.ndarray:

@@ -255,6 +255,24 @@ def test_cmd_detect_rejects_duplicate_tile_ids(tmp_path):
         cmd_detect(tiny_config(), paths, tmp_path / "out")
 
 
+@pytest.mark.parametrize("stem", ["a,b", "a\nb", "a\r\nb", "a\x0bb", "a\u2028b", "end\n"])
+def test_main_detect_rejects_a_tile_id_the_detections_csv_cannot_hold(tmp_path, capsys, stem):
+    """A map stem with a comma or a line break exits 3 before any work.
+
+    Written as the first field of a detections row, it would give a file
+    that read_detections_csv rejects; the writer refuses it too.
+    """
+    path = tmp_path / "maps" / f"{stem}.cmap"
+    detection.save_confidence_map(np.random.default_rng(5).uniform(0, 1, (24, 24)), path)
+    out = tmp_path / "out"
+    assert main(["detect", "--out", str(out), str(path)]) == 3
+    assert "tile id" in capsys.readouterr().err
+    assert not out.exists()
+    with pytest.raises(InputError, match="comma or a line break"):
+        write_detections_csv({stem: []}, tmp_path / "detections.csv")
+    write_detections_csv({"a b;c": []}, tmp_path / "detections.csv")  # other text is fine
+
+
 def test_cmd_eval_end_to_end(tmp_path):
     config = tiny_config()
     report_path = cmd_eval(config, tmp_path)

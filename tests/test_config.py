@@ -1,7 +1,11 @@
+import numpy as np
 import pytest
 
 from pvdetect.config import RunConfig, load_config, parse_config
+from pvdetect.detection import PPParams, nonmax_suppress
 from pvdetect.errors import ConfigError, InputError
+from pvdetect.features import FeatureSpec
+from pvdetect.forest import RFParams
 
 
 def test_defaults_match_documented_parameter_table():
@@ -69,6 +73,28 @@ def test_invariants_enforced():
         RunConfig(threads=0)
     with pytest.raises(ConfigError):
         parse_config("nms_side = 8\n")
+
+
+def test_window_sides_share_one_rule_and_message():
+    for side in (4, 1, 0, -3):
+        for name, make in (
+            ("nms_side", lambda v: PPParams(nms_side=v)),
+            ("otsu_side", lambda v: PPParams(otsu_side=v)),
+            ("window_side", lambda v: FeatureSpec(window_side=v)),
+            ("nms_side", lambda v: nonmax_suppress(np.zeros((4, 4)), v)),
+        ):
+            with pytest.raises(ConfigError, match=f"^{name} must be odd and >= 3, got {side}$"):
+                make(side)
+
+
+def test_features_per_node_zero_means_floor_sqrt_in_rf_params_and_run_config():
+    assert RFParams().features_per_node == RunConfig().features_per_node == 0
+    assert RunConfig().rf_params() == RFParams()
+    assert [RFParams().resolve_m(m) for m in (1, 3, 4, 102, 120, 121)] == [1, 1, 2, 10, 10, 11]
+    assert RunConfig(features_per_node=7).rf_params().resolve_m(102) == 7
+    for bad in (-1, 103):
+        with pytest.raises(ConfigError, match="features_per_node"):
+            RunConfig(features_per_node=bad).rf_params().resolve_m(102)
 
 
 def test_scene_params_derived_per_index():

@@ -262,6 +262,33 @@ def test_oversize_closing_exits_2_before_allocating(tmp_path):
     _run_in_one_gib(_OVERSIZE_CLOSING.format(tmp=str(tmp_path)))
 
 
+_DENSE_EXTRACT = """
+import hashlib
+import numpy as np
+from pvdetect.detection import extract_objects
+
+rng = np.random.default_rng(23)
+conf = rng.random((2000, 2000), dtype=np.float32)
+conf[rng.random((2000, 2000)) < 0.003] = 0.0
+conf[999] = conf[:, 1499] = 0.0  # four quadrants, each one object
+support = int(np.count_nonzero(conf))
+assert support == 3_984_022
+objects = extract_objects(conf)
+assert len(objects) == 4 and sum(o.area for o in objects) == support
+text = "\\n".join(f"{o.confidence!r} {o.to_rle()}" for o in objects)
+assert hashlib.sha256(text.encode()).hexdigest()[:16] == "f38471833fb2db06"
+"""
+
+
+def test_extract_objects_on_a_dense_2000_map_runs_in_one_gib():
+    """Labeling memory follows the support's row runs, not its pixels.
+
+    On a 2000x2000 float32 map with 99.6% support, per-pixel labeling raised
+    RSS by about 1.4 GB; the objects are the same, byte for byte.
+    """
+    _run_in_one_gib(_DENSE_EXTRACT)
+
+
 def test_closing_canvas_bound():
     """Closing passes imagery.check_canvas with a margin of 2 r1: a canvas
     (h + 4 r1)(w + 4 r1) up to 4 (h + 16)(w + 16) + 2**20 cells runs.
@@ -713,13 +740,13 @@ def _staggered_comb(levels):
     return mask
 
 
-def test_connected_components_match_flood_fill_on_adversarial_masks():
-    # long geodesic paths, diagonal-only links and degenerate shapes
+def _adversarial_masks():
+    """Long geodesic paths, diagonal-only links and degenerate shapes."""
     checkerboard = np.add.outer(np.arange(17), np.arange(23)) % 2 == 0
     two_serpentines = np.zeros((30, 50), dtype=bool)
     two_serpentines[:, :24] = _serpentine(30, 24)
     two_serpentines[:, 26:] = _serpentine(30, 24)[::-1, ::-1]
-    masks = {
+    return {
         "serpentine": _serpentine(41, 37),
         "two serpentines": two_serpentines,
         "spiral": _spiral(40),
@@ -730,11 +757,32 @@ def test_connected_components_match_flood_fill_on_adversarial_masks():
         "Nx1 strip": np.ones((200, 1), dtype=bool),
         "empty": np.zeros((9, 7), dtype=bool),
     }
+
+
+def test_connected_components_match_flood_fill_on_adversarial_masks():
+    masks = _adversarial_masks()
     for name, mask in masks.items():
         assert _components(mask) == flood_components(mask), name
     assert len(flood_components(masks["spiral"])) == 1
-    assert len(flood_components(checkerboard)) == 1
-    assert len(flood_components(two_serpentines)) == 2
+    assert len(flood_components(masks["checkerboard"])) == 1
+    assert len(flood_components(masks["two serpentines"])) == 2
+
+
+def test_label_gives_each_pixel_the_smallest_flat_index_of_its_component():
+    """_label's contract itself: extract_objects and step 3 only need its
+    labels to partition the support, so they would not see other labels."""
+    rng = np.random.default_rng(24)
+    masks = list(_adversarial_masks().values())
+    masks += [rng.random(rng.integers(1, 30, 2)) < rng.random() for _ in range(200)]
+    for mask in masks:
+        w = mask.shape[1]
+        want = np.zeros(mask.shape, dtype=np.int64)
+        for component in flood_components(mask):  # each sorted, so [0] is smallest
+            for y, x in component:
+                want[y, x] = component[0][0] * w + component[0][1]
+        pixels, labels = detection._label(mask)
+        assert pixels.tolist() == np.flatnonzero(mask).tolist()
+        assert labels.tolist() == want.ravel()[pixels].tolist()
 
 
 def test_detection_object_invariants():
