@@ -38,6 +38,8 @@ One labeler serves step 3 and objects, over row runs, not pixels (He, Chao
 & Suzuki 2008): searchsorted pairs runs that touch across rows, and rounds
 of hooking roots under smaller roots, each followed by pointer jumping
 (Shiloach & Vishkin), give each run its component's smallest flat index.
+It hands back runs with their roots; step 3 keeps each seed's runs and
+objects sort runs by root, and each expands only what it keeps to pixels.
 
 Maps stay float32 (as the CMAP stores them) or else float64 throughout.
 Max, where, > 0 and x 256 are exact in float32 and c_0 is compared with
@@ -148,8 +150,8 @@ class DetectionObject:
                 raise DataError(f"bad pixel run {run!r}") from None
             if not (0 <= y < height and 0 <= x0 <= x1 < width):
                 raise DataError(f"bad pixel run {run!r} in a {width}x{height} tile")
-            runs.append(np.arange(y * width + x0, y * width + x1 + 1))
-        return cls(np.concatenate(runs), confidence, shape)
+            runs.append((y * width + x0, x1 - x0 + 1))
+        return cls(_run_pixels(*np.array(runs).T), confidence, shape)
 
 
 _DETECTIONS_HEADER = (
@@ -333,32 +335,36 @@ def _row_runs(pixels: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return pixels[first], np.diff(first, append=pixels.size)
 
 
-def _label(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """8-connected labeling: (pixels, labels) over the mask's support.
+def _run_pixels(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The flat indices of runs (first index, length), run after run."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
-    pixels are the support's flat indices in ascending order; labels[i] is
-    the smallest flat index in the component of pixels[i].  Two searchsorted
-    calls pair each row run with the next row's runs that touch it, with a
-    column of slack at each end, clamped to that row.  Each round hooks
-    every root run under the smallest root run it touches, then
+
+def _label(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """8-connected labeling of the mask's row runs: (starts, lengths, roots).
+
+    The support's runs come in ascending order, as _row_runs cuts them;
+    roots[k] is the smallest flat index in the component of run k.  Two
+    searchsorted calls pair each run with the next row's runs that touch
+    it, with a column of slack at each end, clamped to that row.  Each
+    round hooks every root run under the smallest root run it touches, then
     pointer-jumps; roots only move under smaller roots, so each component
-    ends at its first run."""
+    ends at its first run.  Nothing returned is per pixel."""
     w = mask.shape[1]
-    pixels = np.flatnonzero(mask)
-    starts, lengths = _row_runs(pixels, w)
+    starts, lengths = _row_runs(np.flatnonzero(mask), w)
     ends = starts + lengths - 1
     below = (starts // w + 1) * w  # the first pixel of the next row
     lo = np.searchsorted(ends, np.maximum(starts + w - 1, below))
     hi = np.searchsorted(starts, np.minimum(ends + w + 1, below + w - 1), side="right")
     counts = np.maximum(hi - lo, 0)
     a = np.repeat(np.arange(starts.size), counts)
-    b = np.arange(a.size) + np.repeat(lo - np.cumsum(counts) + counts, counts)
+    b = _run_pixels(lo, counts)
     root = np.arange(starts.size)
     while True:
         ra, rb = root[a], root[b]
         live = ra != rb
         if not live.any():
-            return pixels, np.repeat(starts[root], lengths)
+            return starts, lengths, starts[root]
         a, b, ra, rb = a[live], b[live], ra[live], rb[live]
         np.minimum.at(root, np.maximum(ra, rb), np.minimum(ra, rb))
         while not np.array_equal(jumped := root[root], root):
@@ -387,13 +393,14 @@ def _grow_regions(conf: np.ndarray, seeds: np.ndarray, side: int):
     foreground = inside & (bins >= _otsu_bins(hist)[:, None, None])
     foreground[:, half, half] = True  # the maximum is always foreground
     cell = (side + 1) * side
-    pixels, labels = _label(np.pad(foreground, ((0, 0), (0, 1), (0, 0))).reshape(-1, side))
-    seed_label = labels[np.searchsorted(pixels, np.arange(n) * cell + half * side + half)]
-    owner = pixels // cell
-    keep = labels == seed_label[owner]
-    owner = owner[keep]
-    r, c = np.divmod(pixels[keep] - owner * cell, side)
-    return rows[owner, r] * w + cols[owner, c], np.take(conf, seeds)[owner]
+    starts, lengths, roots = _label(np.pad(foreground, ((0, 0), (0, 1), (0, 0))).reshape(-1, side))
+    seed_run = np.searchsorted(starts, np.arange(n) * cell + half * side + half, "right") - 1
+    owner = starts // cell
+    keep = roots == roots[seed_run][owner]
+    owner, lengths = owner[keep], lengths[keep]
+    r, c = np.divmod(starts[keep] - owner * cell, side)
+    pixels = _run_pixels(rows[owner, r] * w + cols[owner, c], lengths)
+    return pixels, np.repeat(np.take(conf, seeds)[owner], lengths)
 
 
 def _otsu_bins(hist: np.ndarray) -> np.ndarray:
@@ -462,13 +469,14 @@ def extract_objects(enhanced: np.ndarray) -> list[DetectionObject]:
     Objects come in the order of their first pixel, row-major.
     """
     enhanced = check_map(enhanced)
-    pixels, labels = _label(enhanced > 0.0)
-    order = np.argsort(labels, kind="stable")
-    starts = np.flatnonzero(np.diff(labels[order])) + 1
+    starts, lengths, roots = _label(enhanced > 0.0)
+    order = np.argsort(roots, kind="stable")  # keeps each object's runs in order
+    lengths = lengths[order]
+    cuts = np.cumsum(lengths)[np.flatnonzero(np.diff(roots[order]))]
     values = enhanced.ravel()
     return [
         DetectionObject(flat, float(values[flat].max()), enhanced.shape)
-        for flat in np.split(pixels[order], starts)
+        for flat in np.split(_run_pixels(starts[order], lengths), cuts)
         if flat.size
     ]
 

@@ -161,14 +161,15 @@ def _check_simple(v: np.ndarray, polygon_id: str) -> None:
 
 
 def read_input(path: str | Path, what: str, aligned_at: int = 0) -> bytes | memoryview:
-    """The bytes of an input file; InputError names `what` if it is missing.
+    """The bytes of an input file; InputError names `what` if it is missing
+    or its path cannot name a file (a NUL byte, a name too long).
 
     With aligned_at, the file is read once into a buffer placed so that
     byte aligned_at lies on an 8-byte boundary, and a read-only memoryview
     of it is returned: an array viewed from that byte on is aligned.
     """
     path = Path(path)
-    if not path.is_file():
+    if not os.path.isfile(path):
         raise InputError(f"{what} not found: {path}")
     if not aligned_at:
         return path.read_bytes()

@@ -1,11 +1,10 @@
 """Deterministic synthetic aerial scenes with known panel rectangles.
 
-Scenes are textured backgrounds (a coarse grid of palette patches, one of
-which is deliberately panel-like in color so classification stays
-nontrivial) with axis-aligned panel rectangles dropped on top.  The
-generator emits the matching polygon annotations, whose rasterization is
-pixel-identical to the painted rectangles, so ground truth is exact by
-construction.
+Scenes are textured backgrounds (a grid of palette patches, one of them
+panel-like in color so classification stays nontrivial) with axis-aligned
+panel rectangles dropped on top at random, each try tested against a mask
+of the space taken.  The matching polygon annotations rasterize to exactly
+the painted rectangles, so ground truth is exact by construction.
 """
 
 from __future__ import annotations
@@ -66,13 +65,16 @@ class SceneParams:
 
 
 def _place_panels(params: SceneParams, stream: Stream) -> list[tuple[int, int, int, int]]:
-    """Non-overlapping (x0, y0, w, h) rectangles, kept panel_gap apart."""
+    """Non-overlapping (x0, y0, w, h) rectangles, kept panel_gap apart, from
+    at most 200 tries per panel; a try costs one slice of an occupancy mask."""
     rects: list[tuple[int, int, int, int]] = []
     budget = 200 * max(params.n_panels, 1)
     side_span = params.panel_side_max - params.panel_side_min + 1
     gap = params.panel_gap
+    # True on each placed panel grown by gap on every side: a rectangle keeps
+    # gap from every placed panel exactly when it covers no True
+    taken = np.zeros((params.height, params.width), dtype=bool)
     for _ in range(params.n_panels):
-        placed = False
         while budget > 0:
             budget -= 1
             w = params.panel_side_min + stream.next_below(side_span)
@@ -81,25 +83,16 @@ def _place_panels(params: SceneParams, stream: Stream) -> list[tuple[int, int, i
                 continue
             x0 = stream.next_below(params.width - w + 1)
             y0 = stream.next_below(params.height - h + 1)
-            clear = all(
-                not (
-                    x0 - gap < x + pw
-                    and x < x0 + w + gap
-                    and y0 - gap < y + ph
-                    and y < y0 + h + gap
-                )
-                for (x, y, pw, ph) in rects
-            )
-            if clear:
-                rects.append((x0, y0, w, h))
-                placed = True
+            if not taken[y0 : y0 + h, x0 : x0 + w].any():
                 break
-        if not placed:
+        else:
             raise DataError(
                 f"could not place {params.n_panels} panels of "
                 f"{params.panel_side_min}..{params.panel_side_max} px in "
                 f"{params.width}x{params.height} (density too high)"
             )
+        rects.append((x0, y0, w, h))
+        taken[max(y0 - gap, 0) : y0 + h + gap, max(x0 - gap, 0) : x0 + w + gap] = True
     return rects
 
 

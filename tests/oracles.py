@@ -43,6 +43,46 @@ def dense_fisher_yates(stream, n, k):
 
 
 # ---------------------------------------------------------------------------
+# Panel placement
+# ---------------------------------------------------------------------------
+
+
+def scan_place_panels(params, stream):
+    """The try-by-try scan that synth._place_panels' occupancy mask replaced:
+    each try is tested against every panel placed so far, grown by the gap."""
+    rects = []
+    budget = 200 * max(params.n_panels, 1)
+    side_span = params.panel_side_max - params.panel_side_min + 1
+    gap = params.panel_gap
+    for _ in range(params.n_panels):
+        placed = False
+        while budget > 0:
+            budget -= 1
+            w = params.panel_side_min + stream.next_below(side_span)
+            h = params.panel_side_min + stream.next_below(side_span)
+            if w > params.width or h > params.height:
+                continue
+            x0 = stream.next_below(params.width - w + 1)
+            y0 = stream.next_below(params.height - h + 1)
+            clear = all(
+                not (
+                    x0 - gap < x + pw
+                    and x < x0 + w + gap
+                    and y0 - gap < y + ph
+                    and y < y0 + h + gap
+                )
+                for (x, y, pw, ph) in rects
+            )
+            if clear:
+                rects.append((x0, y0, w, h))
+                placed = True
+                break
+        if not placed:
+            raise DataError("could not place every panel")
+    return rects
+
+
+# ---------------------------------------------------------------------------
 # Features
 # ---------------------------------------------------------------------------
 

@@ -1,5 +1,8 @@
+from dataclasses import fields
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from pvdetect.config import RunConfig, load_config, parse_config
 from pvdetect.detection import PPParams, nonmax_suppress
@@ -126,3 +129,57 @@ def test_load_config_missing_file(tmp_path):
     path = tmp_path / "ok.cfg"
     path.write_text("seed = 4\n")
     assert load_config(path).seed == 4
+
+
+_CONFIG_KEY = st.sampled_from([f.name for f in fields(RunConfig)] + ["sweep", "Trees", ""])
+_CONFIG_VALUE = (
+    st.integers(-2, 40).map(str)
+    | st.floats().map(repr)
+    | st.sampled_from(["", "1_0", "0x1f", "1e3", "nan", "-inf", " 3 ", "a=b", ",", "2,,4"])
+    | st.text(max_size=6)
+)
+
+
+def _near(default):
+    """Texts of values of the default's type near it, most of them valid:
+    ints keep their parity (odd window sides stay odd), floats lie in [0, 1]."""
+    if isinstance(default, tuple):
+        items = st.lists(_near(default[0]), min_size=1, max_size=4)
+        return items.map(lambda texts: ",".join(sorted(texts, key=float)))
+    if isinstance(default, float):
+        return st.floats(0, 1).map(lambda v: format(v, ".17g"))
+    if isinstance(default, int):
+        return st.integers(-1, 3).map(lambda k: str(default + 2 * k))
+    return st.text(max_size=6)
+
+
+@st.composite
+def config_texts(draw):
+    """key = value lines, most of them on known keys with values near the
+    defaults, with comments, blank lines and lines of any text."""
+    lines = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.integers(0, 5))
+        if kind == 0:
+            lines.append(draw(st.text(max_size=12)))
+        elif kind == 1:
+            lines.append(draw(st.sampled_from(["", "# note", "  ", "trees"])))
+        else:
+            key = draw(_CONFIG_KEY)
+            near = _near(getattr(RunConfig, key, ""))
+            value = draw(_CONFIG_VALUE | near if kind == 2 else near)
+            comment = draw(st.sampled_from(["", " # note", "#"]))
+            lines.append(f"{key} = {value}{comment}")
+    return "\n".join(lines)
+
+
+@settings(derandomize=True, max_examples=1000, deadline=None)
+@given(st.text() | config_texts())
+def test_parse_config_fuzz(text):
+    """Any text parses or raises ConfigError, and a config that parses
+    comes back equal from its own text."""
+    try:
+        config = parse_config(text)
+    except ConfigError:
+        return
+    assert parse_config(config.to_text()) == config

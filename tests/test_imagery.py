@@ -128,9 +128,11 @@ def test_load_tile_trailing_bytes_rejected(tmp_path):
         load_tile(path)
 
 
-def test_load_tile_missing_file():
-    with pytest.raises(InputError):
-        load_tile("/nonexistent/nowhere.ppm")
+def test_load_tile_missing_file(tmp_path):
+    # a NUL byte or a name past the file system's limit names no file either
+    for path in ("/nonexistent/nowhere.ppm", tmp_path / "t\x00.ppm", tmp_path / ("x" * 300)):
+        with pytest.raises(InputError, match="not found"):
+            load_tile(path)
 
 
 def test_tile_roundtrip(tmp_path):
@@ -479,6 +481,67 @@ def test_load_entry_mismatched_tile_id(tmp_path):
     entry = ManifestEntry("train", tmp_path / "t0.ppm", tmp_path / "t0.csv")
     with pytest.raises(AnnotationError):
         load_entry(entry)
+
+
+# names of the files fuzz_dataset writes, and of files and paths it does not
+_MANIFEST_NAME = st.sampled_from([
+    "t0.ppm", "t1.ppm", "bad.ppm", "t0.csv", "t1.csv", "bad.csv", "missing.ppm",
+    "sub", "sub/../t0.ppm", "/", "", "t0.ppm\x00", "x" * 300, "t0.ppm/x",
+])
+_MANIFEST_FIELD = st.sampled_from(["train", "test", "Train", " test "]) | _MANIFEST_NAME
+
+
+@st.composite
+def manifest_bytes(draw):
+    """Manifest rows, half of them role, image and annotation, with comment
+    and blank lines, a tail that may break UTF-8, and now and then a flipped bit."""
+    rows = []
+    for _ in range(draw(st.integers(0, 4))):
+        if draw(st.booleans()):
+            role = draw(st.sampled_from(["train", "test"]))
+            rows.append(",".join([role, draw(_MANIFEST_NAME), draw(_MANIFEST_NAME)]))
+        else:
+            fields = draw(st.lists(_MANIFEST_FIELD | st.text(max_size=5), max_size=4))
+            rows.append(",".join(fields))
+        rows += draw(st.lists(st.sampled_from(["", "# note", "  "]), max_size=1))
+    data = bytearray("\n".join(rows).encode())
+    data += draw(st.sampled_from([b"", b"", b"\n", b"\n", b"\xff", b"\r\n#"]))
+    if data and draw(st.integers(0, 3)) == 0:
+        data[draw(st.integers(0, len(data) - 1))] ^= 1 << draw(st.integers(0, 7))
+    return bytes(data)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dataset(tmp_path_factory):
+    """Two good tiles with their annotations, a broken tile and CSV, a directory."""
+    root = tmp_path_factory.mktemp("fuzz_dataset")
+    _write_dataset(root, "t0")
+    _write_dataset(root, "t1")
+    (root / "bad.ppm").write_bytes(b"P6\n4 4\n255\n\x00")
+    (root / "bad.csv").write_text("t0,p0,0,0,2\n")
+    (root / "sub").mkdir()
+    return root
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(data=st.binary() | manifest_bytes())
+def test_load_manifest_and_entries_fuzz(fuzz_dataset, data):
+    """Any manifest bytes load, with every entry, or raise a PVDetectError.
+
+    The manifest's bytes are served from memory; its entries name real
+    files and paths beside it."""
+    read = imagery.read_input
+    served = lambda path, what, *rest: data if what == "manifest" else read(path, what, *rest)
+    try:
+        with mock.patch.object(imagery, "read_input", served):
+            manifest = load_manifest(fuzz_dataset / "manifest.txt")
+            loaded = [load_entry(entry) for entry in manifest.entries]
+    except PVDetectError:
+        return
+    for entry, (tile, annotations) in zip(manifest.entries, loaded):
+        assert entry.role in ("train", "test")
+        assert tile.tile_id == entry.tile_id
+        assert all(a.tile_id == tile.tile_id for a in annotations)
 
 
 # ---------------------------------------------------------------------------

@@ -3,7 +3,9 @@ import pytest
 
 from pvdetect.errors import ConfigError, DataError
 from pvdetect.imagery import encode_tile, rasterize
-from pvdetect.synth import PALETTE, PANEL_COLOR, SceneParams, generate_scene
+from pvdetect.rng import Stream
+from pvdetect.synth import PALETTE, PANEL_COLOR, SceneParams, _place_panels, generate_scene
+from oracles import scan_place_panels
 
 
 def small_params(**overrides):
@@ -65,6 +67,41 @@ def test_placement_budget_exhausted():
                              panel_side_max=10, panel_gap=4, seed=seed)
         with pytest.raises(DataError, match="could not place"):
             generate_scene(params, "dense")
+
+
+_PLACEMENT_SHAPES = {
+    "defaults": {},
+    "96x96": dict(width=96, height=96, n_panels=12, panel_side_min=6,
+                  panel_side_max=10, panel_gap=6),
+    "gap 0": dict(width=64, height=64, n_panels=20, panel_side_min=6,
+                  panel_side_max=10, panel_gap=0),
+    "wider than the scene": dict(width=12, height=200, n_panels=5, panel_gap=2),
+    "taller than the scene": dict(width=200, height=12, n_panels=5, panel_gap=2),
+    "budget exhausted": dict(width=32, height=32, n_panels=5, panel_side_min=10,
+                             panel_side_max=10, panel_gap=4),
+    "60 on 300x300": dict(width=300, height=300, n_panels=60),
+}
+
+
+def _placement(place, params):
+    try:
+        return place(params, Stream(params.seed).spawn(3))
+    except DataError:
+        return "DataError"
+
+
+def test_placement_matches_the_scan_of_every_placed_panel():
+    """The occupancy mask accepts and rejects exactly the tries that the
+    scan of every placed panel does, so every rectangle, and the DataError
+    of an exhausted budget, stay the same."""
+    outcomes = set()
+    for name, shape in _PLACEMENT_SHAPES.items():
+        for seed in range(40):
+            params = SceneParams(seed=seed, **shape)
+            want = _placement(scan_place_panels, params)
+            assert _placement(_place_panels, params) == want, (name, seed)
+            outcomes.add(want == "DataError")
+    assert outcomes == {False, True}
 
 
 def test_panel_counts_that_cannot_fit_are_config_errors():
