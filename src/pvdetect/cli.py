@@ -8,8 +8,8 @@ is encoded by the module that owns its format (imagery, forest, detection,
 scoring) and written atomically (temp file + rename) by
 imagery.write_atomic, and every stage drops a JSON manifest recording the
 config, seed and input/output digests.  --threads caps every stage's
-workers, forked for trees and threads for bands and tiles, at one per task
-and one per core (_workers).
+workers, forked for trees and threads for bands, tiles and training
+columns, at one per task and one per core (_workers).
 
 Exit codes: 0 success, 2 config error, 3 missing or unreadable input, or
 an output that cannot be written, 4 malformed data.
@@ -23,6 +23,7 @@ import json
 import os
 import sys
 import time
+from collections import deque
 from concurrent import futures
 from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
@@ -83,14 +84,23 @@ def _workers(threads: int, tasks: int) -> int:
 def thread_map(threads: int):
     """A lazy, ordered map(fn, *iterables) on _workers(threads, tasks) threads.
 
-    Its workers attribute is that count for as many tasks as threads, so
-    forest.predict_tile cuts a tile into a multiple of that many bands.
+    At most two tasks per thread run or wait to be consumed, and the
+    threads are joined when the map ends or raises.  Its workers attribute
+    is that count for as many tasks as threads, so forest._pool_bands cuts
+    a multiple of that many bands.
     """
 
     def run(fn, *iterables):
         tasks = list(zip(*iterables))
-        with ThreadPoolExecutor(max_workers=_workers(threads, len(tasks))) as pool:
-            yield from pool.map(lambda args: fn(*args), tasks)
+        n = _workers(threads, len(tasks))
+        with ThreadPoolExecutor(max_workers=n) as pool:
+            pending = deque()
+            for args in tasks:
+                pending.append(pool.submit(fn, *args))
+                if len(pending) == 2 * n:
+                    yield pending.popleft().result()
+            while pending:
+                yield pending.popleft().result()
 
     run.workers = _workers(threads, threads)
     return run
@@ -154,9 +164,10 @@ def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     n_train = _train_scenes(config.scenes)
     entries = []
     outputs = []
+    bands = thread_map(config.threads)
     for i in range(config.scenes):
         tile_id = f"scene_{i:03d}"
-        tile, annotations = synth.generate_scene(config.scene_params(i), tile_id)
+        tile, annotations = synth.generate_scene(config.scene_params(i), tile_id, map=bands)
         image_path = scene_dir / f"{tile_id}.ppm"
         ann_path = scene_dir / f"{tile_id}.csv"
         imagery.save_tile(tile, image_path)
@@ -188,15 +199,18 @@ def _load_role(
 def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
     """Train the forest on the manifest's train tiles and save the model.
 
-    Trees grow in up to config.threads forked worker processes.  The
-    manifest records the training rows and each tree's node count and depth.
+    Rows are sampled per tile and encoded per column on threads, which are
+    joined before trees grow in forked processes, each pool of at most
+    config.threads.  The manifest records the training rows and each tree's
+    node count and depth.
     """
     manifest = imagery.load_manifest(manifest_path)
     tiles, annotations = _load_role(manifest, "train")
     positives = [imagery.rasterize(a, t.width, t.height) for t, a in zip(tiles, annotations)]
     spec = config.feature_spec()
     training = forest.sample_training_pixels(
-        tiles, positives, spec, config.train_pixels, config.seed
+        tiles, positives, spec, config.train_pixels, config.seed,
+        map=thread_map(config.threads),
     )
     model = forest.train(
         training, config.rf_params(), spec.fingerprint(), map=fork_map(config.threads)

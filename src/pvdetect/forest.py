@@ -90,13 +90,14 @@ class TrainingSet:
     than 65,536 distinct values and int32 otherwise.  Split search and child
     partitions work on the codes; only thresholds read the tables.
 
-    The codes are written over the matrix as it is read, and its memory
-    then shrinks to theirs, so the floats and the codes are never held at
-    once.  The matrix must be C-contiguous and own its memory, and is
-    unusable afterwards.
+    Columns are encoded through map, the builtin map or an ordered pool's
+    (cli.thread_map's).  The codes are written over the matrix in column
+    order as results arrive, and its memory then shrinks to theirs, so the
+    floats and the codes are never held at once.  The matrix must be
+    C-contiguous and own its memory, and is unusable afterwards.
     """
 
-    def __init__(self, columns: np.ndarray, labels: np.ndarray):
+    def __init__(self, columns: np.ndarray, labels: np.ndarray, map=map):
         if not (
             isinstance(columns, np.ndarray) and columns.ndim == 2 and columns.dtype == np.float64
             and columns.flags.c_contiguous and columns.flags.owndata
@@ -110,15 +111,19 @@ class TrainingSet:
         n_pos = int(y.sum())
         if n_pos == 0 or n_pos == N:
             raise DataError("training set must contain both classes")
-        # column f's codes take bytes [2fN, 2fN + 2N): inside columns already
-        # read, since column f itself starts at byte 8fN
+        # column f's codes take bytes [2fN, 2fN + 2N): inside column f // 4,
+        # encoded before result f arrives
         codes = columns.reshape(-1).view(np.uint16)[: M * N].reshape(M, N)
         values = []
-        for f in range(M):
+
+        def encode(f: int) -> tuple[np.ndarray, np.ndarray]:
             table, inverse = np.unique(columns[f], return_inverse=True)
             # sorted, so an infinity or NaN sits at one end of the table
             if not (np.isfinite(table[0]) and np.isfinite(table[-1])):
                 raise DataError("training features must be finite")
+            return table, inverse
+
+        for f, (table, inverse) in enumerate(map(encode, range(M))):
             if table.size > 1 << 16 and codes.dtype == np.uint16:
                 codes = codes.astype(np.int32)
             codes[f] = inverse
@@ -464,6 +469,14 @@ def _band_rows(height: int, width: int, workers: int = 1) -> int:
     return -(-height // min(bands, height))
 
 
+def _pool_bands(map, height: int, width: int) -> range:
+    """Starts of the _band_rows bands for map's workers; step is their height."""
+    workers = getattr(map, "workers", 1 if map is builtins.map else None)
+    if workers is None:
+        raise TypeError("a pool's map must give its thread count as map.workers")
+    return range(0, height, _band_rows(height, width, workers))
+
+
 def predict_tile(
     forest: RandomForest,
     tile: ImageTile,
@@ -490,11 +503,8 @@ def predict_tile(
             f"forest was trained for features {forest.feature_fingerprint!r}, "
             f"not {spec.fingerprint()!r}"
         )
-    workers = getattr(map, "workers", 1 if map is builtins.map else None)
-    if workers is None:
-        raise TypeError("a pool's map must give its thread count as map.workers")
-    rows = _band_rows(tile.height, tile.width, workers)
-    starts = range(0, tile.height, rows)
+    starts = _pool_bands(map, tile.height, tile.width)
+    rows = starts.step
 
     def band(y0: int) -> np.ndarray:
         planes = feature_planes(tile, spec, y0, min(y0 + rows, tile.height))
@@ -512,6 +522,7 @@ def sample_training_pixels(
     spec: FeatureSpec,
     n_total: int,
     seed: int,
+    map=map,
 ) -> TrainingSet:
     """Build a training set: every positive pixel plus sampled negatives.
 
@@ -519,7 +530,8 @@ def sample_training_pixels(
     flat indices y * width + x.  All PV pixels are included once, in (tile,
     row-major) order; the remaining n_total - n_positive rows are negatives
     drawn uniformly without replacement from the pooled non-PV pixels of all
-    tiles, deterministically for a given seed.
+    tiles, deterministically for a given seed.  Each tile's rows are one
+    task of map, which then encodes the columns (TrainingSet).
     """
     if len(tiles) != len(positives) or not tiles:
         raise ConfigError("need one positive-pixel array per tile")
@@ -542,7 +554,9 @@ def sample_training_pixels(
     columns = np.empty((spec.feature_count, n_total))
     labels = np.arange(n_total) < n_pos
     pos_starts = np.cumsum([0] + pos_counts)
-    for t, (tile, pos) in enumerate(zip(tiles, positives)):
+
+    def sample(t: int) -> None:
+        tile, pos = tiles[t], positives[t]
         sel = np.nonzero(draw_tile == t)[0]
         # the k-th negative pixel is k plus the positives that precede it,
         # pos[i] being preceded by pos[i] - i negatives
@@ -567,7 +581,10 @@ def sample_training_pixels(
                 values, base, offsets = feature_planes(tile, spec, y0, y1)
                 pixels = base[flat[i:j] - y0 * tile.width]
                 columns[:, out_rows[i:j]] = values[offsets[:, None] + pixels]
-    return TrainingSet(columns, labels)
+
+    for _ in map(sample, range(len(tiles))):
+        pass
+    return TrainingSet(columns, labels, map=map)
 
 
 # ---------------------------------------------------------------------------

@@ -5,7 +5,8 @@ subsets, negative-pixel sampling, scene synthesis) derives its values from
 64-bit counters mixed through the SplitMix64 finalizer.  A value therefore
 depends only on (seed, counter), never on call order, thread schedule,
 platform or numpy version, which is what makes retraining and re-rendering
-bit-reproducible.
+bit-reproducible.  It also lets any slice of a draw be computed on its own
+(Stream.normals_slice), which is how scene bands render in parallel.
 """
 
 from __future__ import annotations
@@ -38,6 +39,11 @@ def _counter_u64_array(seed: int, start: int, count: int) -> np.ndarray:
     z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX_A)
     z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX_B)
     return z ^ (z >> np.uint64(31))
+
+
+def _uniform_array(seed: int, start: int, count: int) -> np.ndarray:
+    """Uniform float64 values in [0, 1) from counters start..start+count-1."""
+    return _counter_u64_array(seed, start, count).astype(np.float64) * (2.0 ** -64)
 
 
 class Stream:
@@ -79,19 +85,33 @@ class Stream:
 
     def uniforms(self, count: int) -> np.ndarray:
         """count uniform float64 values in [0, 1)."""
-        return self.u64_array(count).astype(np.float64) * (2.0 ** -64)
+        out = _uniform_array(self.seed, self._counter, count)
+        self._counter += count
+        return out
 
     def normals(self, count: int) -> np.ndarray:
         """count standard-normal float64 values via Box-Muller."""
+        out = self.normals_slice(self._counter, count, 0, count)
+        self._counter += 2 * ((count + 1) // 2)
+        return out
+
+    def normals_slice(self, at: int, count: int, start: int, stop: int) -> np.ndarray:
+        """normals(count)[start:stop] of a draw made at counter at.
+
+        Pair p of the draw takes u1 from counter at + p and u2 from counter
+        at + n_pairs + p, so only the pairs that cover [start, stop) are
+        computed; the stream does not move.
+        """
         n_pairs = (count + 1) // 2
-        u1 = self.uniforms(n_pairs)
-        u2 = self.uniforms(n_pairs)
+        first, last = start // 2, (stop + 1) // 2
+        u1 = _uniform_array(self.seed, at + first, last - first)
+        u2 = _uniform_array(self.seed, at + n_pairs + first, last - first)
         r = np.sqrt(-2.0 * np.log(1.0 - u1))  # 1-u1 in (0,1], log finite
         theta = 2.0 * np.pi * u2
-        out = np.empty(2 * n_pairs)
+        out = np.empty(2 * (last - first))
         out[0::2] = r * np.cos(theta)
         out[1::2] = r * np.sin(theta)
-        return out[:count]
+        return out[start - 2 * first : stop - 2 * first]
 
     def sample_without_replacement(self, n: int, k: int) -> np.ndarray:
         """k distinct integers from [0, n), by partial Fisher-Yates.

@@ -4,7 +4,8 @@ Scenes are textured backgrounds (a grid of palette patches, one of them
 panel-like in color so classification stays nontrivial) with axis-aligned
 panel rectangles dropped on top at random, each try tested against a mask
 of the space taken.  The matching polygon annotations rasterize to exactly
-the painted rectangles, so ground truth is exact by construction.
+the painted rectangles, so ground truth is exact by construction.  Scenes
+render in row bands, on any thread, each from its slice of the noise draws.
 """
 
 from __future__ import annotations
@@ -14,6 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .forest import _pool_bands
 from .imagery import ImageTile, PolygonAnnotation
 from .rng import Stream
 
@@ -97,12 +99,15 @@ def _place_panels(params: SceneParams, stream: Stream) -> list[tuple[int, int, i
 
 
 def generate_scene(
-    params: SceneParams, tile_id: str = "scene"
+    params: SceneParams, tile_id: str = "scene", map=map
 ) -> tuple[ImageTile, list[PolygonAnnotation]]:
     """Render one scene and its exact polygon annotations.
 
     Deterministic per (params, tile_id): the same inputs yield
-    byte-identical pixels and annotations.
+    byte-identical pixels and annotations.  Row bands, cut as predict_tile
+    cuts them for map (forest._pool_bands), each compute their slice of the
+    scene-wide noise draws and write their rows of one uint8 image, so
+    memory is that image plus a few MB per band.
     """
     h, w = params.height, params.width
     stream = Stream(params.seed)
@@ -115,23 +120,43 @@ def generate_scene(
     patches_x = -(-w // PATCH_SIZE)
     patch_idx = patch_stream.integers(len(PALETTE), patches_y * patches_x)
     patch_idx = patch_idx.reshape(patches_y, patches_x)
-    tex = np.repeat(np.repeat(patch_idx, PATCH_SIZE, 0), PATCH_SIZE, 1)
-    tex = tex[:h, :w]
-
-    means = np.array([p[1] for p in PALETTE], dtype=np.float64)
-    sigmas = np.array([p[2] for p in PALETTE], dtype=np.float64)
-    image = means[tex]
-    image += sigmas[tex][:, :, None] * noise_stream.normals(h * w * 3).reshape(h, w, 3)
-    image += params.noise_sigma * noise_stream.normals(h * w * 3).reshape(h, w, 3)
 
     rects = _place_panels(params, place_stream)
     panel_mean = np.array(PANEL_COLOR, dtype=np.float64)
+    blocks = []
     for x0, y0, pw, ph in rects:
         block = panel_mean + PANEL_SIGMA * panel_stream.normals(ph * pw * 3).reshape(ph, pw, 3)
         block += params.noise_sigma * panel_stream.normals(ph * pw * 3).reshape(ph, pw, 3)
-        image[y0 : y0 + ph, x0 : x0 + pw] = block
+        blocks.append(block)
 
-    pixels = np.clip(np.rint(image), 0, 255).astype(np.uint8)
+    means = np.array([p[1] for p in PALETTE], dtype=np.float64)
+    sigmas = np.array([p[2] for p in PALETTE], dtype=np.float64)
+    count = h * w * 3
+    # the two scene-wide draws of noise_stream: texture noise at counter 0,
+    # sensor noise after the texture draw's 2 * n_pairs counters
+    draws = (0, count + count % 2)
+    starts = _pool_bands(map, h, w)
+    rows = starts.step
+    pixels = np.empty((h, w, 3), dtype=np.uint8)
+
+    def band(y0: int) -> None:
+        y1 = min(y0 + rows, h)
+        tex = patch_idx[(np.arange(y0, y1) // PATCH_SIZE)[:, None], np.arange(w) // PATCH_SIZE]
+        texture, sensor = (
+            noise_stream.normals_slice(at, count, 3 * w * y0, 3 * w * y1).reshape(-1, w, 3)
+            for at in draws
+        )
+        image = means[tex]
+        image += sigmas[tex][:, :, None] * texture
+        image += params.noise_sigma * sensor
+        for (x0, py, pw, ph), block in zip(rects, blocks):
+            top, bottom = max(py, y0), min(py + ph, y1)
+            if top < bottom:
+                image[top - y0 : bottom - y0, x0 : x0 + pw] = block[top - py : bottom - py]
+        pixels[y0:y1] = np.clip(np.rint(image), 0, 255)
+
+    for _ in map(band, starts):
+        pass
     tile = ImageTile(pixels, tile_id)
     annotations = [
         PolygonAnnotation(

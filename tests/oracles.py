@@ -20,8 +20,10 @@ from pvdetect import detection
 from pvdetect.errors import ConfigError, DataError
 from pvdetect.features import feature_planes
 from pvdetect.forest import TrainingSet, _mean_leaf_prob
+from pvdetect.imagery import ImageTile, PolygonAnnotation
 from pvdetect.rng import Stream
 from pvdetect.scoring import PRCurve
+from pvdetect.synth import PALETTE, PANEL_COLOR, PANEL_SIGMA, PATCH_SIZE, _place_panels
 
 
 # ---------------------------------------------------------------------------
@@ -42,9 +44,73 @@ def dense_fisher_yates(stream, n, k):
     return pool[:k]
 
 
+def box_muller_normals(stream, count):
+    """count normals drawn whole: n_pairs uniforms u1, then n_pairs u2.
+
+    The draw Stream.normals made before it became a slice of
+    Stream.normals_slice; it advances stream by 2 * n_pairs counters.
+    """
+    n_pairs = (count + 1) // 2
+    u1 = stream.uniforms(n_pairs)
+    u2 = stream.uniforms(n_pairs)
+    r = np.sqrt(-2.0 * np.log(1.0 - u1))
+    theta = 2.0 * np.pi * u2
+    out = np.empty(2 * n_pairs)
+    out[0::2] = r * np.cos(theta)
+    out[1::2] = r * np.sin(theta)
+    return out[:count]
+
+
 # ---------------------------------------------------------------------------
-# Panel placement
+# Scenes and panel placement
 # ---------------------------------------------------------------------------
+
+
+def whole_generate_scene(params, tile_id="scene"):
+    """The whole-scene renderer that synth.generate_scene's bands replaced.
+
+    It holds the float64 scene and both scene-wide normal draws at once,
+    pastes the panels after the noise and rounds the scene in one step.
+    """
+    h, w = params.height, params.width
+    stream = Stream(params.seed)
+    patch_stream = stream.spawn(1)
+    noise_stream = stream.spawn(2)
+    place_stream = stream.spawn(3)
+    panel_stream = stream.spawn(4)
+
+    patches_y = -(-h // PATCH_SIZE)
+    patches_x = -(-w // PATCH_SIZE)
+    patch_idx = patch_stream.integers(len(PALETTE), patches_y * patches_x)
+    patch_idx = patch_idx.reshape(patches_y, patches_x)
+    tex = np.repeat(np.repeat(patch_idx, PATCH_SIZE, 0), PATCH_SIZE, 1)
+    tex = tex[:h, :w]
+
+    means = np.array([p[1] for p in PALETTE], dtype=np.float64)
+    sigmas = np.array([p[2] for p in PALETTE], dtype=np.float64)
+    image = means[tex]
+    image += sigmas[tex][:, :, None] * box_muller_normals(noise_stream, h * w * 3).reshape(h, w, 3)
+    image += params.noise_sigma * box_muller_normals(noise_stream, h * w * 3).reshape(h, w, 3)
+
+    rects = _place_panels(params, place_stream)
+    panel_mean = np.array(PANEL_COLOR, dtype=np.float64)
+    for x0, y0, pw, ph in rects:
+        block = panel_mean + PANEL_SIGMA * box_muller_normals(
+            panel_stream, ph * pw * 3).reshape(ph, pw, 3)
+        block += params.noise_sigma * box_muller_normals(
+            panel_stream, ph * pw * 3).reshape(ph, pw, 3)
+        image[y0 : y0 + ph, x0 : x0 + pw] = block
+
+    pixels = np.clip(np.rint(image), 0, 255).astype(np.uint8)
+    annotations = [
+        PolygonAnnotation(
+            tile_id, f"p{k}",
+            np.array([[x0, y0], [x0 + pw, y0], [x0 + pw, y0 + ph], [x0, y0 + ph]],
+                     dtype=np.float64),
+        )
+        for k, (x0, y0, pw, ph) in enumerate(rects)
+    ]
+    return ImageTile(pixels, tile_id), annotations
 
 
 def scan_place_panels(params, stream):

@@ -20,6 +20,7 @@ from pvdetect.cli import (
     cmd_train,
     fork_map,
     main,
+    thread_map,
 )
 from pvdetect.config import RunConfig, parse_config
 from pvdetect.detection import (
@@ -391,6 +392,26 @@ def test_fork_map_passes_worker_errors_to_caller(monkeypatch):
         fork_map(2)(grow, range(6))
 
 
+def test_thread_map_holds_at_most_two_tasks_per_thread(monkeypatch):
+    """Tasks are submitted as results are consumed, at most two per thread
+    ahead, and the threads are joined when the map ends or raises."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    started = []
+    before = threading.active_count()
+
+    def task(i):
+        started.append(i)
+        if i == 15:
+            raise DataError("task 15 failed")
+        return i
+
+    with pytest.raises(DataError, match="task 15"):
+        for i, result in enumerate(thread_map(2)(task, range(20))):
+            assert result == i and max(started) <= i + 3
+    assert threading.active_count() == before
+    assert max(started) <= 18
+
+
 def _recording_pool(created: list):
     """Stands in for ProcessPoolExecutor: records max_workers, runs in-process."""
 
@@ -451,6 +472,7 @@ def test_thread_stages_cap_workers_by_tasks_and_cores(tmp_path, monkeypatch, cor
 
         def __init__(self, max_workers):
             created.append(max_workers)
+            mapped.append(0)
 
         def __enter__(self):
             return self
@@ -458,10 +480,11 @@ def test_thread_stages_cap_workers_by_tasks_and_cores(tmp_path, monkeypatch, cor
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, tasks):
-            tasks = list(tasks)
-            mapped.append(len(tasks))
-            return map(fn, tasks)
+        def submit(self, fn, *args):
+            mapped[-1] += 1
+            future = futures.Future()
+            future.set_result(fn(*args))
+            return future
 
     model = cmd_train(tiny_config(), cmd_synth(tiny_config(), tmp_path), tmp_path)
     tile = tmp_path / "wide.ppm"

@@ -1,6 +1,7 @@
 import os
 import signal
 import sys
+import threading
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -14,7 +15,7 @@ from pvdetect.errors import (
     ModelVersionError,
 )
 from pvdetect import forest as forest_module
-from pvdetect.cli import fork_map
+from pvdetect.cli import fork_map, thread_map
 from pvdetect.features import FeatureSpec, feature_planes
 from pvdetect.forest import (
     RFParams,
@@ -937,6 +938,51 @@ def test_sample_training_pixels_errors():
         sample_training_pixels([tile], [pos, pos], spec, n_pos + 10, seed=0)
     with pytest.raises(DataError):
         sample_training_pixels([tile], [np.append(pos, 64 * 64)], spec, n_pos + 10, seed=0)
+
+
+def _assert_same_training_set(got, want):
+    assert got.codes.dtype == want.codes.dtype and np.array_equal(got.codes, want.codes)
+    assert [t.tobytes() for t in got.values] == [t.tobytes() for t in want.values]
+    assert np.array_equal(got.labels, want.labels)
+
+
+@pytest.mark.parametrize("threads", [2, 3])
+def test_pooled_row_preparation_matches_serial(monkeypatch, threads):
+    """Sampling per tile and encoding per column on threads give the serial
+    training set, and every pool thread is joined before they return.
+
+    A 3-thread pool runs on a host made to have three cores.  The encoded
+    matrix has 70,000 rows and, in its fifth column, 70,000 distinct values,
+    so the codes turn int32 midway; a NaN in a later column raises
+    DataError.
+    """
+    monkeypatch.setattr(os, "cpu_count", lambda: 3)
+    pool = thread_map(threads)
+    assert pool.workers == threads
+    before = threading.active_count()
+    spec = FeatureSpec()
+    tiles, positives = zip(*[_scene_with_positives(s) for s in (1, 2, 5)])
+    n_total = sum(p.size for p in positives) + 2000
+    serial = sample_training_pixels(list(tiles), list(positives), spec, n_total, seed=0)
+    pooled = sample_training_pixels(list(tiles), list(positives), spec, n_total, seed=0,
+                                    map=pool)
+    assert threading.active_count() == before
+    assert serial.codes.dtype == np.uint16
+    _assert_same_training_set(pooled, serial)
+
+    rng = np.random.default_rng(41)
+    X = rng.integers(0, 50, size=(9, 70_000)).astype(np.float64)
+    X[4] = rng.permutation(70_000) / 7.0
+    labels = np.arange(70_000) % 5 == 0
+    serial = TrainingSet(X.copy(), labels)
+    pooled = TrainingSet(X.copy(), labels, map=pool)
+    assert threading.active_count() == before
+    assert serial.codes.dtype == np.int32 and serial.values[4].size == 70_000
+    _assert_same_training_set(pooled, serial)
+    X[6, 123] = np.nan
+    with pytest.raises(DataError, match="finite"):
+        TrainingSet(X.copy(), labels, map=pool)
+    assert threading.active_count() == before
 
 
 # ---------------------------------------------------------------------------

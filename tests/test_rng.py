@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pvdetect.rng import Stream, counter_u64, mix64
-from oracles import dense_fisher_yates
+from oracles import box_muller_normals, dense_fisher_yates
 
 
 def test_mix64_is_deterministic_and_mixing():
@@ -54,6 +55,39 @@ def test_uniforms_and_normals_shape_and_moments():
     assert z.shape == (50_001,)
     assert abs(z.mean()) < 0.02
     assert abs(z.std() - 1.0) < 0.02
+
+
+@st.composite
+def _slices(draw):
+    count = draw(st.integers(0, 301))
+    start = draw(st.integers(0, count))
+    return count, start, draw(st.integers(start, count))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(seed=st.integers(0, 2**64 - 1), at=st.integers(0, 40), cut=_slices())
+@example(seed=0, at=0, cut=(0, 0, 0))
+@example(seed=1, at=3, cut=(7, 3, 3))
+@example(seed=2, at=1, cut=(7, 1, 6))
+@example(seed=3, at=0, cut=(8, 5, 8))
+def test_normals_slice_is_a_slice_of_the_whole_draw(seed, at, cut):
+    """normals_slice(at, count, start, stop) is normals(count)[start:stop] of
+    a draw made at counter at, bit for bit, and leaves the stream where it
+    was; normals still moves the counter by 2 * n_pairs."""
+    count, start, stop = cut
+    oracle = Stream(seed)
+    oracle.u64_array(at)
+    whole = box_muller_normals(oracle, count)
+    stream = Stream(seed)
+    piece = stream.normals_slice(at, count, start, stop)
+    assert piece.shape == (stop - start,)
+    assert piece.tobytes() == whole[start:stop].tobytes()
+    assert stream.next_u64() == counter_u64(seed, 0)
+    stream = Stream(seed)
+    stream.u64_array(at)
+    assert stream.normals(count).tobytes() == whole.tobytes()
+    # the draw that follows is unchanged
+    assert stream.normals(5).tobytes() == box_muller_normals(oracle, 5).tobytes()
 
 
 def test_sample_without_replacement_distinct_and_deterministic():

@@ -1,11 +1,16 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import numpy as np
 import pytest
 
+from pvdetect import forest
 from pvdetect.errors import ConfigError, DataError
 from pvdetect.imagery import encode_tile, rasterize
 from pvdetect.rng import Stream
 from pvdetect.synth import PALETTE, PANEL_COLOR, SceneParams, _place_panels, generate_scene
-from oracles import scan_place_panels
+from oracles import scan_place_panels, whole_generate_scene
+from test_detection import _run_in_one_gib
+from test_forest import _sized_map
 
 
 def small_params(**overrides):
@@ -150,3 +155,65 @@ def test_palette_contains_panel_like_texture():
         for _, mean, _ in PALETTE
     ]
     assert min(distances) < 40  # one background texture is deliberately close
+
+
+# (width, height, panels): odd widths put band edges inside Box-Muller pairs
+# (3 * width * y0 is odd for odd y0), 131, 77 and 47 rows are no multiple
+# of PATCH_SIZE, and 1 x N and N x 1 scenes have one column or one row
+_BANDED_SHAPES = [(1, 77, 0), (77, 1, 0), (257, 131, 12), (511, 3, 0), (97, 47, 4), (96, 96, 10)]
+
+
+@pytest.mark.parametrize("width, height, n_panels", _BANDED_SHAPES)
+def test_banded_scene_matches_whole_scene_oracle(monkeypatch, width, height, n_panels):
+    """Any band split gives the whole-scene renderer's pixels and annotations.
+
+    Bands are cut for the builtin map, for pools of 1 to 3 workers, for a
+    map whose workers equal the height (1-row bands), and for BAND_PIXELS
+    shrunk so that bands hold about a seventh of the scene.  Seed 3 renders
+    without sensor noise.
+    """
+    straddled = 0
+    for seed in range(4):
+        params = SceneParams(
+            width=width, height=height, n_panels=n_panels, panel_side_min=5,
+            panel_side_max=9, panel_gap=3, noise_sigma=0.0 if seed == 3 else 3.0, seed=seed,
+        )
+        want, want_anns = whole_generate_scene(params, "s")
+        with ThreadPoolExecutor(max_workers=3) as pool:
+            maps = [map] + [_sized_map(k, pool.map) for k in (1, 2, 3, height)]
+            renders = [generate_scene(params, "s", map=m) for m in maps]
+        with monkeypatch.context() as patch:
+            patch.setattr(forest, "BAND_PIXELS", -(-width * height // 56))
+            renders.append(generate_scene(params, "s"))
+        for tile, anns in renders:
+            assert tile.pixels.dtype == np.uint8
+            assert tile.pixels.tobytes() == want.pixels.tobytes(), seed
+            assert [a.vertices.tobytes() for a in anns] == [
+                a.vertices.tobytes() for a in want_anns
+            ]
+        # panels that cross the edge of a 3-worker band
+        edges = set(forest._pool_bands(_sized_map(3), height, width)[1:])
+        straddled += sum(
+            any(a.vertices[0, 1] < edge < a.vertices[2, 1] for edge in edges) for a in anns
+        )
+    assert straddled > 0 or n_panels == 0
+
+
+_TALL_STRIP = """
+from pvdetect.synth import SceneParams, generate_scene
+
+params = SceneParams(width=5000, height={height}, n_panels=40, seed=1)
+tile, annotations = generate_scene(params, "strip")
+assert tile.pixels.shape == ({height}, 5000, 3) and len(annotations) == 40
+"""
+
+
+@pytest.mark.parametrize("height", [64, 2000])
+def test_tall_strips_render_in_one_gib(height):
+    """A 5000-wide strip renders under a 1 GiB address-space limit.
+
+    Bands hold the float64 work, so memory is the uint8 scene plus a few
+    MB per band; the whole-scene renderer held float64 scenes and draws of
+    about 1 GB at 5000 x 2000.
+    """
+    _run_in_one_gib(_TALL_STRIP.format(height=height))
