@@ -151,7 +151,7 @@ class DetectionObject:
             if not (0 <= y < height and 0 <= x0 <= x1 < width):
                 raise DataError(f"bad pixel run {run!r} in a {width}x{height} tile")
             runs.append((y * width + x0, x1 - x0 + 1))
-        return cls(_run_pixels(*np.array(runs).T), confidence, shape)
+        return cls(run_pixels(*np.array(runs).T), confidence, shape)
 
 
 _DETECTIONS_HEADER = (
@@ -335,7 +335,7 @@ def _row_runs(pixels: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
     return pixels[first], np.diff(first, append=pixels.size)
 
 
-def _run_pixels(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+def run_pixels(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
     """The flat indices of runs (first index, length), run after run."""
     return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
@@ -358,7 +358,7 @@ def _label(mask: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     hi = np.searchsorted(starts, np.minimum(ends + w + 1, below + w - 1), side="right")
     counts = np.maximum(hi - lo, 0)
     a = np.repeat(np.arange(starts.size), counts)
-    b = _run_pixels(lo, counts)
+    b = run_pixels(lo, counts)
     root = np.arange(starts.size)
     while True:
         ra, rb = root[a], root[b]
@@ -399,7 +399,7 @@ def _grow_regions(conf: np.ndarray, seeds: np.ndarray, side: int):
     keep = roots == roots[seed_run][owner]
     owner, lengths = owner[keep], lengths[keep]
     r, c = np.divmod(starts[keep] - owner * cell, side)
-    pixels = _run_pixels(rows[owner, r] * w + cols[owner, c], lengths)
+    pixels = run_pixels(rows[owner, r] * w + cols[owner, c], lengths)
     return pixels, np.repeat(np.take(conf, seeds)[owner], lengths)
 
 
@@ -476,7 +476,7 @@ def extract_objects(enhanced: np.ndarray) -> list[DetectionObject]:
     values = enhanced.ravel()
     return [
         DetectionObject(flat, float(values[flat].max()), enhanced.shape)
-        for flat in np.split(_run_pixels(starts[order], lengths), cuts)
+        for flat in np.split(run_pixels(starts[order], lengths), cuts)
         if flat.size
     ]
 

@@ -354,7 +354,11 @@ def grow_tree(
 
 @dataclass
 class RandomForest:
-    """An ensemble of trees over a fixed-width feature space."""
+    """An ensemble of trees over a fixed-width feature space, with the
+    routing layout of _mean_leaf_prob built once, here: leaf_table, the
+    sorted distinct leaf probabilities, and routing, each tree's feature,
+    threshold, left, right and leaf-rank lists.  It depends only on the
+    trees, which nothing in pvdetect changes after construction."""
 
     trees: list[DecisionTree]
     n_features: int
@@ -363,10 +367,12 @@ class RandomForest:
     def __post_init__(self):
         if not self.trees:
             raise ModelFormatError("forest must contain at least one tree")
-        for tree in self.trees:
-            internal = tree.feature >= 0
-            if internal.any() and tree.feature[internal].max() >= self.n_features:
-                raise ModelFormatError("tree references feature beyond n_features")
+        if max(int(t.feature.max()) for t in self.trees) >= self.n_features:  # -1 at leaves
+            raise ModelFormatError("tree references feature beyond n_features")
+        self.leaf_table = np.unique(np.concatenate([t.prob[t.feature < 0] for t in self.trees]))
+        self.routing = [[a.tolist() for a in (t.feature, t.threshold, t.left, t.right,
+                                              np.searchsorted(self.leaf_table, t.prob))]
+                        for t in self.trees]
 
     @property
     def n_trees(self) -> int:
@@ -414,24 +420,20 @@ def _mean_leaf_prob(
     """Mean leaf probability across trees of each pixel b of base.
 
     Feature f of pixel b is values[b + offsets[f]].  Each tree is walked
-    depth first with a stack of pixel sets: an internal node reads its
-    feature once for the pixels that reach it and splits them in two, and
-    only nonempty children are visited.  A leaf records, for its pixels,
-    its probability's rank among the forest's distinct leaf probabilities,
+    depth first on the forest's routing layout, with a stack of pixel sets:
+    an internal node reads its feature once for the pixels that reach it
+    and splits them in two, and only nonempty children are visited.  A leaf
+    records, for its pixels, its probability's rank in forest.leaf_table,
     in the smallest unsigned dtype that holds them.  Sorting each pixel's
     ranks sorts its probabilities, which are then added left to right one
     row at a time, so the result is exactly invariant under permutation of
     the trees.
     """
-    trees = forest.trees
-    table = np.unique(np.concatenate([t.prob[t.feature < 0] for t in trees]))
-    ranks = np.empty((len(trees), base.size), dtype=np.min_scalar_type(table.size - 1))
+    table, n_trees = forest.leaf_table, forest.n_trees
+    ranks = np.empty((n_trees, base.size), dtype=np.min_scalar_type(table.size - 1))
     leaf_rank = np.empty(int(base.max(initial=-1)) + 1, dtype=ranks.dtype)  # at b
     offsets = offsets.tolist()
-    for tree, out in zip(trees, ranks):
-        feature, threshold = tree.feature.tolist(), tree.threshold.tolist()
-        left, right = tree.left.tolist(), tree.right.tolist()
-        rank = np.searchsorted(table, tree.prob).tolist()
+    for (feature, threshold, left, right, rank), out in zip(forest.routing, ranks):
         stack = [(0, base)]
         while stack:
             node, at = stack.pop()
@@ -447,15 +449,15 @@ def _mean_leaf_prob(
         np.take(leaf_rank, base, out=out)
     # odd-even transposition: T rounds of compare-exchange sort each column
     low = np.empty_like(leaf_rank, shape=base.size)
-    for k in range(len(trees)):
-        for i in range(k % 2, len(trees) - 1, 2):
+    for k in range(n_trees):
+        for i in range(k % 2, n_trees - 1, 2):
             np.minimum(ranks[i], ranks[i + 1], out=low)
             np.maximum(ranks[i], ranks[i + 1], out=ranks[i + 1])
             ranks[i] = low
     total = table[ranks[0]]
     for row in ranks[1:]:
         total += table[row]
-    return total / len(trees)
+    return total / n_trees
 
 
 def _band_rows(height: int, width: int, workers: int = 1) -> int:
@@ -570,9 +572,9 @@ def sample_training_pixels(
         )
         order = np.argsort(flat)
         flat, out_rows = flat[order], out_rows[order]
-        # only a band's sampled pixels are read, so its planes set the cost:
         # bands are an eighth of predict's, but at least as tall as their
-        # padding
+        # padding: a memory rule, as predict-sized bands took eval-default's
+        # sampling peak from 92 to 111 MB and its time did not change
         rows = max(2 * spec.pad, -(-BAND_PIXELS // tile.width))
         for y0 in range(0, tile.height, rows):
             y1 = min(y0 + rows, tile.height)

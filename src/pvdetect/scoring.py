@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .detection import DetectionObject, check_map
+from .detection import DetectionObject, check_map, run_pixels
 from .errors import ConfigError, DataError
 from .imagery import flat_pixels, read_text, write_atomic
 
@@ -146,7 +146,7 @@ def judge_detections(
         lo = np.searchsorted(flat, det.pixels, side="left")
         hi = np.searchsorted(flat, det.pixels, side="right")
         n = hi - lo  # pixel k of the detection matches entries lo[k] .. hi[k]-1
-        entries = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+        entries = run_pixels(lo, n)
         ids = np.unique(owner[entries])
         if ids.size:
             overlap[i] = jaccard(det.pixels, np.concatenate([anns[j] for j in ids]))

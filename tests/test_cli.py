@@ -550,7 +550,7 @@ def test_oversize_feature_geometry_exits_2_before_padding(tmp_path):
     in MemoryError rather than exit 2.  Predict's model carries the
     oversize spec's fingerprint, so only the geometry can stop it.
     """
-    from test_detection import _run_in_one_gib
+    from test_detection import ONE_GIB, _run_under_limit
 
     manifest = cmd_synth(tiny_config(), tmp_path)
     tile = tmp_path / "scenes" / "scene_000.ppm"
@@ -568,7 +568,7 @@ def test_oversize_feature_geometry_exits_2_before_padding(tmp_path):
         runs.append(["train", "--config", str(config), "--manifest", str(manifest), "--out", out])
         runs.append(["predict", "--config", str(config), "--model", str(model),
                      "--out", out, str(tile)])
-    _run_in_one_gib(_OVERSIZE_FEATURES.format(runs=runs))
+    _run_under_limit(_OVERSIZE_FEATURES.format(runs=runs), ONE_GIB)
     assert not list(tmp_path.glob("*/model.pvforest")) + list(tmp_path.glob("*/maps"))
 
 

@@ -166,17 +166,20 @@ def test_postprocess_crop_larger_than_map():
     assert np.array_equal(postprocess(conf, params), reference_postprocess(conf, params))
 
 
-def _run_in_one_gib(script):
-    """Run script in a child Python that may map at most 1 GiB.
+ONE_GIB = 1 << 30
+
+
+def _run_under_limit(script, limit):
+    """Run script in a child Python that may map at most limit bytes.
 
     A run that allocates for a nominal 100001-pixel window or disk on a
-    small map then fails fast with MemoryError.
+    small map, or copies a big tile, then fails fast with MemoryError.
     """
-    limit = "import resource\nresource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+    prelude = f"import resource\nresource.setrlimit(resource.RLIMIT_AS, ({limit}, {limit}))\n"
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ, PYTHONPATH=str(src), OPENBLAS_NUM_THREADS="1")
     result = subprocess.run(
-        [sys.executable, "-c", limit + script], env=env, capture_output=True,
+        [sys.executable, "-c", prelude + script], env=env, capture_output=True,
         text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
@@ -204,7 +207,7 @@ def test_oversize_windows_run_bounded_with_the_bytes_of_whole_map_windows():
     From a half-width of max(h, w) - 1 on, a window clamped to the map is
     the whole map.
     """
-    _run_in_one_gib(_OVERSIZE_SIDES)
+    _run_under_limit(_OVERSIZE_SIDES, ONE_GIB)
 
 
 _OVERSIZE_DILATION = """
@@ -235,7 +238,7 @@ def test_oversize_dilation_runs_bounded_with_the_bytes_of_the_reaching_disk():
 
     From any pixel, a disk of that radius already covers the whole map.
     """
-    _run_in_one_gib(_OVERSIZE_DILATION)
+    _run_under_limit(_OVERSIZE_DILATION, ONE_GIB)
 
 
 _OVERSIZE_CLOSING = """
@@ -259,7 +262,7 @@ def test_oversize_closing_exits_2_before_allocating(tmp_path):
 
     Its closing canvas would need 149 GiB; no clamp gives the same bytes.
     """
-    _run_in_one_gib(_OVERSIZE_CLOSING.format(tmp=str(tmp_path)))
+    _run_under_limit(_OVERSIZE_CLOSING.format(tmp=str(tmp_path)), ONE_GIB)
 
 
 _DENSE_EXTRACT = """
@@ -286,7 +289,7 @@ def test_extract_objects_on_a_dense_2000_map_runs_in_one_gib():
     On a 2000x2000 float32 map with 99.6% support, per-pixel labeling raised
     RSS by about 1.4 GB; the objects are the same, byte for byte.
     """
-    _run_in_one_gib(_DENSE_EXTRACT)
+    _run_under_limit(_DENSE_EXTRACT, ONE_GIB)
 
 
 def test_closing_canvas_bound():
@@ -783,7 +786,7 @@ def test_label_gives_each_pixel_the_smallest_flat_index_of_its_component():
             for y, x in component:
                 want[y, x] = component[0][0] * w + component[0][1]
         starts, lengths, roots = detection._label(mask)
-        pixels = detection._run_pixels(starts, lengths)
+        pixels = detection.run_pixels(starts, lengths)
         assert pixels.tolist() == np.flatnonzero(mask).tolist()
         assert np.repeat(roots, lengths).tolist() == want.ravel()[pixels].tolist()
 

@@ -762,6 +762,34 @@ def test_plane_bands_match_whole_tile(monkeypatch, spec, workers, sample_rows):
     assert np.array_equal(ts.labels, want.labels)
 
 
+def test_predict_tile_builds_the_routing_layout_once(monkeypatch):
+    """The forest-wide table of distinct leaf probabilities, the one
+    np.unique of routing, is built once per forest, not once per band.
+
+    BAND_PIXELS 4 cuts the 24-row, 4-wide tile into three 8-row bands."""
+    rng = np.random.default_rng(26)
+    spec = FeatureSpec()
+    tile = ImageTile(rng.integers(0, 256, size=(24, 4, 3), dtype=np.uint8), "t")
+    X = feature_rows(tile, spec, 0, tile.height).reshape(-1, spec.feature_count)
+    y = np.arange(X.shape[0]) % 3 == 0
+    rng.shuffle(y)
+    trees = _mixed_depth_forest(X, y, spec.fingerprint()).trees
+    sizes, unique = [], np.unique
+
+    def counted_unique(a, *args, **kwargs):
+        sizes.append(np.size(a))
+        return unique(a, *args, **kwargs)
+
+    monkeypatch.setattr(np, "unique", counted_unique)
+    monkeypatch.setattr(forest_module, "BAND_PIXELS", 4)
+    assert len(forest_module._pool_bands(map, tile.height, tile.width)) == 3
+    model = RandomForest(trees, spec.feature_count, spec.fingerprint())
+    conf = predict_tile(model, tile, spec)
+    assert sizes == [sum(int((t.feature < 0).sum()) for t in trees)]
+    expected = [scalar_predict(model, x) for x in X]
+    assert conf.ravel().tolist() == np.float32(expected).tolist()
+
+
 def test_forest_router_sends_nan_right():
     """The router's test is value <= threshold -> left, so NaN goes right."""
     rng = np.random.default_rng(22)

@@ -35,6 +35,7 @@ from pvdetect.imagery import (
     write_atomic,
 )
 from oracles import point_in_polygon
+from test_detection import _run_under_limit
 
 
 def square(x0, y0, x1, y1):
@@ -144,6 +145,50 @@ def test_tile_roundtrip(tmp_path):
     again = load_tile(path)
     assert np.array_equal(again.pixels, tile.pixels)
     assert encode_tile(again) == encode_tile(tile)
+
+
+def test_encoded_chunks_join_to_the_file_and_strided_pixels_encode_as_their_copy(tmp_path):
+    """b"".join(encode_tile(t)) is the P6 file, and load_tile reads it back.
+    A tile on a strided view of an array encodes to the bytes of its
+    contiguous copy; contiguous pixels are written where they lie."""
+    rng = np.random.default_rng(2)
+    base = rng.integers(0, 256, size=(9, 14, 3), dtype=np.uint8)
+    for view in (base[::2, 1::3], base[:, :, ::-1], base.transpose(1, 0, 2), base[3:4]):
+        tile, copy = ImageTile(view, "v"), ImageTile(np.ascontiguousarray(view), "v")
+        data = b"".join(encode_tile(tile))
+        assert data == b"".join(encode_tile(copy))
+        assert data.startswith(b"P6\n%d %d\n255\n" % (tile.width, tile.height))
+        save_tile(tile, tmp_path / "v.ppm")
+        assert (tmp_path / "v.ppm").read_bytes() == data
+        assert np.array_equal(load_tile(tmp_path / "v.ppm").pixels, view)
+        assert np.shares_memory(np.asarray(encode_tile(copy)[1]), copy.pixels)
+
+
+_SAVE_5000 = """
+import numpy as np
+from pvdetect.imagery import ImageTile, save_tile
+
+pixels = np.empty((5000, 5000, 3), np.uint8)
+pixels[...] = (np.arange(5000) % 251).astype(np.uint8)[:, None, None]
+save_tile(ImageTile(pixels, "big"), {path!r})
+del pixels
+header = b"P6\\n5000 5000\\n255\\n"
+with open({path!r}, "rb") as f:
+    assert f.read(len(header)) == header
+    for y in (0, 2500, 4999):
+        f.seek(len(header) + 15000 * y)
+        assert f.read(15000) == bytes([y % 251]) * 15000
+    assert f.seek(0, 2) == len(header) + 75_000_000
+"""
+
+
+def test_save_tile_of_a_5000_tile_runs_in_240_mib(tmp_path):
+    """A 5000x5000 tile is saved in a child that may map 240 MiB.
+
+    Its 75 MB of pixels are written where they lie; joining the header to a
+    copy of them held three copies and raised MemoryError there.
+    """
+    _run_under_limit(_SAVE_5000.format(path=str(tmp_path / "big.ppm")), 240 << 20)
 
 
 _P6_ODD = st.sampled_from([b"-1", b"+2", b"1_0", b"x", b"\xff", b"99999999999", b"P6", b"#"])

@@ -9,7 +9,7 @@ from pvdetect.imagery import encode_tile, rasterize
 from pvdetect.rng import Stream
 from pvdetect.synth import PALETTE, PANEL_COLOR, SceneParams, _place_panels, generate_scene
 from oracles import scan_place_panels, whole_generate_scene
-from test_detection import _run_in_one_gib
+from test_detection import ONE_GIB, _run_under_limit
 from test_forest import _sized_map
 
 
@@ -216,4 +216,4 @@ def test_tall_strips_render_in_one_gib(height):
     MB per band; the whole-scene renderer held float64 scenes and draws of
     about 1 GB at 5000 x 2000.
     """
-    _run_in_one_gib(_TALL_STRIP.format(height=height))
+    _run_under_limit(_TALL_STRIP.format(height=height), ONE_GIB)
