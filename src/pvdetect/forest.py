@@ -162,19 +162,20 @@ def best_split(
 
     The search is exact, on integer counts per distinct value.  Features go
     in groups of BAND_PIXELS // n (at least one).  A group's samples become
-    keys (offset + code) << 1 | label, the offset giving each feature its
-    own range of bins; one bincount of the keys, or one sort when the keys
-    are far fewer than the bins, yields the (n_left, pos_left) of every
-    candidate of the group at once.
+    keys offset + code, the offset giving each feature its own range of
+    bins, and its positive samples pos_keys the same way.  Two bincounts,
+    or two sorts when the keys are far fewer than the bins, yield the
+    (n_left, pos_left) of every candidate of the group at once.
     """
     idx = np.asarray(sample_indices, dtype=np.int64)
     n = idx.size
     if n < 2 * min_leaf:
         return None
-    labels = training_set.labels[idx]
-    total_pos = int(labels.sum())
+    pos_idx = idx[training_set.labels[idx]]
+    total_pos = pos_idx.size
     parent = gini(total_pos, n - total_pos)
     codes, values = training_set.codes, training_set.values
+    flat = codes.reshape(-1)
     features = np.array(sorted(int(f) for f in feature_subset), dtype=np.intp)
     group_size = max(1, BAND_PIXELS // n)
     best: tuple[int, float] | None = None
@@ -183,24 +184,21 @@ def best_split(
         group = features[g : g + group_size]
         sizes = np.array([values[f].size for f in group])
         offsets = np.cumsum(sizes) - sizes
-        keys = codes.reshape(-1).take(group[:, None] * codes.shape[1] + idx)
-        keys = keys.astype(np.int64)
-        keys += offsets[:, None]
-        keys <<= 1
-        keys |= labels
-        keys = keys.ravel()
+        starts = group[:, None] * codes.shape[1]
+        keys = (flat.take(starts + idx) + offsets[:, None]).ravel()
+        pos_keys = (flat.take(starts + pos_idx) + offsets[:, None]).ravel()
         if 4 * keys.size < sizes.sum():
             keys.sort()
-            ends = np.append(np.flatnonzero(np.diff(keys >> 1)), keys.size - 1)
-            bins = keys[ends] >> 1
+            pos_keys.sort()
+            ends = np.append(np.flatnonzero(np.diff(keys)), keys.size - 1)
+            bins = keys[ends]
             cum_n = ends + 1
-            cum_pos = np.cumsum(keys & 1)[ends]
+            cum_pos = np.searchsorted(pos_keys, bins, side="right")
         else:
-            hist = np.bincount(keys, minlength=2 * int(sizes.sum())).reshape(-1, 2)
-            per_bin = hist[:, 0] + hist[:, 1]
-            bins = np.flatnonzero(per_bin != 0)
+            per_bin = np.bincount(keys)
+            bins = np.flatnonzero(per_bin)
             cum_n = np.cumsum(per_bin[bins])
-            cum_pos = np.cumsum(hist[bins, 1])
+            cum_pos = np.cumsum(np.bincount(pos_keys, minlength=per_bin.size)[bins])
         # bins holds the group's nonempty bins in order; the n samples of
         # the group's j-th feature take cum_n through (j*n, (j+1)*n], and
         # n_left < n marks a boundary before the same feature's next bin
@@ -447,7 +445,9 @@ def _mean_leaf_prob(
                 if pixels.size:
                     stack.append((child, pixels))
         np.take(leaf_rank, base, out=out)
-    # odd-even transposition: T rounds of compare-exchange sort each column
+    # odd-even transposition: T rounds of compare-exchange sort each column;
+    # np.sort(ranks, axis=0) was slower at every size measured, on a
+    # 131,072-pixel band 23 ms against 1.2 ms at T=10, 104 against 11.7 at T=30
     low = np.empty_like(leaf_rank, shape=base.size)
     for k in range(n_trees):
         for i in range(k % 2, n_trees - 1, 2):
@@ -532,15 +532,19 @@ def sample_training_pixels(
     flat indices y * width + x.  All PV pixels are included once, in (tile,
     row-major) order; the remaining n_total - n_positive rows are negatives
     drawn uniformly without replacement from the pooled non-PV pixels of all
-    tiles, deterministically for a given seed.  Each tile's rows are one
-    task of map, which then encodes the columns (TrainingSet).
+    tiles, deterministically for a given seed.
+
+    Pixels are numbered once over all tiles, tile after tile.  The rows are
+    sorted by that number, so each tile's rows are one contiguous run that
+    its task of map fills band by band; one pass per column then puts the
+    rows back in training order, and map encodes the columns (TrainingSet).
     """
     if len(tiles) != len(positives) or not tiles:
         raise ConfigError("need one positive-pixel array per tile")
-    positives = [flat_pixels(p, t.height * t.width) for t, p in zip(tiles, positives)]
-    pos_counts = [pos.size for pos in positives]
-    neg_counts = [t.height * t.width - c for t, c in zip(tiles, pos_counts)]
-    n_pos, total_neg = sum(pos_counts), sum(neg_counts)
+    starts = np.cumsum([0] + [t.height * t.width for t in tiles])
+    pos = np.concatenate([flat_pixels(p, t.height * t.width) + s
+                          for t, p, s in zip(tiles, positives, starts.tolist())])
+    n_pos, total_neg = pos.size, int(starts[-1]) - pos.size
     if n_total < n_pos:
         raise ConfigError(f"n_total={n_total} below the {n_pos} positive pixels")
     n_neg = n_total - n_pos
@@ -550,28 +554,16 @@ def sample_training_pixels(
         raise ConfigError(f"only {total_neg} negative pixels available, need {n_neg}")
 
     draws = Stream(seed).sample_without_replacement(total_neg, n_neg)
-    bounds = np.cumsum([0] + neg_counts)
-    draw_tile = np.searchsorted(bounds, draws, side="right") - 1
-
+    # the k-th negative pixel is k plus the positives that precede it,
+    # pos[i] being preceded by pos[i] - i negatives
+    at = np.concatenate([pos, draws + np.searchsorted(pos - np.arange(n_pos), draws, "right")])
+    order = np.argsort(at)  # row order[i] samples pixel at[i] once sorted
+    at = at[order]
+    cuts = np.searchsorted(at, starts)
     columns = np.empty((spec.feature_count, n_total))
-    labels = np.arange(n_total) < n_pos
-    pos_starts = np.cumsum([0] + pos_counts)
 
     def sample(t: int) -> None:
-        tile, pos = tiles[t], positives[t]
-        sel = np.nonzero(draw_tile == t)[0]
-        # the k-th negative pixel is k plus the positives that precede it,
-        # pos[i] being preceded by pos[i] - i negatives
-        k = draws[sel] - bounds[t]
-        negatives = k + np.searchsorted(pos - np.arange(pos.size), k, side="right")
-        # the tile's sampled pixels as flat indices, sorted, and the
-        # training row each one fills
-        flat = np.concatenate([pos, negatives])
-        out_rows = np.concatenate(
-            [np.arange(pos_starts[t], pos_starts[t + 1]), n_pos + sel]
-        )
-        order = np.argsort(flat)
-        flat, out_rows = flat[order], out_rows[order]
+        tile, flat = tiles[t], at[cuts[t] : cuts[t + 1]] - starts[t]
         # bands are an eighth of predict's, but at least as tall as their
         # padding: a memory rule, as predict-sized bands took eval-default's
         # sampling peak from 92 to 111 MB and its time did not change
@@ -582,11 +574,13 @@ def sample_training_pixels(
             if i < j:
                 values, base, offsets = feature_planes(tile, spec, y0, y1)
                 pixels = base[flat[i:j] - y0 * tile.width]
-                columns[:, out_rows[i:j]] = values[offsets[:, None] + pixels]
+                columns[:, cuts[t] + i : cuts[t] + j] = values[offsets[:, None] + pixels]
 
     for _ in map(sample, range(len(tiles))):
         pass
-    return TrainingSet(columns, labels, map=map)
+    for column in columns:  # one column's copy at a time, never the matrix's
+        column[order] = column.copy()
+    return TrainingSet(columns, np.arange(n_total) < n_pos, map=map)
 
 
 # ---------------------------------------------------------------------------

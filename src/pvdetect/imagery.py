@@ -244,8 +244,8 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def load_tile(path: str | Path, tile_id: str | None = None) -> ImageTile:
-    """Load a binary PPM (P6) tile.
+def load_tile(path: str | Path) -> ImageTile:
+    """Load a binary PPM (P6) tile whose id is the file's stem.
 
     The pixels are a read-only view of the file's bytes, not a copy.
     Raises RasterFormatError for malformed headers, ChannelCountError for
@@ -282,7 +282,7 @@ def load_tile(path: str | Path, tile_id: str | None = None) -> ImageTile:
     if found > expected:
         raise RasterFormatError(f"{path}: {found - expected} trailing bytes")
     pixels = np.frombuffer(data, np.uint8, count=expected, offset=pos).reshape(height, width, 3)
-    return ImageTile(pixels, tile_id if tile_id is not None else path.stem)
+    return ImageTile(pixels, path.stem)
 
 
 def encode_tile(tile: ImageTile) -> tuple[bytes, memoryview]:

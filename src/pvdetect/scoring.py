@@ -226,8 +226,8 @@ def write_pr_csv(curve: PRCurve, path) -> None:
     Prevalence rides along as a '#' comment line ahead of the header.
     """
     lines = [f"# prevalence={format(curve.prevalence, '.17g')}", "threshold,precision,recall"]
-    rows = zip(curve.thresholds.tolist(), curve.precision.tolist(), curve.recall.tolist())
-    lines += [f"{t:.17g},{p:.17g},{r:.17g}" for t, p, r in rows]
+    lines += map("{:.17g},{:.17g},{:.17g}".format, curve.thresholds.tolist(),
+                 curve.precision.tolist(), curve.recall.tolist())
     write_atomic(path, "\n".join(lines) + "\n")
 
 

@@ -79,10 +79,19 @@ def test_best_split_ten_samples():
 
 
 def test_best_split_pure_node_returns_none():
+    """A node whose rows share one label splits nowhere, on both counting
+    paths: the column has 200 distinct values, so 10 rows are sorted
+    (4 * 10 < 200) and 100 rows are binned.  A node without positives
+    gathers no positive keys, and one of positives only gathers them all."""
     X = np.arange(10, dtype=float).reshape(-1, 1)
     ts = rows_training_set(np.vstack([X, X]), np.array([True] * 10 + [False] * 10))
     pure = best_split(np.arange(10), [0], ts, min_leaf=1)
     assert pure is None  # first ten rows are all positive
+    X = np.arange(200, dtype=float).reshape(-1, 1)
+    ts = rows_training_set(X, np.arange(200) < 100)
+    for n in (10, 100):
+        assert best_split(np.arange(n), [0], ts, min_leaf=1) is None
+        assert best_split(np.arange(100, 100 + n), [0], ts, min_leaf=1) is None
 
 
 def test_best_split_min_leaf_blocks_all_candidates():
@@ -972,6 +981,42 @@ def _assert_same_training_set(got, want):
     assert got.codes.dtype == want.codes.dtype and np.array_equal(got.codes, want.codes)
     assert [t.tobytes() for t in got.values] == [t.tobytes() for t in want.values]
     assert np.array_equal(got.labels, want.labels)
+
+
+def test_sampling_bands_across_tiles_match_the_mask_sampler(monkeypatch):
+    """Rows sampled from three tiles of widths 20, 13 and 9, the second
+    without positives, equal the mask sampler's bit for bit, on the builtin
+    map and on two threads.  BAND_PIXELS 100 makes sampling bands of
+    2 * pad = 10 rows on the first two tiles and 12 rows on the third, so
+    each tile's rows are written from several bands."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    rng = np.random.default_rng(27)
+    spec = FeatureSpec()
+    shapes = [(24, 20), (30, 13), (22, 9)]
+    tiles = [ImageTile(rng.integers(0, 256, size=(h, w, 3), dtype=np.uint8), f"t{i}")
+             for i, (h, w) in enumerate(shapes)]
+    masks = [rng.random(shape) < 0.2 for shape in shapes]
+    masks[1][:] = False
+    positives = [np.flatnonzero(m) for m in masks]
+    n_total = sum(p.size for p in positives) + 600
+    want = mask_training_set(tiles, masks, spec, n_total, seed=7)
+    bands = []
+
+    def recorded_planes(tile, spec, y0, y1):
+        bands.append((tile.tile_id, y0, y1))
+        return feature_planes(tile, spec, y0, y1)
+
+    monkeypatch.setattr(forest_module, "BAND_PIXELS", 100)
+    monkeypatch.setattr(forest_module, "feature_planes", recorded_planes)
+    for pool in (map, thread_map(2)):
+        bands.clear()
+        got = sample_training_pixels(tiles, positives, spec, n_total, seed=7, map=pool)
+        assert sorted(bands) == [
+            ("t0", 0, 10), ("t0", 10, 20), ("t0", 20, 24),
+            ("t1", 0, 10), ("t1", 10, 20), ("t1", 20, 30),
+            ("t2", 0, 12), ("t2", 12, 22),
+        ]
+        _assert_same_training_set(got, want)
 
 
 @pytest.mark.parametrize("threads", [2, 3])
