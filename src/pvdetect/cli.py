@@ -182,18 +182,12 @@ def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     return manifest_path
 
 
-def _load_role(
-    manifest: imagery.DatasetManifest, role: str
-) -> tuple[list[imagery.ImageTile], list[list[imagery.PolygonAnnotation]]]:
+def _load_role(manifest: imagery.DatasetManifest, role: str):
+    """The role's (tile, annotations) pairs, each loaded as the caller iterates."""
     entries = manifest.subset(role)
     if not entries:
         raise DataError(f"manifest lists no {role!r} entries")
-    tiles, annotations = [], []
-    for entry in entries:
-        tile, anns = imagery.load_entry(entry)
-        tiles.append(tile)
-        annotations.append(anns)
-    return tiles, annotations
+    return map(imagery.load_entry, entries)
 
 
 def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
@@ -205,7 +199,7 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
     node count and depth.
     """
     manifest = imagery.load_manifest(manifest_path)
-    tiles, annotations = _load_role(manifest, "train")
+    tiles, annotations = zip(*_load_role(manifest, "train"))
     positives = [imagery.rasterize(a, t.width, t.height) for t, a in zip(tiles, annotations)]
     spec = config.feature_spec()
     training = forest.sample_training_pixels(
@@ -221,7 +215,8 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
         out_dir,
         "train",
         config,
-        [manifest_path, *(e.image_path for e in manifest.subset("train"))],
+        [manifest_path, *(p for e in manifest.subset("train")
+                          for p in (e.image_path, e.annotation_path))],
         [model_path],
         training_rows=training.labels.size,
         trees=[{"nodes": t.n_nodes, "depth": t.depth} for t in model.trees],
@@ -288,9 +283,17 @@ def cmd_score(
     if maps_dir is None and detections_path is None:
         raise ConfigError("nothing to score: give a maps directory or detections")
     manifest = imagery.load_manifest(manifest_path)
-    tiles, annotations = _load_role(manifest, role)
+    # score reads a tile only for its id and shape, so each tile is dropped
+    # before the next loads; annotations become flat pixel indices once
+    shapes, annotation_pixels = {}, {}
+    for tile, anns in _load_role(manifest, role):
+        shapes[tile.tile_id] = (tile.height, tile.width)
+        annotation_pixels[tile.tile_id] = [
+            imagery.polygon_pixels(ann, tile.width, tile.height) for ann in anns
+        ]
+        del tile, anns
     outputs = []
-    inputs = [manifest_path]
+    inputs = [manifest_path, *(e.annotation_path for e in manifest.subset(role))]
 
     def emit(curve: scoring.PRCurve, path: Path, title: str) -> None:
         scoring.write_pr_csv(curve, path)
@@ -300,36 +303,26 @@ def cmd_score(
             scoring.write_pr_svg(curve, svg_path, title)
             outputs.append(svg_path)
 
-    # each annotation's flat pixel indices, computed once for both curves
-    annotation_pixels = [
-        [imagery.polygon_pixels(ann, tile.width, tile.height) for ann in anns]
-        for tile, anns in zip(tiles, annotations)
-    ]
-
     if maps_dir is not None:
         maps_dir = Path(maps_dir)
         conf_maps, positives = [], []
-        for tile, pixels in zip(tiles, annotation_pixels):
-            cmap_path = maps_dir / f"{tile.tile_id}.cmap"
+        for tile_id, shape in shapes.items():
+            cmap_path = maps_dir / f"{tile_id}.cmap"
             inputs.append(cmap_path)
             conf = detection.load_confidence_map(cmap_path)
-            if conf.shape != (tile.height, tile.width):
+            if conf.shape != shape:
                 raise DataError(f"{cmap_path}: map {conf.shape} does not match its tile")
             conf_maps.append(conf)
-            positives.append(imagery.pixel_union(pixels))
+            positives.append(imagery.pixel_union(annotation_pixels[tile_id]))
         curve = scoring.pixel_pr(conf_maps, positives)
         emit(curve, out_dir / "pr_pixel.csv", "pixel-level PR")
 
     if detections_path is not None:
         detections_path = Path(detections_path)
         inputs.append(detections_path)
-        detections_by_tile = read_detections_csv(
-            detections_path, {t.tile_id: (t.height, t.width) for t in tiles}
-        )
+        detections_by_tile = read_detections_csv(detections_path, shapes)
         curves = scoring.multi_tile_object_pr(
-            detections_by_tile,
-            {tile.tile_id: pixels for tile, pixels in zip(tiles, annotation_pixels)},
-            config.jaccard_levels,
+            detections_by_tile, annotation_pixels, config.jaccard_levels
         )
         for level, curve in zip(config.jaccard_levels, curves):
             emit(

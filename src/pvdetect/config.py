@@ -14,7 +14,7 @@ from dataclasses import dataclass, fields, replace
 from .detection import PPParams
 from .errors import ConfigError
 from .features import FeatureSpec
-from .forest import RFParams
+from .forest import RFParams, check_forest_size
 from .imagery import read_text
 from .synth import SceneParams
 
@@ -72,6 +72,7 @@ class RunConfig:
         self.rf_params()
         self.pp_params()
         self.scene_params(0)
+        check_forest_size(self.trees, self.train_pixels, self.min_leaf)
 
     def feature_spec(self) -> FeatureSpec:
         return FeatureSpec(self.window_side, self.ring_radii)

@@ -79,6 +79,19 @@ class RFParams:
         return m
 
 
+def check_forest_size(n_trees: int, n_rows: int, min_leaf: int) -> None:
+    """The one bound on forest size: ConfigError when n_trees * (2 floor(n_rows
+    / min_leaf) + 1024) passes 2**27.  A tree has at most 2 floor(n_rows /
+    min_leaf) - 1 nodes, each leaf holding at least min_leaf of its n_rows
+    bootstrap rows, and costs about 7 KB whatever its size (a task, a future,
+    its arrays), counted as 1024: no forest of over 131,072 trees passes."""
+    if n_trees * (2 * (n_rows // min_leaf) + 1024) > 2**27:
+        raise ConfigError(
+            f"trees: {n_trees} trees on {n_rows} rows at min_leaf {min_leaf} count past "
+            "2**27 slots, at 2 floor(train_pixels / min_leaf) + 1024 per tree"
+        )
+
+
 class TrainingSet:
     """Training rows as per-column rank codes, plus labels (True = PV pixel).
 

@@ -13,6 +13,7 @@ the sorted flat indices y * width + x of their tile (see flat_pixels).
 from __future__ import annotations
 
 import os
+from collections import Counter
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -445,9 +446,9 @@ class DatasetManifest:
     entries: tuple[ManifestEntry, ...] = field(default_factory=tuple)
 
     def __post_init__(self):
-        ids = [e.tile_id for e in self.entries]
-        if len(set(ids)) != len(ids):
-            dup = sorted({i for i in ids if ids.count(i) > 1})
+        counts = Counter(e.tile_id for e in self.entries)
+        if len(counts) != len(self.entries):
+            dup = sorted(i for i, n in counts.items() if n > 1)
             raise DataError(f"duplicate tile ids in manifest: {dup}")
 
     def subset(self, role: str) -> tuple[ManifestEntry, ...]:

@@ -2,6 +2,7 @@ import hashlib
 import json
 import os
 import threading
+import weakref
 from concurrent import futures
 from pathlib import Path
 from unittest import mock
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from pvdetect import cli, detection, forest
+from pvdetect import cli, detection, forest, imagery
 from pvdetect.cli import (
     cmd_detect,
     cmd_eval,
@@ -272,6 +273,81 @@ def test_main_detect_rejects_a_tile_id_the_detections_csv_cannot_hold(tmp_path, 
     with pytest.raises(InputError, match="comma or a line break"):
         write_detections_csv({stem: []}, tmp_path / "detections.csv")
     write_detections_csv({"a b;c": []}, tmp_path / "detections.csv")  # other text is fine
+
+
+def test_cmd_score_drops_each_tile_before_the_next_loads(tmp_path, monkeypatch):
+    # score reads a tile only for its id and shape, so no tile's pixels are
+    # held while the next tile loads or while any map is scored
+    config = tiny_config()
+    manifest_path = cmd_synth(config, tmp_path)
+    entries = load_manifest(manifest_path).subset("train")
+    assert len(entries) >= 2
+    rng = np.random.default_rng(5)
+    maps = [tmp_path / "maps" / f"{e.tile_id}.cmap" for e in entries]
+    for path in maps:
+        detection.save_confidence_map(rng.random((96, 96), dtype=np.float32), path)
+    _, detections_path = cmd_detect(config, maps, tmp_path)
+
+    load_entry, load_map = imagery.load_entry, detection.load_confidence_map
+    loaded = []
+
+    def watched_load_entry(entry):
+        assert all(ref() is None for ref in loaded), "a tile outlived its turn"
+        tile, annotations = load_entry(entry)
+        loaded.append(weakref.ref(tile))
+        return tile, annotations
+
+    def watched_load_map(path):
+        assert len(loaded) == len(entries)
+        assert all(ref() is None for ref in loaded), "a tile is held while maps load"
+        return load_map(path)
+
+    monkeypatch.setattr(imagery, "load_entry", watched_load_entry)
+    monkeypatch.setattr(detection, "load_confidence_map", watched_load_map)
+    outputs = cmd_score(config, manifest_path, tmp_path / "scores", tmp_path / "maps",
+                        detections_path, role="train")
+    assert len(loaded) == len(entries) and len(outputs) == 5
+
+
+def test_score_without_role_entries_loads_no_tile(tmp_path, capsys, monkeypatch):
+    config_path = tmp_path / "run.cfg"
+    config_path.write_text(tiny_config_text(scenes=2))  # both scenes train
+    assert main(["synth", "--config", str(config_path), "--out", str(tmp_path)]) == 0
+    manifest_path = tmp_path / "scenes" / "manifest.txt"
+
+    def no_load(entry):
+        raise AssertionError(f"loaded {entry.image_path}")
+
+    monkeypatch.setattr(imagery, "load_entry", no_load)
+    with pytest.raises(DataError, match="manifest lists no 'test' entries"):
+        cmd_score(tiny_config(), manifest_path, tmp_path / "scores", tmp_path / "maps")
+    capsys.readouterr()
+    code = main(["score", "--config", str(config_path), "--manifest", str(manifest_path),
+                 "--maps", str(tmp_path / "maps"), "--out", str(tmp_path / "scores")])
+    assert code == 4
+    assert "data error: manifest lists no 'test' entries" in capsys.readouterr().err
+
+
+def test_stage_manifests_digest_the_annotation_csvs(tmp_path):
+    # every label comes from an annotation CSV, so train and score record
+    # each one's digest beside the tiles and maps
+    config = tiny_config()
+    manifest_path = cmd_synth(config, tmp_path)
+    manifest = load_manifest(manifest_path)
+    edited = manifest.subset("train")[0].annotation_path
+    edited.write_text(edited.read_text() + "# edited\n")
+    digest = hashlib.sha256(edited.read_bytes()).hexdigest()
+    cmd_train(config, manifest_path, tmp_path)
+    inputs = json.loads((tmp_path / "train_manifest.json").read_text())["inputs"]
+    assert inputs[str(edited)] == digest
+    assert {str(e.annotation_path) for e in manifest.subset("train")} <= inputs.keys()
+
+    test_csv = manifest.subset("test")[0].annotation_path
+    maps = cmd_predict(config, tmp_path / "model.pvforest",
+                       [e.image_path for e in manifest.subset("test")], tmp_path)
+    cmd_score(config, manifest_path, tmp_path / "scores", maps[0].parent)
+    record = json.loads((tmp_path / "scores" / "score_manifest.json").read_text())
+    assert record["inputs"][str(test_csv)] == hashlib.sha256(test_csv.read_bytes()).hexdigest()
 
 
 def test_cmd_eval_end_to_end(tmp_path):
@@ -570,6 +646,36 @@ def test_oversize_feature_geometry_exits_2_before_padding(tmp_path):
                      "--out", out, str(tile)])
     _run_under_limit(_OVERSIZE_FEATURES.format(runs=runs), ONE_GIB)
     assert not list(tmp_path.glob("*/model.pvforest")) + list(tmp_path.glob("*/maps"))
+
+
+_OVERSIZE_FOREST = """
+import contextlib, io
+from pvdetect import cli
+
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main({argv!r})
+assert code == 2, (code, err.getvalue())
+assert "pvdetect: config error: trees: 100000000 trees" in err.getvalue(), err.getvalue()
+"""
+
+
+def test_forest_past_the_size_bound_exits_2_before_any_work(tmp_path):
+    """trees = 100000000 on 500 rows is a config error before synth starts.
+
+    Eval in a child that may map 1 GiB ran out of it building one fork_map
+    task per tree, a MemoryError traceback and exit 1, after synth had
+    written its scenes.
+    """
+    from test_detection import ONE_GIB, _run_under_limit
+
+    config = tmp_path / "trees.cfg"
+    config.write_text(tiny_config_text(
+        scene_width=64, scene_height=64, train_pixels=500, trees=100_000_000))
+    out = tmp_path / "out"
+    argv = ["eval", "--threads", "2", "--config", str(config), "--out", str(out)]
+    _run_under_limit(_OVERSIZE_FOREST.format(argv=argv), ONE_GIB)
+    assert not out.exists()
 
 
 def test_main_eval_exit_zero(tmp_path, capsys):

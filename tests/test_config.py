@@ -78,6 +78,20 @@ def test_invariants_enforced():
         parse_config("nms_side = 8\n")
 
 
+def test_forest_size_bound_counts_worst_case_nodes_and_a_cost_per_tree():
+    # trees * (2 floor(train_pixels / min_leaf) + 1024) may reach 2**27 exactly
+    for trees, train_pixels, min_leaf in [
+        (1656, 200_000, 5),  # the default rows: 1656 * 81,024 slots
+        (4096, 15_872, 1),  # 4096 * 32,768
+        (131_072, 4, 5),  # trees too small to split still count 1024 each
+    ]:
+        RunConfig(trees=trees, train_pixels=train_pixels, min_leaf=min_leaf)
+        with pytest.raises(ConfigError, match=f"^trees: {trees + 1} trees on {train_pixels} "):
+            RunConfig(trees=trees + 1, train_pixels=train_pixels, min_leaf=min_leaf)
+    with pytest.raises(ConfigError, match="2 floor\\(train_pixels / min_leaf\\) \\+ 1024"):
+        RunConfig(trees=100_000_000, train_pixels=500)
+
+
 def test_window_sides_share_one_rule_and_message():
     for side in (4, 1, 0, -3):
         for name, make in (

@@ -1,6 +1,8 @@
 import os
 import stat
+import time
 
+from pathlib import Path
 from unittest import mock
 
 import numpy as np
@@ -18,6 +20,7 @@ from pvdetect.errors import (
     TruncatedRasterError,
 )
 from pvdetect.imagery import (
+    DatasetManifest,
     ImageTile,
     ManifestEntry,
     PolygonAnnotation,
@@ -508,6 +511,17 @@ def test_manifest_duplicate_tile_ids(tmp_path):
     path.write_text("train,t0.ppm,t0.csv\ntest,t0.ppm,t0.csv\n")
     with pytest.raises(DataError):
         load_manifest(path)
+
+
+def test_manifest_duplicate_tile_id_found_in_linear_time():
+    # counting each id with list.count took 4.6 s at 20,001 entries
+    entries = [ManifestEntry("train", Path(f"t{i}.ppm"), Path(f"t{i}.csv"))
+               for i in range(200_000)]
+    entries.append(ManifestEntry("test", Path("x/t7.ppm"), Path("x/t7.csv")))
+    t0 = time.perf_counter()
+    with pytest.raises(DataError, match=r"duplicate tile ids in manifest: \['t7'\]"):
+        DatasetManifest(tuple(entries))
+    assert time.perf_counter() - t0 < 1.0
 
 
 def test_manifest_bad_role_and_fields(tmp_path):
