@@ -8,12 +8,12 @@ window, which is emitted once).
 
 Window coordinates are clamped (edge-replicated) into the tile.  A band of
 rows is edge-padded and box-filtered, one channel at a time through one
-reused integral table, into six planes: the three channel means and the
-three variances (clamped at zero) of the window at each padded position.
-A feature is then one flat offset into the planes (its statistic and window
+reused integral table, into two planes per channel: its mean and its
+variance (clamped at zero) of the window at each padded position.  A
+feature is then one flat offset into the planes (its statistic and window
 displacement) added to a pixel's base index (its row and column).  Sums are
 exact 64-bit integers and only the final division is floating point, so any
-banding gives the same bits.
+banding, and any choice of channels, gives the same bits.
 """
 
 from __future__ import annotations
@@ -95,16 +95,18 @@ def integral_tables(values: np.ndarray, out: np.ndarray | None = None) -> np.nda
 
 
 def feature_planes(
-    tile: ImageTile, spec: FeatureSpec, row_start: int, row_stop: int
+    tile: ImageTile, spec: FeatureSpec, row_start: int, row_stop: int,
+    channels: tuple[int, ...] = (0, 1, 2),
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Planes of rows [row_start, row_stop) as (values, base, offsets).
+    """Planes of rows [row_start, row_stop) of k channels as (values, base, offsets).
 
-    values is the flat float64 array of the six (Hp, Wp) planes (mR, mG,
-    mB, vR, vG, vB) over the edge-padded band: the mean and the population
-    variance, clamped at zero, of the window_side x window_side window whose
-    top-left cell is each padded position.  base holds one int64 index per
-    band pixel, row-major, and offsets one per feature, so feature f of
-    pixel p is values[base[p] + offsets[f]].
+    values is the flat float64 array of 2k (Hp, Wp) planes over the padded
+    band, the channels' means then variances (mR, mG, mB, vR, vG, vB for all
+    three): the mean and the population variance, clamped at zero, of the
+    window_side x window_side window whose top-left cell is each padded
+    position.  base holds one int64 index per band pixel, row-major, and
+    offsets 2k per window, window-major: statistic s of window w of pixel p
+    is values[base[p] + offsets[2kw + s]], feature 6w + s for all channels.
 
     The whole tile padded by spec.pad must pass imagery.check_canvas before
     anything is padded; it bounds every padded band, and the default pad of
@@ -116,9 +118,8 @@ def feature_planes(
     h, w = tile.height, tile.width
     check_canvas(h, w, pad, f"window_side {side} and ring_radii {spec.ring_radii}")
     rows = np.clip(np.arange(row_start - pad, row_stop + pad), 0, h - 1)
-    padded = np.pad(tile.pixels[rows], ((0, 0), (pad, pad), (0, 0)), mode="edge")
-    hp, wp = padded.shape[0] - side + 1, padded.shape[1] - side + 1
-    planes = np.empty((6, hp, wp))
+    hp, wp = rows.size - side + 1, w + 2 * pad - side + 1
+    planes = np.empty((2 * len(channels), hp, wp))
     table = np.empty((hp + side, wp + side), dtype=np.int64)
     lo, hi = slice(None, -side), slice(side, None)
 
@@ -127,13 +128,13 @@ def feature_planes(
         return t[hi, hi] - t[lo, hi] - t[hi, lo] + t[lo, lo]
 
     n = side * side
-    for c in range(3):
-        channel = padded[:, :, c]
-        mean = np.divide(box(channel), n, out=planes[c])
-        var = np.divide(box(np.square(channel, dtype=np.int64)), n, out=planes[3 + c])
+    for i, c in enumerate(channels):
+        channel = np.pad(tile.pixels[rows, :, c], ((0, 0), (pad, pad)), mode="edge")
+        mean = np.divide(box(channel), n, out=planes[i])
+        var = np.divide(box(np.square(channel, dtype=np.int64)), n, out=planes[len(channels) + i])
         var -= mean * mean
         np.maximum(var, 0.0, out=var)
     base = (np.arange(row_stop - row_start)[:, None] * wp + np.arange(w)).ravel()
     corner = np.array(spec.window_offsets()) - side // 2 + pad  # (u, v) of pixel (0, 0)
-    offsets = (np.arange(6) * hp * wp + corner[:, 1:] * wp + corner[:, :1]).ravel()
+    offsets = (np.arange(len(planes)) * hp * wp + corner[:, 1:] * wp + corner[:, :1]).ravel()
     return planes.ravel(), base, offsets

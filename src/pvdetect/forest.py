@@ -95,57 +95,48 @@ def check_forest_size(n_trees: int, n_rows: int, min_leaf: int) -> None:
 class TrainingSet:
     """Training rows as per-column rank codes, plus labels (True = PV pixel).
 
-    Built by taking over an (M, N) float64 matrix, one column of N rows per
-    feature: each column is encoded once as ranks into its sorted distinct
-    values.  values[f] is column f's table of distinct values and codes[f]
-    its (N,) ranks, so values[f][codes[f]] is the column again, exactly.
-    codes is one C-contiguous (M, N) array, uint16 when no column has more
-    than 65,536 distinct values and int32 otherwise.  Split search and child
-    partitions work on the codes; only thresholds read the tables.
+    Each feature column of N rows is encoded once as ranks into its sorted
+    distinct values: values[f] is column f's table of distinct values and
+    codes[f] its (N,) ranks, so values[f][codes[f]] is the column again,
+    exactly.  codes is one C-contiguous (n_features, N) array, uint16 when no
+    column has more than 65,536 distinct values, else int32.  Split search
+    and child partitions work on the codes; only thresholds read the tables.
 
-    Columns are encoded through map, the builtin map or an ordered pool's
-    (cli.thread_map's).  The codes are written over the matrix in column
-    order as results arrive, and its memory then shrinks to theirs, so the
-    floats and the codes are never held at once.  The matrix must be
-    C-contiguous and own its memory, and is unusable afterwards.
+    The columns come in blocks, pairs (features, block) of a (k, N) float64
+    matrix whose row i is column features[i]; a whole matrix is one block,
+    and a column in no block is a KeyError.  The labels are checked before
+    the first block is drawn, and a block's rows are encoded through map, the
+    builtin map or an ordered pool's (cli.thread_map's), before the next is
+    drawn, so one buffer may be refilled for every block.
     """
 
-    def __init__(self, columns: np.ndarray, labels: np.ndarray, map=map):
-        if not (
-            isinstance(columns, np.ndarray) and columns.ndim == 2 and columns.dtype == np.float64
-            and columns.flags.c_contiguous and columns.flags.owndata
-        ):
-            raise DataError("training features must be a 2-D float64 C-contiguous "
-                            "matrix that owns its memory")
-        M, N = columns.shape
+    def __init__(self, blocks, labels: np.ndarray, n_features: int, map=map):
         y = np.asarray(labels, dtype=bool)
-        if y.shape != (N,):
-            raise DataError(f"features {(N, M)} and labels {y.shape} are inconsistent")
         n_pos = int(y.sum())
-        if n_pos == 0 or n_pos == N:
+        if n_pos == 0 or n_pos == y.size:
             raise DataError("training set must contain both classes")
-        # column f's codes take bytes [2fN, 2fN + 2N): inside column f // 4,
-        # encoded before result f arrives
-        codes = columns.reshape(-1).view(np.uint16)[: M * N].reshape(M, N)
-        values = []
+        codes = np.empty((n_features, y.size), dtype=np.uint16)
+        values = {}
+        for features, block in blocks:
+            if not isinstance(block, np.ndarray) or block.ndim != 2 or block.dtype != np.float64:
+                raise DataError("training features must be 2-D float64 blocks")
+            if block.shape != (len(features), *y.shape):
+                raise DataError(f"block {block.shape} and labels {y.shape} are inconsistent")
 
-        def encode(f: int) -> tuple[np.ndarray, np.ndarray]:
-            table, inverse = np.unique(columns[f], return_inverse=True)
-            # sorted, so an infinity or NaN sits at one end of the table
-            if not (np.isfinite(table[0]) and np.isfinite(table[-1])):
-                raise DataError("training features must be finite")
-            return table, inverse
+            def encode(i: int) -> tuple[np.ndarray, np.ndarray]:
+                table, inverse = np.unique(block[i], return_inverse=True)
+                # sorted, so an infinity or NaN sits at one end of the table
+                if not (np.isfinite(table[0]) and np.isfinite(table[-1])):
+                    raise DataError("training features must be finite")
+                return table, inverse
 
-        for f, (table, inverse) in enumerate(map(encode, range(M))):
-            if table.size > 1 << 16 and codes.dtype == np.uint16:
-                codes = codes.astype(np.int32)
-            codes[f] = inverse
-            values.append(table)
-        if codes.dtype == np.uint16:
-            columns.resize(-(-M * N // 4), refcheck=False)
-            codes = columns.view(np.uint16)[: M * N].reshape(M, N)
+            for i, (table, inverse) in enumerate(map(encode, range(len(features)))):
+                if table.size > 1 << 16 and codes.dtype == np.uint16:
+                    codes = codes.astype(np.int32)
+                codes[features[i]] = inverse
+                values[features[i]] = table
         self.codes = codes
-        self.values = tuple(values)
+        self.values = tuple(values[f] for f in range(n_features))
         self.labels = y
 
 
@@ -401,9 +392,10 @@ def train(
     Tree t derives its seed as counter_u64(params.seed, t); its bootstrap
     indices and per-node feature subsets come from counters under that
     seed, so trees may be grown in any order or in parallel with identical
-    results.  Trees are grown through map(grow, range(n_trees)), which must
-    return them in order; a map over forked processes (cli.fork_map) hands
-    them the grow closure and the training set through fork, unpickled.
+    results.  Once the forest passes check_forest_size, trees are grown
+    through map(grow, range(n_trees)), which must return them in order; a
+    map over forked processes (cli.fork_map) hands them the grow closure
+    and the training set through fork, unpickled.
     """
     M, N = training_set.codes.shape
     m = params.resolve_m(M)
@@ -411,10 +403,12 @@ def train(
         raise ConfigError(
             f"training set of {N} rows cannot satisfy min_leaf={params.min_leaf}"
         )
+    check_forest_size(params.n_trees, N, params.min_leaf)
 
     def grow(t: int) -> DecisionTree:
         tree_seed = counter_u64(params.seed, t)
-        bootstrap = Stream(counter_u64(tree_seed, 0)).integers(N, N)
+        # sorted once: grow_tree's partitions keep every node's rows sorted
+        bootstrap = np.sort(Stream(counter_u64(tree_seed, 0)).integers(N, N))
         node_seed = counter_u64(tree_seed, 1)
 
         def sampler(node_id: int) -> np.ndarray:
@@ -443,7 +437,7 @@ def _mean_leaf_prob(
     table, n_trees = forest.leaf_table, forest.n_trees
     ranks = np.empty((n_trees, base.size), dtype=np.min_scalar_type(table.size - 1))
     leaf_rank = np.empty(int(base.max(initial=-1)) + 1, dtype=ranks.dtype)  # at b
-    offsets = offsets.tolist()
+    planes = [values[o:] for o in offsets.tolist()]  # feature f at b is planes[f][b]
     for (feature, threshold, left, right, rank), out in zip(forest.routing, ranks):
         stack = [(0, base)]
         while stack:
@@ -453,7 +447,7 @@ def _mean_leaf_prob(
                 leaf_rank[at] = rank[node]
                 continue
             # not v > threshold, which would send NaN left
-            goes_left = values.take(at + offsets[f]) <= threshold[node]
+            goes_left = planes[f].take(at) <= threshold[node]
             for child, pixels in ((right[node], at[~goes_left]), (left[node], at[goes_left])):
                 if pixels.size:
                     stack.append((child, pixels))
@@ -547,10 +541,12 @@ def sample_training_pixels(
     drawn uniformly without replacement from the pooled non-PV pixels of all
     tiles, deterministically for a given seed.
 
-    Pixels are numbered once over all tiles, tile after tile.  The rows are
-    sorted by that number, so each tile's rows are one contiguous run that
-    its task of map fills band by band; one pass per column then puts the
-    rows back in training order, and map encodes the columns (TrainingSet).
+    Pixels are numbered once over all tiles, tile after tile, and the rows
+    sorted by that number, so each tile's rows are one contiguous run.  Rows
+    are sampled one colour channel at a time into one block of its M / 3
+    columns, never the (M, N) float matrix: each tile's task of map fills
+    its run band by band, one pass per column restores training order, and
+    map encodes the columns (TrainingSet) before the next channel refills it.
     """
     if len(tiles) != len(positives) or not tiles:
         raise ConfigError("need one positive-pixel array per tile")
@@ -573,9 +569,9 @@ def sample_training_pixels(
     order = np.argsort(at)  # row order[i] samples pixel at[i] once sorted
     at = at[order]
     cuts = np.searchsorted(at, starts)
-    columns = np.empty((spec.feature_count, n_total))
+    block = np.empty((spec.feature_count // 3, n_total))
 
-    def sample(t: int) -> None:
+    def sample(t: int, c: int) -> None:
         tile, flat = tiles[t], at[cuts[t] : cuts[t + 1]] - starts[t]
         # bands are an eighth of predict's, but at least as tall as their
         # padding: a memory rule, as predict-sized bands took eval-default's
@@ -585,15 +581,19 @@ def sample_training_pixels(
             y1 = min(y0 + rows, tile.height)
             i, j = np.searchsorted(flat, [y0 * tile.width, y1 * tile.width])
             if i < j:
-                values, base, offsets = feature_planes(tile, spec, y0, y1)
+                values, base, offsets = feature_planes(tile, spec, y0, y1, (c,))
                 pixels = base[flat[i:j] - y0 * tile.width]
-                columns[:, cuts[t] + i : cuts[t] + j] = values[offsets[:, None] + pixels]
+                block[:, cuts[t] + i : cuts[t] + j] = values[offsets[:, None] + pixels]
 
-    for _ in map(sample, range(len(tiles))):
-        pass
-    for column in columns:  # one column's copy at a time, never the matrix's
-        column[order] = column.copy()
-    return TrainingSet(columns, np.arange(n_total) < n_pos, map=map)
+    def channel_blocks():
+        for c in range(3):
+            list(map(sample, range(len(tiles)), [c] * len(tiles)))
+            for column in block:  # one column's copy at a time
+                column[order] = column.copy()
+            # channel c's mean and variance of window w are features 6w + c, 6w + 3 + c
+            yield (6 * np.arange(len(block) // 2)[:, None] + [c, 3 + c]).ravel(), block
+
+    return TrainingSet(channel_blocks(), np.arange(n_total) < n_pos, spec.feature_count, map)
 
 
 # ---------------------------------------------------------------------------

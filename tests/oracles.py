@@ -328,9 +328,10 @@ def argsort_best_split(sample_indices, feature_subset, X, y, min_leaf):
     return best
 
 
-def rows_training_set(X, y):
-    """TrainingSet of the rows of an (N, M) matrix, handed over as a copy."""
-    return TrainingSet(np.array(X, dtype=np.float64).T.copy(), y)
+def rows_training_set(X, y, map=map):
+    """TrainingSet of the rows of an (N, M) matrix, its columns one block."""
+    columns = np.asarray(X, dtype=np.float64).T
+    return TrainingSet([(range(columns.shape[0]), columns)], y, columns.shape[0], map)
 
 
 def decode_rows(training_set):

@@ -299,6 +299,27 @@ def test_tile_smaller_than_ring_support():
             assert np.array_equal(row[0, x], want)
 
 
+@pytest.mark.parametrize("spec", [FeatureSpec(), FeatureSpec(5, (1, 4))], ids=["default", "w5"])
+def test_channel_planes_give_the_channels_features(spec):
+    """Statistic s of window w from the planes of channels (c0, ..., ck-1)
+    is, bit for bit, feature 6w + c_s (a mean) or 6w + 3 + c_(s-k) (a
+    variance) of all three channels' planes, on any band."""
+    rng = np.random.default_rng(13)
+    tile = random_tile(rng, 17, 11)
+    windows = len(spec.window_offsets())
+    for y0, y1 in [(0, 17), (4, 9)]:
+        values, base, offsets = feature_planes(tile, spec, y0, y1)
+        full = values[base[:, None] + offsets]
+        for channels in [(0,), (1,), (2,), (2, 0)]:
+            k = len(channels)
+            v, b, o = feature_planes(tile, spec, y0, y1, channels)
+            assert v.size == 2 * k * values.size // 6 and o.size == 2 * k * windows
+            stats = [*channels, *(3 + c for c in channels)]
+            want = full[:, (6 * np.arange(windows)[:, None] + stats).ravel()]
+            assert np.array_equal(b, base)
+            assert v[b[:, None] + o].tobytes() == want.tobytes()
+
+
 def test_variances_nonnegative():
     rng = np.random.default_rng(10)
     spec = FeatureSpec()

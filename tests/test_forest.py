@@ -2,6 +2,7 @@ import os
 import signal
 import sys
 import threading
+import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
@@ -179,12 +180,9 @@ def test_best_split_int32_codes_match_oracle():
     N = 70_000  # column 1 has more distinct values than uint16 can rank
     X = np.column_stack([rng.integers(0, 50, N) / 7.0, rng.permutation(N) / 3.0])
     y = rng.uniform(size=N) < (X[:, 0] + X[:, 1] / N) / 9.0
-    # column 0's codes are written into the matrix before column 1 widens
-    # them, and the widened codes no longer live in the matrix
-    columns = X.T.copy()
-    ts = TrainingSet(columns, y)
+    # column 0's codes are uint16 until column 1 widens them
+    ts = rows_training_set(X, y)
     assert ts.codes.dtype == np.int32 and ts.values[1].size == N
-    assert not np.shares_memory(ts.codes, columns)
     assert_bitwise_equal(decode_rows(ts), X)
     for n in (N, 5000, 300, 30):
         idx = rng.integers(0, N, size=n)
@@ -378,6 +376,22 @@ def test_train_separable_2d_accuracy():
     assert (held_out == y[700:]).mean() >= 0.95
 
 
+def test_train_applies_the_forest_size_bound():
+    """A library caller's forest past check_forest_size's bound is a
+    ConfigError before any tree grows: its map is never called."""
+    calls = []
+
+    def spy(fn, *iterables):
+        calls.append(fn)
+        return map(fn, *iterables)
+
+    with pytest.raises(ConfigError, match="2\\*\\*27"):
+        train(ten_sample_set(), RFParams(n_trees=10**8), "rows", map=spy)
+    assert calls == []
+    assert train(ten_sample_set(), RFParams(n_trees=2, min_leaf=1), "rows", map=spy).n_trees == 2
+    assert len(calls) == 1
+
+
 def test_train_validates_inputs():
     ts = ten_sample_set()
     with pytest.raises(ConfigError):
@@ -402,11 +416,10 @@ def test_training_set_holds_one_column_major_copy():
     X = rng.uniform(0, 1, size=(7, 3))
     X[2, 1] = X[5, 1]  # a repeated value shares one rank
     y = np.array([True, False] * 3 + [True])
-    # the column-major matrix handed over is encoded into its own memory,
-    # which then shrinks to the 21 uint16 codes
+    # the codes are their own 21 uint16, and the matrix is left as it was
     columns = X.T.copy()
-    ts = TrainingSet(columns, y)
-    assert np.shares_memory(ts.codes, columns) and columns.nbytes == 8 * -(-21 // 4)
+    ts = TrainingSet([(range(3), columns)], y, 3)
+    assert not np.shares_memory(ts.codes, columns) and np.array_equal(columns, X.T)
     assert ts.codes.dtype == np.uint16
     assert ts.codes.shape == (3, 7) and ts.codes.flags.c_contiguous
     assert [t.size for t in ts.values] == [7, 6, 7]
@@ -421,19 +434,58 @@ _LABELS = np.array([True, False] * 3)
 @pytest.mark.parametrize(
     "columns",
     [
-        _ROWS.T,  # a transposed view
         np.arange(6.0),  # 1-D
         np.array(_ROWS.T, dtype=np.float32, order="C"),
-        np.array(_ROWS.T, order="F"),  # owns its memory, not C-contiguous
-        _ROWS.T.copy()[:, :],  # C-contiguous, not its own memory
         _ROWS.T.tolist(),
     ],
-    ids=["transposed", "1-D", "float32", "fortran", "view", "list"],
+    ids=["1-D", "float32", "list"],
 )
 def test_training_set_rejects_a_matrix_it_cannot_take_over(columns):
-    with pytest.raises(DataError, match="owns its memory"):
-        TrainingSet(columns, _LABELS)
-    assert TrainingSet(_ROWS.T.copy(), _LABELS).codes.shape == (2, 6)
+    with pytest.raises(DataError, match="2-D float64"):
+        TrainingSet([(range(2), columns)], _LABELS, 2)
+    assert TrainingSet([(range(2), _ROWS.T.copy())], _LABELS, 2).codes.shape == (2, 6)
+
+
+@pytest.mark.parametrize(
+    "columns",
+    [
+        _ROWS.T,  # a transposed view
+        np.array(_ROWS.T, order="F"),
+        _ROWS.T.copy()[:, :],  # C-contiguous, not its own memory
+    ],
+    ids=["transposed", "fortran", "view"],
+)
+def test_training_set_encodes_any_float64_layout(columns):
+    """The encoder reads a block's rows and writes its own codes, so any
+    layout of a 2-D float64 matrix gives the same set and is left as it was."""
+    before = np.array(columns)
+    got = TrainingSet([(range(2), columns)], _LABELS, 2)
+    want = TrainingSet([(range(2), _ROWS.T.copy())], _LABELS, 2)
+    _assert_same_training_set(got, want)
+    assert np.array_equal(columns, before)
+
+
+def test_training_set_takes_columns_in_blocks():
+    """Blocks of columns in any order give the set of the whole matrix; a
+    block must match the labels, and the blocks must give every column."""
+    rng = np.random.default_rng(42)
+    X = rng.integers(0, 9, size=(30, 5)).astype(np.float64)
+    y = np.arange(30) % 4 == 0
+    blocks = [([4, 1], X[:, [4, 1]].T), ([0, 3, 2], X[:, [0, 3, 2]].T)]
+    _assert_same_training_set(TrainingSet(blocks, y, 5), rows_training_set(X, y))
+    with pytest.raises(DataError, match="inconsistent"):
+        TrainingSet([([0], X[:29, :1].T)], y, 1)
+    with pytest.raises(KeyError):
+        TrainingSet(blocks[:1], y, 5)
+
+
+def test_training_set_checks_labels_before_drawing_a_block():
+    def blocks():
+        raise AssertionError("a block was drawn")
+        yield
+
+    with pytest.raises(DataError, match="both classes"):
+        TrainingSet(blocks(), np.ones(4, dtype=bool), 1)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -766,7 +818,9 @@ def test_plane_bands_match_whole_tile(monkeypatch, spec, workers, sample_rows):
     assert pooled.tobytes() == conf.tobytes()
     planes.clear()
     ts = sample_training_pixels([tile], [positives], spec, n_total, seed=4)
-    assert planes == [(0, sample_rows), (sample_rows, 2 * sample_rows), (2 * sample_rows, h)]
+    # one band's planes per colour channel
+    assert planes == [(y0, y1, (c,)) for c in range(3) for y0, y1 in
+                      [(0, sample_rows), (sample_rows, 2 * sample_rows), (2 * sample_rows, h)]]
     assert_bitwise_equal(decode_rows(ts), decode_rows(want))
     assert np.array_equal(ts.labels, want.labels)
 
@@ -963,6 +1017,33 @@ def test_sample_training_pixels_features_match_extraction(monkeypatch):
     assert len({tuple(r) for r in neg_rows}) == 50
 
 
+def test_sample_training_pixels_holds_one_channel_of_floats():
+    """Sampling 20,000 rows of 102 features allocates, at its peak, no more
+    than the set it returns (uint16 codes and tables of distinct values),
+    one channel's float64 block of 34 columns and a slack of 4 MiB.  The
+    slack holds one band's gathered rows with their int64 indices (on these
+    512-wide tiles a band is 32 rows, about 2,500 sampled rows or 1.3 MiB),
+    the sampler's int64 index arrays, one band's planes and the encoder's
+    temporaries.  On pixels of eight levels the tables are small, and the
+    bound is below the 15.6 MiB float64 matrix of all 102 columns, which the
+    sampler never builds."""
+    rng = np.random.default_rng(43)
+    spec = FeatureSpec()
+    tiles = [ImageTile(32 * rng.integers(0, 8, size=(128, 512, 3), dtype=np.uint8), f"t{i}")
+             for i in range(2)]
+    positives = [np.flatnonzero(rng.random(128 * 512) < 0.05) for _ in tiles]
+    M, N = spec.feature_count, 20_000
+    tracemalloc.start()
+    try:
+        ts = sample_training_pixels(tiles, positives, spec, N, seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert ts.codes.shape == (M, N) and ts.codes.dtype == np.uint16
+    kept = ts.codes.nbytes + sum(t.nbytes for t in ts.values)
+    assert peak < kept + (M // 3) * N * 8 + 4 * 2**20 < M * N * 8
+
+
 def test_sample_training_pixels_errors():
     spec = FeatureSpec()
     tile, pos = _scene_with_positives(4)
@@ -1002,20 +1083,21 @@ def test_sampling_bands_across_tiles_match_the_mask_sampler(monkeypatch):
     want = mask_training_set(tiles, masks, spec, n_total, seed=7)
     bands = []
 
-    def recorded_planes(tile, spec, y0, y1):
-        bands.append((tile.tile_id, y0, y1))
-        return feature_planes(tile, spec, y0, y1)
+    def recorded_planes(tile, spec, y0, y1, channels):
+        bands.append((tile.tile_id, y0, y1, channels))
+        return feature_planes(tile, spec, y0, y1, channels)
 
     monkeypatch.setattr(forest_module, "BAND_PIXELS", 100)
     monkeypatch.setattr(forest_module, "feature_planes", recorded_planes)
     for pool in (map, thread_map(2)):
         bands.clear()
         got = sample_training_pixels(tiles, positives, spec, n_total, seed=7, map=pool)
-        assert sorted(bands) == [
+        # each band's planes once per colour channel
+        assert sorted(bands) == sorted((tile, y0, y1, (c,)) for c in range(3) for tile, y0, y1 in [
             ("t0", 0, 10), ("t0", 10, 20), ("t0", 20, 24),
             ("t1", 0, 10), ("t1", 10, 20), ("t1", 20, 30),
             ("t2", 0, 12), ("t2", 12, 22),
-        ]
+        ])
         _assert_same_training_set(got, want)
 
 
@@ -1047,14 +1129,14 @@ def test_pooled_row_preparation_matches_serial(monkeypatch, threads):
     X = rng.integers(0, 50, size=(9, 70_000)).astype(np.float64)
     X[4] = rng.permutation(70_000) / 7.0
     labels = np.arange(70_000) % 5 == 0
-    serial = TrainingSet(X.copy(), labels)
-    pooled = TrainingSet(X.copy(), labels, map=pool)
+    serial = rows_training_set(X.T, labels)
+    pooled = rows_training_set(X.T, labels, map=pool)
     assert threading.active_count() == before
     assert serial.codes.dtype == np.int32 and serial.values[4].size == 70_000
     _assert_same_training_set(pooled, serial)
     X[6, 123] = np.nan
     with pytest.raises(DataError, match="finite"):
-        TrainingSet(X.copy(), labels, map=pool)
+        rows_training_set(X.T, labels, map=pool)
     assert threading.active_count() == before
 
 
