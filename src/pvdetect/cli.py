@@ -193,9 +193,9 @@ def _load_role(manifest: imagery.DatasetManifest, role: str):
 def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
     """Train the forest on the manifest's train tiles and save the model.
 
-    Rows are sampled per tile and channel and encoded per column on threads,
-    joined before trees grow in forked processes, each pool of at most
-    config.threads.  The manifest records the rows and each tree's nodes and depth.
+    Rows are sampled per channel on this thread and encoded per column on
+    threads, joined before trees grow in forked processes, each pool of at
+    most config.threads.  The manifest records the rows and each tree's nodes and depth.
     """
     manifest = imagery.load_manifest(manifest_path)
     tiles, annotations = zip(*_load_role(manifest, "train"))

@@ -237,19 +237,42 @@ def best_split(
     return best
 
 
+# dtypes of a node's record (feature, threshold, left, right, prob, count)
+_NODE_DTYPES = (np.int32, np.float64, np.int32, np.int32, np.float64, np.int64)
+_LEAF = (-1, 0.0, -1, -1)  # a leaf's feature, threshold, left and right
+
+
 @dataclass
 class DecisionTree:
-    """A CART tree in flat-array form; routing is value <= threshold -> left."""
+    """A CART tree in flat-array form; routing is value <= threshold -> left.
+
+    Node k is the record (feature[k], threshold[k], left[k], right[k],
+    prob[k], count[k]), and from_nodes builds a tree from its records.  A
+    grown tree counts the training rows that reached every node; a loaded
+    tree counts them at leaves only, with 0 at internal nodes, since the
+    model file keeps leaf counts alone.
+    """
 
     feature: np.ndarray  # int32, -1 at leaves
     threshold: np.ndarray  # float64, 0.0 at leaves
     left: np.ndarray  # int32, -1 at leaves
     right: np.ndarray  # int32, -1 at leaves
-    prob: np.ndarray  # float64, PV probability at leaves
-    count: np.ndarray  # int64, training samples that reached the node
+    prob: np.ndarray  # float64, PV probability at leaves, 0.0 elsewhere
+    count: np.ndarray  # int64, training rows that reached the node
 
     def __post_init__(self):
         self.validate()
+
+    @classmethod
+    def from_nodes(cls, nodes) -> DecisionTree:
+        """The tree of node records in node order; OverflowError when a value
+        is past its column's dtype."""
+        return cls(*(np.array(c, dtype=d) for c, d in zip(zip(*nodes), _NODE_DTYPES)))
+
+    @property
+    def columns(self) -> tuple[np.ndarray, ...]:
+        """The six columns in record order."""
+        return self.feature, self.threshold, self.left, self.right, self.prob, self.count
 
     @property
     def n_nodes(self) -> int:
@@ -267,8 +290,7 @@ class DecisionTree:
 
     def validate(self) -> None:
         n = self.n_nodes
-        arrays = (self.feature, self.threshold, self.left, self.right, self.prob, self.count)
-        if n < 1 or any(a.shape != (n,) for a in arrays):
+        if n < 1 or any(a.shape != (n,) for a in self.columns):
             raise ModelFormatError("tree arrays are empty or inconsistent")
         internal = self.feature >= 0
         children = np.concatenate([self.left[internal], self.right[internal]])
@@ -308,50 +330,27 @@ def grow_tree(
     y = training_set.labels
     min_leaf = params.min_leaf
 
-    feature, threshold = [], []
-    left, right = [], []
-    prob, count = [], []
-
-    def new_node() -> int:
-        feature.append(-1)
-        threshold.append(0.0)
-        left.append(-1)
-        right.append(-1)
-        prob.append(0.0)
-        count.append(0)
-        return len(feature) - 1
-
-    stack = [(new_node(), idx0)]
+    nodes = [None]  # a node's record is set when it is popped
+    stack = [(0, idx0)]
     while stack:
         node_id, idx = stack.pop()
-        labels = y[idx]
         n = idx.size
-        n_pos = int(labels.sum())
-        count[node_id] = n
+        n_pos = int(y[idx].sum())
         split = None
         if n >= 2 * min_leaf and 0 < n_pos < n:
             split = best_split(idx, feature_sampler(node_id), training_set, min_leaf)
         if split is None:
-            prob[node_id] = n_pos / n
+            nodes[node_id] = _LEAF + (n_pos / n, n)
             continue
         f, thr = split
-        feature[node_id] = f
-        threshold[node_id] = thr
+        left = len(nodes)
+        nodes[node_id] = (f, thr, left, left + 1, 0.0, n)
+        nodes += [None, None]
         # value <= thr, on ranks
         go_left = codes[f][idx] <= np.searchsorted(values[f], thr, side="right") - 1
-        left_id, right_id = new_node(), new_node()
-        left[node_id], right[node_id] = left_id, right_id
-        stack.append((right_id, idx[~go_left]))
-        stack.append((left_id, idx[go_left]))
-
-    return DecisionTree(
-        np.array(feature, dtype=np.int32),
-        np.array(threshold, dtype=np.float64),
-        np.array(left, dtype=np.int32),
-        np.array(right, dtype=np.int32),
-        np.array(prob, dtype=np.float64),
-        np.array(count, dtype=np.int64),
-    )
+        stack.append((left + 1, idx[~go_left]))
+        stack.append((left, idx[go_left]))
+    return DecisionTree.from_nodes(nodes)
 
 
 @dataclass
@@ -544,9 +543,10 @@ def sample_training_pixels(
     Pixels are numbered once over all tiles, tile after tile, and the rows
     sorted by that number, so each tile's rows are one contiguous run.  Rows
     are sampled one colour channel at a time into one block of its M / 3
-    columns, never the (M, N) float matrix: each tile's task of map fills
-    its run band by band, one pass per column restores training order, and
-    map encodes the columns (TrainingSet) before the next channel refills it.
+    columns, never the (M, N) float matrix: the calling thread fills each
+    tile's run band by band (a second thread did not speed sampling up),
+    one pass per column restores training order, and map encodes the columns
+    (TrainingSet) before the next channel refills it.
     """
     if len(tiles) != len(positives) or not tiles:
         raise ConfigError("need one positive-pixel array per tile")
@@ -571,23 +571,21 @@ def sample_training_pixels(
     cuts = np.searchsorted(at, starts)
     block = np.empty((spec.feature_count // 3, n_total))
 
-    def sample(t: int, c: int) -> None:
-        tile, flat = tiles[t], at[cuts[t] : cuts[t + 1]] - starts[t]
-        # bands are an eighth of predict's, but at least as tall as their
-        # padding: a memory rule, as predict-sized bands took eval-default's
-        # sampling peak from 92 to 111 MB and its time did not change
-        rows = max(2 * spec.pad, -(-BAND_PIXELS // tile.width))
-        for y0 in range(0, tile.height, rows):
-            y1 = min(y0 + rows, tile.height)
-            i, j = np.searchsorted(flat, [y0 * tile.width, y1 * tile.width])
-            if i < j:
-                values, base, offsets = feature_planes(tile, spec, y0, y1, (c,))
-                pixels = base[flat[i:j] - y0 * tile.width]
-                block[:, cuts[t] + i : cuts[t] + j] = values[offsets[:, None] + pixels]
-
     def channel_blocks():
         for c in range(3):
-            list(map(sample, range(len(tiles)), [c] * len(tiles)))
+            for t, tile in enumerate(tiles):
+                flat = at[cuts[t] : cuts[t + 1]] - starts[t]
+                # bands are an eighth of predict's, but at least as tall as
+                # their padding: a memory rule, as predict-sized bands took
+                # eval-default's peak from 79 to 83 MB
+                rows = max(2 * spec.pad, -(-BAND_PIXELS // tile.width))
+                for y0 in range(0, tile.height, rows):
+                    y1 = min(y0 + rows, tile.height)
+                    i, j = np.searchsorted(flat, [y0 * tile.width, y1 * tile.width])
+                    if i < j:
+                        values, base, offsets = feature_planes(tile, spec, y0, y1, (c,))
+                        pixels = base[flat[i:j] - y0 * tile.width]
+                        block[:, cuts[t] + i : cuts[t] + j] = values[offsets[:, None] + pixels]
             for column in block:  # one column's copy at a time
                 column[order] = column.copy()
             # channel c's mean and variance of window w are features 6w + c, 6w + 3 + c
@@ -601,10 +599,6 @@ def sample_training_pixels(
 # ---------------------------------------------------------------------------
 
 
-def _fmt(x: float) -> str:
-    return format(x, ".17g")
-
-
 def dump_model(forest: RandomForest) -> bytes:
     """Serialize a forest to its canonical byte representation."""
     lines = [
@@ -615,14 +609,8 @@ def dump_model(forest: RandomForest) -> bytes:
     ]
     for i, tree in enumerate(forest.trees):
         lines.append(f"TREE {i} {tree.n_nodes}")
-        for k in range(tree.n_nodes):
-            if tree.feature[k] >= 0:
-                lines.append(
-                    f"I {tree.feature[k]} {_fmt(tree.threshold[k])} "
-                    f"{tree.left[k]} {tree.right[k]}"
-                )
-            else:
-                lines.append(f"L {_fmt(tree.prob[k])} {tree.count[k]}")
+        lines.extend(f"I {f} {thr:.17g} {left} {right}" if f >= 0 else f"L {p:.17g} {c}"
+                     for f, thr, left, right, p, c in zip(*(a.tolist() for a in tree.columns)))
     body = "\n".join(lines) + "\n"
     digest = hashlib.sha256(body.encode("utf-8")).hexdigest()
     return (body + f"CHECKSUM {digest}\n").encode("utf-8")
@@ -633,32 +621,23 @@ def save_model(forest: RandomForest, path) -> None:
 
 
 def _parse_tree(lines: list[str], start: int, n_nodes: int) -> tuple[DecisionTree, int]:
-    feature = np.full(n_nodes, -1, dtype=np.int32)
-    threshold = np.zeros(n_nodes, dtype=np.float64)
-    left = np.full(n_nodes, -1, dtype=np.int32)
-    right = np.full(n_nodes, -1, dtype=np.int32)
-    prob = np.zeros(n_nodes, dtype=np.float64)
-    count = np.zeros(n_nodes, dtype=np.int64)
-    for k in range(n_nodes):
-        if start + k >= len(lines):
-            raise ModelFormatError("unexpected end of node records")
-        parts = lines[start + k].split()
-        try:
-            if parts[0] == "I" and len(parts) == 5:
-                feature[k] = int(parts[1])
-                threshold[k] = float(parts[2])
-                left[k] = int(parts[3])
-                right[k] = int(parts[4])
-                if feature[k] < 0:
-                    raise ValueError("negative feature index")
+    nodes = []
+    try:
+        for line in lines[start : start + n_nodes]:
+            parts = line.split()
+            if parts[0] == "I" and len(parts) == 5 and int(parts[1]) >= 0:
+                _, f, thr, left, right = parts
+                nodes.append((int(f), float(thr), int(left), int(right), 0.0, 0))
             elif parts[0] == "L" and len(parts) == 3:
-                prob[k] = float(parts[1])
-                count[k] = int(parts[2])
+                nodes.append(_LEAF + (float(parts[1]), int(parts[2])))
             else:
                 raise ValueError(f"bad node record {parts!r}")
-        except (ValueError, IndexError, OverflowError) as exc:
-            raise ModelFormatError(f"malformed node line {start + k + 1}: {exc}") from None
-    return DecisionTree(feature, threshold, left, right, prob, count), start + n_nodes
+    except (ValueError, IndexError) as exc:  # each record before it added a node
+        raise ModelFormatError(f"malformed node line {start + len(nodes) + 1}: {exc}") from None
+    try:
+        return DecisionTree.from_nodes(nodes), start + n_nodes
+    except OverflowError as exc:
+        raise ModelFormatError(f"tree at line {start}: node value out of range: {exc}") from None
 
 
 def loads_model(data: bytes) -> RandomForest:

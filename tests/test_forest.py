@@ -1101,9 +1101,30 @@ def test_sampling_bands_across_tiles_match_the_mask_sampler(monkeypatch):
         _assert_same_training_set(got, want)
 
 
+def test_sampling_fills_rows_on_the_calling_thread(monkeypatch):
+    """On a 2-thread map, every band's planes are still built on the calling
+    thread, channel by channel, tile by tile and band by band; only the
+    encoding runs on the pool."""
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    spec = FeatureSpec()
+    tiles, positives = zip(*[_scene_with_positives(s) for s in (1, 2)])
+    calls = []
+
+    def recorded_planes(tile, spec, y0, y1, channels):
+        calls.append((threading.get_ident(), channels, tile.tile_id, y0))
+        return feature_planes(tile, spec, y0, y1, channels)
+
+    monkeypatch.setattr(forest_module, "BAND_PIXELS", 16 * 64)
+    monkeypatch.setattr(forest_module, "feature_planes", recorded_planes)
+    sample_training_pixels(list(tiles), list(positives), spec,
+                           sum(p.size for p in positives) + 300, seed=0, map=thread_map(2))
+    assert calls == [(threading.get_ident(), (c,), tile.tile_id, y0)
+                     for c in range(3) for tile in tiles for y0 in range(0, 64, 16)]
+
+
 @pytest.mark.parametrize("threads", [2, 3])
 def test_pooled_row_preparation_matches_serial(monkeypatch, threads):
-    """Sampling per tile and encoding per column on threads give the serial
+    """Sampling and encoding through a thread pool's map give the serial
     training set, and every pool thread is joined before they return.
 
     A 3-thread pool runs on a host made to have three cores.  The encoded
@@ -1220,6 +1241,8 @@ def test_model_malformed_nodes():
         ("TREE 0 5", "TREE 0 five"),
         ("TREE 0 5", "TREE 0 1000000000000"),  # more nodes than lines
         ("I 0 5.3200000000000003 1 2", "I 99999999999 5.3200000000000003 1 2"),
+        ("I 0 5.3200000000000003 1 2", "I -1 5.3200000000000003 1 2"),
+        ("I 0 5.3200000000000003 1 2", "I 0 5.3200000000000003 1 2147483648"),  # past int32
         ("L 0 5", "L 0 99999999999999999999999"),
     ]:
         bad_body = body.replace(good, bad)
