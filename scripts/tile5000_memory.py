@@ -5,9 +5,9 @@ panels, 5000x5000 pixels.  The model is trained as perfbench's eval-default
 trains it: 10 scenes of 256x256 with 8 panels each, 50k rows, 10 trees.
 Tile and model are built once and cached in CACHE_DIR; later runs reuse
 them.  Building and writing the tile peaks at about 0.12 GB (the rendered
-scene; it is written where it lies), but detect on it peaks near 0.9 GB
-and predict takes seconds, so this script is kept out of the test suite
-and CI.
+scene; it is written where it lies), predict on it near 0.25 GB and
+detect, which post-processes in row slabs, near 0.27 GB; predict takes
+seconds, so this script is kept out of the test suite and CI.
 
 Each stage then runs as `pvdetect <stage>` in a fresh Python process that
 imports pvdetect from this checkout's src/.  The script prints each stage's

@@ -21,6 +21,7 @@ import argparse
 import hashlib
 import json
 import os
+import resource
 import sys
 import time
 from collections import deque
@@ -48,15 +49,31 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
+def _peak_rss_mb() -> float:
+    """The largest resident set so far, of this process or of any child it
+    has waited for (forked tree workers), in MB as the scripts and the
+    benchmark count them: ru_maxrss, in KiB on Linux, over 1024."""
+    kib = max(resource.getrusage(who).ru_maxrss
+              for who in (resource.RUSAGE_SELF, resource.RUSAGE_CHILDREN))
+    return round(kib / 1024, 1)
+
+
 def _stage_manifest(
     out_dir: Path,
     stage: str,
     config: RunConfig,
     inputs: list[Path],
     outputs: list[Path],
+    started: float,
     **counts,
 ) -> None:
+    """Write out_dir/<stage>_manifest.json.  Besides the config and digests it
+    records the stage's wall time since `started` (a perf_counter reading)
+    and _peak_rss_mb, both read here at the stage's end; no stage output
+    holds either."""
     record = {
+        "wall_s": round(time.perf_counter() - started, 3),
+        "peak_rss_mb": _peak_rss_mb(),
         "stage": stage,
         "seed": config.seed,
         "config": config.to_text(),
@@ -153,15 +170,11 @@ def fork_map(workers: int):
 # ---------------------------------------------------------------------------
 
 
-def _train_scenes(scenes: int) -> int:
-    """Train scenes of the 2:1 train/test split of `scenes` scenes."""
-    return (2 * scenes + 2) // 3
-
-
 def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     """Generate scenes plus annotations and a train/test manifest (2:1)."""
+    started = time.perf_counter()
     scene_dir = out_dir / "scenes"
-    n_train = _train_scenes(config.scenes)
+    n_train = config.train_scenes
     entries = []
     outputs = []
     bands = thread_map(config.threads)
@@ -178,7 +191,7 @@ def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     manifest_path = scene_dir / "manifest.txt"
     imagery.save_manifest(imagery.DatasetManifest(tuple(entries)), manifest_path)
     outputs.append(manifest_path)
-    _stage_manifest(out_dir, "synth", config, [], outputs)
+    _stage_manifest(out_dir, "synth", config, [], outputs, started)
     return manifest_path
 
 
@@ -197,6 +210,7 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
     threads, joined before trees grow in forked processes, each pool of at
     most config.threads.  The manifest records the rows and each tree's nodes and depth.
     """
+    started = time.perf_counter()
     manifest = imagery.load_manifest(manifest_path)
     tiles, annotations = zip(*_load_role(manifest, "train"))
     positives = [imagery.rasterize(a, t.width, t.height) for t, a in zip(tiles, annotations)]
@@ -217,6 +231,7 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
         [manifest_path, *(p for e in manifest.subset("train")
                           for p in (e.image_path, e.annotation_path))],
         [model_path],
+        started,
         training_rows=training.labels.size,
         trees=[{"nodes": t.n_nodes, "depth": t.depth} for t in model.trees],
     )
@@ -227,6 +242,7 @@ def cmd_predict(
     config: RunConfig, model_path: Path, tile_paths: list[Path], out_dir: Path
 ) -> list[Path]:
     """Write one confidence map per tile under out_dir/maps, one tile at a time."""
+    started = time.perf_counter()
     model = forest.load_model(model_path)
     spec = config.feature_spec()
     outputs = []
@@ -237,7 +253,7 @@ def cmd_predict(
         detection.save_confidence_map(conf, path)
         outputs.append(path)
     _stage_manifest(
-        out_dir, "predict", config, [model_path, *map(Path, tile_paths)], outputs
+        out_dir, "predict", config, [model_path, *map(Path, tile_paths)], outputs, started
     )
     return outputs
 
@@ -245,7 +261,12 @@ def cmd_predict(
 def cmd_detect(
     config: RunConfig, cmap_paths: list[Path], out_dir: Path
 ) -> tuple[list[Path], Path]:
-    """Post-process confidence maps and extract detected objects."""
+    """Post-process confidence maps and extract detected objects.
+
+    The manifest records, per tile, its object count and postprocess's slab
+    count and slab rows (detection.slab_plan).
+    """
+    started = time.perf_counter()
     params = config.pp_params()
     cmap_paths = list(map(Path, cmap_paths))
     if len({src.stem for src in cmap_paths}) < len(cmap_paths):
@@ -254,18 +275,22 @@ def cmd_detect(
         detection.check_tile_id(src.stem)
     outputs = [out_dir / "enhanced" / f"{src.stem}.cmap" for src in cmap_paths]
 
-    def run(src: Path, path: Path) -> list[detection.DetectionObject]:
+    def run(src: Path, path: Path):
         # one task per tile, so at most `threads` maps are held at once
         enhanced = detection.postprocess(detection.load_confidence_map(src), params)
         detection.save_confidence_map(enhanced, path)
-        return detection.extract_objects(enhanced)
+        return detection.extract_objects(enhanced), detection.slab_plan(enhanced.shape, params)
 
-    objects = list(thread_map(config.threads)(run, cmap_paths, outputs))
-    objects_by_tile = {src.stem: objs for src, objs in zip(cmap_paths, objects)}
+    objects_by_tile, tiles = {}, {}
+    for src, (objects, (slabs, rows)) in zip(
+        cmap_paths, thread_map(config.threads)(run, cmap_paths, outputs)
+    ):
+        objects_by_tile[src.stem] = objects
+        tiles[src.stem] = {"objects": len(objects), "slabs": slabs, "slab_rows": rows}
     detections_path = out_dir / "detections.csv"
     write_detections_csv(objects_by_tile, detections_path)
     outputs.append(detections_path)
-    _stage_manifest(out_dir, "detect", config, cmap_paths, outputs)
+    _stage_manifest(out_dir, "detect", config, cmap_paths, outputs, started, tiles=tiles)
     return outputs[:-1], detections_path
 
 
@@ -279,6 +304,7 @@ def cmd_score(
     svg: bool = False,
 ) -> list[Path]:
     """Score confidence maps (pixel PR) and/or detections (object PR)."""
+    started = time.perf_counter()
     if maps_dir is None and detections_path is None:
         raise ConfigError("nothing to score: give a maps directory or detections")
     manifest = imagery.load_manifest(manifest_path)
@@ -330,13 +356,13 @@ def cmd_score(
                 f"object-level PR, J*={level:g}",
             )
 
-    _stage_manifest(out_dir, "score", config, inputs, outputs)
+    _stage_manifest(out_dir, "score", config, inputs, outputs, started)
     return outputs
 
 
 def cmd_eval(config: RunConfig, out_dir: Path) -> Path:
     """Full pipeline: synth, train, predict, detect, score, report."""
-    if _train_scenes(config.scenes) == config.scenes:
+    if config.train_scenes == config.scenes:
         raise ConfigError(f"scenes = {config.scenes} leaves the 2:1 split no test scene")
     timings = {}
     started = time.perf_counter()

@@ -18,10 +18,21 @@ from .forest import RFParams, check_forest_size
 from .imagery import read_text
 from .synth import SceneParams
 
+# cmd_train holds every train scene at once, so no config may ask it to hold
+# more than this many pixels: ten 5000 x 5000 tiles, 0.75 GiB of RGB
+TRAIN_SCENE_PIXELS = 2**28
+
 
 @dataclass(frozen=True)
 class RunConfig:
-    """All pipeline parameters plus dataset/synthesis settings."""
+    """All pipeline parameters plus dataset/synthesis settings.
+
+    Besides the parameter classes' own checks, one bound covers the scene
+    count: train_scenes x scene_width x scene_height, the pixels cmd_train
+    holds at once, may not pass TRAIN_SCENE_PIXELS (2**28).  It is checked
+    here, before any stage starts, so `scenes = 100000000` is a ConfigError
+    and not a run that writes scenes until memory or disk runs out.
+    """
 
     seed: int = 0
     threads: int = 1
@@ -73,6 +84,17 @@ class RunConfig:
         self.pp_params()
         self.scene_params(0)
         check_forest_size(self.trees, self.train_pixels, self.min_leaf)
+        held = self.train_scenes * self.scene_width * self.scene_height
+        if held > TRAIN_SCENE_PIXELS:
+            raise ConfigError(
+                f"scenes: {self.train_scenes} train scenes of {self.scene_width}x"
+                f"{self.scene_height} hold {held} pixels, past 2**28"
+            )
+
+    @property
+    def train_scenes(self) -> int:
+        """Train scenes of the 2:1 train/test split of `scenes` scenes."""
+        return (2 * self.scenes + 2) // 3
 
     def feature_spec(self) -> FeatureSpec:
         return FeatureSpec(self.window_side, self.ring_radii)

@@ -34,6 +34,23 @@ is three disk filters: of the map padded by r_1, nonzero on the dilated
 support and holding the values closing adds; of its zeros, the erosion;
 and of the closed map, zero where no closed pixel lies within r_2.
 
+postprocess runs steps 1-4 on row slabs, not on the whole map: for each
+slab of rows [a, b) it runs them on rows [a - H, b + H) of the map (cut at
+its edges) and keeps rows [a, b), so its scratch is a few times a slab's
+size, not the map's.  Every step is local in rows.  Take nms and otsu the
+map's clamped half-sides and r_2 its clamped dilation radius, and count
+rows from a cut.  A map maximum is a slab maximum (the slab's window is
+part of the map's); a slab maximum that is not one lies within nms rows of
+the cut, and its region reaches otsu rows further.  A seed whose crop the
+cut shortens lies within otsu rows of it, and a seed beyond it reaches
+otsu rows past it; either changes rows within 2 otsu.  So step 3 gives the
+map's rows from T = max(2 otsu, nms + otsu) rows on.  Closing reads those
+within 2 r_1 rows (a dilation, then an erosion) and dilation reads the
+closed rows within r_2, so H = T + 2 r_1 + r_2 (30 at the defaults).  No
+term is loose: for each, some map changes with H - 1 rows.  A slab clamps
+its windows and disk to its own extent, which changes no byte: a clamped
+window or disk still covers the whole slab from every pixel.
+
 One labeler serves step 3 and objects, over row runs, not pixels (He, Chao
 & Suzuki 2008): searchsorted pairs runs that touch across rows, and rounds
 of hooking roots under smaller roots, each followed by pointer jumping
@@ -71,6 +88,10 @@ from .imagery import check_canvas, check_odd_side, flat_pixels, read_input, read
 # (seeds x otsu_side**2, 45 seeds at the defaults), so its memory stays
 # flat at any seed count; larger batches ran no faster
 SEED_CELLS = 1 << 14
+
+# postprocess enhances a map in slabs of at least this many cells (and at
+# least 8 halos of rows), so its scratch follows a slab, not the map
+SLAB_CELLS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -437,12 +458,64 @@ def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
     clamp can shrink (closing is taken against the infinite plane), so a
     closing radius must pass imagery.check_canvas with a margin of 2 r_1
     before anything is allocated; any r_1 up to 8, the default 5 included,
-    passes on every map.  Map values must be finite and >= 0.
+    passes on every map.  Map values must be finite and >= 0.  The map is
+    enhanced in row slabs (see slab_plan), with the bytes of one whole pass.
     """
     conf = check_map(conf, low=0.0)
+    r1 = params.closing_radius
+    check_canvas(*conf.shape, 2 * r1, f"closing_radius {r1}")
+    rows = slab_plan(conf.shape, params)[1]
+    return _postprocess_slabs(conf, params, rows, halo(conf.shape, params))
+
+
+def halo(shape: tuple[int, int], params: PPParams) -> int:
+    """Rows above and below a slab that decide its enhanced rows, H:
+    max(2 otsu, nms + otsu) + 2 r_1 + r_2, with the map's clamped half-sides
+    nms and otsu and its clamped r_2 (30 at the defaults).  See the module
+    docstring for the derivation."""
+    h, w = shape
+    nms, otsu = _clamped_half(params.nms_side, h, w), _clamped_half(params.otsu_side, h, w)
+    r2 = _clamped_radius(params.dilation_radius, h, w)
+    return max(2 * otsu, nms + otsu) + 2 * params.closing_radius + r2
+
+
+def slab_plan(shape: tuple[int, int], params: PPParams) -> tuple[int, int]:
+    """(count, rows): postprocess's slabs of an h x w map, each `rows` rows
+    but the last.  A slab has at least max(8 H, ceil(SLAB_CELLS / w)) rows,
+    so halos add at most a quarter to the rows enhanced and a slab is never
+    a thin strip; a map shorter than two such slabs is one slab."""
+    h, w = shape
+    least = max(8 * halo(shape, params), -(-SLAB_CELLS // w))
+    count = max(1, h // least)
+    return count, -(-h // count)
+
+
+def _postprocess_slabs(
+    conf: np.ndarray, params: PPParams, rows: int, halo_rows: int
+) -> np.ndarray:
+    """_postprocess_whole on each slab [a - halo_rows, b + halo_rows) of the
+    map, keeping its rows [a, b); slabs of `rows` rows."""
+    h, w = conf.shape
+    if rows >= h:
+        return _postprocess_whole(conf, params)
+    out = np.empty((h, w), dtype=conf.dtype)
+    for a in range(0, h, rows):
+        b = min(a + rows, h)
+        lo, hi = max(a - halo_rows, 0), min(b + halo_rows, h)
+        out[a:b] = _postprocess_whole(conf[lo:hi], params)[a - lo : b - lo]
+    return out
+
+
+def _clamped_radius(radius: int, h: int, w: int) -> int:
+    """A disk radius clamped to an h x w map: from any pixel, a disk of
+    radius hypot(h - 1, w - 1) covers the map."""
+    return min(radius, math.ceil(math.hypot(h - 1, w - 1)))
+
+
+def _postprocess_whole(conf: np.ndarray, params: PPParams) -> np.ndarray:
+    """Steps 1-4 in one pass over a checked map."""
     h, w = conf.shape
     r1 = params.closing_radius
-    check_canvas(h, w, 2 * r1, f"closing_radius {r1}")
     seeds = filter_maxima(
         conf, nonmax_suppress(conf, params.nms_side), params.confidence_floor
     )
@@ -453,13 +526,12 @@ def postprocess(conf: np.ndarray, params: PPParams) -> np.ndarray:
         np.maximum.at(enhanced, *_grow_regions(conf, seeds[at : at + step], side))
     enhanced = enhanced.reshape(h, w)
 
-    # from any pixel, a disk of radius hypot(h - 1, w - 1) covers the map
-    r2 = min(params.dilation_radius, math.ceil(math.hypot(h - 1, w - 1)))
+    r2 = _clamped_radius(params.dilation_radius, h, w)
     near = _max_filter(np.pad(enhanced, r1), r1)
     closed = ~_max_filter(near == 0, r1)[r1 : r1 + h, r1 : r1 + w]
     near = near[r1 : r1 + h, r1 : r1 + w]
     after_close = np.where(closed & (enhanced == 0), near, enhanced)
-    del enhanced, near  # full-size maps: keep at most a few alive at once
+    del enhanced, near  # slab-sized arrays: keep at most a few alive at once
     return np.where(closed, after_close, _max_filter(after_close, r2))
 
 

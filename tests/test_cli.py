@@ -363,6 +363,27 @@ def test_cmd_eval_end_to_end(tmp_path):
     assert "timings_seconds" in report
 
 
+def test_stage_manifests_record_wall_peak_and_detect_slabs(tmp_path):
+    """Every stage manifest records its wall time and the peak RSS so far;
+    detect's records each tile's objects, slab count and slab rows."""
+    cmd_eval(tiny_config(), tmp_path)
+    for path in ["synth", "train", "predict", "detect", "scores/score"]:
+        record = json.loads((tmp_path / f"{path}_manifest.json").read_text())
+        assert record["wall_s"] >= 0.0 and record["peak_rss_mb"] > 0.0, path
+    # a second tile of 480 x 560 px is two slabs of 240 rows (H = 30 at the defaults)
+    conf = np.zeros((480, 560), np.float32)
+    conf[100:110, 200:212] = conf[400:405, 7:9] = 0.8
+    detection.save_confidence_map(conf, tmp_path / "wide.cmap")
+    maps = [tmp_path / "maps" / "scene_002.cmap", tmp_path / "wide.cmap"]
+    _, detections = cmd_detect(tiny_config(), maps, tmp_path / "again")
+    tiles = json.loads((tmp_path / "again" / "detect_manifest.json").read_text())["tiles"]
+    found = read_detections_csv(detections, {"scene_002": (96, 96), "wide": (480, 560)})
+    assert tiles == {
+        "scene_002": {"objects": len(found.get("scene_002", [])), "slabs": 1, "slab_rows": 96},
+        "wide": {"objects": 2, "slabs": 2, "slab_rows": 240},
+    }
+
+
 def test_cmd_eval_writes_every_file_by_rename(tmp_path, monkeypatch):
     """Each output arrives whole by os.replace, and no temp file stays behind."""
     replaced = []
@@ -675,6 +696,36 @@ def test_forest_past_the_size_bound_exits_2_before_any_work(tmp_path):
     out = tmp_path / "out"
     argv = ["eval", "--threads", "2", "--config", str(config), "--out", str(out)]
     _run_under_limit(_OVERSIZE_FOREST.format(argv=argv), ONE_GIB)
+    assert not out.exists()
+
+
+_OVERSIZE_SCENES = """
+import contextlib, io
+from pvdetect import cli
+
+err = io.StringIO()
+with contextlib.redirect_stderr(err):
+    code = cli.main({argv!r})
+assert code == 2, (code, err.getvalue())
+assert "pvdetect: config error: scenes: 66666667 train scenes of 64x64" in err.getvalue(), \\
+    err.getvalue()
+"""
+
+
+def test_scenes_past_the_pixel_bound_exit_2_before_any_work(tmp_path):
+    """scenes = 100000000 of 64 x 64 px is a config error before synth starts.
+
+    Its 66,666,667 train scenes hold 2.7e11 pixels, past 2**28; eval used to
+    write scenes without end.  The run goes in a child that may map 1 GiB, so
+    a MemoryError would come first if anything were allocated.
+    """
+    from test_detection import ONE_GIB, _run_under_limit
+
+    config = tmp_path / "scenes.cfg"
+    config.write_text(tiny_config_text(scenes=100_000_000, scene_width=64, scene_height=64))
+    out = tmp_path / "out"
+    argv = ["eval", "--config", str(config), "--out", str(out)]
+    _run_under_limit(_OVERSIZE_SCENES.format(argv=argv), ONE_GIB)
     assert not out.exists()
 
 

@@ -92,6 +92,18 @@ def test_forest_size_bound_counts_worst_case_nodes_and_a_cost_per_tree():
         RunConfig(trees=100_000_000, train_pixels=500)
 
 
+def test_scene_pixel_bound_counts_the_train_scenes_held_at_once():
+    """train_scenes x scene_width x scene_height may reach 2**28, not pass it."""
+    side = 2**14
+    assert RunConfig(scenes=1, scene_width=side, scene_height=side).train_scenes == 1
+    with pytest.raises(ConfigError, match="^scenes: 2 train scenes of 16384x16384 hold"):
+        RunConfig(scenes=2, scene_width=side, scene_height=side)
+    # 2**28 / (512 x 512) = 1024 train scenes, the 2:1 split of 1535 or 1536
+    assert RunConfig(scenes=1536).train_scenes == 1024
+    with pytest.raises(ConfigError, match="past 2\\*\\*28"):
+        RunConfig(scenes=1537)
+
+
 def test_window_sides_share_one_rule_and_message():
     for side in (4, 1, 0, -3):
         for name, make in (

@@ -265,6 +265,31 @@ def test_oversize_closing_exits_2_before_allocating(tmp_path):
     _run_under_limit(_OVERSIZE_CLOSING.format(tmp=str(tmp_path)), ONE_GIB)
 
 
+_SPARSE_5000 = """
+from pvdetect import cli
+for threads in ("1", "2"):
+    assert cli.main(["detect", "--threads", threads, "--out", {out!r} + threads, {path!r}]) == 0
+"""
+
+
+def test_detect_on_a_5000_map_runs_in_384_mib(tmp_path):
+    """pvdetect detect on a sparse 5000 x 5000 float32 map (95 MiB) exits 0
+    in a child that may map 384 MiB, at --threads 1 and 2.
+
+    postprocess holds one slab's scratch, not a whole map's: post-processing
+    the whole map at once peaked at 824 MB of RSS and ran out of the limit
+    (exit 1, MemoryError on a 95 MiB array).
+    """
+    conf = np.zeros((5000, 5000), dtype=np.float32)
+    conf[::50, ::50] = np.random.default_rng(21).random((100, 100), dtype=np.float32)
+    save_confidence_map(conf, tmp_path / "square.cmap")
+    del conf
+    out = str(tmp_path / "out")
+    _run_under_limit(_SPARSE_5000.format(out=out, path=str(tmp_path / "square.cmap")), 384 << 20)
+    one, two = ((tmp_path / f"out{t}" / "detections.csv").read_bytes() for t in (1, 2))
+    assert one == two and one.count(b"\n") > 1
+
+
 _DENSE_EXTRACT = """
 import hashlib
 import numpy as np
@@ -571,6 +596,107 @@ def test_postprocess_matches_seedwise_oracle_bit_for_bit(case):
         got = postprocess(conf, params)
     want = seedwise_postprocess(conf, params)
     assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+# (nms_side, otsu_side, closing_radius, dilation_radius)
+_SLAB_PARAMS = [(3, 3, 0, 0), (9, 19, 5, 2), (31, 41, 8, 4), (7, 3, 2, 6), (3, 11, 1, 0)]
+
+
+def _slab_params(sides_radii, floor=0.375):
+    nms, otsu, r1, r2 = sides_radii
+    return PPParams(nms_side=nms, confidence_floor=floor, otsu_side=otsu,
+                    closing_radius=r1, dilation_radius=r2)
+
+
+def _thin(shape, seed=24):
+    rng = np.random.default_rng(seed)
+    return np.where(rng.random(shape) < 0.05, rng.uniform(0.4, 1, shape), 0.0)
+
+
+@st.composite
+def slab_cases(draw):
+    """(map, params, slab rows): random, speckled, plateau or all-ones maps
+    of up to 90 x 50, many narrower than otsu_side // 2, in slabs of 1, 7
+    or 64 rows."""
+    kind = draw(st.sampled_from(["random", "speckled", "plateau", "ones"]))
+    shape = (draw(st.integers(1, 90)), draw(st.integers(1, 50)))
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if kind == "random":
+        conf = rng.random(shape)
+    elif kind == "speckled":
+        conf = np.where(rng.random(shape) < 0.1, rng.uniform(0.3, 1, shape), 0.0)
+    elif kind == "plateau":  # 4 x 4 blocks of four levels
+        blocks = rng.choice([0.0, 0.2, 0.5, 0.9], (shape[0] // 4 + 1, shape[1] // 4 + 1))
+        conf = np.kron(blocks, np.ones((4, 4)))[: shape[0], : shape[1]]
+    else:
+        conf = np.ones(shape)
+    params = _slab_params(draw(st.sampled_from(_SLAB_PARAMS)),
+                          draw(st.sampled_from([0.01, 0.375])))
+    return conf.astype(dtype), params, draw(st.sampled_from([1, 7, 64]))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(slab_cases())
+@example((_thin((1, 70000)), _slab_params((3, 3, 0, 0)), 1))
+@example((_thin((1, 70000)), _slab_params((31, 41, 8, 4)), 1))
+@example((_thin((70000, 1)), _slab_params((3, 3, 0, 0)), 7))
+@example((_thin((70000, 1)), _slab_params((31, 41, 8, 4)), 64))
+@example((_thin((300, 5)), _slab_params((31, 41, 8, 4)), 7))
+def test_slabs_give_the_bytes_of_one_whole_pass(case):
+    """Rows [a, b) kept from slabs [a - H, b + H) are the whole pass's rows."""
+    conf, params, rows = case
+    want = detection._postprocess_whole(conf, params)
+    got = detection._postprocess_slabs(conf, params, rows, detection.halo(conf.shape, params))
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+_POOL = np.array([0.0, 0.2, 0.5, 0.9, 1.0])
+
+
+# (nms_side, otsu_side, closing_radius, dilation_radius) and the first seed
+# of _speckle whose map a halo of H - 1 rows changes: the steps 1-3 term in
+# both of its branches (2 otsu and nms + otsu), then 2 r_1, r_2 and both
+@pytest.mark.parametrize("sides_radii, seed, shape", [
+    ((3, 3, 0, 0), 0, (24, 8)),
+    ((3, 7, 0, 0), 180, (24, 8)),
+    ((7, 3, 0, 0), 1, (24, 8)),
+    ((3, 3, 1, 0), 37, (24, 8)),
+    ((3, 3, 2, 0), 40, (24, 8)),
+    ((3, 3, 3, 0), 397, (40, 10)),
+    ((3, 3, 0, 1), 0, (24, 8)),
+    ((3, 3, 0, 3), 0, (40, 10)),
+    ((3, 3, 1, 1), 178, (24, 8)),
+])
+def test_every_term_of_the_halo_is_needed(sides_radii, seed, shape):
+    """H = max(2 otsu, nms + otsu) + 2 r_1 + r_2 rows give the whole pass's
+    bytes on one-row slabs; H - 1 rows do not, for some map of each term."""
+    rng = np.random.default_rng(seed)
+    conf = np.where(rng.random(shape) < 0.3, rng.choice(_POOL, shape), 0.0)
+    params = _slab_params(sides_radii, floor=0.1)
+    nms_side, otsu_side, r1, r2 = sides_radii
+    nms, otsu = nms_side // 2, otsu_side // 2
+    halo = detection.halo(conf.shape, params)
+    assert halo == max(2 * otsu, nms + otsu) + 2 * r1 + r2
+    want = detection._postprocess_whole(conf, params).tobytes()
+    assert detection._postprocess_slabs(conf, params, 1, halo).tobytes() == want
+    assert detection._postprocess_slabs(conf, params, 1, halo - 1).tobytes() != want
+
+
+def test_slab_plan():
+    """Slabs of at least max(8 H, ceil(2**17 / w)) rows, H = 30 at the defaults:
+    eval-default's 256 x 256 maps and the 5000 x 64 strip are one slab each,
+    score-dense's 512 x 512 maps two."""
+    params = PPParams()
+    assert detection.halo((512, 512), params) == 30
+    assert detection.slab_plan((256, 256), params) == (1, 256)
+    assert detection.slab_plan((64, 5000), params) == (1, 64)
+    assert detection.slab_plan((512, 512), params) == (2, 256)
+    assert detection.slab_plan((479, 5000), params) == (1, 479)
+    assert detection.slab_plan((5000, 5000), params) == (20, 250)
+    assert detection.slab_plan((70000, 1), params) == (1, 70000)
+    # a clamped window or disk gives a clamped halo: one slab on small maps
+    assert detection.halo((40, 9), _slab_params((100001, 3, 0, 100001))) == 40 + 1 + 40
 
 
 def test_otsu_matches_exhaustive_oracle_on_histograms_past_int64():
