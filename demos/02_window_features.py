@@ -1,8 +1,8 @@
-"""Window-statistics features from integral images.
+"""Window-statistics features from running window sums.
 
-Shows the ring geometry, the exact integer prefix tables, and how the
-102-dimensional per-pixel descriptor is read from six box-filtered planes:
-feature f of pixel p is values[base[p] + offsets[f]].
+Shows the ring geometry, the exact integer window sums behind each mean,
+and how the 102-dimensional per-pixel descriptor is read from six
+box-filtered planes: feature f of pixel p is values[base[p] + offsets[f]].
 """
 
 import numpy as np
@@ -17,12 +17,6 @@ print("ring r=2 window centers:", pv.ring_offsets(2))
 tile, annotations = pv.generate_scene(
     pv.SceneParams(width=128, height=128, n_panels=3, seed=3), "feat_demo"
 )
-sums = pv.integral_tables(tile.pixels)
-print(f"\nintegral table: {sums.shape}, dtype {sums.dtype}")
-total = sums[-1, -1]
-assert np.array_equal(total, tile.pixels.astype(np.int64).sum(axis=(0, 1)))
-print(f"bottom-right corner = per-channel pixel sums: {total.tolist()}")
-
 first = annotations[0].vertices
 panel_pixel = (
     int((first[0][0] + first[2][0]) // 2),
@@ -34,6 +28,16 @@ background_pixel = (5, 5)
 values, base, offsets = pv.feature_planes(tile, spec, 0, tile.height)
 print(f"\n6 box-filtered planes of {values.size // 6} values each over the padded"
       f" tile; {base.size} pixel bases, {offsets.size} feature offsets")
+
+# each mean is an exact integer window sum over the window's n cells: int32
+# sums while n * 255**2 < 2**31 (window_side <= 181), int64 past that
+n = spec.window_side ** 2
+x, y = panel_pixel
+half = spec.window_side // 2
+window = tile.pixels[y - half : y + half + 1, x - half : x + half + 1].astype(np.int64)
+sums = np.rint(values[base[y * tile.width + x] + offsets[:3]] * n).astype(np.int64)
+assert np.array_equal(sums, window.sum(axis=(0, 1)))
+print(f"center window of ({x},{y}): means x {n} = its slice sums {sums.tolist()}")
 
 for name, (x, y) in (
     ("panel interior", panel_pixel),

@@ -1,7 +1,7 @@
 """pvdetect: rooftop solar PV array detection in RGB aerial imagery.
 
-The pipeline has four stages: window-statistics feature extraction over
-integral images, a random-forest pixel classifier producing a confidence
+The pipeline has four stages: window-statistics feature extraction from
+running window sums, a random-forest pixel classifier producing a confidence
 map, confidence-map post-processing that grows constant-valued regions
 around strong local maxima, and connected-component object extraction.
 Evaluation covers pixel-level and object-level precision/recall with
@@ -33,7 +33,7 @@ from .errors import (
     RasterFormatError,
     TruncatedRasterError,
 )
-from .features import FeatureSpec, feature_planes, integral_tables, ring_offsets
+from .features import FeatureSpec, feature_planes, ring_offsets
 from .forest import (
     DecisionTree,
     RandomForest,

@@ -195,12 +195,12 @@ def cmd_synth(config: RunConfig, out_dir: Path) -> Path:
     return manifest_path
 
 
-def _load_role(manifest: imagery.DatasetManifest, role: str):
-    """The role's (tile, annotations) pairs, each loaded as the caller iterates."""
+def _role_entries(manifest: imagery.DatasetManifest, role: str):
+    """The role's manifest entries; DataError if it has none."""
     entries = manifest.subset(role)
     if not entries:
         raise DataError(f"manifest lists no {role!r} entries")
-    return map(imagery.load_entry, entries)
+    return entries
 
 
 def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
@@ -212,7 +212,7 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
     """
     started = time.perf_counter()
     manifest = imagery.load_manifest(manifest_path)
-    tiles, annotations = zip(*_load_role(manifest, "train"))
+    tiles, annotations = zip(*map(imagery.load_entry, _role_entries(manifest, "train")))
     positives = [imagery.rasterize(a, t.width, t.height) for t, a in zip(tiles, annotations)]
     spec = config.feature_spec()
     training = forest.sample_training_pixels(
@@ -241,19 +241,27 @@ def cmd_train(config: RunConfig, manifest_path: Path, out_dir: Path) -> Path:
 def cmd_predict(
     config: RunConfig, model_path: Path, tile_paths: list[Path], out_dir: Path
 ) -> list[Path]:
-    """Write one confidence map per tile under out_dir/maps, one tile at a time."""
+    """Write one confidence map per tile under out_dir/maps, one tile at a time.
+
+    The manifest records, per tile, predict_tile's band count and band rows
+    (forest._pool_bands).
+    """
     started = time.perf_counter()
     model = forest.load_model(model_path)
     spec = config.feature_spec()
-    outputs = []
+    bands = thread_map(config.threads)
+    outputs, tiles = [], {}
     for tile_path in tile_paths:
         tile = imagery.load_tile(tile_path)
-        conf = forest.predict_tile(model, tile, spec, map=thread_map(config.threads))
+        conf = forest.predict_tile(model, tile, spec, map=bands)
         path = out_dir / "maps" / f"{tile.tile_id}.cmap"
         detection.save_confidence_map(conf, path)
         outputs.append(path)
+        starts = forest._pool_bands(bands, tile.height, tile.width)
+        tiles[tile.tile_id] = {"bands": len(starts), "band_rows": starts.step}
     _stage_manifest(
-        out_dir, "predict", config, [model_path, *map(Path, tile_paths)], outputs, started
+        out_dir, "predict", config, [model_path, *map(Path, tile_paths)], outputs, started,
+        tiles=tiles,
     )
     return outputs
 
@@ -308,15 +316,14 @@ def cmd_score(
     if maps_dir is None and detections_path is None:
         raise ConfigError("nothing to score: give a maps directory or detections")
     manifest = imagery.load_manifest(manifest_path)
-    # score reads a tile only for its id and shape, so each tile is dropped
-    # before the next loads; annotations become flat pixel indices once
+    # score needs a tile's id and shape only, so it reads each tile's header,
+    # never its pixels; annotations become flat pixel indices once
     shapes, annotation_pixels = {}, {}
-    for tile, anns in _load_role(manifest, role):
-        shapes[tile.tile_id] = (tile.height, tile.width)
-        annotation_pixels[tile.tile_id] = [
-            imagery.polygon_pixels(ann, tile.width, tile.height) for ann in anns
+    for entry in _role_entries(manifest, role):
+        h, w = shapes[entry.tile_id] = imagery.load_tile_shape(entry.image_path)
+        annotation_pixels[entry.tile_id] = [
+            imagery.polygon_pixels(ann, w, h) for ann in imagery.entry_annotations(entry)
         ]
-        del tile, anns
     outputs = []
     inputs = [manifest_path, *(e.annotation_path for e in manifest.subset(role))]
 

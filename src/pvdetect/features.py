@@ -7,13 +7,14 @@ With the default 3x3 window and rings at radii 2 and 4 this yields
 window, which is emitted once).
 
 Window coordinates are clamped (edge-replicated) into the tile.  A band of
-rows is edge-padded and box-filtered, one channel at a time through one
-reused integral table, into two planes per channel: its mean and its
+rows is edge-padded and box-filtered, one channel at a time, by running
+window sums (_box_sums) into two planes per channel: its mean and its
 variance (clamped at zero) of the window at each padded position.  A
 feature is then one flat offset into the planes (its statistic and window
 displacement) added to a pixel's base index (its row and column).  Sums are
-exact 64-bit integers and only the final division is floating point, so any
-banding, and any choice of channels, gives the same bits.
+exact integers, int32 while a window of squares fits (window_side <= 181),
+and only the final division is floating point, so any banding, and any
+choice of channels, gives the same bits.
 """
 
 from __future__ import annotations
@@ -75,23 +76,27 @@ def ring_offsets(r: int) -> list[tuple[int, int]]:
     return [(x, y) for x in (0, -r, r) for y in (0, -r, r)]
 
 
-def integral_tables(values: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Exclusive int64 prefix sums of an (H, W) or (H, W, C) array.
+def _window_sum(values: np.ndarray, width: int) -> np.ndarray:
+    """Running sum along rows: out[:, i] = sum(values[:, i : i + width]).
 
-    Entry [y, x] holds the sum over rows [0, y) and columns [0, x); row and
-    column 0 are therefore all zeros.  The table is (H + 1, W + 1[, C]),
-    written into out when one is given.
-    """
-    values = np.asarray(values)
-    h, w = values.shape[:2]
-    if out is None:
-        out = np.empty((h + 1, w + 1) + values.shape[2:], dtype=np.int64)
-    out[0] = 0
-    out[:, 0] = 0
-    inner = out[1:, 1:]
-    np.cumsum(values, axis=0, dtype=np.int64, out=inner)
-    np.cumsum(inner, axis=1, out=inner)
-    return out
+    Doubling, as detection._window_max: run[:, i] sums the span values from
+    i, and the spans of width's set bits, end to end, make up the window."""
+    n = values.shape[1] - width + 1
+    out, run, span, done = None, values, 1, 0
+    while True:
+        if width & span:
+            part = run[:, done : done + n]
+            out = part if out is None else out + part
+            done += span
+        if 2 * span > width:
+            return out
+        run = run[:, :-span] + run[:, span:]
+        span *= 2
+
+
+def _box_sums(values: np.ndarray, side: int) -> np.ndarray:
+    """out[i, j] = sum(values[i : i + side, j : j + side]), in values' dtype."""
+    return _window_sum(_window_sum(values.T, side).T, side)
 
 
 def feature_planes(
@@ -120,18 +125,12 @@ def feature_planes(
     rows = np.clip(np.arange(row_start - pad, row_stop + pad), 0, h - 1)
     hp, wp = rows.size - side + 1, w + 2 * pad - side + 1
     planes = np.empty((2 * len(channels), hp, wp))
-    table = np.empty((hp + side, wp + side), dtype=np.int64)
-    lo, hi = slice(None, -side), slice(side, None)
-
-    def box(values: np.ndarray) -> np.ndarray:
-        t = integral_tables(values, table)
-        return t[hi, hi] - t[lo, hi] - t[hi, lo] + t[lo, lo]
-
     n = side * side
+    dtype = np.int32 if n * 255**2 < 2**31 else np.int64
     for i, c in enumerate(channels):
-        channel = np.pad(tile.pixels[rows, :, c], ((0, 0), (pad, pad)), mode="edge")
-        mean = np.divide(box(channel), n, out=planes[i])
-        var = np.divide(box(np.square(channel, dtype=np.int64)), n, out=planes[len(channels) + i])
+        channel = np.pad(tile.pixels[rows, :, c], ((0, 0), (pad, pad)), mode="edge").astype(dtype)
+        mean = np.divide(_box_sums(channel, side), n, out=planes[i])
+        var = np.divide(_box_sums(channel * channel, side), n, out=planes[len(channels) + i])
         var -= mean * mean
         np.maximum(var, 0.0, out=var)
     base = (np.arange(row_stop - row_start)[:, None] * wp + np.arange(w)).ravel()

@@ -12,6 +12,7 @@ the sorted flat indices y * width + x of their tile (see flat_pixels).
 
 from __future__ import annotations
 
+import mmap
 import os
 from collections import Counter
 from dataclasses import dataclass, field
@@ -161,6 +162,14 @@ def _check_simple(v: np.ndarray, polygon_id: str) -> None:
 # ---------------------------------------------------------------------------
 
 
+def _input_file(path: str | Path, what: str) -> Path:
+    """path as a Path, or the InputError that read_input describes."""
+    path = Path(path)
+    if not os.path.isfile(path):
+        raise InputError(f"{what} not found: {path}")
+    return path
+
+
 def read_input(path: str | Path, what: str, aligned_at: int = 0) -> bytes | memoryview:
     """The bytes of an input file; InputError names `what` if it is missing
     or its path cannot name a file (a NUL byte, a name too long).
@@ -169,9 +178,7 @@ def read_input(path: str | Path, what: str, aligned_at: int = 0) -> bytes | memo
     byte aligned_at lies on an 8-byte boundary, and a read-only memoryview
     of it is returned: an array viewed from that byte on is aligned.
     """
-    path = Path(path)
-    if not os.path.isfile(path):
-        raise InputError(f"{what} not found: {path}")
+    path = _input_file(path, what)
     if not aligned_at:
         return path.read_bytes()
     with path.open("rb") as handle:
@@ -245,16 +252,14 @@ def _read_header_token(data: bytes, pos: int) -> tuple[bytes, int]:
     return data[start:pos], pos
 
 
-def load_tile(path: str | Path) -> ImageTile:
-    """Load a binary PPM (P6) tile whose id is the file's stem.
+def _p6_layout(data, path: Path) -> tuple[int, int, int]:
+    """(width, height, offset of the first sample) of a P6 file's bytes, or
+    of a read-only mmap of the file, whose size must match its header.
 
-    The pixels are a read-only view of the file's bytes, not a copy.
-    Raises RasterFormatError for malformed headers, ChannelCountError for
-    grayscale/bitmap inputs and TruncatedRasterError when the pixel payload
-    is shorter than the header declares.
+    Raises RasterFormatError for malformed headers and for trailing bytes,
+    ChannelCountError for grayscale/bitmap inputs and TruncatedRasterError
+    when the pixel payload is shorter than the header declares.
     """
-    path = Path(path)
-    data = read_input(path, "raster")
     magic = data[:2]
     if magic in _GRAYSCALE_MAGICS:
         raise ChannelCountError(f"{path}: 1-channel raster, need 3-channel P6")
@@ -282,8 +287,35 @@ def load_tile(path: str | Path) -> ImageTile:
         raise TruncatedRasterError(f"{path}: expected {expected} sample bytes, found {found}")
     if found > expected:
         raise RasterFormatError(f"{path}: {found - expected} trailing bytes")
-    pixels = np.frombuffer(data, np.uint8, count=expected, offset=pos).reshape(height, width, 3)
-    return ImageTile(pixels, path.stem)
+    return width, height, pos
+
+
+def load_tile(path: str | Path) -> ImageTile:
+    """Load a binary PPM (P6) tile whose id is the file's stem.
+
+    The pixels are a read-only view of the file's bytes, not a copy.  A
+    malformed file raises as _p6_layout says.
+    """
+    path = Path(path)
+    data = read_input(path, "raster")
+    width, height, pos = _p6_layout(data, path)
+    pixels = np.frombuffer(data, np.uint8, count=width * height * 3, offset=pos)
+    return ImageTile(pixels.reshape(height, width, 3), path.stem)
+
+
+def load_tile_shape(path: str | Path) -> tuple[int, int]:
+    """(height, width) of a P6 tile, from its header and its file size.
+
+    The file is mapped, not read, so only the header's pages are touched;
+    a file that load_tile would reject raises the same error here.
+    """
+    path = _input_file(path, "raster")
+    with path.open("rb") as handle:
+        if not os.fstat(handle.fileno()).st_size:
+            _p6_layout(b"", path)  # raises: an empty file has no magic
+        with mmap.mmap(handle.fileno(), 0, access=mmap.ACCESS_READ) as data:
+            width, height, _ = _p6_layout(data, path)
+    return height, width
 
 
 def encode_tile(tile: ImageTile) -> tuple[bytes, memoryview]:
@@ -496,13 +528,17 @@ def save_manifest(manifest: DatasetManifest, path: str | Path) -> None:
 
 
 def load_entry(entry: ManifestEntry) -> tuple[ImageTile, list[PolygonAnnotation]]:
-    """Load one manifest entry; every annotation must reference its tile."""
-    tile = load_tile(entry.image_path)
+    """Load one manifest entry's tile and entry_annotations."""
+    return load_tile(entry.image_path), entry_annotations(entry)
+
+
+def entry_annotations(entry: ManifestEntry) -> list[PolygonAnnotation]:
+    """One manifest entry's annotations; every one must reference its tile."""
     annotations = load_annotations(entry.annotation_path)
     for a in annotations:
-        if a.tile_id != tile.tile_id:
+        if a.tile_id != entry.tile_id:
             raise AnnotationError(
                 f"{entry.annotation_path}: annotation for {a.tile_id!r} "
-                f"does not belong to tile {tile.tile_id!r}"
+                f"does not belong to tile {entry.tile_id!r}"
             )
-    return tile, annotations
+    return annotations

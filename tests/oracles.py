@@ -1,11 +1,12 @@
 """Independent straight-line reference implementations used as test oracles.
 
-Everything here is deliberately written without integral images, rank
-tricks, separable filters or vectorized shortcuts, so an agreement test
-between pvdetect and these functions actually checks two code paths.  The
-exceptions are three-line adapters between row matrices and pvdetect's one
-path per stage (feature_rows, rows_training_set, decode_rows, predict_rows):
-they let tests state cases as rows, and check nothing themselves.
+Everything here is deliberately written without integral images, running
+sums, rank tricks, separable filters or vectorized shortcuts, so an
+agreement test between pvdetect and these functions actually checks two
+code paths.  The exceptions are three-line adapters between row matrices
+and pvdetect's one path per stage (feature_rows, rows_training_set,
+decode_rows, predict_rows): they let tests state cases as rows, and check
+nothing themselves.
 """
 
 from __future__ import annotations
@@ -153,12 +154,34 @@ def scan_place_panels(params, stream):
 # ---------------------------------------------------------------------------
 
 
-def prefix_table_by_matmul(channel: np.ndarray) -> np.ndarray:
-    """Exclusive prefix sums of one integer channel via L @ A @ R."""
-    h, w = channel.shape
-    lower = np.tril(np.ones((h + 1, h), dtype=np.int64), -1)
-    upper = np.triu(np.ones((w, w + 1), dtype=np.int64), 1)
-    return lower @ channel.astype(np.int64) @ upper
+def slice_window_sums(values: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    """out[i, j] = values[i : i + rows, j : j + cols].sum() in int64, each
+    window summed from its own slice, one window at a time."""
+    h, w = values.shape
+    out = np.empty((h - rows + 1, w - cols + 1), dtype=np.int64)
+    for i in range(out.shape[0]):
+        for j in range(out.shape[1]):
+            out[i, j] = values[i : i + rows, j : j + cols].sum(dtype=np.int64)
+    return out
+
+
+def slice_feature_planes(tile, spec, row_start, row_stop, channels):
+    """feature_planes' (2k, Hp, Wp) planes of rows [row_start, row_stop):
+    the mean, then the variance clamped at zero, of every channel's window
+    whose top-left cell is each padded position, with the window's sums
+    taken by slice_window_sums over the edge-clamped tile."""
+    side, pad = spec.window_side, spec.pad
+    ys = np.clip(np.arange(row_start - pad, row_stop + pad), 0, tile.height - 1)
+    xs = np.clip(np.arange(-pad, tile.width + pad), 0, tile.width - 1)
+    n = side * side
+    means, variances = [], []
+    for c in channels:
+        band = tile.pixels[:, :, c].astype(np.int64)[ys][:, xs]
+        mean = slice_window_sums(band, side, side) / n
+        squares = slice_window_sums(band * band, side, side) / n
+        means.append(mean)
+        variances.append(np.maximum(squares - mean * mean, 0.0))
+    return np.stack(means + variances)
 
 
 def naive_window_stats(pixels, cx, cy, side):
@@ -181,7 +204,7 @@ def naive_window_stats(pixels, cx, cy, side):
 
 
 def naive_pixel_features(pixels, offsets, window_side, x, y):
-    """Feature vector at (x, y) without integral images."""
+    """Feature vector at (x, y) from naive_window_stats' cell loops."""
     out = []
     for dx, dy in offsets:
         mean, variance = naive_window_stats(pixels, x + dx, y + dy, window_side)

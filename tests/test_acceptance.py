@@ -15,7 +15,7 @@ import pvdetect as pv
 from pvdetect.cli import cmd_detect, cmd_eval, cmd_predict, cmd_train
 from pvdetect.config import RunConfig
 from pvdetect.detection import PPParams, otsu_threshold, postprocess, read_detections_csv
-from pvdetect.features import FeatureSpec, integral_tables
+from pvdetect.features import FeatureSpec, _box_sums, feature_planes
 from pvdetect.forest import RFParams, grow_tree, train
 from pvdetect.imagery import ImageTile, load_manifest, rasterize, save_manifest
 from pvdetect.imagery import DatasetManifest, ManifestEntry
@@ -27,57 +27,55 @@ from oracles import (
     feature_rows,
     naive_pixel_features,
     predict_rows,
-    prefix_table_by_matmul,
     reference_postprocess,
     route_and_read,
     rows_training_set,
+    slice_feature_planes,
+    slice_window_sums,
 )
 
 
-def test_criterion_01_integral_image_exactness():
-    """All rectangle sums from the tables equal naive summation, exactly."""
+def test_criterion_01_window_sum_exactness():
+    """Every window sum at every position equals slice summation, exactly,
+    in int32 and in int64, and feature planes sum in int64 past side 181."""
     started = time.perf_counter()
     rng = np.random.default_rng(101)
-    rectangles_checked = 0
+    windows_checked = 0
     for _ in range(100):
-        px = rng.integers(0, 256, size=(64, 64, 3), dtype=np.uint8)
-        sums = integral_tables(px)
-        sq_sums = integral_tables(np.square(px, dtype=np.int64))
+        px = rng.integers(0, 256, size=(40, 40, 3), dtype=np.uint8)
+        side = int(rng.choice([3, 5, 7, 9, 15, 23, 39]))
         for c in range(3):
             channel = px[:, :, c].astype(np.int64)
-            # every prefix rectangle, against an independent matmul oracle;
-            # with exact integer inclusion-exclusion this pins every
-            # rectangle sum, since each is a 4-term combination of prefixes
-            assert np.array_equal(sums[:, :, c], prefix_table_by_matmul(channel))
-            assert np.array_equal(
-                sq_sums[:, :, c], prefix_table_by_matmul(channel * channel)
-            )
-        # direct double-loop spot checks on general rectangles, each summed
-        # by four-term inclusion-exclusion over the tables
-        wide = px.astype(np.int64)
-        for _ in range(20):
-            x0, x1 = sorted(rng.integers(0, 64, size=2).tolist())
-            y0, y1 = sorted(rng.integers(0, 64, size=2).tolist())
-            region = wide[y0 : y1 + 1, x0 : x1 + 1]
-            for table, values in ((sums, region), (sq_sums, region * region)):
-                got = (
-                    table[y1 + 1, x1 + 1]
-                    - table[y0, x1 + 1]
-                    - table[y1 + 1, x0]
-                    + table[y0, x0]
-                )
-                assert np.array_equal(got, values.sum(axis=(0, 1)))
-                rectangles_checked += 1
+            for values in (channel, channel * channel):
+                want = slice_window_sums(values, side, side)
+                for dtype in (np.int32, np.int64):
+                    got = _box_sums(values.astype(dtype), side)
+                    assert got.dtype == dtype and np.array_equal(got, want)
+                    windows_checked += want.size
+    # the dtype rule at its edge: 181**2 * 255**2 < 2**31 <= 183**2 * 255**2
+    for side, dtype in ((181, np.int32), (183, np.int64)):
+        squares = rng.integers(0, 256, size=(side + 4, side + 4)) ** 2
+        squares[:side, :side] = 255**2
+        want = slice_window_sums(squares, side, side)
+        assert want[0, 0] == side * side * 255**2
+        assert np.array_equal(_box_sums(squares.astype(dtype), side), want)
+        windows_checked += want.size
+        # bright windows whose variance a wrapped int32 sum would clamp to 0
+        tile = ImageTile(rng.integers(253, 256, size=(3, 4, 3), dtype=np.uint8))
+        spec = FeatureSpec(side, (1,))
+        planes = feature_planes(tile, spec, 0, 3)[0]
+        want = slice_feature_planes(tile, spec, 0, 3, (0, 1, 2))
+        assert (want[3:] > 0).all() and planes.tobytes() == want.tobytes()
     elapsed = time.perf_counter() - started
-    assert elapsed < 10.0, f"integral exactness took {elapsed:.1f}s"
+    assert elapsed < 10.0, f"window sum exactness took {elapsed:.1f}s"
     print(
-        f"criterion 1 PASS: 100 tiles, full prefix tables + "
-        f"{rectangles_checked} sampled rectangles exact, {elapsed:.1f}s"
+        f"criterion 1 PASS: 100 tiles and the int32/int64 edge, "
+        f"{windows_checked} window sums exact, {elapsed:.1f}s"
     )
 
 
 def test_criterion_02_feature_parity_with_naive_oracle():
-    """1000 random pixels match a no-integral-image oracle within 1e-9."""
+    """1000 random pixels match a cell-by-cell oracle within 1e-9."""
     rng = np.random.default_rng(102)
     spec = FeatureSpec()
     offsets = spec.window_offsets()

@@ -2,7 +2,6 @@ import hashlib
 import json
 import os
 import threading
-import weakref
 from concurrent import futures
 from pathlib import Path
 from unittest import mock
@@ -30,7 +29,14 @@ from pvdetect.detection import (
     read_detections_csv,
     write_detections_csv,
 )
-from pvdetect.errors import DataError, InputError
+from pvdetect.errors import (
+    AnnotationError,
+    ChannelCountError,
+    DataError,
+    InputError,
+    RasterFormatError,
+    TruncatedRasterError,
+)
 from pvdetect.features import FeatureSpec
 from pvdetect.forest import BAND_PIXELS
 from pvdetect.imagery import ImageTile, load_manifest, save_tile
@@ -276,8 +282,9 @@ def test_main_detect_rejects_a_tile_id_the_detections_csv_cannot_hold(tmp_path, 
 
 
 def test_cmd_score_drops_each_tile_before_the_next_loads(tmp_path, monkeypatch):
-    # score reads a tile only for its id and shape, so no tile's pixels are
-    # held while the next tile loads or while any map is scored
+    # score needs a tile's id and shape only, so it reads each tile's header
+    # and never loads a tile's pixels: none is held while the next tile's
+    # header is read or while any map is scored
     config = tiny_config()
     manifest_path = cmd_synth(config, tmp_path)
     entries = load_manifest(manifest_path).subset("train")
@@ -288,25 +295,60 @@ def test_cmd_score_drops_each_tile_before_the_next_loads(tmp_path, monkeypatch):
         detection.save_confidence_map(rng.random((96, 96), dtype=np.float32), path)
     _, detections_path = cmd_detect(config, maps, tmp_path)
 
-    load_entry, load_map = imagery.load_entry, detection.load_confidence_map
-    loaded = []
+    load_shape, load_map = imagery.load_tile_shape, detection.load_confidence_map
+    shapes = []
 
-    def watched_load_entry(entry):
-        assert all(ref() is None for ref in loaded), "a tile outlived its turn"
-        tile, annotations = load_entry(entry)
-        loaded.append(weakref.ref(tile))
-        return tile, annotations
+    def no_load(path):
+        raise AssertionError(f"loaded the pixels of {path}")
+
+    def watched_load_shape(path):
+        shapes.append(load_shape(path))
+        return shapes[-1]
 
     def watched_load_map(path):
-        assert len(loaded) == len(entries)
-        assert all(ref() is None for ref in loaded), "a tile is held while maps load"
+        assert len(shapes) == len(entries), "a map loads before every header is read"
         return load_map(path)
 
-    monkeypatch.setattr(imagery, "load_entry", watched_load_entry)
+    monkeypatch.setattr(imagery, "load_tile", no_load)
+    monkeypatch.setattr(imagery, "load_tile_shape", watched_load_shape)
     monkeypatch.setattr(detection, "load_confidence_map", watched_load_map)
     outputs = cmd_score(config, manifest_path, tmp_path / "scores", tmp_path / "maps",
                         detections_path, role="train")
-    assert len(loaded) == len(entries) and len(outputs) == 5
+    assert shapes == [(96, 96)] * len(entries) and len(outputs) == 5
+
+
+def test_score_raises_each_tile_and_annotation_error(tmp_path, capsys):
+    """A tile that load_tile would reject fails score with the same error
+    from its header and size alone, and an annotation of another tile fails
+    it as load_entry would; main exits 3 or 4."""
+    config = tiny_config()
+    manifest_path = cmd_synth(config, tmp_path)
+    (entry,) = load_manifest(manifest_path).subset("test")
+    tile_bytes = entry.image_path.read_bytes()
+    annotation_text = entry.annotation_path.read_text()
+    header = tile_bytes[: tile_bytes.index(b"255\n") + 4]
+    cases = [
+        (tile_bytes[:-1], annotation_text, TruncatedRasterError,
+         "expected 27648 sample bytes, found 27647"),
+        (tile_bytes + b"\0\0", annotation_text, RasterFormatError, "2 trailing bytes"),
+        (b"P6\n96 96\n65535\n" + tile_bytes[len(header):], annotation_text,
+         RasterFormatError, "unsupported maxval"),
+        (b"P5" + tile_bytes[2:], annotation_text, ChannelCountError, "1-channel raster"),
+        (b"", annotation_text, RasterFormatError, "not a P6 raster"),
+        (tile_bytes, "scene_000,p,1,1,5,1,5,5\n", AnnotationError, "does not belong to tile"),
+        (None, annotation_text, InputError, "raster not found"),
+    ]
+    for data, text, error, message in cases:
+        entry.image_path.unlink(missing_ok=True)
+        if data is not None:
+            entry.image_path.write_bytes(data)
+        entry.annotation_path.write_text(text)
+        with pytest.raises(error, match=message):
+            cmd_score(config, manifest_path, tmp_path / "scores", tmp_path / "maps")
+        code = main(["score", "--manifest", str(manifest_path), "--maps",
+                     str(tmp_path / "maps"), "--out", str(tmp_path / "scores")])
+        assert code == (3 if error is InputError else 4)
+        assert message in capsys.readouterr().err
 
 
 def test_score_without_role_entries_loads_no_tile(tmp_path, capsys, monkeypatch):
@@ -315,10 +357,11 @@ def test_score_without_role_entries_loads_no_tile(tmp_path, capsys, monkeypatch)
     assert main(["synth", "--config", str(config_path), "--out", str(tmp_path)]) == 0
     manifest_path = tmp_path / "scenes" / "manifest.txt"
 
-    def no_load(entry):
-        raise AssertionError(f"loaded {entry.image_path}")
+    def no_load(path):
+        raise AssertionError(f"loaded {path}")
 
-    monkeypatch.setattr(imagery, "load_entry", no_load)
+    monkeypatch.setattr(imagery, "load_tile", no_load)
+    monkeypatch.setattr(imagery, "load_tile_shape", no_load)
     with pytest.raises(DataError, match="manifest lists no 'test' entries"):
         cmd_score(tiny_config(), manifest_path, tmp_path / "scores", tmp_path / "maps")
     capsys.readouterr()
@@ -448,7 +491,8 @@ def test_golden_train_and_score_bytes(tmp_path):
 
 
 def test_golden_wide_tile_predict_bytes(tmp_path, monkeypatch):
-    """A 23x2000 tile keeps its CMAP bytes as one band and as three (8 + 8 + 7 rows)."""
+    """A 23x2000 tile keeps its CMAP bytes as one band and as three (8 + 8 + 7
+    rows), and predict_manifest.json records each band plan."""
     monkeypatch.setattr(os, "cpu_count", lambda: 3)
     assert [forest._band_rows(23, 2000, workers) for workers in (1, 3)] == [23, 8]
     model = cmd_train(tiny_config(), cmd_synth(tiny_config(), tmp_path), tmp_path)
@@ -456,9 +500,11 @@ def test_golden_wide_tile_predict_bytes(tmp_path, monkeypatch):
     pixels = np.random.default_rng(18).integers(0, 256, (23, 2000, 3), dtype=np.uint8)
     save_tile(ImageTile(pixels, "wide"), tile)
     golden = "c6a38e4e22ae7d19f598b05d7a26b898932d29a59d702c53ad5dc1e6e6358d31"
-    for threads in (1, 3):
+    for threads, bands in ((1, {"bands": 1, "band_rows": 23}), (3, {"bands": 3, "band_rows": 8})):
         (cmap,) = cmd_predict(tiny_config(threads=threads), model, [tile], tmp_path / f"t{threads}")
         assert hashlib.sha256(cmap.read_bytes()).hexdigest() == golden, threads
+        record = json.loads((tmp_path / f"t{threads}" / "predict_manifest.json").read_text())
+        assert record["tiles"] == {"wide": bands}
 
 
 # ---------------------------------------------------------------------------

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from pvdetect.errors import ConfigError
-from pvdetect.features import FeatureSpec, feature_planes, integral_tables, ring_offsets
+from pvdetect.features import FeatureSpec, _box_sums, _window_sum, feature_planes, ring_offsets
 from pvdetect.imagery import ImageTile
 from oracles import (
     feature_rows,
     naive_pixel_features,
     naive_window_stats,
-    prefix_table_by_matmul,
+    slice_feature_planes,
+    slice_window_sums,
 )
 
 
@@ -89,69 +92,127 @@ def test_ring_offsets_r1_and_r4():
 
 
 # ---------------------------------------------------------------------------
-# Integral images
+# Running window sums
 # ---------------------------------------------------------------------------
 
 
-def _tables(pixels):
-    """The prefix tables of pixels and of their squares."""
-    return integral_tables(pixels), integral_tables(np.square(pixels, dtype=np.int64))
+def _channels_and_squares(pixels, dtype):
+    """Each channel of pixels, then its squares, as dtype arrays."""
+    channels = [pixels[:, :, c].astype(dtype) for c in range(3)]
+    return channels + [v * v for v in channels]
 
 
-def test_integral_1x1():
-    sums, sq_sums = _tables(np.array([[[5, 0, 7]]], dtype=np.uint8))
-    assert sums[1, 1].tolist() == [5, 0, 7]
-    assert sq_sums[1, 1].tolist() == [25, 0, 49]
-    assert sums[0].sum() == 0 and sums[:, 0].sum() == 0
+def test_window_sums_1x1():
+    """A 1x1 tile pads to one value per channel: every window sums 9 of them."""
+    px = np.array([[[5, 0, 7]]], dtype=np.uint8)
+    for v, want in zip(_channels_and_squares(np.repeat(np.repeat(px, 5, 0), 4, 1), np.int32),
+                       [5, 0, 7, 25, 0, 49]):
+        sums = _box_sums(v, 3)
+        assert sums.shape == (3, 2) and sums.dtype == np.int32
+        assert (sums == 9 * want).all()
+    values, base, offsets = feature_planes(ImageTile(px), FeatureSpec(), 0, 1)
+    planes = values.reshape(6, -1)
+    assert (planes[:3] == [[5.0], [0.0], [7.0]]).all() and not planes[3:].any()
+    assert values[base[:, None] + offsets].reshape(-1, 6)[:, :3].tolist() == [[5.0, 0.0, 7.0]] * 17
 
 
-def test_integral_all_zero():
-    sums, sq_sums = _tables(np.zeros((3, 4, 3), dtype=np.uint8))
-    assert sums.shape == sq_sums.shape == (4, 5, 3)
-    assert not sums.any()
-    assert not sq_sums.any()
+def test_window_sums_all_zero():
+    for dtype in (np.int32, np.int64):
+        for v in _channels_and_squares(np.zeros((3, 4, 3), dtype=np.uint8), dtype):
+            sums = _box_sums(v, 3)
+            assert sums.shape == (1, 2) and sums.dtype == dtype
+            assert not sums.any()
+            assert _window_sum(v, 4).shape == (3, 1) and not _window_sum(v, 4).any()
 
 
-def test_integral_matches_matmul_prefix_oracle():
+def test_window_sums_match_slice_oracle():
+    """Every window of every side up to the tile's, in both dtypes."""
     rng = np.random.default_rng(1)
     tile = random_tile(rng, 16, 16)
-    sums, sq_sums = _tables(tile.pixels)
-    assert sums.dtype == sq_sums.dtype == np.int64
-    for c in range(3):
-        channel = tile.pixels[:, :, c].astype(np.int64)
-        assert np.array_equal(sums[:, :, c], prefix_table_by_matmul(channel))
-        assert np.array_equal(sq_sums[:, :, c], prefix_table_by_matmul(channel * channel))
+    for side in range(3, 17, 2):
+        for v in _channels_and_squares(tile.pixels, np.int64):
+            want = slice_window_sums(v, side, side)
+            for dtype in (np.int32, np.int64):
+                sums = _box_sums(v.astype(dtype), side)
+                assert sums.dtype == dtype
+                assert np.array_equal(sums, want), (side, dtype)
 
 
-def test_integral_one_channel_into_reused_table():
-    """feature_planes' use: strided channel views, one stale table for all."""
+def test_window_sum_along_columns_of_a_view():
+    """feature_planes' use: the column pass runs on a transposed view, and
+    the strided channel views of one tile all sum as their copies do."""
     rng = np.random.default_rng(3)
     tile = random_tile(rng, 9, 13)
-    table = np.full((10, 14), -1, dtype=np.int64)
     for c in range(3):
-        channel = tile.pixels[:, :, c]
-        assert integral_tables(channel, table) is table
-        assert np.array_equal(table, prefix_table_by_matmul(channel.astype(np.int64)))
+        channel = tile.pixels[:, :, c].astype(np.int32)
+        for width in range(1, 10):
+            down = _window_sum(channel.T, width).T
+            assert np.array_equal(down, slice_window_sums(channel, width, 1))
+            strided = _window_sum(tile.pixels.astype(np.int32)[:, :, c], width)
+            assert np.array_equal(strided, slice_window_sums(channel, 1, width))
 
 
 def test_rect_sum_matches_slice_sums():
+    """Window sums of any width, odd or even, along both axes."""
     rng = np.random.default_rng(2)
     tile = random_tile(rng, 16, 12)
-    sums, sq_sums = _tables(tile.pixels)
     px = tile.pixels.astype(np.int64)
     for _ in range(200):
         x0, x1 = sorted(rng.integers(0, 12, size=2).tolist())
         y0, y1 = sorted(rng.integers(0, 16, size=2).tolist())
-        for table, values in ((sums, px), (sq_sums, px * px)):
-            # four-term inclusion-exclusion over the exclusive prefix table
-            got = (
-                table[y1 + 1, x1 + 1]
-                - table[y0, x1 + 1]
-                - table[y1 + 1, x0]
-                + table[y0, x0]
-            )
-            want = values[y0 : y1 + 1, x0 : x1 + 1].sum(axis=(0, 1))
-            assert np.array_equal(got, want)
+        for values in (px, px * px):
+            for c in range(3):
+                v = values[:, :, c]
+                sums = _window_sum(_window_sum(v.T, y1 - y0 + 1).T, x1 - x0 + 1)
+                assert sums.shape == (16 - (y1 - y0), 12 - (x1 - x0))
+                assert sums[y0, x0] == v[y0 : y1 + 1, x0 : x1 + 1].sum()
+
+
+@st.composite
+def band_cases(draw):
+    """A tile, 1xN and Nx1 among them, a band of it, a channel subset and a
+    spec whose window side sits on either side of the int32 rule."""
+    side = draw(st.sampled_from([3, 5, 181, 183]))
+    radii = draw(st.lists(st.integers(1, 4), min_size=1, max_size=2, unique=True))
+    h, w = draw(st.integers(1, 9)), draw(st.integers(1, 9))
+    h, w = draw(st.sampled_from([(h, w), (h, w), (1, w), (h, 1)]))
+    # samples of 253..255 give windows of squares past 2**31 at side 183, and
+    # a variance that a wrapped int32 sum would clamp to zero
+    low = draw(st.sampled_from([0, 253]))
+    pixels = draw(hnp.arrays(np.uint8, (h, w, 3), elements=st.integers(low, 255)))
+    y0 = draw(st.integers(0, h - 1))
+    y1 = draw(st.integers(y0 + 1, h))
+    channels = draw(st.lists(st.integers(0, 2), min_size=1, max_size=3, unique=True))
+    return ImageTile(pixels), FeatureSpec(side, tuple(sorted(radii))), y0, y1, tuple(channels)
+
+
+def _bright(side, h=1, w=7):
+    """A tile of 255s with 253s on the diagonal, whose windows' variances
+    are positive but whose sums of squares pass 2**31 at side 183."""
+    pixels = np.full((h, w, 3), 255, dtype=np.uint8)
+    pixels[np.arange(min(h, w)), np.arange(min(h, w))] = 253
+    return ImageTile(pixels), FeatureSpec(side, (1,)), 0, h, (0, 1, 2)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(band_cases())
+@example(_bright(181))
+@example(_bright(183))
+@example(_bright(3, 6, 1))
+def test_feature_planes_match_slice_oracle_bitwise(case):
+    """Planes, and the features read from them, equal the per-window slice
+    oracle bit for bit: in int32 up to side 181, where a window of 255**2
+    still fits, and in int64 at 183, where it would wrap."""
+    tile, spec, y0, y1, channels = case
+    values, base, offsets = feature_planes(tile, spec, y0, y1, channels)
+    want = slice_feature_planes(tile, spec, y0, y1, channels)
+    assert values.tobytes() == want.tobytes()
+    k, half = len(channels), spec.window_side // 2
+    ys, xs = np.divmod(np.arange(base.size), tile.width)
+    for w, (dx, dy) in enumerate(spec.window_offsets()):
+        for s in range(2 * k):
+            cells = want[s, ys + dy + spec.pad - half, xs + dx + spec.pad - half]
+            assert values[base + offsets[2 * k * w + s]].tobytes() == cells.tobytes()
 
 
 # ---------------------------------------------------------------------------

@@ -29,6 +29,7 @@ from pvdetect.imagery import (
     load_entry,
     load_manifest,
     load_tile,
+    load_tile_shape,
     polygon_pixels,
     rasterize,
     read_input,
@@ -130,6 +131,42 @@ def test_load_tile_trailing_bytes_rejected(tmp_path):
     path.write_bytes(b"P6\n1 1\n255\n" + bytes(5))
     with pytest.raises(RasterFormatError, match="2 trailing bytes"):
         load_tile(path)
+
+
+def test_load_tile_shape_reads_what_load_tile_reads(tmp_path):
+    """load_tile_shape gives the shape of every file load_tile loads, and
+    raises load_tile's error, message and all, for every file it rejects."""
+    path = tmp_path / "s.ppm"
+    files = [
+        b"P6\n2 3\n255\n" + bytes(18),
+        b"P6\n# a comment\n2 1 # trailing\n255\n" + bytes(6),
+        b"P6 1 1 255 " + bytes(3),
+        b"P6\n2 2\n255\n" + bytes(9),
+        b"P6\n1 1\n255\n" + bytes(5),
+        b"P5\n2 2\n255\n" + bytes(4),
+        b"XY junk",
+        b"",
+        b"P6\n2 2\n65535\n" + bytes(24),
+        b"P6\n2 two\n255\n" + bytes(12),
+        b"P6\n0 2\n255\n",
+        b"P6\n1 1\n255",
+        b"P6\n1 1",
+    ]
+    shapes = []
+    for data in files:
+        path.write_bytes(data)
+        try:
+            tile = load_tile(path)
+        except DataError as exc:
+            with pytest.raises(type(exc)) as raised:
+                load_tile_shape(path)
+            assert str(raised.value) == str(exc)
+        else:
+            shapes.append(load_tile_shape(path))
+            assert shapes[-1] == (tile.height, tile.width)
+    assert shapes == [(3, 2), (1, 2), (1, 1)]
+    with pytest.raises(InputError, match="raster not found"):
+        load_tile_shape(tmp_path / "missing.ppm")
 
 
 def test_load_tile_missing_file(tmp_path):
